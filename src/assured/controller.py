@@ -28,6 +28,7 @@ from .errors import (
     ChannelError,
     DeliveryFailed,
     EnvelopeMismatch,
+    NonceCollision,
     NotVerifiedBySync,
     ParseError,
     PolicyDeferred,
@@ -117,6 +118,7 @@ class Controller:
         self.registry: dict[int, DeviceRecord] = {}
         self.seen_targets: dict[str, bytes] = {}
         self.nonce_log: list[bytes] = []
+        self._nonces_used: set[bytes] = set()  # nonce_log as a set, for the reuse check
 
     # --- fleet management -----------------------------------------------------------
 
@@ -261,7 +263,8 @@ class Controller:
         if outcome.status == InstallOutcome.INSTALLED:
             record = self.registry[session.device_id]
             record.expected_version = outcome.version
-            record.expected_digest = crypto.hash_data(verified.envelope.artifact)
+            # sync() checked hash(artifact) == record.hash == token.artifact_hash
+            record.expected_digest = verified.envelope.token.artifact_hash
         return outcome
 
     # --- attestation --------------------------------------------------------------------------
@@ -274,7 +277,9 @@ class Controller:
         record = self.registry[device_id]
         expected = record.expected_digest if expected_digest is None else expected_digest
         nonce = self.rng.randbytes(crypto.NONCE_LEN)
-        assert nonce not in self.nonce_log, "attestation nonce collision"
+        if nonce in self._nonces_used:
+            raise NonceCollision(f"attestation nonce {nonce.hex()} drawn twice")
+        self._nonces_used.add(nonce)
         self.nonce_log.append(nonce)
         report = device_port.attest(nonce)
         if report is None:
@@ -348,12 +353,17 @@ def load_controller(path: str, rng: random.Random | None = None) -> Controller:
         raise ParseError("bad controller state magic", position=0)
     reader = _Reader(data, offset=4)
     clock = reader.u64("clock")
-    mode = Mode.JSON if reader.u8("mode") == 0 else Mode.FIXED_BINARY
+    mode_flag = reader.u8("mode")
+    if mode_flag > 1:
+        raise ParseError(f"mode flag {mode_flag} is not 0 or 1", position=reader.offset - 1)
+    mode = Mode.JSON if mode_flag == 0 else Mode.FIXED_BINARY
     root_len = reader.u32("root length")
     trusted_root = parse(reader.take(root_len, "trusted root"), Mode.FIXED_BINARY)
     last_seen = {}
     for _ in range(reader.u8("last-seen count")):
         tag = reader.u8("role tag")
+        if tag not in _TAG_ROLES:
+            raise ParseError(f"unknown role tag {tag}", position=reader.offset - 1)
         last_seen[_TAG_ROLES[tag]] = reader.u64("version")
     registry = {}
     for _ in range(reader.u32("registry count")):
@@ -371,7 +381,11 @@ def load_controller(path: str, rng: random.Random | None = None) -> Controller:
     seen = {}
     for _ in range(reader.u32("seen count")):
         name_len = reader.u16("name length")
-        name = reader.take(name_len, "name").decode("utf-8")
+        name_at = reader.offset
+        try:
+            name = reader.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("target name is not utf-8", position=name_at + exc.start) from exc
         seen[name] = reader.take(32, "hash")
     window = None
     if reader.u8("window flag"):
@@ -380,10 +394,18 @@ def load_controller(path: str, rng: random.Random | None = None) -> Controller:
     if reader.u8("allow-list flag"):
         count = reader.u32("allow-list count")
         allowed = frozenset(reader.u64("model") for _ in range(count))
+    nonces_at = reader.offset
     nonce_log = [reader.take(16, "nonce") for _ in range(reader.u32("nonce count"))]
-    ctrl = Controller(trusted_root=trusted_root, mode=mode, policy=LocalPolicy(window=window, allowed_models=allowed), clock=clock, rng=rng)
+    nonces_used = set(nonce_log)
+    if len(nonces_used) != len(nonce_log):
+        raise ParseError("attestation nonce log repeats a nonce", position=nonces_at)
+    try:
+        ctrl = Controller(trusted_root=trusted_root, mode=mode, policy=LocalPolicy(window=window, allowed_models=allowed), clock=clock, rng=rng)
+    except ValueError as exc:  # a non-root trusted root or an inverted window
+        raise ParseError(str(exc), position=reader.offset) from exc
     ctrl.last_seen = last_seen
     ctrl.registry = registry
     ctrl.seen_targets = seen
     ctrl.nonce_log = nonce_log
+    ctrl._nonces_used = nonces_used
     return ctrl

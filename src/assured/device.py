@@ -276,17 +276,19 @@ class Device:
         self._writes_done += 1
 
     def _write_artifact(self, bank: Bank, artifact: bytes) -> None:
-        def start() -> None:
-            bank.artifact = b""
-
-        self._write(start)
-        for offset in range(0, len(artifact), BANK_WRITE_CHUNK):
-            chunk = artifact[offset : offset + BANK_WRITE_CHUNK]
-
-            def append(chunk: bytes = chunk) -> None:
-                bank.artifact = (bank.artifact or b"") + chunk
-
-            self._write(append)
+        """Stage an image: one write starts it, then one write per
+        BANK_WRITE_CHUNK bytes, each a point where power can fail. The chunks
+        the fault budget still allows are applied as a single copy, so the
+        bank and the write count end exactly where a chunk-by-chunk loop
+        would stop."""
+        self._write(lambda: setattr(bank, "artifact", b""))
+        chunks = -(-len(artifact) // BANK_WRITE_CHUNK)
+        budget = self.faults.fail_after_writes
+        allowed = chunks if budget is None else min(chunks, budget - self._writes_done)
+        bank.artifact = artifact[: allowed * BANK_WRITE_CHUNK]
+        self._writes_done += allowed
+        if allowed < chunks:
+            raise SimulatedPowerLoss(f"power loss after {self._writes_done} writes")
 
     def _bank_consistent(self, bank: Bank) -> bool:
         """Write-integrity recheck of a staged bank against its token:
@@ -534,8 +536,12 @@ def load_flash(path: str, rng: random.Random | None = None) -> Device:
     model = reader.u64("model")
     device_id = reader.u64("device id")
     active = reader.u8("active bank")
+    if active > 1:
+        raise ParseError(f"active bank index {active} is not 0 or 1", position=reader.offset - 1)
     installed = reader.u64("installed version")
     mode_flag = reader.u8("install mode")
+    if mode_flag > 1:
+        raise ParseError(f"install mode flag {mode_flag} is not 0 or 1", position=reader.offset - 1)
     needs_replacement = reader.u8("replacement flag")
     banks = [_unpack_bank(reader), _unpack_bank(reader)]
     oem_public = reader.take(32, "oem public key")

@@ -135,6 +135,10 @@ class NotVerifiedBySync(AssuredError):
     """Attempt to deliver an envelope that did not come out of sync()."""
 
 
+class NonceCollision(AssuredError):
+    """The controller drew an attestation nonce it has already used."""
+
+
 class AttestationRefused(AssuredError):
     """Device refused to serve an attestation nonce (replay)."""
 

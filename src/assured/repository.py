@@ -76,7 +76,8 @@ class RepositoryState:
     clock: int
     mode: Mode = Mode.JSON
     tamper: TamperPolicy = TamperPolicy()
-    # serialized metadata sets from before each mutation, oldest first
+    # the serialized metadata set from before the first mutation (what the
+    # stale-metadata tamper serves); empty until something is published
     archive: tuple[dict[RoleKind, bytes], ...] = ()
 
 
@@ -157,7 +158,7 @@ def _resign_chain(state: RepositoryState, targets: RoleMetadata | None, root: Ro
 
 
 def _archived(state: RepositoryState) -> tuple[dict[RoleKind, bytes], ...]:
-    return state.archive + (_serialized_set(state),)
+    return state.archive or (_serialized_set(state),)
 
 
 def _publish_record(state: RepositoryState, record: TargetRecord, envelope_bytes: bytes | None) -> RepositoryState:
@@ -380,6 +381,6 @@ def load_repository(directory: str) -> RepositoryState:
         tamper=TamperPolicy(kind=TamperKind(private["tamper"]["kind"]), bit_offset=private["tamper"]["bit_offset"]),
         archive=tuple(
             {RoleKind(role): bytes.fromhex(blob) for role, blob in entry.items()}
-            for entry in private["archive"]
+            for entry in private["archive"][:1]
         ),
     )

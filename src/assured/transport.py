@@ -336,8 +336,11 @@ def make_device_server(device: Device, listen: str):
 
 
 def serve_in_thread(server) -> str:
-    """Start a port server on a daemon thread; returns its display address."""
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    """Start a port server on a daemon thread; returns its display address.
+
+    ``shutdown()`` returns only once ``serve_forever`` sees the request at its
+    next poll, so the thread polls often enough for that to be prompt."""
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
     thread.start()
     return server.display_address()
 

@@ -2,8 +2,11 @@
 authenticated delivery, attestation checking, and state persistence."""
 
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assured import crypto
 from assured.authorization import (
@@ -23,8 +26,10 @@ from assured.device import Device, InstallMode, InstallOutcome
 from assured.errors import (
     EnvelopeMismatch,
     Expired,
+    NonceCollision,
     NotFound,
     NotVerifiedBySync,
+    ParseError,
     PolicyDeferred,
     VersionRollback,
 )
@@ -289,6 +294,24 @@ class TestAttestation:
         nonces = controller.nonce_log
         assert len(nonces) == len(set(nonces))
 
+    def test_repeated_nonce_is_a_typed_error(self, controller, device_port):
+        enroll(controller, device_port)
+        controller.rng = RepeatingRng()
+        assert controller.request_attestation(device_port, DEVICE_ID).verified
+        with pytest.raises(NonceCollision):
+            controller.request_attestation(device_port, DEVICE_ID)
+        assert len(controller.nonce_log) == 1
+
+
+class RepeatingRng:
+    """Stub rng whose every draw is the same nonce."""
+
+    def __init__(self, nonce: bytes = b"\x5a" * 16) -> None:
+        self.nonce = nonce
+
+    def randbytes(self, n: int) -> bytes:
+        return self.nonce[:n]
+
 
 def test_save_load_round_trip(tmp_path, controller, repo_port, device_port, oem_key):
     enroll(controller, device_port)
@@ -308,3 +331,119 @@ def test_save_load_round_trip(tmp_path, controller, repo_port, device_port, oem_
     assert loaded.policy == controller.policy
     assert loaded.nonce_log == controller.nonce_log
     assert loaded.clock == controller.clock
+
+
+def saved_state(tmp_path, controller, repo_port, device_port, oem_key) -> bytes:
+    """A controller state file with every section populated."""
+    enroll(controller, device_port)
+    publish_update(repo_port, oem_key)
+    batch = controller.sync(repo_port)
+    controller.deliver(controller.open_channel(device_port, DEVICE_ID), batch[0])
+    controller.request_attestation(device_port, DEVICE_ID)
+    controller.request_attestation(device_port, DEVICE_ID)
+    controller.policy = LocalPolicy(window=(1, 9), allowed_models=frozenset({MODEL}))
+    path = str(tmp_path / "controller.state")
+    save_controller(controller, path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _offsets(data: bytes) -> dict[str, int]:
+    """Byte offsets of the fields the corruption tests rewrite."""
+    root_len = struct.unpack(">I", data[13:17])[0]
+    last_seen_at = 17 + root_len
+    registry_at = last_seen_at + 1 + 9 * data[last_seen_at]
+    registry_count = struct.unpack(">I", data[registry_at : registry_at + 4])[0]
+    seen_at = registry_at + 4 + registry_count * (8 + 8 + 32 + 8 + 32)
+    return {
+        "first_role_tag": last_seen_at + 1,
+        "first_name": seen_at + 4 + 2,
+        "first_nonce": len(data) - 2 * 16,
+    }
+
+
+def test_load_rejects_unknown_role_tag(tmp_path, controller, repo_port, device_port, oem_key):
+    data = bytearray(saved_state(tmp_path, controller, repo_port, device_port, oem_key))
+    data[_offsets(data)["first_role_tag"]] = 9
+    path = tmp_path / "bad.state"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError):
+        load_controller(str(path))
+
+
+def test_load_rejects_non_utf8_target_name(tmp_path, controller, repo_port, device_port, oem_key):
+    data = bytearray(saved_state(tmp_path, controller, repo_port, device_port, oem_key))
+    data[_offsets(data)["first_name"]] = 0xFF
+    path = tmp_path / "bad.state"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError):
+        load_controller(str(path))
+
+
+def test_load_rejects_duplicate_nonces(tmp_path, controller, repo_port, device_port, oem_key):
+    data = bytearray(saved_state(tmp_path, controller, repo_port, device_port, oem_key))
+    first = _offsets(data)["first_nonce"]
+    data[first + 16 :] = data[first : first + 16]
+    path = tmp_path / "bad.state"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError):
+        load_controller(str(path))
+
+
+def test_loaded_nonce_log_still_refuses_reuse(tmp_path, controller, repo_port, device_port, oem_key):
+    saved_state(tmp_path, controller, repo_port, device_port, oem_key)
+    loaded = load_controller(str(tmp_path / "controller.state"), rng=RepeatingRng(controller.nonce_log[-1]))
+    with pytest.raises(NonceCollision):
+        loaded.request_attestation(device_port, DEVICE_ID)
+
+
+@pytest.fixture(scope="module")
+def state_sample(tmp_path_factory):
+    from assured.metadata import parse
+
+    oem = crypto.signing_key_from_seed(bytes(range(32)))
+    workdir = tmp_path_factory.mktemp("controller")
+    repo = LocalRepoPort(
+        new_repository(
+            root_keys=seeded_keys(b"r", 2),
+            targets_keys=seeded_keys(b"t", 2),
+            snapshot_keys=seeded_keys(b"s", 1),
+            timestamp_keys=seeded_keys(b"w", 1),
+        )
+    )
+    ctrl = Controller(trusted_root=parse(repo.trusted_root_bytes(), repo.mode()), rng=random.Random(3))
+    device = Device(
+        device_model=MODEL, device_id=DEVICE_ID, oem_public=oem.public, attestation_key=K_ATT, rng=random.Random(9)
+    )
+    factory = b"\x01" * 128
+    device.provision_firmware(
+        factory, issue_token(oem, factory, Constraints(device_model=MODEL, device_id=DEVICE_ID, new_version=1))
+    )
+    valid = saved_state(workdir, ctrl, repo, LocalDevicePort(device), oem)
+    return valid, str(workdir / "fuzzed.state")
+
+
+def _load_state_bytes(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        load_controller(path)
+    except ParseError:
+        pass
+
+
+@given(data=st.binary(max_size=600))
+@settings(max_examples=200, deadline=None)
+def test_load_controller_arbitrary_bytes_only_parse_error(state_sample, data):
+    _, path = state_sample
+    _load_state_bytes(path, b"ASCS" + data)
+    _load_state_bytes(path, data)
+
+
+@given(position=st.integers(min_value=0), value=st.integers(min_value=0, max_value=255))
+@settings(max_examples=300, deadline=None)
+def test_load_controller_single_byte_mutation_only_parse_error(state_sample, position, value):
+    valid, path = state_sample
+    mutated = bytearray(valid)
+    mutated[position % len(valid)] = value
+    _load_state_bytes(path, bytes(mutated))

@@ -15,10 +15,12 @@ from assured.authorization import (
     serialize_envelope,
 )
 from assured.device import (
+    BANK_WRITE_CHUNK,
     MSG_CHUNK,
     MSG_CONFIRM,
     MSG_FINAL_CHUNK,
     MSG_STATUS,
+    Bank,
     Device,
     InstallMode,
     InstallOutcome,
@@ -27,7 +29,7 @@ from assured.device import (
     load_flash,
     save_flash,
 )
-from assured.errors import AttestationRefused, ChannelError
+from assured.errors import AttestationRefused, ChannelError, ParseError
 from assured.metadata import RoleKind
 from assured.repository import fetch_metadata, new_repository, publish_vanilla
 
@@ -240,6 +242,42 @@ class TestFailurePointInjection:
         device.faults.fail_after_writes = None
         assert device.boot().version == 1  # staged but never flipped
 
+    @staticmethod
+    def chunk_loop(artifact: bytes, writes_done: int, budget: int | None):
+        """Reference model: one write starts the image, then one write per
+        chunk, power failing once ``budget`` writes are done. Returns the
+        staged bytes (None if even the start write failed), the write count
+        and whether power failed."""
+        staged = None
+        steps = [b""] + [artifact[i : i + BANK_WRITE_CHUNK] for i in range(0, len(artifact), BANK_WRITE_CHUNK)]
+        for step in steps:
+            if budget is not None and writes_done >= budget:
+                return staged, writes_done, True
+            staged = (staged or b"") + step
+            writes_done += 1
+        return staged, writes_done, False
+
+    @pytest.mark.parametrize("size", [0, 5 * BANK_WRITE_CHUNK + 17])
+    @pytest.mark.parametrize("writes_before", [0, 3])
+    def test_staging_matches_chunk_loop_at_every_injection_point(self, oem_key, size, writes_before):
+        artifact = bytes(i % 251 for i in range(size))
+        chunks = -(-size // BANK_WRITE_CHUNK)
+        for budget in [None, *range(writes_before + chunks + 3)]:
+            device = make_device(oem_key)
+            device._writes_done = writes_before
+            device.faults.fail_after_writes = budget
+            bank = Bank()
+            try:
+                device._write_artifact(bank, artifact)
+                lost = False
+            except SimulatedPowerLoss:
+                lost = True
+            staged, writes, expect_lost = self.chunk_loop(artifact, writes_before, budget)
+            assert (bank.artifact, device._writes_done, lost) == (staged, writes, expect_lost), budget
+            if staged is not None:
+                k = writes - writes_before - 1
+                assert bank.artifact == artifact[: k * BANK_WRITE_CHUNK]
+
 
 class TestBoot:
     def test_boot_after_install(self, oem_key):
@@ -397,7 +435,30 @@ class TestSecretConfinement:
         assert report_a.tag != report_b.tag
 
 
+def valid_flash_bytes(tmp_path, oem_key) -> bytes:
+    device = make_device(oem_key)
+    Channel(device).deliver(make_envelope(oem_key)[0])
+    device.attest(b"\x20" * 16)
+    path = str(tmp_path / "valid.flash")
+    save_flash(device, path)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+ACTIVE_BANK_AT, INSTALL_MODE_AT = 4 + 8 + 8, 4 + 8 + 8 + 1 + 8  # magic, model, id, [active], version, [mode]
+
+
 class TestFlashPersistence:
+    @pytest.mark.parametrize("offset", [ACTIVE_BANK_AT, INSTALL_MODE_AT])
+    @pytest.mark.parametrize("value", [2, 0xFF])
+    def test_out_of_range_flag_is_parse_error(self, tmp_path, oem_key, offset, value):
+        data = bytearray(valid_flash_bytes(tmp_path, oem_key))
+        data[offset] = value
+        path = tmp_path / "bad.flash"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError):
+            load_flash(str(path))
+
     def test_round_trip(self, tmp_path, oem_key):
         device = make_device(oem_key)
         Channel(device).deliver(make_envelope(oem_key)[0])
@@ -417,3 +478,36 @@ class TestFlashPersistence:
         report = loaded.attest(b"\x21" * 16)
         expected = crypto.mac(K_ATT, DEVICE_ID.to_bytes(8, "big") + b"\x21" * 16 + report.measurement)
         assert report.tag == expected
+
+
+@pytest.fixture(scope="module")
+def flash_sample(tmp_path_factory):
+    oem = crypto.signing_key_from_seed(bytes(range(32)))
+    workdir = tmp_path_factory.mktemp("flash")
+    return valid_flash_bytes(workdir, oem), str(workdir / "fuzzed.flash")
+
+
+def _load_flash_bytes(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        load_flash(path)
+    except ParseError:
+        pass
+
+
+@given(data=st.binary(max_size=600))
+@settings(max_examples=200, deadline=None)
+def test_load_flash_arbitrary_bytes_only_parse_error(flash_sample, data):
+    _, path = flash_sample
+    _load_flash_bytes(path, b"ASFL" + data)
+    _load_flash_bytes(path, data)
+
+
+@given(position=st.integers(min_value=0), value=st.integers(min_value=0, max_value=255))
+@settings(max_examples=300, deadline=None)
+def test_load_flash_single_byte_mutation_only_parse_error(flash_sample, position, value):
+    valid, path = flash_sample
+    mutated = bytearray(valid)
+    mutated[position % len(valid)] = value
+    _load_flash_bytes(path, bytes(mutated))

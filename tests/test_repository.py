@@ -196,6 +196,24 @@ class TestTamper:
             )
 
 
+def test_archive_keeps_only_the_pre_first_mutation_set(tmp_path, fresh_repo, envelope):
+    original = {role: fetch_metadata(fresh_repo, role) for role in RoleKind}
+    state = publish(fresh_repo, "fw", envelope)
+    for i in range(5):
+        state = publish_vanilla(state, f"plain{i}", bytes([i]) * 32)
+        state = refresh_timestamp(state)
+    state = rotate_root(state, seeded_keys(b"R", 2))
+    state = publish(state, "fw", envelope)
+    assert state.archive == (original,)
+    state = set_tamper(state, TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA))
+    assert {role: fetch_metadata(state, role) for role in RoleKind} == original
+    directory = str(tmp_path / "repo")
+    save_repository(state, directory)
+    loaded = load_repository(directory)
+    assert loaded.archive == (original,)
+    assert {role: fetch_metadata(loaded, role) for role in RoleKind} == original
+
+
 def test_rotate_root_re_anchors(fresh_repo, envelope):
     state = publish(fresh_repo, "fw", envelope)
     new_keys = seeded_keys(b"R", 2)
