@@ -10,11 +10,14 @@ byte-identical whether the peers are objects or separate processes.
 from __future__ import annotations
 
 import base64
+import io
 import json
 import os
+import select
 import socket
 import socketserver
 import threading
+import time
 
 from . import errors, repository
 from .authorization import decode_token
@@ -161,9 +164,46 @@ def parse_listen_address(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+# --- line reading ----------------------------------------------------------------------------
+
+# How long a reader polls its socket before it sleeps in the kernel. Each
+# call is a closed loop between two processes: while one side works the
+# other waits, and a waiting process that sleeps lets its CPU go idle. On a
+# virtual machine an idle vCPU is handed back to the host, and getting it
+# back for the reply can take longer than the call itself, by an amount that
+# changes with the host's load. The peer of a local call mostly answers (or
+# sends its next request) well within this time.
+_POLL_BEFORE_SLEEP_S = 0.005
+
+
+class _PollingSocketIO(socket.SocketIO):
+    """Raw reads from a socket that poll for up to _POLL_BEFORE_SLEEP_S,
+    yielding the CPU between polls, before they block."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        super().__init__(sock, "rb")
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
+
+    def readinto(self, buffer) -> int | None:
+        deadline = time.perf_counter() + _POLL_BEFORE_SLEEP_S
+        while not self._poller.poll(0) and time.perf_counter() < deadline:
+            os.sched_yield()
+        return super().readinto(buffer)
+
+
+def _line_reader(sock: socket.socket) -> io.BufferedReader:
+    return io.BufferedReader(_PollingSocketIO(sock))
+
+
 # --- servers -----------------------------------------------------------------------------
 
 class _LineHandler(socketserver.StreamRequestHandler):
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()
+        self.rfile = _line_reader(self.connection)
+
     def handle(self) -> None:
         while True:
             line = self.rfile.readline()
@@ -355,7 +395,7 @@ class _LineClient:
             self._sock.connect(address)
         else:
             self._sock = socket.create_connection(parse_listen_address(address), timeout=timeout)
-        self._reader = self._sock.makefile("rb")
+        self._reader = _line_reader(self._sock)
 
     def call(self, op: str, **args):
         request = json.dumps({"op": op, "args": args}, sort_keys=True).encode("ascii") + b"\n"

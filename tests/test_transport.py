@@ -2,6 +2,8 @@
 byte-for-byte and error-for-error interchangeable with direct calls."""
 
 import random
+import socket
+import threading
 
 import pytest
 
@@ -18,6 +20,7 @@ from assured.transport import (
     RemoteDevicePort,
     RemoteRepoPort,
     RepoServer,
+    _line_reader,
     is_unix_address,
     make_device_server,
     parse_listen_address,
@@ -156,3 +159,31 @@ def test_device_channel_errors_cross_the_wire(device_pair, oem_key):
 def test_verify_count_crosses_the_wire(device_pair):
     _, remote = device_pair
     assert isinstance(remote.verify_count(), int)
+
+
+def test_line_reader_returns_whole_lines_however_late_they_arrive():
+    """A line already waiting, one that arrives after the reader has stopped
+    polling and gone to sleep, and one larger than any socket buffer all come
+    back whole; end of stream reads as b""."""
+    near, far = socket.socketpair()
+    reader = _line_reader(near)
+    try:
+        far.sendall(b"first\n")
+        assert reader.readline() == b"first\n"
+        late = threading.Timer(0.05, far.sendall, args=(b"late\n",))
+        late.start()
+        assert reader.readline() == b"late\n"
+        late.join(timeout=5)
+        assert not late.is_alive()
+        big = b"x" * (1 << 20) + b"\n"
+        sender = threading.Thread(target=far.sendall, args=(big,))
+        sender.start()
+        assert reader.readline() == big
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+        far.close()
+        assert reader.readline() == b""
+    finally:
+        reader.close()
+        near.close()
+        far.close()
