@@ -61,6 +61,16 @@ def _rng(seed: int | None) -> random.Random:
     return random.Random(seed) if seed is not None else random.Random()
 
 
+def _load_controller(args) -> Controller:
+    """Load the controller state file. A seeded rng is derived from the seed
+    and the length of the nonce log, so repeated runs with one seed stay
+    deterministic but never draw a nonce again."""
+    ctrl = load_controller(args.state)
+    if args.seed is not None:
+        ctrl.rng = random.Random(f"{args.seed}:{len(ctrl.nonce_log)}")
+    return ctrl
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -209,7 +219,7 @@ def _serve(server) -> int:
         lambda *_: threading.Thread(target=server.shutdown, daemon=True).start(),
     )
     try:
-        server.serve_forever()
+        server.serve_forever(poll_interval=0.02)
     except KeyboardInterrupt:
         pass
     finally:
@@ -243,7 +253,7 @@ def cmd_controller_init(args) -> int:
 
 
 def cmd_controller_enroll(args) -> int:
-    ctrl = load_controller(args.state, rng=_rng(args.seed))
+    ctrl = _load_controller(args)
     ctrl.enroll(
         device_id=args.device,
         device_model=args.model,
@@ -257,7 +267,7 @@ def cmd_controller_enroll(args) -> int:
 
 
 def cmd_controller_sync(args) -> int:
-    ctrl = load_controller(args.state, rng=_rng(args.seed))
+    ctrl = _load_controller(args)
     repo = _repo_port(args.repo)
     try:
         batch = ctrl.sync(repo)
@@ -272,7 +282,7 @@ def cmd_controller_sync(args) -> int:
 
 
 def cmd_controller_deliver(args) -> int:
-    ctrl = load_controller(args.state, rng=_rng(args.seed))
+    ctrl = _load_controller(args)
     repo = _repo_port(args.repo)
     port, device = _device_port(args)
     ctrl.seen_targets.pop(args.name, None)  # re-verify and re-deliver idempotently
@@ -300,7 +310,7 @@ def cmd_controller_deliver(args) -> int:
 
 
 def cmd_controller_attest(args) -> int:
-    ctrl = load_controller(args.state, rng=_rng(args.seed))
+    ctrl = _load_controller(args)
     port, device = _device_port(args)
     expected = bytes.fromhex(args.expected) if args.expected else None
     result = ctrl.request_attestation(port, args.device, expected_digest=expected)

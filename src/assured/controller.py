@@ -42,6 +42,7 @@ from .metadata import (
     RootBody,
     parse,
     verify_full_chain,
+    verify_timestamp_pin,
 )
 
 FRAME_PAYLOAD = 4096  # envelope bytes per sealed frame
@@ -119,6 +120,9 @@ class Controller:
         self.seen_targets: dict[str, bytes] = {}
         self.nonce_log: list[bytes] = []
         self._nonces_used: set[bytes] = set()  # nonce_log as a set, for the reuse check
+        # the metadata set the last full sync committed; in memory only, so a
+        # loaded controller's first sync takes the full path
+        self._held: MetadataSet | None = None
 
     # --- fleet management -----------------------------------------------------------
 
@@ -144,18 +148,26 @@ class Controller:
     # --- repository polling -----------------------------------------------------------
 
     def sync(self, repo) -> list[VerifiedEnvelope]:
-        """Fetch and fully verify the repository metadata set, then fetch and
-        cross-check every new envelope against its signed record.
+        """Fetch the timestamp first. If it pins the snapshot of the set the
+        last sync committed, verify only the timestamp, re-check that the
+        held roles have not expired and return []. Otherwise fetch and fully
+        verify the repository metadata set, then fetch and cross-check every
+        new envelope against its signed record.
 
         Controller state (trusted root, version floor, seen targets) commits
         only if the entire batch validates.
         """
-        blobs = {role: repo.fetch_metadata(role) for role in RoleKind}
+        timestamp = parse(repo.fetch_metadata(RoleKind.TIMESTAMP), self.mode)
+        if self._held is not None and verify_timestamp_pin(
+            self._held, timestamp, now=self.clock, last_seen=self.last_seen
+        ):
+            self.last_seen[RoleKind.TIMESTAMP] = timestamp.version
+            return []
         metadata_set = MetadataSet(
-            root=parse(blobs[RoleKind.ROOT], self.mode),
-            targets=parse(blobs[RoleKind.TARGETS], self.mode),
-            snapshot=parse(blobs[RoleKind.SNAPSHOT], self.mode),
-            timestamp=parse(blobs[RoleKind.TIMESTAMP], self.mode),
+            root=parse(repo.fetch_metadata(RoleKind.ROOT), self.mode),
+            targets=parse(repo.fetch_metadata(RoleKind.TARGETS), self.mode),
+            snapshot=parse(repo.fetch_metadata(RoleKind.SNAPSHOT), self.mode),
+            timestamp=timestamp,
         )
         targets = verify_full_chain(
             self.trusted_root, metadata_set, now=self.clock, last_seen=self.last_seen
@@ -184,6 +196,7 @@ class Controller:
         for role in RoleKind:
             self.last_seen[role] = metadata_set.by_role(role).version
         self.seen_targets.update(seen_updates)
+        self._held = metadata_set
         return verified
 
     # --- local policy ---------------------------------------------------------------------

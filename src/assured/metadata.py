@@ -481,6 +481,11 @@ def verify_role_signatures(meta: RoleMetadata, authorized: RoleKeys) -> None:
     )
 
 
+def _check_expiry(meta: RoleMetadata, now: int) -> None:
+    if meta.expires <= now:
+        raise Expired(meta.role.value, f"expired at tick {meta.expires}, now {now}")
+
+
 def _check_role(
     meta: RoleMetadata,
     expected_role: RoleKind,
@@ -491,8 +496,7 @@ def _check_role(
     if meta.role is not expected_role:
         raise BindingMismatch(expected_role.value, f"metadata is for role {meta.role.value}")
     verify_role_signatures(meta, authorized)
-    if meta.expires <= now:
-        raise Expired(meta.role.value, f"expired at tick {meta.expires}, now {now}")
+    _check_expiry(meta, now)
     if last_seen is not None and meta.version < last_seen.get(expected_role, 0):
         raise VersionRollback(
             expected_role.value,
@@ -551,3 +555,37 @@ def verify_full_chain(
     targets_body = metadata_set.targets.body
     assert isinstance(targets_body, TargetsBody)
     return targets_body
+
+
+def verify_timestamp_pin(
+    held: MetadataSet,
+    timestamp: RoleMetadata,
+    now: int,
+    last_seen: dict[RoleKind, int],
+) -> bool:
+    """Timestamp-first check of a set that verify_full_chain already accepted.
+
+    Returns False, having verified nothing, unless ``timestamp`` pins the
+    held snapshot (same version and the hash of its signed region); the
+    caller then fetches the other roles and runs verify_full_chain. Otherwise
+    checks, in verify_full_chain's order, that the held root has not expired,
+    that the timestamp meets the held root's timestamp threshold, has not
+    expired and does not regress below ``last_seen``, and that the held
+    snapshot and targets have not expired, then returns True. With
+    thresholds (2,2,1,1) that is one signature verification.
+    """
+    ts_body = timestamp.body
+    if not (
+        isinstance(ts_body, TimestampBody)
+        and ts_body.snapshot_version == held.snapshot.version
+        and ts_body.snapshot_hash == crypto.hash_data(signed_region_of(held.snapshot))
+    ):
+        return False
+    root_body = held.root.body
+    if not isinstance(root_body, RootBody):
+        raise BindingMismatch("root", "held root metadata has no root body")
+    _check_expiry(held.root, now)
+    _check_role(timestamp, RoleKind.TIMESTAMP, root_body.roles[RoleKind.TIMESTAMP], now, last_seen)
+    _check_expiry(held.snapshot, now)
+    _check_expiry(held.targets, now)
+    return True

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import crypto
 from .authorization import parse_envelope, serialize_envelope
@@ -31,6 +31,7 @@ from .metadata import (
     TargetRecord,
     TargetsBody,
     TimestampBody,
+    _need,
     build_and_sign,
     parse,
     serialize_canonical,
@@ -51,6 +52,9 @@ DEFAULT_THRESHOLDS = {
     RoleKind.SNAPSHOT: 1,
     RoleKind.TIMESTAMP: 1,
 }
+
+# the signed region stores a target name's length and the record count as u16
+_U16_MAX = 0xFFFF
 
 
 class TamperKind(enum.Enum):
@@ -79,13 +83,20 @@ class RepositoryState:
     # the serialized metadata set from before the first mutation (what the
     # stale-metadata tamper serves); empty until something is published
     archive: tuple[dict[RoleKind, bytes], ...] = ()
+    # each role's canonical bytes, filled on first use; replace() starts a
+    # new state with an empty cache, so publish pays no serialization
+    _canonical: dict[RoleKind, bytes] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+
+def _canonical_bytes(state: RepositoryState, role: RoleKind) -> bytes:
+    blob = state._canonical.get(role)
+    if blob is None:
+        blob = state._canonical[role] = serialize_canonical(state.metadata.by_role(role), state.mode)
+    return blob
 
 
 def _serialized_set(state: RepositoryState) -> dict[RoleKind, bytes]:
-    return {
-        role: serialize_canonical(state.metadata.by_role(role), state.mode)
-        for role in RoleKind
-    }
+    return {role: _canonical_bytes(state, role) for role in RoleKind}
 
 
 def new_repository(
@@ -162,9 +173,13 @@ def _archived(state: RepositoryState) -> tuple[dict[RoleKind, bytes], ...]:
 
 
 def _publish_record(state: RepositoryState, record: TargetRecord, envelope_bytes: bytes | None) -> RepositoryState:
+    if len(record.name.encode("utf-8")) > _U16_MAX:
+        raise PublishRejected(f"target name longer than {_U16_MAX} UTF-8 bytes")
     old_body = state.metadata.targets.body
     assert isinstance(old_body, TargetsBody)
     records = [r for r in old_body.records if r.name != record.name] + [record]
+    if len(records) > _U16_MAX:
+        raise PublishRejected(f"targets list longer than {_U16_MAX} records")
     records.sort(key=lambda r: r.name)
     targets = build_and_sign(
         TargetsBody(records=records),
@@ -286,7 +301,7 @@ def fetch_metadata(state: RepositoryState, role: RoleKind) -> bytes:
     """Serve role metadata bytes as the (untrusted) mirror would."""
     if state.tamper.kind is TamperKind.SERVE_STALE_METADATA and state.archive:
         return state.archive[0][role]
-    return _serialized_set(state)[role]
+    return _canonical_bytes(state, role)
 
 
 def fetch_envelope(state: RepositoryState, name: str) -> bytes:
@@ -348,39 +363,110 @@ def save_repository(state: RepositoryState, directory: str) -> None:
         json.dump(private, fh, indent=1, sort_keys=True)
 
 
+def _read_file(directory: str, *parts: str) -> bytes:
+    try:
+        with open(os.path.join(directory, *parts), "rb") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise ParseError("missing file", position=os.path.join(*parts)) from exc
+
+
+def _enum_field(obj, key: str, kind: type[enum.Enum], path: str):
+    value = _need(obj, key, str, path)
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ParseError(f"unknown {kind.__name__} {value!r}", position=f"{path}.{key}") from exc
+
+
+def _count_field(obj, key: str, path: str) -> int:
+    value = _need(obj, key, int, path)
+    if value < 0:
+        raise ParseError(f"field {key!r} must not be negative", position=f"{path}.{key}")
+    return value
+
+
+def _hex(value, path: str, length: int | None = None) -> bytes:
+    try:
+        raw = bytes.fromhex(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"expected a hex string: {exc}", position=path) from exc
+    if length is not None and len(raw) != length:
+        raise ParseError(f"expected {length} bytes, got {len(raw)}", position=path)
+    return raw
+
+
+def _key_list(obj, key: str, path: str) -> tuple[crypto.SigningKeyPair, ...]:
+    seeds = _need(obj, key, list, path)
+    if not seeds:
+        raise ParseError(f"field {key!r} lists no keys", position=f"{path}.{key}")
+    return tuple(
+        crypto.signing_key_from_seed(_hex(seed, f"{path}.{key}[{i}]", crypto.KEY_LEN))
+        for i, seed in enumerate(seeds)
+    )
+
+
+def _role_map(obj, roles: set[str], path: str) -> dict:
+    if not isinstance(obj, dict) or set(obj) != roles:
+        raise ParseError(f"expected exactly the roles {sorted(roles)}", position=path)
+    return obj
+
+
 def load_repository(directory: str) -> RepositoryState:
-    with open(os.path.join(directory, _PRIVATE_FILE), encoding="utf-8") as fh:
-        private = json.load(fh)
-    mode = Mode(private["mode"])
+    """Inverse of save_repository; a malformed or incomplete directory raises
+    ParseError (``position`` is a field path in private.json or a file name)."""
+    raw = _read_file(directory, _PRIVATE_FILE)
+    try:
+        private = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{_PRIVATE_FILE} is not utf-8", position=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad json: {exc.msg}", position=exc.pos) from exc
+    mode = _enum_field(private, "mode", Mode, "$")
+    tamper = _need(private, "tamper", dict, "$")
+    tamper_policy = TamperPolicy(
+        kind=_enum_field(tamper, "kind", TamperKind, "$.tamper"),
+        bit_offset=_count_field(tamper, "bit_offset", "$.tamper"),
+    )
     names = {
-        RoleKind.ROOT: f"root.{private['root_version']}.meta",
-        RoleKind.TARGETS: f"targets.{private['targets_version']}.meta",
+        RoleKind.ROOT: f"root.{_count_field(private, 'root_version', '$')}.meta",
+        RoleKind.TARGETS: f"targets.{_count_field(private, 'targets_version', '$')}.meta",
         RoleKind.SNAPSHOT: "snapshot.meta",
         RoleKind.TIMESTAMP: "timestamp.meta",
     }
     loaded: dict[str, RoleMetadata] = {}
     for role, filename in names.items():
-        with open(os.path.join(directory, filename), "rb") as fh:
-            loaded[role.value] = parse(fh.read(), mode)
+        meta = parse(_read_file(directory, filename), mode)
+        if meta.role is not role:
+            raise ParseError(f"{filename} holds {meta.role.value} metadata", position=filename)
+        loaded[role.value] = meta
+    online = _role_map(
+        _need(private, "online_keys", dict, "$"),
+        {role.value for role in RoleKind if role is not RoleKind.ROOT},
+        "$.online_keys",
+    )
+    archive = _need(private, "archive", list, "$")[:1]
     envelopes = {}
-    envelope_dir = os.path.join(directory, "envelopes")
-    for filename in sorted(os.listdir(envelope_dir)):
+    try:
+        filenames = sorted(os.listdir(os.path.join(directory, "envelopes")))
+    except FileNotFoundError as exc:
+        raise ParseError("missing directory", position="envelopes") from exc
+    for filename in filenames:
         if filename.endswith(".env"):
-            with open(os.path.join(envelope_dir, filename), "rb") as fh:
-                envelopes[filename[: -len(".env")]] = fh.read()
+            envelopes[filename[: -len(".env")]] = _read_file(directory, "envelopes", filename)
     return RepositoryState(
-        online_keys={
-            RoleKind(role): tuple(crypto.signing_key_from_seed(bytes.fromhex(seed)) for seed in seeds)
-            for role, seeds in private["online_keys"].items()
-        },
-        root_keys=tuple(crypto.signing_key_from_seed(bytes.fromhex(seed)) for seed in private["root_keys"]),
+        online_keys={RoleKind(role): _key_list(online, role, "$.online_keys") for role in sorted(online)},
+        root_keys=_key_list(private, "root_keys", "$"),
         metadata=MetadataSet(**loaded),
         envelopes=envelopes,
-        clock=private["clock"],
+        clock=_count_field(private, "clock", "$"),
         mode=mode,
-        tamper=TamperPolicy(kind=TamperKind(private["tamper"]["kind"]), bit_offset=private["tamper"]["bit_offset"]),
+        tamper=tamper_policy,
         archive=tuple(
-            {RoleKind(role): bytes.fromhex(blob) for role, blob in entry.items()}
-            for entry in private["archive"][:1]
+            {
+                RoleKind(role): _hex(blob, f"$.archive[0].{role}")
+                for role, blob in _role_map(entry, {role.value for role in RoleKind}, "$.archive[0]").items()
+            }
+            for entry in archive
         ),
     )

@@ -102,6 +102,37 @@ def test_full_file_based_update_flow(workspace, capsys):
     assert "NotFound" in out
 
 
+def test_attest_twice_with_one_seed(workspace, capsys):
+    (workspace / "fw1.bin").write_bytes(b"\x01" * 200)
+    _, out = run(capsys, "oem", "keygen", "--out", "oem.key", "--seed", "1")
+    oem_public = out.strip().rsplit(" ", 1)[-1]
+    run(
+        capsys, "oem", "issue", "--key", "oem.key", "--artifact", "fw1.bin",
+        "--new-version", "1", "--model", "5", "--device", "9", "--out", "fw1.env",
+    )
+    run(capsys, "repo", "init", "--dir", "repo", "--seed", "2")
+    attestation_key = "ab" * 32
+    run(
+        capsys, "device", "init", "--flash", "dev.flash", "--model", "5", "--id", "9",
+        "--oem-public", oem_public, "--attestation-key", attestation_key,
+        "--envelope", "fw1.env", "--seed", "3",
+    )
+    run(capsys, "controller", "init", "--state", "ctrl.bin", "--repo", "repo")
+    code, _ = run(
+        capsys, "controller", "enroll", "--state", "ctrl.bin", "--device", "9", "--model", "5",
+        "--attestation-key", attestation_key, "--version", "1",
+        "--digest", hashlib.sha256(b"\x01" * 200).hexdigest(),
+    )
+    assert code == 0
+    for _ in range(2):
+        code, out = run(
+            capsys, "controller", "attest", "--state", "ctrl.bin", "--device", "9",
+            "--flash", "dev.flash", "--seed", "6",
+        )
+        assert code == 0, out
+        assert "attestation verified" in out
+
+
 def test_repo_refresh_and_advance(workspace, capsys):
     run(capsys, "repo", "init", "--dir", "repo", "--seed", "2")
     code, _ = run(capsys, "repo", "advance", "--dir", "repo", "--ticks", "5")

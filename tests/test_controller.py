@@ -3,6 +3,7 @@ authenticated delivery, attestation checking, and state persistence."""
 
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +32,18 @@ from assured.errors import (
     NotVerifiedBySync,
     ParseError,
     PolicyDeferred,
+    ThresholdNotMet,
     VersionRollback,
 )
-from assured.metadata import RoleKind
-from assured.repository import TamperKind, TamperPolicy, new_repository
+from assured.metadata import (
+    MetadataSet,
+    RoleKind,
+    SnapshotBody,
+    TimestampBody,
+    build_and_sign,
+    signed_region_of,
+)
+from assured.repository import TamperKind, TamperPolicy, new_repository, rotate_root
 from assured.transport import LocalDevicePort, LocalRepoPort
 
 MODEL, DEVICE_ID = 100, 7
@@ -162,6 +171,124 @@ class TestSync:
         assert controller.last_seen == {}
         repo_port.tamper(TamperPolicy())
         assert len(controller.sync(repo_port)) == 1
+
+
+def verifications(call):
+    """Run ``call`` and return its result and the signature verifications it made."""
+    before = crypto.VERIFY_COUNTER.read()
+    result = call()
+    return result, crypto.VERIFY_COUNTER.read() - before
+
+
+def resign_chain(repo_port, targets_expires, snapshot_expires):
+    """Replace the repository's targets, snapshot and timestamp with new
+    versions; targets and snapshot expire at the given ticks."""
+    current = repo_port.state.metadata
+    targets = build_and_sign(
+        current.targets.body, current.targets.version + 1, targets_expires, seeded_keys(b"t", 2)
+    )
+    snapshot = build_and_sign(
+        SnapshotBody(root_version=current.root.version, targets_version=targets.version),
+        current.snapshot.version + 1,
+        snapshot_expires,
+        seeded_keys(b"s", 1),
+    )
+    repo_port.state = replace(
+        repo_port.state,
+        metadata=MetadataSet(
+            root=current.root,
+            targets=targets,
+            snapshot=snapshot,
+            timestamp=pinning_timestamp(snapshot, current.timestamp.version + 1),
+        ),
+    )
+
+
+def pinning_timestamp(snapshot, version, keys=None):
+    return build_and_sign(
+        TimestampBody(snapshot_version=snapshot.version, snapshot_hash=crypto.hash_data(signed_region_of(snapshot))),
+        version,
+        500,
+        keys or seeded_keys(b"w", 1),
+    )
+
+
+class TestTimestampFirstSync:
+    def test_resync_makes_one_verification_new_release_six(self, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key)
+        assert len(verifications(lambda: controller.sync(repo_port))[0]) == 1
+        assert verifications(lambda: controller.sync(repo_port)) == ([], 1)
+        publish_update(repo_port, oem_key, version=3)
+        batch, count = verifications(lambda: controller.sync(repo_port))
+        assert [item.name for item in batch] == ["fw2"] and count == 6
+        assert verifications(lambda: controller.sync(repo_port)) == ([], 1)
+
+    def test_refreshed_timestamp_takes_fast_path(self, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key)
+        controller.sync(repo_port)
+        repo_port.refresh()
+        assert verifications(lambda: controller.sync(repo_port)) == ([], 1)
+        assert controller.last_seen[RoleKind.TIMESTAMP] == 3
+        assert controller.last_seen[RoleKind.SNAPSHOT] == 2
+
+    def test_expired_held_snapshot_under_fresh_timestamp(self, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key)
+        controller.sync(repo_port)
+        repo_port.advance_clock(101)
+        controller.advance_clock(101)
+        repo_port.refresh()  # fresh timestamp, same (now expired) snapshot
+        before = crypto.VERIFY_COUNTER.read()
+        with pytest.raises(Expired) as excinfo:
+            controller.sync(repo_port)
+        assert excinfo.value.role == "snapshot"
+        assert crypto.VERIFY_COUNTER.read() - before == 1  # fast path
+
+    def test_expired_held_targets_under_fresh_timestamp(self, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key)
+        resign_chain(repo_port, targets_expires=5, snapshot_expires=500)
+        controller.sync(repo_port)
+        controller.advance_clock(6)
+        before = crypto.VERIFY_COUNTER.read()
+        with pytest.raises(Expired) as excinfo:
+            controller.sync(repo_port)
+        assert excinfo.value.role == "targets"
+        assert crypto.VERIFY_COUNTER.read() - before == 1  # fast path
+
+    def test_forged_timestamp_signature(self, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key)
+        controller.sync(repo_port)
+        current = repo_port.state.metadata
+        forged = pinning_timestamp(current.snapshot, current.timestamp.version + 1, seeded_keys(b"x", 1))
+        repo_port.state = replace(repo_port.state, metadata=replace(current, timestamp=forged))
+        with pytest.raises(ThresholdNotMet) as excinfo:
+            controller.sync(repo_port)
+        assert excinfo.value.role == "timestamp"
+
+    def test_older_timestamp_for_held_snapshot(self, controller, repo_port):
+        controller.sync(repo_port)
+        repo_port.refresh()  # first mutation: the archive keeps timestamp v1
+        assert verifications(lambda: controller.sync(repo_port)) == ([], 1)
+        repo_port.tamper(TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA))
+        before = crypto.VERIFY_COUNTER.read()
+        with pytest.raises(VersionRollback):
+            controller.sync(repo_port)
+        assert crypto.VERIFY_COUNTER.read() - before == 1  # fast path
+
+    def test_loaded_controller_takes_full_path(self, tmp_path, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key)
+        controller.sync(repo_port)
+        path = str(tmp_path / "controller.state")
+        save_controller(controller, path)
+        loaded = load_controller(path)
+        assert verifications(lambda: loaded.sync(repo_port)) == ([], 6)
+        assert verifications(lambda: loaded.sync(repo_port)) == ([], 1)
+
+    def test_rotated_root_takes_full_path(self, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key)
+        controller.sync(repo_port)
+        repo_port.state = rotate_root(repo_port.state, seeded_keys(b"R", 2))
+        assert verifications(lambda: controller.sync(repo_port)) == ([], 6)
+        assert controller.trusted_root.version == 2
 
 
 class TestPolicyGate:

@@ -1,6 +1,8 @@
 """Repository state transitions, the tamper layer, and the on-disk layout."""
 
+import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,18 @@ from assured.authorization import (
     parse_envelope,
     serialize_envelope,
 )
-from assured.errors import Expired, NotFound, PublishRejected, VersionRollback
-from assured.metadata import RoleKind, TargetsBody, parse, verify_full_chain
+from assured import repository
+from assured.errors import Expired, NotFound, ParseError, PublishRejected, VersionRollback
+from assured.metadata import (
+    Mode,
+    RoleKind,
+    RoleMetadata,
+    TargetRecord,
+    TargetsBody,
+    parse,
+    serialize_canonical,
+    verify_full_chain,
+)
 from assured.repository import (
     LIFETIMES,
     TamperKind,
@@ -241,3 +253,161 @@ def test_save_load_round_trip(tmp_path, fresh_repo, envelope):
     assert {role: fetch_metadata(loaded, role) for role in RoleKind} == {
         role: fetch_metadata(state, role) for role in RoleKind
     }
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_fetch_serializes_each_role_once_per_state(monkeypatch, oem_key, mode):
+    artifact = b"\xaa" * 200
+    token = issue_token(oem_key, artifact, Constraints(new_version=2))
+    state = new_repository(
+        root_keys=seeded_keys(b"r", 2),
+        targets_keys=seeded_keys(b"t", 2),
+        snapshot_keys=seeded_keys(b"s", 1),
+        timestamp_keys=seeded_keys(b"w", 1),
+        mode=mode,
+    )
+    state = publish(state, "fw", serialize_envelope(build_envelope(token, artifact)))
+    serialized = []
+
+    def counting(meta, mode):
+        serialized.append(meta.role)
+        return serialize_canonical(meta, mode)
+
+    monkeypatch.setattr(repository, "serialize_canonical", counting)
+    fetch_metadata(state, RoleKind.TIMESTAMP)
+    assert serialized == [RoleKind.TIMESTAMP]
+    for _ in range(3):
+        served = {role: fetch_metadata(state, role) for role in RoleKind}
+    assert sorted(r.value for r in serialized) == sorted(r.value for r in RoleKind)
+    assert served == {role: serialize_canonical(state.metadata.by_role(role), mode) for role in RoleKind}
+    # a new state value starts with an empty cache
+    assert fetch_metadata(refresh_timestamp(state), RoleKind.TIMESTAMP) != served[RoleKind.TIMESTAMP]
+
+
+def test_publish_rejects_name_too_long_for_the_encoding(fresh_repo, oem_key):
+    artifact = b"\xaa" * 64
+    token = issue_token(oem_key, artifact, Constraints(new_version=2))
+    name = "n" * 70_000
+    with pytest.raises(PublishRejected):
+        publish(fresh_repo, name, serialize_envelope(build_envelope(token, artifact)))
+    with pytest.raises(PublishRejected):
+        publish_vanilla(fresh_repo, "\u00e9" * 32_768, artifact)  # 65536 UTF-8 bytes
+    assert publish_vanilla(fresh_repo, "n" * 65_535, artifact).metadata.targets.version == 2
+
+
+def test_publish_rejects_targets_list_too_long_for_the_encoding(fresh_repo):
+    records = [TargetRecord(name=f"t{i:05d}", hash=bytes(32), size=0) for i in range(65_535)]
+    full = RoleMetadata(
+        role=RoleKind.TARGETS, version=2, expires=1000, body=TargetsBody(records=records), signatures=[]
+    )
+    state = replace(fresh_repo, metadata=replace(fresh_repo.metadata, targets=full))
+    with pytest.raises(PublishRejected):
+        publish_vanilla(state, "one-more", b"x")
+
+
+# --- load_repository raises only ParseError --------------------------------------------
+
+def saved_directory(directory: str, state) -> dict:
+    save_repository(state, directory)
+    with open(os.path.join(directory, "private.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_private(directory: str, private) -> None:
+    with open(os.path.join(directory, "private.json"), "w", encoding="utf-8") as fh:
+        json.dump(private, fh)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.update(mode="warp"),
+        lambda p: p["tamper"].update(kind="unplug"),
+        lambda p: p["tamper"].update(bit_offset=-1),
+        lambda p: p.update(root_keys=["zz" * 32]),
+        lambda p: p.update(root_keys=["ab" * 31]),
+        lambda p: p.update(root_keys=[]),
+        lambda p: p["online_keys"].pop("snapshot"),
+        lambda p: p["online_keys"].update(root=p["root_keys"]),
+        lambda p: p.pop("clock"),
+        lambda p: p.update(clock="0"),
+        lambda p: p.update(root_version=7),
+        lambda p: p["archive"][0].pop("root"),
+        lambda p: p["archive"][0].update(root="0g"),
+    ],
+)
+def test_load_repository_rejects_malformed_private_file(tmp_path, fresh_repo, envelope, edit):
+    directory = str(tmp_path / "repo")
+    private = saved_directory(directory, publish(fresh_repo, "fw", envelope))
+    edit(private)
+    write_private(directory, private)
+    with pytest.raises(ParseError):
+        load_repository(directory)
+
+
+def test_load_repository_rejects_truncated_and_missing_files(tmp_path, fresh_repo):
+    directory = str(tmp_path / "repo")
+    saved_directory(directory, fresh_repo)
+    path = os.path.join(directory, "private.json")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    with pytest.raises(ParseError):
+        load_repository(directory)
+    os.remove(path)
+    with pytest.raises(ParseError):
+        load_repository(directory)
+
+
+def test_load_repository_rejects_a_role_file_of_another_role(tmp_path, fresh_repo):
+    directory = str(tmp_path / "repo")
+    saved_directory(directory, fresh_repo)
+    os.replace(os.path.join(directory, "snapshot.meta"), os.path.join(directory, "timestamp.meta"))
+    with pytest.raises(ParseError):
+        load_repository(directory)
+
+
+@pytest.fixture(scope="module")
+def repository_sample(tmp_path_factory):
+    """A saved repository directory (with an archive) and its private.json bytes."""
+    oem = crypto.signing_key_from_seed(bytes(range(32)))
+    artifact = b"\xaa" * 64
+    token = issue_token(oem, artifact, Constraints(new_version=2))
+    state = new_repository(
+        root_keys=seeded_keys(b"r", 2),
+        targets_keys=seeded_keys(b"t", 2),
+        snapshot_keys=seeded_keys(b"s", 1),
+        timestamp_keys=seeded_keys(b"w", 1),
+    )
+    state = publish(state, "fw", serialize_envelope(build_envelope(token, artifact)))
+    directory = str(tmp_path_factory.mktemp("repository") / "repo")
+    save_repository(state, directory)
+    with open(os.path.join(directory, "private.json"), "rb") as fh:
+        return fh.read(), directory
+
+
+def _load_private_bytes(directory: str, data: bytes) -> None:
+    with open(os.path.join(directory, "private.json"), "wb") as fh:
+        fh.write(data)
+    try:
+        load_repository(directory)
+    except ParseError:
+        pass
+
+
+@given(data=st.binary(max_size=600))
+@settings(max_examples=200, deadline=None)
+def test_load_repository_arbitrary_bytes_only_parse_error(repository_sample, data):
+    _, directory = repository_sample
+    _load_private_bytes(directory, data)
+    _load_private_bytes(directory, b"{" + data)
+
+
+@given(position=st.integers(min_value=0), value=st.integers(min_value=0, max_value=255))
+@settings(max_examples=300, deadline=None)
+def test_load_repository_single_byte_mutation_only_parse_error(repository_sample, position, value):
+    valid, directory = repository_sample
+    mutated = bytearray(valid)
+    mutated[position % len(valid)] = value
+    _load_private_bytes(directory, bytes(mutated))
