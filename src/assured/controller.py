@@ -35,6 +35,8 @@ from .errors import (
     channel_reason,
 )
 from .metadata import (
+    _ROLE_TAGS,
+    _TAG_ROLES,
     MetadataSet,
     Mode,
     RoleKind,
@@ -313,8 +315,6 @@ class Controller:
 # --- persistence (single binary state file) ---------------------------------------------
 
 _STATE_MAGIC = b"ASCS"
-_ROLE_TAGS = {RoleKind.ROOT: 0, RoleKind.TARGETS: 1, RoleKind.SNAPSHOT: 2, RoleKind.TIMESTAMP: 3}
-_TAG_ROLES = {v: k for k, v in _ROLE_TAGS.items()}
 
 
 def save_controller(ctrl: Controller, path: str) -> None:

@@ -84,7 +84,8 @@ class RepositoryState:
     # stale-metadata tamper serves); empty until something is published
     archive: tuple[dict[RoleKind, bytes], ...] = ()
     # each role's canonical bytes, filled on first use; replace() starts a
-    # new state with an empty cache, so publish pays no serialization
+    # new state with an empty cache, so publish pays no serialization, and
+    # clock and tamper steps share their parent's cache
     _canonical: dict[RoleKind, bytes] = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -278,12 +279,20 @@ def rotate_root(state: RepositoryState, new_root_keys: list[crypto.SigningKeyPai
     )
 
 
+def _same_metadata(state: RepositoryState, **changes) -> RepositoryState:
+    """replace() for a change that leaves the metadata and mode as they are,
+    so the new state shares the serialization cache."""
+    new_state = replace(state, **changes)
+    object.__setattr__(new_state, "_canonical", state._canonical)
+    return new_state
+
+
 def advance_clock(state: RepositoryState, ticks: int) -> RepositoryState:
-    return replace(state, clock=state.clock + ticks)
+    return _same_metadata(state, clock=state.clock + ticks)
 
 
 def set_tamper(state: RepositoryState, policy: TamperPolicy) -> RepositoryState:
-    return replace(state, tamper=policy)
+    return _same_metadata(state, tamper=policy)
 
 
 # --- mirror fetch surface (tamper-transformed) -----------------------------------

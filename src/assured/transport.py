@@ -2,14 +2,18 @@
 implementations: direct in-process calls and a JSON-lines protocol over a
 local socket (TCP ``host:port`` or a unix-socket path).
 
-Both implementations expose identical semantics (byte-identical payloads,
-same typed errors), which is what lets a scenario transcript come out
-byte-identical whether the peers are objects or separate processes.
+The public methods of the local ports are the operations: a server runs them
+by name and a remote port forwards them, with one typed codec for arguments,
+results and errors. Both implementations expose identical semantics
+(byte-identical payloads, same typed errors), which is what lets a scenario
+transcript come out byte-identical whether the peers are objects or separate
+processes.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import io
 import json
 import os
@@ -21,9 +25,10 @@ import time
 
 from . import errors, repository
 from .authorization import decode_token
+from .crypto import VERIFY_COUNTER
 from .device import AttestationReport, BootResult, Device, InstallOutcome
-from .errors import AssuredError
-from .metadata import Mode, RoleKind, serialize_canonical
+from .errors import AssuredError, ParseError
+from .metadata import Mode, RoleKind
 from .repository import RepositoryState, TamperKind, TamperPolicy
 
 
@@ -51,7 +56,7 @@ class LocalRepoPort:
     def trusted_root_bytes(self) -> bytes:
         # install-time trust anchor: read straight from the honest store,
         # not through the mirror's tamper layer
-        return serialize_canonical(self.state.metadata.root, self.state.mode)
+        return repository._canonical_bytes(self.state, RoleKind.ROOT)
 
     def publish(self, name: str, envelope_bytes: bytes) -> None:
         self.state = repository.publish(self.state, name, envelope_bytes)
@@ -98,8 +103,6 @@ class LocalDevicePort:
         self.device.faults.suppress_install = value
 
     def verify_count(self) -> int:
-        from .crypto import VERIFY_COUNTER
-
         return VERIFY_COUNTER.read()
 
     def info(self) -> dict:
@@ -112,45 +115,80 @@ class LocalDevicePort:
         }
 
 
-# --- wire helpers ---------------------------------------------------------------------
-
-_ERROR_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        errors.AssuredError,
-        errors.ChannelError,
-        errors.AuthFailure,
-        errors.MalformedFrame,
-        errors.ParseError,
-        errors.NotFound,
-        errors.PublishRejected,
-        errors.EnvelopeMismatch,
-        errors.AttestationRefused,
-    )
-}
+# The operations a server accepts and a remote port forwards: the methods of
+# the local port whose names do not start with ``_``, and nothing else.
+REPO_OPS = tuple(name for name in vars(LocalRepoPort) if not name.startswith("_"))
+DEVICE_OPS = tuple(name for name in vars(LocalDevicePort) if not name.startswith("_"))
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
+# --- wire codec ---------------------------------------------------------------------------
+
+# JSON null, booleans, integers, strings and arrays stand for themselves; every
+# JSON object is one tagged value {tag: payload} (see _encode). Any other JSON,
+# an unknown tag or a class outside these tables decodes to ParseError.
+
+_WIRE_ENUMS = {cls.__name__: cls for cls in (Mode, RoleKind, TamperKind)}
+_WIRE_DATACLASSES = {cls.__name__: cls for cls in (TamperPolicy, AttestationReport, BootResult, InstallOutcome)}
+_WIRE_ERRORS = {name: cls for name, cls in vars(errors).items()
+                if isinstance(cls, type) and issubclass(cls, AssuredError)}
 
 
-def _unb64(value: str) -> bytes:
-    return base64.b64decode(value)
+def _encode(value):
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, bytes):
+        return {"bytes": base64.b64encode(value).decode("ascii")}
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {"dict": {key: _encode(item) for key, item in value.items()}}
+    if isinstance(value, AssuredError):
+        # an error class defined elsewhere travels as its nearest errors.py base
+        name = next(cls.__name__ for cls in type(value).__mro__ if _WIRE_ERRORS.get(cls.__name__) is cls)
+        return {"error": [name, _encode(list(value.args)), _encode(vars(value))]}
+    name = type(value).__name__
+    if _WIRE_ENUMS.get(name) is type(value):
+        return {"enum": [name, value.value]}
+    if _WIRE_DATACLASSES.get(name) is type(value):
+        return {"data": [name, _encode(vars(value))]}
+    raise TypeError(f"no wire encoding for {type(value).__name__}")
 
 
-def _encode_error(exc: Exception) -> dict:
-    if isinstance(exc, errors.ReplayOrReorder):
-        return {"ok": False, "error": "ReplayOrReorder", "expected": exc.expected, "got": exc.got}
-    name = type(exc).__name__ if type(exc).__name__ in _ERROR_TYPES else "AssuredError"
-    return {"ok": False, "error": name, "detail": str(exc)}
+def _decode(value):
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, list):
+        return [_decode(item) for item in value]
+    if not isinstance(value, dict) or len(value) != 1:
+        raise ParseError(f"not a wire value: {value!r:.80}", "wire")
+    [(tag, payload)] = value.items()
+    try:
+        if tag == "bytes":
+            return base64.b64decode(payload, validate=True)
+        if tag == "dict":
+            return {key: _decode(item) for key, item in payload.items()}
+        if tag == "enum":
+            name, member = payload
+            return _WIRE_ENUMS[name](member)
+        if tag == "data":
+            name, fields = payload
+            return _WIRE_DATACLASSES[name](**_decode(fields))
+        if tag == "error":
+            name, args, attributes = payload
+            cls = _WIRE_ERRORS[name]
+            if not isinstance(args, list):
+                raise TypeError("error args are not a list")
+            error = cls.__new__(cls)
+            error.args = tuple(_decode(args))
+            vars(error).update(**_decode(attributes))
+            return error
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad {tag!r} value: {exc!r}", "wire") from exc
+    raise ParseError(f"unknown wire tag {tag!r}", "wire")
 
 
-def _raise_error(obj: dict) -> None:
-    name = obj.get("error", "AssuredError")
-    if name == "ReplayOrReorder":
-        raise errors.ReplayOrReorder(obj.get("expected", 0), obj.get("got", 0))
-    cls = _ERROR_TYPES.get(name, AssuredError)
-    raise cls(obj.get("detail", name))
+def _json_line(obj: dict) -> bytes:
+    return json.dumps(obj).encode("ascii") + b"\n"
 
 
 def is_unix_address(spec: str) -> bool:
@@ -198,181 +236,82 @@ def _line_reader(sock: socket.socket) -> io.BufferedReader:
 
 # --- servers -----------------------------------------------------------------------------
 
-class _LineHandler(socketserver.StreamRequestHandler):
-    def setup(self) -> None:
-        super().setup()
-        self.rfile.close()
-        self.rfile = _line_reader(self.connection)
+class _Server(socketserver.ThreadingTCPServer):
+    """Serves ``port_type(actor)`` on ``listen`` (``host:port`` or a unix-socket path): runs
+    each request ``{"op": name, "args": [value, ...]}`` whose name is in ``ops``."""
 
-    def handle(self) -> None:
-        while True:
-            line = self.rfile.readline()
-            if not line:
-                return
-            try:
-                request = json.loads(line)
-                result = self.server.dispatch(request)  # type: ignore[attr-defined]
-                response = {"ok": True, "result": result}
-            except AssuredError as exc:
-                response = _encode_error(exc)
-            except Exception as exc:  # crash-level failure; keep the connection alive
-                response = {"ok": False, "error": "AssuredError", "detail": f"server error: {exc!r}"}
-            self.wfile.write(json.dumps(response, sort_keys=True).encode("ascii") + b"\n")
-            self.wfile.flush()
-
-
-class _RepoDispatch:
-    port_impl: LocalRepoPort
-    _lock: threading.Lock
-
-    def dispatch(self, request: dict):
-        op = request.get("op")
-        args = request.get("args", {})
-        impl = self.port_impl
-        with self._lock:
-            if op == "mode":
-                return impl.mode().value
-            if op == "clock":
-                return impl.clock()
-            if op == "fetch_metadata":
-                return _b64(impl.fetch_metadata(RoleKind(args["role"])))
-            if op == "fetch_envelope":
-                return _b64(impl.fetch_envelope(args["name"]))
-            if op == "trusted_root_bytes":
-                return _b64(impl.trusted_root_bytes())
-            if op == "publish":
-                impl.publish(args["name"], _unb64(args["envelope"]))
-                return None
-            if op == "publish_vanilla":
-                impl.publish_vanilla(args["name"], _unb64(args["artifact"]))
-                return None
-            if op == "refresh":
-                impl.refresh()
-                return None
-            if op == "tamper":
-                impl.tamper(TamperPolicy(kind=TamperKind(args["kind"]), bit_offset=args.get("bit_offset", 0)))
-                return None
-            if op == "advance_clock":
-                impl.advance_clock(args["ticks"])
-                return None
-        raise AssuredError(f"unknown repo op {op!r}")
-
-
-class _DeviceDispatch:
-    port_impl: LocalDevicePort
-    _lock: threading.Lock
+    allow_reuse_address = True
+    daemon_threads = True
     after_op = None  # persistence hook, e.g. flash write-back
+
+    def __init__(self, actor, listen: str = "127.0.0.1:0") -> None:
+        unix = is_unix_address(listen)
+        self.address_family = socket.AF_UNIX if unix else socket.AF_INET
+        super().__init__(listen if unix else parse_listen_address(listen), None)
+        self.port_impl = self.port_type(actor)
+        self._lock = threading.Lock()
+
+    def finish_request(self, connection: socket.socket, client_address) -> None:
+        """Answer each request line of one connection until the peer closes it."""
+        with _line_reader(connection) as reader:
+            for line in iter(reader.readline, b""):
+                try:
+                    reply = {"ok": True, "result": _encode(self.dispatch(json.loads(line)))}
+                except AssuredError as exc:
+                    reply = {"ok": False, "error": _encode(exc)}
+                except Exception as exc:  # not JSON, or a crash-level failure; keep the connection alive
+                    reply = {"ok": False, "error": _encode(AssuredError(f"server error: {exc!r}"))}
+                connection.sendall(_json_line(reply))
 
     def dispatch(self, request: dict):
         try:
-            return self._dispatch_locked(request)
+            if not isinstance(request, dict):
+                raise ParseError("request is not a JSON object", "request")
+            op = request.get("op")
+            if op not in self.ops:
+                raise AssuredError(f"unknown op {op!r}")
+            args = request.get("args")
+            if not isinstance(args, list):
+                raise ParseError(f"args of {op!r} are not a list", "args")
+            args = _decode(args)
+            with self._lock:
+                return getattr(self.port_impl, op)(*args)
         finally:
             if self.after_op is not None:
                 self.after_op()
 
-    def _dispatch_locked(self, request: dict):
-        op = request.get("op")
-        args = request.get("args", {})
-        impl = self.port_impl
-        with self._lock:
-            if op == "hello":
-                return _b64(impl.hello(_unb64(args["controller_nonce"])))
-            if op == "exchange":
-                frames = [_unb64(f) for f in args["frames"]]
-                return [_b64(f) for f in impl.exchange(frames)]
-            if op == "attest":
-                report = impl.attest(_unb64(args["nonce"]))
-                if report is None:
-                    return None
-                return {
-                    "device_id": report.device_id,
-                    "nonce": _b64(report.nonce),
-                    "measurement": _b64(report.measurement),
-                    "tag": _b64(report.tag),
-                }
-            if op == "boot":
-                result = impl.boot()
-                return {"running": result.running, "version": result.version, "reason": result.reason}
-            if op == "receive_unsealed":
-                outcome = impl.receive_unsealed(_unb64(args["envelope"]))
-                return {"status": outcome.status, "version": outcome.version, "reason": outcome.reason}
-            if op == "provision":
-                impl.provision(_unb64(args["artifact"]), _unb64(args["token"]))
-                return None
-            if op == "corrupt_flash":
-                impl.corrupt_flash(args["bank_index"], args["bit_offset"])
-                return None
-            if op == "set_suppress_install":
-                impl.set_suppress_install(bool(args["value"]))
-                return None
-            if op == "verify_count":
-                return impl.verify_count()
-            if op == "info":
-                return impl.info()
-        raise AssuredError(f"unknown device op {op!r}")
-
-
-class _TcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
     def display_address(self) -> str:
-        host, port = self.server_address[:2]
-        return f"{host}:{port}"
-
-
-class _UnixServer(socketserver.ThreadingUnixStreamServer):
-    daemon_threads = True
-
-    def display_address(self) -> str:
-        return str(self.server_address)
+        if self.address_family == socket.AF_UNIX:
+            return self.server_address
+        return "%s:%d" % self.server_address[:2]
 
     def server_close(self) -> None:
         super().server_close()
-        try:
-            os.unlink(self.server_address)
-        except OSError:
-            pass
+        if self.address_family == socket.AF_UNIX:
+            with contextlib.suppress(OSError):
+                os.unlink(self.server_address)
 
 
-class RepoServer(_RepoDispatch, _TcpServer):
-    def __init__(self, state: RepositoryState, host: str = "127.0.0.1", port: int = 0) -> None:
-        _TcpServer.__init__(self, (host, port), _LineHandler)
-        self.port_impl = LocalRepoPort(state)
-        self._lock = threading.Lock()
+class RepoServer(_Server):
+    port_type = LocalRepoPort
+    ops = REPO_OPS
 
 
-class UnixRepoServer(_RepoDispatch, _UnixServer):
-    def __init__(self, state: RepositoryState, path: str) -> None:
-        _UnixServer.__init__(self, path, _LineHandler)
-        self.port_impl = LocalRepoPort(state)
-        self._lock = threading.Lock()
+class DeviceServer(_Server):
+    port_type = LocalDevicePort
+    ops = DEVICE_OPS
 
 
-class DeviceServer(_DeviceDispatch, _TcpServer):
-    def __init__(self, device: Device, host: str = "127.0.0.1", port: int = 0) -> None:
-        _TcpServer.__init__(self, (host, port), _LineHandler)
-        self.port_impl = LocalDevicePort(device)
-        self._lock = threading.Lock()
+# the names under which perfbench/spans.py wraps each server's dispatch
+_RepoDispatch, _DeviceDispatch = RepoServer, DeviceServer
 
 
-class UnixDeviceServer(_DeviceDispatch, _UnixServer):
-    def __init__(self, device: Device, path: str) -> None:
-        _UnixServer.__init__(self, path, _LineHandler)
-        self.port_impl = LocalDevicePort(device)
-        self._lock = threading.Lock()
+def make_repo_server(state: RepositoryState, listen: str) -> RepoServer:
+    return RepoServer(state, listen)
 
 
-def make_repo_server(state: RepositoryState, listen: str):
-    if is_unix_address(listen):
-        return UnixRepoServer(state, listen)
-    return RepoServer(state, *parse_listen_address(listen))
-
-
-def make_device_server(device: Device, listen: str):
-    if is_unix_address(listen):
-        return UnixDeviceServer(device, listen)
-    return DeviceServer(device, *parse_listen_address(listen))
+def make_device_server(device: Device, listen: str) -> DeviceServer:
+    return DeviceServer(device, listen)
 
 
 def serve_in_thread(server) -> str:
@@ -389,115 +328,56 @@ def serve_in_thread(server) -> str:
 
 class _LineClient:
     def __init__(self, address: str, timeout: float = 30.0) -> None:
-        if is_unix_address(address):
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(address)
-        else:
-            self._sock = socket.create_connection(parse_listen_address(address), timeout=timeout)
+        unix = is_unix_address(address)
+        self._sock = socket.socket(socket.AF_UNIX if unix else socket.AF_INET, socket.SOCK_STREAM)
+        self._sock.settimeout(timeout)
+        self._sock.connect(address if unix else parse_listen_address(address))
         self._reader = _line_reader(self._sock)
 
-    def call(self, op: str, **args):
-        request = json.dumps({"op": op, "args": args}, sort_keys=True).encode("ascii") + b"\n"
-        self._sock.sendall(request)
+    def call(self, op: str, *args):
+        self._sock.sendall(_json_line({"op": op, "args": _encode(list(args))}))
         line = self._reader.readline()
         if not line:
             raise AssuredError(f"connection closed during op {op!r}")
-        response = json.loads(line)
-        if not response.get("ok"):
-            _raise_error(response)
-        return response.get("result")
+        try:
+            reply = json.loads(line)
+            ok = reply.get("ok") if isinstance(reply, dict) else None
+            if ok is True and "result" in reply:
+                return _decode(reply["result"])
+            error = _decode(reply["error"]) if ok is False and "error" in reply else None
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"malformed reply to {op!r}: {exc!r}", "reply") from exc
+        if not isinstance(error, AssuredError):
+            raise ParseError(f"malformed reply to {op!r}", "reply")
+        raise error
 
     def close(self) -> None:
-        try:
+        with contextlib.suppress(OSError):
             self._reader.close()
             self._sock.close()
-        except OSError:
-            pass
 
 
-class RemoteRepoPort:
+class _RemotePort:
+    """A port whose every op in ``ops`` is one call over a connection."""
+
+    def __init_subclass__(cls, ops: tuple[str, ...]) -> None:
+        for op in ops:
+            setattr(cls, op, _forward(op))
+
     def __init__(self, address: str) -> None:
         self._client = _LineClient(address)
-
-    def mode(self) -> Mode:
-        return Mode(self._client.call("mode"))
-
-    def clock(self) -> int:
-        return self._client.call("clock")
-
-    def fetch_metadata(self, role: RoleKind) -> bytes:
-        return _unb64(self._client.call("fetch_metadata", role=role.value))
-
-    def fetch_envelope(self, name: str) -> bytes:
-        return _unb64(self._client.call("fetch_envelope", name=name))
-
-    def trusted_root_bytes(self) -> bytes:
-        return _unb64(self._client.call("trusted_root_bytes"))
-
-    def publish(self, name: str, envelope_bytes: bytes) -> None:
-        self._client.call("publish", name=name, envelope=_b64(envelope_bytes))
-
-    def publish_vanilla(self, name: str, artifact: bytes) -> None:
-        self._client.call("publish_vanilla", name=name, artifact=_b64(artifact))
-
-    def refresh(self) -> None:
-        self._client.call("refresh")
-
-    def tamper(self, policy: TamperPolicy) -> None:
-        self._client.call("tamper", kind=policy.kind.value, bit_offset=policy.bit_offset)
-
-    def advance_clock(self, ticks: int) -> None:
-        self._client.call("advance_clock", ticks=ticks)
 
     def close(self) -> None:
         self._client.close()
 
 
-class RemoteDevicePort:
-    def __init__(self, address: str) -> None:
-        self._client = _LineClient(address)
+def _forward(op: str):
+    return lambda self, *args: self._client.call(op, *args)
 
-    def hello(self, controller_nonce: bytes) -> bytes:
-        return _unb64(self._client.call("hello", controller_nonce=_b64(controller_nonce)))
 
-    def exchange(self, frames: list[bytes]) -> list[bytes]:
-        result = self._client.call("exchange", frames=[_b64(f) for f in frames])
-        return [_unb64(f) for f in result]
+class RemoteRepoPort(_RemotePort, ops=REPO_OPS):
+    pass
 
-    def attest(self, nonce: bytes) -> AttestationReport | None:
-        result = self._client.call("attest", nonce=_b64(nonce))
-        if result is None:
-            return None
-        return AttestationReport(
-            device_id=result["device_id"],
-            nonce=_unb64(result["nonce"]),
-            measurement=_unb64(result["measurement"]),
-            tag=_unb64(result["tag"]),
-        )
 
-    def boot(self) -> BootResult:
-        result = self._client.call("boot")
-        return BootResult(running=result["running"], version=result["version"], reason=result["reason"])
-
-    def receive_unsealed(self, envelope_bytes: bytes) -> InstallOutcome:
-        result = self._client.call("receive_unsealed", envelope=_b64(envelope_bytes))
-        return InstallOutcome(status=result["status"], version=result["version"], reason=result["reason"])
-
-    def provision(self, artifact: bytes, token_bytes: bytes) -> None:
-        self._client.call("provision", artifact=_b64(artifact), token=_b64(token_bytes))
-
-    def corrupt_flash(self, bank_index: int, bit_offset: int) -> None:
-        self._client.call("corrupt_flash", bank_index=bank_index, bit_offset=bit_offset)
-
-    def set_suppress_install(self, value: bool) -> None:
-        self._client.call("set_suppress_install", value=value)
-
-    def verify_count(self) -> int:
-        return self._client.call("verify_count")
-
-    def info(self) -> dict:
-        return self._client.call("info")
-
-    def close(self) -> None:
-        self._client.close()
+class RemoteDevicePort(_RemotePort, ops=DEVICE_OPS):
+    pass

@@ -44,6 +44,7 @@ from assured.repository import (
     save_repository,
     set_tamper,
 )
+from assured.transport import LocalRepoPort
 
 
 def seeded_keys(label: bytes, count: int):
@@ -282,6 +283,25 @@ def test_fetch_serializes_each_role_once_per_state(monkeypatch, oem_key, mode):
     assert served == {role: serialize_canonical(state.metadata.by_role(role), mode) for role in RoleKind}
     # a new state value starts with an empty cache
     assert fetch_metadata(refresh_timestamp(state), RoleKind.TIMESTAMP) != served[RoleKind.TIMESTAMP]
+
+
+def test_clock_and_tamper_steps_keep_the_serialization_cache(monkeypatch, fresh_repo, envelope):
+    state = publish(fresh_repo, "fw", envelope)
+    before = {role: fetch_metadata(state, role) for role in RoleKind}
+    serialized = []
+
+    def counting(meta, mode):
+        serialized.append(meta.role)
+        return serialize_canonical(meta, mode)
+
+    monkeypatch.setattr(repository, "serialize_canonical", counting)
+    stepped = set_tamper(advance_clock(state, 3), TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE))
+    assert {role: fetch_metadata(stepped, role) for role in RoleKind} == before
+    assert LocalRepoPort(stepped).trusted_root_bytes() == before[RoleKind.ROOT]
+    assert serialized == []
+    # a publish after the steps still serializes its new metadata
+    assert fetch_metadata(publish_vanilla(stepped, "fw2", b"\x01" * 8), RoleKind.TARGETS) != before[RoleKind.TARGETS]
+    assert serialized == [RoleKind.TARGETS]
 
 
 def test_publish_rejects_name_too_long_for_the_encoding(fresh_repo, oem_key):
