@@ -20,10 +20,10 @@ import struct
 from dataclasses import dataclass
 
 from . import crypto
+from .codec import Reader
 from .errors import ConstraintViolation, ParseError, TokenRejected
 
 TOKEN_LEN = 136
-SIGNED_REGION_LEN = 72
 CONSTRAINTS_LEN = 32
 ENVELOPE_MAGIC = b"ASRD"
 ENVELOPE_HEADER_LEN = len(ENVELOPE_MAGIC) + TOKEN_LEN + 8  # 148
@@ -31,6 +31,8 @@ ENVELOPE_HEADER_LEN = len(ENVELOPE_MAGIC) + TOKEN_LEN + 8  # 148
 WILDCARD = 0  # matches any model / device id; version 0 = factory/none
 
 _U64_MAX = 2**64 - 1
+# artifact_hash, artifact_size, the four constraints, signature
+_TOKEN_LAYOUT = struct.Struct(">32sQQQQQ64s")
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,6 @@ class Constraints:
             self.required_prev_version,
             self.new_version,
         )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Constraints":
-        if len(data) != CONSTRAINTS_LEN:
-            raise ParseError(f"constraints must be {CONSTRAINTS_LEN} bytes, got {len(data)}")
-        model, dev, prev, new = struct.unpack(">QQQQ", data)
-        return cls(device_model=model, device_id=dev, required_prev_version=prev, new_version=new)
 
 
 @dataclass(frozen=True)
@@ -117,12 +112,12 @@ def decode_token(data: bytes) -> AuthorizationToken:
     """
     if len(data) != TOKEN_LEN:
         raise ParseError(f"token must be exactly {TOKEN_LEN} bytes, got {len(data)}", position=len(data))
-    size = struct.unpack(">Q", data[32:40])[0]
+    digest, size, model, device_id, prev, new, signature = _TOKEN_LAYOUT.unpack(data)
     return AuthorizationToken(
-        artifact_hash=data[:32],
+        artifact_hash=digest,
         artifact_size=size,
-        constraints=Constraints.decode(data[40:SIGNED_REGION_LEN]),
-        signature=data[SIGNED_REGION_LEN:TOKEN_LEN],
+        constraints=Constraints(device_model=model, device_id=device_id, required_prev_version=prev, new_version=new),
+        signature=signature,
     )
 
 
@@ -183,18 +178,10 @@ def serialize_envelope(envelope: UpdateEnvelope) -> bytes:
 
 
 def parse_envelope(data: bytes) -> UpdateEnvelope:
-    if len(data) < ENVELOPE_HEADER_LEN:
-        raise ParseError(
-            f"envelope shorter than {ENVELOPE_HEADER_LEN}-byte header", position=len(data)
-        )
-    if data[:4] != ENVELOPE_MAGIC:
+    reader = Reader(data)
+    if reader.take(len(ENVELOPE_MAGIC), "envelope magic") != ENVELOPE_MAGIC:
         raise ParseError("bad envelope magic", position=0)
-    token = decode_token(data[4 : 4 + TOKEN_LEN])
-    declared = struct.unpack(">Q", data[4 + TOKEN_LEN : ENVELOPE_HEADER_LEN])[0]
-    artifact = data[ENVELOPE_HEADER_LEN:]
-    if len(artifact) != declared:
-        raise ParseError(
-            f"artifact length field {declared} != {len(artifact)} remaining bytes",
-            position=4 + TOKEN_LEN,
-        )
+    token = decode_token(reader.take(TOKEN_LEN, "token"))
+    artifact = reader.take(reader.u64("artifact length"), "artifact")
+    reader.end("envelope")
     return UpdateEnvelope(token=token, artifact=artifact)

@@ -17,7 +17,7 @@ import signal
 import sys
 import threading
 
-from . import crypto
+from . import crypto, repository
 from .authorization import (
     Constraints,
     ENVELOPE_MAGIC,
@@ -185,28 +185,20 @@ def _with_repo(args, transform) -> int:
 
 
 def cmd_repo_publish(args) -> int:
-    from . import repository
-
     envelope = _read(args.envelope)
     return _with_repo(args, lambda state: repository.publish(state, args.name, envelope))
 
 
 def cmd_repo_refresh(args) -> int:
-    from . import repository
-
     return _with_repo(args, repository.refresh_timestamp)
 
 
 def cmd_repo_tamper(args) -> int:
-    from . import repository
-
     policy = TamperPolicy(kind=TamperKind(args.policy), bit_offset=args.offset)
     return _with_repo(args, lambda state: repository.set_tamper(state, policy))
 
 
 def cmd_repo_advance(args) -> int:
-    from . import repository
-
     return _with_repo(args, lambda state: repository.advance_clock(state, args.ticks))
 
 
@@ -326,34 +318,27 @@ def cmd_controller_attest(args) -> int:
 
 # --- device ---------------------------------------------------------------------------------
 
-def cmd_device_init(args) -> int:
-    rng = _rng(args.seed)
-    attestation_key = bytes.fromhex(args.attestation_key) if args.attestation_key else rng.randbytes(32)
-    device = Device(
+def _new_device(args, attestation_key: bytes, rng: random.Random) -> Device:
+    return Device(
         device_model=args.model,
         device_id=args.id,
         oem_public=bytes.fromhex(args.oem_public),
         attestation_key=attestation_key,
-        install_mode=InstallMode.DUAL_BANK if args.install_mode == "dual" else InstallMode.SINGLE_BANK,
+        install_mode=InstallMode(args.install_mode),
         rng=rng,
     )
+
+
+def cmd_device_init(args) -> int:
+    rng = _rng(args.seed)
+    attestation_key = bytes.fromhex(args.attestation_key) if args.attestation_key else rng.randbytes(32)
+    device = _new_device(args, attestation_key, rng)
     if args.envelope:
         envelope = parse_envelope(_read(args.envelope))
         device.provision_firmware(envelope.artifact, envelope.token)
     save_flash(device, args.flash)
     print(f"wrote {args.flash}; attestation key {attestation_key.hex()}")
     return 0
-
-
-def _fresh_device(args) -> Device:
-    return Device(
-        device_model=args.model,
-        device_id=args.id,
-        oem_public=bytes.fromhex(args.oem_public),
-        attestation_key=bytes.fromhex(args.attestation_key),
-        install_mode=InstallMode.DUAL_BANK if args.install_mode == "dual" else InstallMode.SINGLE_BANK,
-        rng=_rng(args.rng_seed),
-    )
 
 
 def cmd_device_run(args) -> int:
@@ -363,7 +348,7 @@ def cmd_device_run(args) -> int:
         for required in ("model", "id", "oem_public", "attestation_key"):
             if getattr(args, required) is None:
                 raise SystemExit(f"--{required.replace('_', '-')} is required without --flash")
-        device = _fresh_device(args)
+        device = _new_device(args, bytes.fromhex(args.attestation_key), _rng(args.rng_seed))
     server = make_device_server(device, args.listen)
     if args.flash:
         server.after_op = lambda: save_flash(device, args.flash)

@@ -1,0 +1,71 @@
+"""The one reader for the binary formats: fixed-binary metadata, update
+envelopes, the controller state file and the flash image. (The 136-byte
+token has no variable part and is decoded with one ``struct`` layout.)
+
+Decoders accept exactly what the encoders write: a flag byte is 0 or 1, a
+string is a u16 length followed by that many bytes of UTF-8, and no byte may
+follow the last field. Every rejection is a ParseError whose position is a
+byte offset. Encoders stay plain ``struct.pack`` calls.
+"""
+
+from __future__ import annotations
+
+import struct
+
+from .errors import ParseError
+
+
+class Reader:
+    """Reads fields in order from ``data``; ``what`` names the field in errors."""
+
+    def __init__(self, data: bytes, offset: int = 0) -> None:
+        self.data = data
+        self.offset = offset
+
+    def take(self, n: int, what: str) -> bytes:
+        at = self.offset
+        if at + n > len(self.data):
+            raise ParseError(f"truncated {what}", position=at)
+        self.offset = at + n
+        return self.data[at : at + n]
+
+    def u8(self, what: str) -> int:
+        return self.take(1, what)[0]
+
+    def u16(self, what: str) -> int:
+        return struct.unpack(">H", self.take(2, what))[0]
+
+    def u32(self, what: str) -> int:
+        return struct.unpack(">I", self.take(4, what))[0]
+
+    def u64(self, what: str) -> int:
+        return struct.unpack(">Q", self.take(8, what))[0]
+
+    def flag(self, what: str) -> bool:
+        value = self.u8(what)
+        if value > 1:
+            raise ParseError(f"{what} {value} is not 0 or 1", position=self.offset - 1)
+        return value == 1
+
+    def text(self, what: str) -> str:
+        """A u16-length UTF-8 string."""
+        raw = self.take(self.u16(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} is not utf-8", position=self.offset - len(raw) + exc.start) from exc
+
+    def end(self, what: str) -> None:
+        if self.offset != len(self.data):
+            raise ParseError(f"trailing bytes after {what}", position=self.offset)
+
+
+def flip_bit(data: bytes, bit_offset: int) -> bytes:
+    """``data`` with one bit inverted, the offset taken modulo its bit length;
+    empty input comes back unchanged."""
+    if not data:
+        return data
+    bit = bit_offset % (len(data) * 8)
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)

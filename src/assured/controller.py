@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .authorization import UpdateEnvelope, encode_token, parse_envelope, serialize_envelope
+from .codec import Reader
 from .device import (
     MSG_CHUNK,
     MSG_CONFIRM,
@@ -35,14 +36,15 @@ from .errors import (
     channel_reason,
 )
 from .metadata import (
-    _ROLE_TAGS,
-    _TAG_ROLES,
+    ROLE_TAGS,
     MetadataSet,
     Mode,
     RoleKind,
     RoleMetadata,
     RootBody,
     parse,
+    read_role,
+    serialize_canonical,
     verify_full_chain,
     verify_timestamp_pin,
 )
@@ -320,15 +322,13 @@ _STATE_MAGIC = b"ASCS"
 def save_controller(ctrl: Controller, path: str) -> None:
     """Fixed-width binary persistence of trusted root, version floors,
     device registry, policy, and the attestation nonce log."""
-    from .metadata import serialize_canonical
-
     out = bytearray(_STATE_MAGIC)
     out += struct.pack(">QB", ctrl.clock, 0 if ctrl.mode is Mode.JSON else 1)
     root_blob = serialize_canonical(ctrl.trusted_root, Mode.FIXED_BINARY)
     out += struct.pack(">I", len(root_blob)) + root_blob
     out += struct.pack(">B", len(ctrl.last_seen))
-    for role, version in sorted(ctrl.last_seen.items(), key=lambda kv: _ROLE_TAGS[kv[0]]):
-        out += struct.pack(">BQ", _ROLE_TAGS[role], version)
+    for role, version in sorted(ctrl.last_seen.items(), key=lambda kv: ROLE_TAGS[kv[0]]):
+        out += struct.pack(">BQ", ROLE_TAGS[role], version)
     out += struct.pack(">I", len(ctrl.registry))
     for device_id in sorted(ctrl.registry):
         record = ctrl.registry[device_id]
@@ -358,57 +358,41 @@ def save_controller(ctrl: Controller, path: str) -> None:
 
 
 def load_controller(path: str, rng: random.Random | None = None) -> Controller:
-    from .metadata import _Reader
-
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _STATE_MAGIC:
         raise ParseError("bad controller state magic", position=0)
-    reader = _Reader(data, offset=4)
+    reader = Reader(data, offset=4)
     clock = reader.u64("clock")
-    mode_flag = reader.u8("mode")
-    if mode_flag > 1:
-        raise ParseError(f"mode flag {mode_flag} is not 0 or 1", position=reader.offset - 1)
-    mode = Mode.JSON if mode_flag == 0 else Mode.FIXED_BINARY
-    root_len = reader.u32("root length")
-    trusted_root = parse(reader.take(root_len, "trusted root"), Mode.FIXED_BINARY)
+    mode = Mode.FIXED_BINARY if reader.flag("mode flag") else Mode.JSON
+    trusted_root = parse(reader.take(reader.u32("root length"), "trusted root"), Mode.FIXED_BINARY)
     last_seen = {}
     for _ in range(reader.u8("last-seen count")):
-        tag = reader.u8("role tag")
-        if tag not in _TAG_ROLES:
-            raise ParseError(f"unknown role tag {tag}", position=reader.offset - 1)
-        last_seen[_TAG_ROLES[tag]] = reader.u64("version")
+        role = read_role(reader)
+        last_seen[role] = reader.u64("version")
     registry = {}
     for _ in range(reader.u32("registry count")):
         device_id = reader.u64("device id")
-        model = reader.u64("model")
-        attestation_key = reader.take(32, "attestation key")
-        expected_version = reader.u64("expected version")
-        expected_digest = reader.take(32, "expected digest")
-        registry[device_id] = DeviceRecord(
-            attestation_key=attestation_key,
-            device_model=model,
-            expected_version=expected_version,
-            expected_digest=expected_digest,
+        registry[device_id] = DeviceRecord(  # keyword arguments in file order
+            device_model=reader.u64("model"),
+            attestation_key=reader.take(32, "attestation key"),
+            expected_version=reader.u64("expected version"),
+            expected_digest=reader.take(32, "expected digest"),
         )
     seen = {}
     for _ in range(reader.u32("seen count")):
-        name_len = reader.u16("name length")
-        name_at = reader.offset
-        try:
-            name = reader.take(name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError("target name is not utf-8", position=name_at + exc.start) from exc
+        name = reader.text("target name")
         seen[name] = reader.take(32, "hash")
     window = None
-    if reader.u8("window flag"):
+    if reader.flag("window flag"):
         window = (reader.u64("window start"), reader.u64("window end"))
     allowed = None
-    if reader.u8("allow-list flag"):
+    if reader.flag("allow-list flag"):
         count = reader.u32("allow-list count")
         allowed = frozenset(reader.u64("model") for _ in range(count))
     nonces_at = reader.offset
     nonce_log = [reader.take(16, "nonce") for _ in range(reader.u32("nonce count"))]
+    reader.end("controller state")
     nonces_used = set(nonce_log)
     if len(nonces_used) != len(nonce_log):
         raise ParseError("attestation nonce log repeats a nonce", position=nonces_at)

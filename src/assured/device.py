@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from . import crypto
 from .authorization import (
+    TOKEN_LEN,
     AuthorizationToken,
     UpdateEnvelope,
     decode_token,
@@ -38,6 +39,7 @@ from .authorization import (
     parse_envelope,
     verify_token,
 )
+from .codec import Reader, flip_bit
 from .errors import (
     AssuredError,
     AttestationRefused,
@@ -372,12 +374,7 @@ class Device:
         if self._trusted_root is None:
             raise AssuredError("device has no trusted root installed")
         try:
-            metadata_set = MetadataSet(
-                root=parse(blobs[RoleKind.ROOT], mode),
-                targets=parse(blobs[RoleKind.TARGETS], mode),
-                snapshot=parse(blobs[RoleKind.SNAPSHOT], mode),
-                timestamp=parse(blobs[RoleKind.TIMESTAMP], mode),
-            )
+            metadata_set = MetadataSet(**{role.value: parse(blobs[role], mode) for role in RoleKind})
             targets = verify_full_chain(self._trusted_root, metadata_set, now=now, last_seen=self._last_seen)
         except AssuredError as exc:
             return InstallOutcome(InstallOutcome.REJECTED, reason=str(exc))
@@ -460,11 +457,8 @@ class Device:
     def simulate_flash_corruption(self, bank_index: int, bit_offset: int) -> None:
         """Hardware-fault model: flip one bit in a stored image."""
         bank = self._banks[bank_index]
-        if bank.artifact:
-            bit = bit_offset % (len(bank.artifact) * 8)
-            raw = bytearray(bank.artifact)
-            raw[bit // 8] ^= 1 << (bit % 8)
-            bank.artifact = bytes(raw)
+        if bank.artifact is not None:
+            bank.artifact = flip_bit(bank.artifact, bit_offset)
 
     def reset_write_counter(self) -> None:
         self._writes_done = 0
@@ -476,27 +470,29 @@ _FLASH_MAGIC = b"ASFL"
 
 
 def _pack_bank(bank: Bank) -> bytes:
-    out = bytearray()
     if bank.artifact is None:
-        out += b"\x00"
-    else:
-        out += b"\x01"
-        out += struct.pack(">Q", bank.version)
-        token_bytes = encode_token(bank.token) if bank.token else bytes(136)
-        out += (b"\x01" if bank.token else b"\x00") + token_bytes
-        out += struct.pack(">Q", len(bank.artifact)) + bank.artifact
-    return bytes(out)
+        return b"\x00"
+    token_bytes = encode_token(bank.token) if bank.token else bytes(TOKEN_LEN)
+    return (
+        b"\x01"
+        + struct.pack(">QB", bank.version, 1 if bank.token else 0)
+        + token_bytes
+        + struct.pack(">Q", len(bank.artifact))
+        + bank.artifact
+    )
 
 
-def _unpack_bank(reader) -> Bank:
-    if not reader.u8("bank flag"):
+def _unpack_bank(reader: Reader) -> Bank:
+    if not reader.flag("bank flag"):
         return Bank()
     version = reader.u64("bank version")
-    has_token = reader.u8("token flag")
-    token_bytes = reader.take(136, "bank token")
+    has_token = reader.flag("token flag")
+    token_at = reader.offset
+    token_bytes = reader.take(TOKEN_LEN, "bank token")
+    if not has_token and token_bytes != bytes(TOKEN_LEN):
+        raise ParseError("bank without a token has a non-zero token field", position=token_at)
     token = decode_token(token_bytes) if has_token else None
-    size = reader.u64("artifact length")
-    artifact = reader.take(size, "artifact")
+    artifact = reader.take(reader.u64("artifact length"), "artifact")
     return Bank(artifact=artifact, version=version, token=token)
 
 
@@ -526,39 +522,33 @@ def save_flash(device: Device, path: str) -> None:
 
 
 def load_flash(path: str, rng: random.Random | None = None) -> Device:
-    from .metadata import _Reader
-
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _FLASH_MAGIC:
         raise ParseError("bad flash magic", position=0)
-    reader = _Reader(data, offset=4)
+    reader = Reader(data, offset=4)
     model = reader.u64("model")
     device_id = reader.u64("device id")
-    active = reader.u8("active bank")
-    if active > 1:
-        raise ParseError(f"active bank index {active} is not 0 or 1", position=reader.offset - 1)
+    active = int(reader.flag("active bank"))
     installed = reader.u64("installed version")
-    mode_flag = reader.u8("install mode")
-    if mode_flag > 1:
-        raise ParseError(f"install mode flag {mode_flag} is not 0 or 1", position=reader.offset - 1)
-    needs_replacement = reader.u8("replacement flag")
+    install_mode = InstallMode.SINGLE_BANK if reader.flag("install mode flag") else InstallMode.DUAL_BANK
+    needs_replacement = reader.flag("replacement flag")
     banks = [_unpack_bank(reader), _unpack_bank(reader)]
     oem_public = reader.take(32, "oem public key")
     attestation_key = reader.take(32, "attestation key")
-    nonce_count = reader.u32("nonce count")
-    nonces = {reader.take(16, "nonce") for _ in range(nonce_count)}
+    nonces = {reader.take(16, "nonce") for _ in range(reader.u32("nonce count"))}
+    reader.end("flash image")
     device = Device(
         device_model=model,
         device_id=device_id,
         oem_public=oem_public,
         attestation_key=attestation_key,
-        install_mode=InstallMode.DUAL_BANK if mode_flag == 0 else InstallMode.SINGLE_BANK,
+        install_mode=install_mode,
         rng=rng,
     )
     device._banks = banks
     device._active = active
     device._installed_version = installed
-    device.needs_replacement = bool(needs_replacement)
+    device.needs_replacement = needs_replacement
     device._served_nonces = nonces
     return device

@@ -43,6 +43,7 @@ from .authorization import (
     issue_token,
     serialize_envelope,
 )
+from .codec import flip_bit
 from .controller import AttestOutcome, Controller, LocalPolicy, VerifiedEnvelope
 from .crypto import VERIFY_COUNTER
 from .device import Device, InstallMode, InstallOutcome
@@ -147,30 +148,31 @@ class Transcript:
 
 # --- adversary wrappers over a device port --------------------------------------------
 
-class _TamperingPort:
-    """Local-adversary model: flips one bit in the first frame in transit."""
+class _PortWrapper:
+    """Forwards every operation it does not override to the wrapped port."""
 
-    def __init__(self, inner, bit_offset: int) -> None:
+    def __init__(self, inner) -> None:
         self._inner = inner
-        self._bit = bit_offset
-
-    def exchange(self, frames: list[bytes]) -> list[bytes]:
-        if frames:
-            first = bytearray(frames[0])
-            bit = self._bit % (len(first) * 8)
-            first[bit // 8] ^= 1 << (bit % 8)
-            frames = [bytes(first)] + list(frames[1:])
-        return self._inner.exchange(frames)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
-class _DroppingPort:
-    """Local-adversary model: the exchange never reaches the device."""
+class _TamperingPort(_PortWrapper):
+    """Local-adversary model: flips one bit in the first frame in transit."""
 
-    def __init__(self, inner) -> None:
-        self._inner = inner
+    def __init__(self, inner, bit_offset: int) -> None:
+        super().__init__(inner)
+        self._bit = bit_offset
+
+    def exchange(self, frames: list[bytes]) -> list[bytes]:
+        if frames:
+            frames = [flip_bit(frames[0], self._bit), *frames[1:]]
+        return self._inner.exchange(frames)
+
+
+class _DroppingPort(_PortWrapper):
+    """Local-adversary model: the exchange never reaches the device."""
 
     def exchange(self, frames: list[bytes]) -> list[bytes]:
         return []
@@ -178,16 +180,13 @@ class _DroppingPort:
     def attest(self, nonce: bytes):
         return None
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
-
-class _RecordingPort:
+class _RecordingPort(_PortWrapper):
     """Hashes every frame that actually crosses the device boundary, so the
     transcript pins the byte stream without embedding it."""
 
     def __init__(self, inner) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self.sent = 0
         self.received = 0
         self._digest = hashlib.sha256()
@@ -205,24 +204,15 @@ class _RecordingPort:
     def stream_digest(self) -> str:
         return self._digest.hexdigest()[:16]
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
-
-class _ForgedTagPort:
+class _ForgedTagPort(_PortWrapper):
     """Remote-adversary model: replaces the attestation tag in transit."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
 
     def attest(self, nonce: bytes):
         report = self._inner.attest(nonce)
         if report is None:
             return None
         return replace(report, tag=bytes(b ^ 0xFF for b in report.tag))
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 # --- the world ---------------------------------------------------------------------------
@@ -332,7 +322,7 @@ class World:
     ) -> tuple[str, str]:
         attestation_key = derived_rng(self.seed, f"katt:{device_id}").randbytes(32)
         rng_seed = derived_seed(self.seed, f"device:{device_id}")
-        mode = InstallMode.DUAL_BANK if install_mode == "dual" else InstallMode.SINGLE_BANK
+        mode = InstallMode(install_mode)
         if self.multiprocess:
             address = self._spawn(
                 [
@@ -343,7 +333,7 @@ class World:
                     "--oem-public", self.oem_key.public.hex(),
                     "--attestation-key", attestation_key.hex(),
                     "--rng-seed", str(rng_seed),
-                    "--install-mode", install_mode,
+                    "--install-mode", mode.value,
                 ]
             )
             port = RemoteDevicePort(address)
@@ -522,50 +512,47 @@ class World:
 
 # --- runner --------------------------------------------------------------------------------
 
+# op -> (World method, positional argument types, {key: (parameter, type, default)});
+# a default of None marks a required key
+_STEPS = {
+    "enroll": ("enroll", (str,), {
+        "model": ("device_model", int, None),
+        "id": ("device_id", int, None),
+        "version": ("version", int, 1),
+        "mode": ("install_mode", str, "dual"),
+    }),
+    "issue": ("issue", (str,), {
+        "version": ("version", int, None),
+        "model": ("device_model", int, 0),
+        "device": ("device_id", int, 0),
+        "prev": ("prev", int, 0),
+        "size": ("size", int, DEFAULT_ARTIFACT_SIZE),
+        "key": ("key", str, "oem"),
+    }),
+    "publish": ("publish", (str,), {}),
+    "tamper-policy": ("tamper", (str,), {"offset": ("offset", int, 0)}),
+    "refresh": ("refresh", (), {}),
+    "clock-advance": ("clock_advance", (int,), {}),
+    "sync": ("sync", (), {}),
+    "frame-tamper": ("frame_tamper", (), {"bit": ("bit", int, 0)}),
+    "drop": ("drop", (), {}),
+    "deliver": ("deliver", (str, str), {}),
+    "attest": ("attest", (str,), {}),
+    "corrupt-flash": ("corrupt_flash", (str,), {"bank": ("bank", str, "active"), "bit": ("bit", int, 0)}),
+    "boot": ("boot", (str,), {}),
+}
+
+
 def _execute_step(world: World, step: Step) -> tuple[str, str]:
-    kw = step.kwargs
-    op = step.op
-    if op == "enroll":
-        return world.enroll(
-            step.args[0],
-            device_model=int(kw["model"]),
-            device_id=int(kw["id"]),
-            version=int(kw.get("version", "1")),
-            install_mode=kw.get("mode", "dual"),
-        )
-    if op == "issue":
-        return world.issue(
-            step.args[0],
-            version=int(kw["version"]),
-            device_model=int(kw.get("model", "0")),
-            device_id=int(kw.get("device", "0")),
-            prev=int(kw.get("prev", "0")),
-            size=int(kw.get("size", str(DEFAULT_ARTIFACT_SIZE))),
-            key=kw.get("key", "oem"),
-        )
-    if op == "publish":
-        return world.publish(step.args[0])
-    if op == "tamper-policy":
-        return world.tamper(step.args[0], offset=int(kw.get("offset", "0")))
-    if op == "refresh":
-        return world.refresh()
-    if op == "clock-advance":
-        return world.clock_advance(int(step.args[0]))
-    if op == "sync":
-        return world.sync()
-    if op == "frame-tamper":
-        return world.frame_tamper(bit=int(kw.get("bit", "0")))
-    if op == "drop":
-        return world.drop()
-    if op == "deliver":
-        return world.deliver(step.args[0], step.args[1])
-    if op == "attest":
-        return world.attest(step.args[0])
-    if op == "corrupt-flash":
-        return world.corrupt_flash(step.args[0], bank=kw.get("bank", "active"), bit=int(kw.get("bit", "0")))
-    if op == "boot":
-        return world.boot(step.args[0])
-    raise KeyError(f"unknown step {op!r}")
+    if step.op not in _STEPS:
+        raise KeyError(f"unknown step {step.op!r}")
+    method, positional, keywords = _STEPS[step.op]
+    args = [kind(step.args[i]) for i, kind in enumerate(positional)]
+    kwargs = {
+        name: kind(step.kwargs[key] if default is None else step.kwargs.get(key, default))
+        for key, (name, kind, default) in keywords.items()
+    }
+    return getattr(world, method)(*args, **kwargs)
 
 
 def run_scenario(text: str, seed: int = 0, multiprocess: bool = False) -> Transcript:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from . import crypto
 from .authorization import TOKEN_LEN, AuthorizationToken, decode_token, encode_token
+from .codec import Reader
 from .errors import (
     BindingMismatch,
     Expired,
@@ -44,8 +45,8 @@ class RoleKind(enum.Enum):
     TIMESTAMP = "timestamp"
 
 
-_ROLE_TAGS = {RoleKind.ROOT: 0, RoleKind.TARGETS: 1, RoleKind.SNAPSHOT: 2, RoleKind.TIMESTAMP: 3}
-_TAG_ROLES = {v: k for k, v in _ROLE_TAGS.items()}
+ROLE_TAGS = {RoleKind.ROOT: 0, RoleKind.TARGETS: 1, RoleKind.SNAPSHOT: 2, RoleKind.TIMESTAMP: 3}
+_TAG_ROLES = {v: k for k, v in ROLE_TAGS.items()}
 _ROLE_ORDER = (RoleKind.ROOT, RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP)
 
 
@@ -179,32 +180,15 @@ def _encode_body(body: RoleBody) -> bytes:
     raise TypeError(f"unknown body type {type(body)!r}")
 
 
-class _Reader:
-    def __init__(self, data: bytes, offset: int = 0) -> None:
-        self.data = data
-        self.offset = offset
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
-            raise ParseError(f"truncated {what}", position=self.offset)
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack(">H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack(">I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack(">Q", self.take(8, what))[0]
+def read_role(reader: Reader) -> RoleKind:
+    """One role-tag byte, as fixed-binary metadata and the controller state write it."""
+    tag = reader.u8("role tag")
+    if tag not in _TAG_ROLES:
+        raise ParseError(f"unknown role tag {tag}", position=reader.offset - 1)
+    return _TAG_ROLES[tag]
 
 
-def _decode_body(role: RoleKind, reader: _Reader) -> RoleBody:
+def _decode_body(role: RoleKind, reader: Reader) -> RoleBody:
     if role is RoleKind.ROOT:
         roles: dict[RoleKind, RoleKeys] = {}
         for entry_role in _ROLE_ORDER:
@@ -220,16 +204,12 @@ def _decode_body(role: RoleKind, reader: _Reader) -> RoleBody:
         count = reader.u16("record count")
         records = []
         for _ in range(count):
-            name_len = reader.u16("name length")
             name_pos = reader.offset
-            try:
-                name = reader.take(name_len, "name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError("target name is not utf-8", position=name_pos) from exc
+            name = reader.text("target name")
             digest = reader.take(32, "record hash")
             size = reader.u64("record size")
             token: AuthorizationToken | None = None
-            if reader.u8("token flag"):
+            if reader.flag("token flag"):
                 token = decode_token(reader.take(TOKEN_LEN, "token"))
             try:
                 records.append(TargetRecord(name=name, hash=digest, size=size, token=token))
@@ -241,14 +221,12 @@ def _decode_body(role: RoleKind, reader: _Reader) -> RoleBody:
             raise ParseError(str(exc), position=reader.offset) from exc
     if role is RoleKind.SNAPSHOT:
         return SnapshotBody(root_version=reader.u64("root version"), targets_version=reader.u64("targets version"))
-    if role is RoleKind.TIMESTAMP:
-        return TimestampBody(snapshot_version=reader.u64("snapshot version"), snapshot_hash=reader.take(32, "snapshot hash"))
-    raise ParseError(f"unknown role {role}", position=reader.offset)
+    return TimestampBody(snapshot_version=reader.u64("snapshot version"), snapshot_hash=reader.take(32, "snapshot hash"))
 
 
 def signed_region(role: RoleKind, version: int, expires: int, body: RoleBody) -> bytes:
     """The byte region signatures cover, identical in both modes."""
-    return struct.pack(">BQQ", _ROLE_TAGS[role], version, expires) + _encode_body(body)
+    return struct.pack(">BQQ", ROLE_TAGS[role], version, expires) + _encode_body(body)
 
 
 def signed_region_of(meta: RoleMetadata) -> bytes:
@@ -383,32 +361,22 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
         if not (isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
             raise ParseError("snapshot body must be [root_version, targets_version]", position=path)
         return SnapshotBody(root_version=raw[0], targets_version=raw[1])
-    if role is RoleKind.TIMESTAMP:
-        if not (isinstance(raw, list) and len(raw) == 2 and isinstance(raw[0], int) and not isinstance(raw[0], bool)):
-            raise ParseError("timestamp body must be [snapshot_version, snapshot_hash]", position=path)
-        return TimestampBody(snapshot_version=raw[0], snapshot_hash=_json_bytes(raw[1], 32, path))
-    raise ParseError(f"unknown role {role}", position=path)
+    if not (isinstance(raw, list) and len(raw) == 2 and isinstance(raw[0], int) and not isinstance(raw[0], bool)):
+        raise ParseError("timestamp body must be [snapshot_version, snapshot_hash]", position=path)
+    return TimestampBody(snapshot_version=raw[0], snapshot_hash=_json_bytes(raw[1], 32, path))
 
 
 def parse(data: bytes, mode: Mode) -> RoleMetadata:
     """Inverse of serialize_canonical; raises ParseError with a position."""
     if mode is Mode.FIXED_BINARY:
-        reader = _Reader(data)
-        tag = reader.u8("role tag")
-        if tag not in _TAG_ROLES:
-            raise ParseError(f"unknown role tag {tag}", position=0)
-        role = _TAG_ROLES[tag]
+        reader = Reader(data)
+        role = read_role(reader)
         version = reader.u64("version")
         expires = reader.u64("expires")
         body = _decode_body(role, reader)
         sig_count = reader.u16("signature count")
-        signatures = []
-        for _ in range(sig_count):
-            kid = reader.take(32, "key id")
-            sig = reader.take(64, "signature")
-            signatures.append((kid, sig))
-        if reader.offset != len(data):
-            raise ParseError("trailing bytes after metadata", position=reader.offset)
+        signatures = [(reader.take(32, "key id"), reader.take(64, "signature")) for _ in range(sig_count)]
+        reader.end("metadata")
         try:
             return RoleMetadata(role=role, version=version, expires=expires, body=body, signatures=signatures)
         except ValueError as exc:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from . import crypto
 from .authorization import parse_envelope, serialize_envelope
+from .codec import flip_bit
 from .errors import NotFound, ParseError, PublishRejected
 from .metadata import (
     MetadataSet,
@@ -100,6 +101,14 @@ def _serialized_set(state: RepositoryState) -> dict[RoleKind, bytes]:
     return {role: _canonical_bytes(state, role) for role in RoleKind}
 
 
+def _sign_timestamp(
+    snapshot: RoleMetadata, version: int, clock: int, keys: list[crypto.SigningKeyPair]
+) -> RoleMetadata:
+    """A timestamp pinning ``snapshot`` (its version and the hash of its signed region)."""
+    body = TimestampBody(snapshot_version=snapshot.version, snapshot_hash=crypto.hash_data(signed_region_of(snapshot)))
+    return build_and_sign(body, version, clock + LIFETIMES[RoleKind.TIMESTAMP], keys)
+
+
 def new_repository(
     root_keys: list[crypto.SigningKeyPair],
     targets_keys: list[crypto.SigningKeyPair],
@@ -131,12 +140,7 @@ def new_repository(
         clock + LIFETIMES[RoleKind.SNAPSHOT],
         snapshot_keys,
     )
-    timestamp = build_and_sign(
-        TimestampBody(snapshot_version=1, snapshot_hash=crypto.hash_data(signed_region_of(snapshot))),
-        1,
-        clock + LIFETIMES[RoleKind.TIMESTAMP],
-        timestamp_keys,
-    )
+    timestamp = _sign_timestamp(snapshot, 1, clock, timestamp_keys)
     return RepositoryState(
         online_keys={role: tuple(keys) for role, keys in keysets.items() if role is not RoleKind.ROOT},
         root_keys=tuple(root_keys),
@@ -157,14 +161,8 @@ def _resign_chain(state: RepositoryState, targets: RoleMetadata | None, root: Ro
         state.clock + LIFETIMES[RoleKind.SNAPSHOT],
         list(state.online_keys[RoleKind.SNAPSHOT]),
     )
-    timestamp = build_and_sign(
-        TimestampBody(
-            snapshot_version=snapshot.version,
-            snapshot_hash=crypto.hash_data(signed_region_of(snapshot)),
-        ),
-        state.metadata.timestamp.version + 1,
-        state.clock + LIFETIMES[RoleKind.TIMESTAMP],
-        list(state.online_keys[RoleKind.TIMESTAMP]),
+    timestamp = _sign_timestamp(
+        snapshot, state.metadata.timestamp.version + 1, state.clock, list(state.online_keys[RoleKind.TIMESTAMP])
     )
     return MetadataSet(root=root, targets=targets, snapshot=snapshot, timestamp=timestamp)
 
@@ -228,27 +226,17 @@ def publish_vanilla(state: RepositoryState, name: str, artifact: bytes) -> Repos
 
 def refresh_timestamp(state: RepositoryState) -> RepositoryState:
     """Re-sign the freshness heartbeat with no content change."""
-    snapshot = state.metadata.snapshot
-    timestamp = build_and_sign(
-        TimestampBody(
-            snapshot_version=snapshot.version,
-            snapshot_hash=crypto.hash_data(signed_region_of(snapshot)),
-        ),
+    timestamp = _sign_timestamp(
+        state.metadata.snapshot,
         state.metadata.timestamp.version + 1,
-        state.clock + LIFETIMES[RoleKind.TIMESTAMP],
+        state.clock,
         list(state.online_keys[RoleKind.TIMESTAMP]),
     )
     return replace(
         state,
-        metadata=replace_set(state.metadata, timestamp=timestamp),
+        metadata=replace(state.metadata, timestamp=timestamp),
         archive=_archived(state),
     )
-
-
-def replace_set(metadata: MetadataSet, **kwargs) -> MetadataSet:
-    current = {role.value: metadata.by_role(role) for role in RoleKind}
-    current.update(kwargs)
-    return MetadataSet(**current)
 
 
 def rotate_root(state: RepositoryState, new_root_keys: list[crypto.SigningKeyPair], threshold: int | None = None) -> RepositoryState:
@@ -297,15 +285,6 @@ def set_tamper(state: RepositoryState, policy: TamperPolicy) -> RepositoryState:
 
 # --- mirror fetch surface (tamper-transformed) -----------------------------------
 
-def _flip_bit(data: bytes, bit_offset: int) -> bytes:
-    if not data:
-        return data
-    bit = bit_offset % (len(data) * 8)
-    out = bytearray(data)
-    out[bit // 8] ^= 1 << (bit % 8)
-    return bytes(out)
-
-
 def fetch_metadata(state: RepositoryState, role: RoleKind) -> bytes:
     """Serve role metadata bytes as the (untrusted) mirror would."""
     if state.tamper.kind is TamperKind.SERVE_STALE_METADATA and state.archive:
@@ -320,7 +299,7 @@ def fetch_envelope(state: RepositoryState, name: str) -> bytes:
         raise NotFound(f"envelope {name!r}")
     data = state.envelopes[name]
     if state.tamper.kind is TamperKind.FLIP_BIT_IN_ENVELOPE:
-        return _flip_bit(data, state.tamper.bit_offset)
+        return flip_bit(data, state.tamper.bit_offset)
     if state.tamper.kind is TamperKind.SUBSTITUTE_ARTIFACT:
         envelope = parse_envelope(data)
         masked = bytes(b ^ 0xA5 for b in envelope.artifact)

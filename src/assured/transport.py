@@ -191,6 +191,13 @@ def _json_line(obj: dict) -> bytes:
     return json.dumps(obj).encode("ascii") + b"\n"
 
 
+def _read_request(line: bytes):
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+        raise ParseError(f"request is not JSON: {exc!r:.80}", "request") from exc
+
+
 def is_unix_address(spec: str) -> bool:
     """An address is a unix-socket path unless it ends in ``:<port>``."""
     _, _, port = spec.rpartition(":")
@@ -256,10 +263,10 @@ class _Server(socketserver.ThreadingTCPServer):
         with _line_reader(connection) as reader:
             for line in iter(reader.readline, b""):
                 try:
-                    reply = {"ok": True, "result": _encode(self.dispatch(json.loads(line)))}
+                    reply = {"ok": True, "result": _encode(self.dispatch(_read_request(line)))}
                 except AssuredError as exc:
                     reply = {"ok": False, "error": _encode(exc)}
-                except Exception as exc:  # not JSON, or a crash-level failure; keep the connection alive
+                except Exception as exc:  # a crash-level failure; keep the connection alive
                     reply = {"ok": False, "error": _encode(AssuredError(f"server error: {exc!r}"))}
                 connection.sendall(_json_line(reply))
 

@@ -574,3 +574,29 @@ def test_load_controller_single_byte_mutation_only_parse_error(state_sample, pos
     mutated = bytearray(valid)
     mutated[position % len(valid)] = value
     _load_state_bytes(path, bytes(mutated))
+
+
+def test_load_rejects_trailing_bytes(tmp_path, controller, repo_port, device_port, oem_key):
+    data = saved_state(tmp_path, controller, repo_port, device_port, oem_key)
+    path = tmp_path / "bad.state"
+    path.write_bytes(data + b"GARBAGE")
+    with pytest.raises(ParseError) as excinfo:
+        load_controller(str(path))
+    assert excinfo.value.position == len(data)
+
+
+@pytest.mark.parametrize("flag", ["mode", "window", "allow-list"])
+@pytest.mark.parametrize("value", [2, 0x80, 0xFF])
+def test_load_rejects_a_flag_byte_other_than_zero_or_one(tmp_path, controller, repo_port, device_port, oem_key, flag, value):
+    data = bytearray(saved_state(tmp_path, controller, repo_port, device_port, oem_key))
+    # the mode flag follows the magic and the clock; saved_state's file ends with
+    # window flag(1) start(8) end(8), allow-list flag(1) count(4) one model(8),
+    # nonce count(4) and two 16-byte nonces
+    offset = {"mode": 4 + 8, "window": len(data) - 66, "allow-list": len(data) - 49}[flag]
+    assert data[offset] == (0 if flag == "mode" else 1)
+    data[offset] = value
+    path = tmp_path / "bad.state"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError) as excinfo:
+        load_controller(str(path))
+    assert excinfo.value.position == offset

@@ -511,3 +511,49 @@ def test_load_flash_single_byte_mutation_only_parse_error(flash_sample, position
     mutated = bytearray(valid)
     mutated[position % len(valid)] = value
     _load_flash_bytes(path, bytes(mutated))
+
+
+def test_load_flash_rejects_trailing_bytes(tmp_path, oem_key):
+    data = valid_flash_bytes(tmp_path, oem_key)
+    path = tmp_path / "bad.flash"
+    path.write_bytes(data + b"GARBAGE")
+    with pytest.raises(ParseError) as excinfo:
+        load_flash(str(path))
+    assert excinfo.value.position == len(data)
+
+
+# after the magic, model, id, active bank, installed version and install mode:
+# the replacement flag, then bank 0's flag, version and token flag
+REPLACEMENT_AT = INSTALL_MODE_AT + 1
+BANK_FLAG_AT = REPLACEMENT_AT + 1
+TOKEN_FLAG_AT = BANK_FLAG_AT + 1 + 8
+
+
+@pytest.mark.parametrize("offset", [REPLACEMENT_AT, BANK_FLAG_AT, TOKEN_FLAG_AT])
+@pytest.mark.parametrize("value", [2, 0x80, 0xFF])
+def test_load_flash_rejects_a_flag_byte_other_than_zero_or_one(tmp_path, oem_key, offset, value):
+    data = bytearray(valid_flash_bytes(tmp_path, oem_key))
+    assert data[offset] in (0, 1)
+    data[offset] = value
+    path = tmp_path / "bad.flash"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError) as excinfo:
+        load_flash(str(path))
+    assert excinfo.value.position == offset
+
+
+def test_load_flash_rejects_a_token_field_set_on_a_bank_without_token(tmp_path, oem_key):
+    device = make_device(oem_key)
+    device._banks[1] = Bank(artifact=b"\x07" * 40, version=3)  # as receive_update_tuf leaves a bank
+    path = tmp_path / "dev.flash"
+    save_flash(device, str(path))
+    data = path.read_bytes()
+    assert load_flash(str(path))._banks[1] == device._banks[1]
+    # bank 1's token field is followed by its length(8) and artifact(40), then
+    # the two 32-byte keys and an empty nonce list(4)
+    token_at = len(data) - 4 - 32 - 32 - 40 - 8 - 136
+    assert data[token_at - 1 : token_at + 136] == bytes(137)
+    path.write_bytes(data[:token_at] + b"\x01" + data[token_at + 1 :])
+    with pytest.raises(ParseError) as excinfo:
+        load_flash(str(path))
+    assert excinfo.value.position == token_at

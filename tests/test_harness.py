@@ -218,3 +218,20 @@ class TestWorldDirect:
                 world.attest("dev")
             log = world.controller.nonce_log
             assert len(log) == len(set(log))
+
+
+class TestStepTable:
+    def test_table_covers_the_documented_vocabulary(self):
+        import assured.harness as harness
+
+        block = harness.__doc__.split("Step vocabulary:")[1]
+        documented = {line.split()[0] for line in block.splitlines() if line.strip()}
+        assert documented == set(harness._STEPS)
+        for method, _, _ in harness._STEPS.values():
+            assert callable(getattr(World, method))
+
+    @pytest.mark.parametrize("multiprocess", [False, True])
+    def test_unknown_install_mode_aborts_in_both_modes(self, multiprocess):
+        with pytest.raises(ScenarioError) as excinfo:
+            run_scenario("enroll dev1 model=1 id=1 mode=triple\n", seed=5, multiprocess=multiprocess)
+        assert excinfo.value.index == 1

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assured import crypto
-from assured.authorization import Constraints, issue_token
+from assured.authorization import Constraints, build_envelope, issue_token, serialize_envelope
+from assured.codec import flip_bit
 from assured.errors import (
+    AssuredError,
     BindingMismatch,
     Expired,
     ParseError,
@@ -31,7 +33,7 @@ from assured.metadata import (
     verify_full_chain,
     verify_role_signatures,
 )
-from assured.repository import fetch_metadata, new_repository, publish_vanilla
+from assured.repository import fetch_metadata, new_repository, publish, publish_vanilla
 
 
 def keypairs(label: bytes, count: int):
@@ -274,3 +276,63 @@ class TestInvariantsAtConstruction:
     def test_root_body_requires_all_roles(self):
         with pytest.raises(ValueError):
             RootBody(roles={RoleKind.ROOT: RoleKeys(threshold=1, keys=(bytes(32),))})
+
+
+# --- the fixed-binary decoder accepts exactly what the encoder writes ----------------
+
+
+@pytest.fixture(scope="module")
+def binary_probe_set(role_keys):
+    """A fixed-binary repository with one token record and one token-free record."""
+    oem = crypto.signing_key_from_seed(bytes(range(32)))
+    artifact = b"\x5a" * 64
+    token = issue_token(oem, artifact, Constraints(new_version=2))
+    state = new_repository(
+        root_keys=role_keys[RoleKind.ROOT],
+        targets_keys=role_keys[RoleKind.TARGETS],
+        snapshot_keys=role_keys[RoleKind.SNAPSHOT],
+        timestamp_keys=role_keys[RoleKind.TIMESTAMP],
+        mode=Mode.FIXED_BINARY,
+    )
+    state = publish(state, "fw", serialize_envelope(build_envelope(token, artifact)))
+    return publish_vanilla(state, "zz", b"plain artifact")
+
+
+def accepted(state, role, blob) -> bool:
+    """Whether ``blob`` in place of ``role`` passes parse and verify_full_chain
+    (its own role's signature check first, which rejects most mutants sooner)."""
+    try:
+        meta = parse(blob, Mode.FIXED_BINARY)
+        verify_role_signatures(meta, state.metadata.root.body.roles[role])
+        chain = MetadataSet(**{r.value: meta if r is role else state.metadata.by_role(r) for r in RoleKind})
+        verify_full_chain(state.metadata.root, chain, now=state.clock)
+    except AssuredError:
+        return False
+    return True
+
+
+def test_fixed_binary_bit_flips_accept_no_mutant(binary_probe_set):
+    state = binary_probe_set
+    blobs = {role: fetch_metadata(state, role) for role in RoleKind}
+    assert blobs[RoleKind.TARGETS][63] == 1  # the first record's token flag
+    assert all(accepted(state, role, blob) for role, blob in blobs.items())
+    mutants = [
+        (role.value, bit)
+        for role, blob in blobs.items()
+        for bit in range(len(blob) * 8)
+        if accepted(state, role, flip_bit(blob, bit))
+    ]
+    assert mutants == []
+
+
+def test_fixed_binary_mutants_that_parse_reserialize_to_the_same_bytes(binary_probe_set):
+    for role in RoleKind:
+        blob = fetch_metadata(binary_probe_set, role)
+        for position in range(len(blob)):
+            for value in {0x00, 0x01, 0x02, 0x80, 0xFF, blob[position] ^ 0x01}:
+                mutant = blob[:position] + bytes([value]) + blob[position + 1 :]
+                try:
+                    meta = parse(mutant, Mode.FIXED_BINARY)
+                except ParseError:
+                    continue
+                assert serialize_canonical(meta, Mode.FIXED_BINARY) == mutant, (role.value, position, value)

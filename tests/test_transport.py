@@ -451,6 +451,16 @@ def test_server_answers_any_bad_request_and_keeps_serving(device_connection, lin
     assert _decode(info["result"])["id"] == 2
 
 
+@pytest.mark.parametrize(
+    "line", [b"not json", b"\xff\xfe", b'{"op": ', b"[" * 100_000], ids=["text", "not-utf8", "cut-short", "too-deep"]
+)
+def test_server_answers_a_line_that_is_not_json_with_parse_error(device_connection, line):
+    reply = device_connection(line + b"\n")
+    assert reply["ok"] is False
+    assert type(_decode(reply["error"])) is errors.ParseError
+    assert device_connection(b'{"op": "info", "args": []}\n')["ok"] is True
+
+
 # --- the traced benchmark binds transport internals by name --------------------------------
 
 
