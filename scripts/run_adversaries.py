@@ -1,26 +1,10 @@
 #!/usr/bin/env python3
-"""Run the full adversary matrix and print the detection table."""
+"""Run the full adversary matrix and print the detection table; the same as
+``assured adversary-suite`` (``--seed``, ``--records``)."""
 
-import argparse
 import sys
 
-from assured.harness import adversary_table, run_adversary_suite
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    rows = run_adversary_suite(seed=args.seed)
-    print(adversary_table(rows), end="")
-    undetected = [row for row in rows if not row.detected]
-    if undetected:
-        for row in undetected:
-            print(f"UNDETECTED: {row.attack} ({row.detail})", file=sys.stderr)
-        return 1
-    print(f"all {len(rows)} attacks detected")
-    return 0
-
+from assured.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["adversary-suite", *sys.argv[1:]]))

@@ -1,32 +1,10 @@
 #!/usr/bin/env python3
-"""Print the size/operation-count comparison for both delivery modes and
-optionally write the machine-readable records."""
+"""Print the size/operation-count comparison for both delivery modes; the
+same as ``assured bench`` (``--seed``, ``--records``)."""
 
-import argparse
-import json
 import sys
 
-from assured.harness import run_bench
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--records", help="write JSONL records here")
-    args = parser.parse_args()
-
-    records = []
-    for mode in ("assured", "tuf"):
-        report = run_bench(mode=mode, seed=args.seed)
-        print(report.to_text())
-        records.extend(report.records())
-    if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        print(f"wrote {len(records)} records to {args.records}")
-    return 0
-
+from assured.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))

@@ -10,6 +10,7 @@ hex-dumps a 136-byte token or an envelope for debugging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -31,7 +32,7 @@ from .authorization import (
 )
 from .controller import Controller, LocalPolicy, load_controller, save_controller
 from .device import Device, InstallMode, load_flash, save_flash
-from .errors import AssuredError
+from .errors import AssuredError, ParseError
 from .harness import (
     BUILTIN_SCENARIOS,
     adversary_table,
@@ -194,6 +195,8 @@ def cmd_repo_refresh(args) -> int:
 
 
 def cmd_repo_tamper(args) -> int:
+    if not 0 <= args.offset < 2**64:  # private.bin stores it as a u64
+        raise ParseError(f"tamper bit offset {args.offset} is not a u64", position="--offset")
     policy = TamperPolicy(kind=TamperKind(args.policy), bit_offset=args.offset)
     return _with_repo(args, lambda state: repository.set_tamper(state, policy))
 
@@ -386,6 +389,13 @@ def cmd_scenario_run(args) -> int:
     return 0 if transcript.ok else 1
 
 
+def _write_records(path: str, records: list[dict]) -> None:
+    """One JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 def cmd_bench(args) -> int:
     modes = [args.mode] if args.mode != "both" else ["assured", "tuf"]
     records = []
@@ -394,9 +404,7 @@ def cmd_bench(args) -> int:
         print(report.to_text())
         records.extend(report.records())
     if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        _write_records(args.records, records)
         print(f"wrote {len(records)} records to {args.records}")
     return 0
 
@@ -405,16 +413,10 @@ def cmd_adversary_suite(args) -> int:
     rows = run_adversary_suite(seed=args.seed)
     print(adversary_table(rows), end="")
     if args.records:
-        with open(args.records, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(
-                    json.dumps(
-                        {"attack": row.attack, "layer": row.layer, "detected": row.detected, "detail": row.detail},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        _write_records(args.records, [dataclasses.asdict(row) for row in rows])
     undetected = [row for row in rows if not row.detected]
+    for row in undetected:
+        print(f"UNDETECTED: {row.attack} ({row.detail})", file=sys.stderr)
     if undetected:
         print(f"{len(undetected)} attack(s) UNDETECTED", file=sys.stderr)
         return 1

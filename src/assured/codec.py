@@ -1,10 +1,11 @@
 """The one reader for the binary formats: fixed-binary metadata, update
-envelopes, the controller state file and the flash image. (The 136-byte
-token has no variable part and is decoded with one ``struct`` layout.)
+envelopes, the controller state file, the flash image and the repository's
+private state. (The 136-byte token has no variable part and is decoded with
+one ``struct`` layout.)
 
 Decoders accept exactly what the encoders write: a flag byte is 0 or 1, a
-string is a u16 length followed by that many bytes of UTF-8, and no byte may
-follow the last field. Every rejection is a ParseError whose position is a
+string is a u16 length followed by that many bytes of UTF-8, a keyed list is
+strictly increasing, and no byte may follow the last field. Every rejection is a ParseError whose position is a
 byte offset. Encoders stay plain ``struct.pack`` calls.
 """
 
@@ -54,6 +55,21 @@ class Reader:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{what} is not utf-8", position=self.offset - len(raw) + exc.start) from exc
+
+    def increasing(self, count: int, read, what: str, rank=None):
+        """Yield ``count`` keys, each read by ``read(what)`` and each ranking
+        strictly above the one before (by ``rank(key)``, default the key).
+        Keyed lists are written sorted and distinct, so a repeat or a swap is
+        a ParseError at the offending key's offset."""
+        previous = None
+        for _ in range(count):
+            at = self.offset
+            key = read(what)
+            order = key if rank is None else rank(key)
+            if previous is not None and order <= previous:
+                raise ParseError(f"{what} out of order or repeated", position=at)
+            previous = order
+            yield key
 
     def end(self, what: str) -> None:
         if self.offset != len(self.data):

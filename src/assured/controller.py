@@ -367,12 +367,10 @@ def load_controller(path: str, rng: random.Random | None = None) -> Controller:
     mode = Mode.FIXED_BINARY if reader.flag("mode flag") else Mode.JSON
     trusted_root = parse(reader.take(reader.u32("root length"), "trusted root"), Mode.FIXED_BINARY)
     last_seen = {}
-    for _ in range(reader.u8("last-seen count")):
-        role = read_role(reader)
+    for role in reader.increasing(reader.u8("last-seen count"), lambda _: read_role(reader), "role tag", ROLE_TAGS.get):
         last_seen[role] = reader.u64("version")
     registry = {}
-    for _ in range(reader.u32("registry count")):
-        device_id = reader.u64("device id")
+    for device_id in reader.increasing(reader.u32("registry count"), reader.u64, "device id"):
         registry[device_id] = DeviceRecord(  # keyword arguments in file order
             device_model=reader.u64("model"),
             attestation_key=reader.take(32, "attestation key"),
@@ -380,16 +378,14 @@ def load_controller(path: str, rng: random.Random | None = None) -> Controller:
             expected_digest=reader.take(32, "expected digest"),
         )
     seen = {}
-    for _ in range(reader.u32("seen count")):
-        name = reader.text("target name")
+    for name in reader.increasing(reader.u32("seen count"), reader.text, "target name"):
         seen[name] = reader.take(32, "hash")
     window = None
     if reader.flag("window flag"):
         window = (reader.u64("window start"), reader.u64("window end"))
     allowed = None
     if reader.flag("allow-list flag"):
-        count = reader.u32("allow-list count")
-        allowed = frozenset(reader.u64("model") for _ in range(count))
+        allowed = frozenset(reader.increasing(reader.u32("allow-list count"), reader.u64, "model"))
     nonces_at = reader.offset
     nonce_log = [reader.take(16, "nonce") for _ in range(reader.u32("nonce count"))]
     reader.end("controller state")

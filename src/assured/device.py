@@ -536,7 +536,7 @@ def load_flash(path: str, rng: random.Random | None = None) -> Device:
     banks = [_unpack_bank(reader), _unpack_bank(reader)]
     oem_public = reader.take(32, "oem public key")
     attestation_key = reader.take(32, "attestation key")
-    nonces = {reader.take(16, "nonce") for _ in range(reader.u32("nonce count"))}
+    nonces = set(reader.increasing(reader.u32("nonce count"), lambda what: reader.take(16, what), "nonce"))
     reader.end("flash image")
     device = Device(
         device_model=model,

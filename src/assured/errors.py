@@ -143,20 +143,16 @@ class AttestationRefused(AssuredError):
     """Device refused to serve an attestation nonce (replay)."""
 
 
-_CHANNEL_REASON_TOKENS: dict[type, str] = {}
+_CHANNEL_REASON_TOKENS = {
+    AuthFailure: "auth_failure",
+    ReplayOrReorder: "replay_or_reorder",
+    MalformedFrame: "malformed_frame",
+    ChannelError: "channel_error",
+}
 
 
 def channel_reason(exc: ChannelError) -> str:
     """Stable short token for a channel failure, for transcripts and acks."""
-    if not _CHANNEL_REASON_TOKENS:
-        _CHANNEL_REASON_TOKENS.update(
-            {
-                AuthFailure: "auth_failure",
-                ReplayOrReorder: "replay_or_reorder",
-                MalformedFrame: "malformed_frame",
-                ChannelError: "channel_error",
-            }
-        )
     for cls in type(exc).__mro__:
         if cls in _CHANNEL_REASON_TOKENS:
             return _CHANNEL_REASON_TOKENS[cls]

@@ -13,13 +13,13 @@ rotate_root operation uses them.
 from __future__ import annotations
 
 import enum
-import json
 import os
+import struct
 from dataclasses import dataclass, field, replace
 
 from . import crypto
 from .authorization import parse_envelope, serialize_envelope
-from .codec import flip_bit
+from .codec import Reader, flip_bit
 from .errors import NotFound, ParseError, PublishRejected
 from .metadata import (
     MetadataSet,
@@ -32,7 +32,6 @@ from .metadata import (
     TargetRecord,
     TargetsBody,
     TimestampBody,
-    _need,
     build_and_sign,
     parse,
     serialize_canonical,
@@ -309,7 +308,21 @@ def fetch_envelope(state: RepositoryState, name: str) -> bytes:
 
 # --- on-disk layout ----------------------------------------------------------------
 
-_PRIVATE_FILE = "private.json"
+# private.bin holds what no public file does; the root and targets versions
+# come from snapshot.meta, which pins them:
+#   "ASRS" || mode flag(1) || clock(8) || tamper kind(1) || tamper bit offset(8)
+#   || per role in RoleKind order: key count(2) || seed(32)*
+#   || archive count(1, 0 or 1) || per archived role in RoleKind order: length(4) || blob
+_PRIVATE_FILE = "private.bin"
+_PRIVATE_MAGIC = b"ASRS"
+_TAMPER_KINDS = tuple(TamperKind)
+
+
+def _filename(role: RoleKind, version: int) -> str:
+    """Root and targets files are kept per version; snapshot and timestamp are not."""
+    if role in (RoleKind.ROOT, RoleKind.TARGETS):
+        return f"{role.value}.{version}.meta"
+    return f"{role.value}.meta"
 
 
 def save_repository(state: RepositoryState, directory: str) -> None:
@@ -318,37 +331,26 @@ def save_repository(state: RepositoryState, directory: str) -> None:
     Public files: root.N.meta / targets.N.meta (versioned), snapshot.meta,
     timestamp.meta, and envelopes/<name>.env.
     """
+    mode_flag = 0 if state.mode is Mode.JSON else 1
+    tamper = state.tamper
+    private = bytearray(_PRIVATE_MAGIC)
+    private += struct.pack(">BQBQ", mode_flag, state.clock, _TAMPER_KINDS.index(tamper.kind), tamper.bit_offset)
+    for role in RoleKind:
+        keys = state.root_keys if role is RoleKind.ROOT else state.online_keys[role]
+        private += struct.pack(">H", len(keys)) + b"".join(k.private for k in keys)
+    private += struct.pack(">B", len(state.archive))
+    for entry in state.archive:
+        for role in RoleKind:
+            private += struct.pack(">I", len(entry[role])) + entry[role]
     os.makedirs(os.path.join(directory, "envelopes"), exist_ok=True)
-    serialized = _serialized_set(state)
-    names = {
-        RoleKind.ROOT: f"root.{state.metadata.root.version}.meta",
-        RoleKind.TARGETS: f"targets.{state.metadata.targets.version}.meta",
-        RoleKind.SNAPSHOT: "snapshot.meta",
-        RoleKind.TIMESTAMP: "timestamp.meta",
-    }
-    for role, filename in names.items():
-        with open(os.path.join(directory, filename), "wb") as fh:
-            fh.write(serialized[role])
+    for role, blob in _serialized_set(state).items():
+        with open(os.path.join(directory, _filename(role, state.metadata.by_role(role).version)), "wb") as fh:
+            fh.write(blob)
     for name, data in state.envelopes.items():
         with open(os.path.join(directory, "envelopes", f"{name}.env"), "wb") as fh:
             fh.write(data)
-    private = {
-        "mode": state.mode.value,
-        "clock": state.clock,
-        "tamper": {"kind": state.tamper.kind.value, "bit_offset": state.tamper.bit_offset},
-        "root_version": state.metadata.root.version,
-        "targets_version": state.metadata.targets.version,
-        "root_keys": [k.private.hex() for k in state.root_keys],
-        "online_keys": {
-            role.value: [k.private.hex() for k in keys]
-            for role, keys in state.online_keys.items()
-        },
-        "archive": [
-            {role.value: blob.hex() for role, blob in entry.items()} for entry in state.archive
-        ],
-    }
-    with open(os.path.join(directory, _PRIVATE_FILE), "w", encoding="utf-8") as fh:
-        json.dump(private, fh, indent=1, sort_keys=True)
+    with open(os.path.join(directory, _PRIVATE_FILE), "wb") as fh:
+        fh.write(private)
 
 
 def _read_file(directory: str, *parts: str) -> bytes:
@@ -359,102 +361,60 @@ def _read_file(directory: str, *parts: str) -> bytes:
         raise ParseError("missing file", position=os.path.join(*parts)) from exc
 
 
-def _enum_field(obj, key: str, kind: type[enum.Enum], path: str):
-    value = _need(obj, key, str, path)
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ParseError(f"unknown {kind.__name__} {value!r}", position=f"{path}.{key}") from exc
-
-
-def _count_field(obj, key: str, path: str) -> int:
-    value = _need(obj, key, int, path)
-    if value < 0:
-        raise ParseError(f"field {key!r} must not be negative", position=f"{path}.{key}")
-    return value
-
-
-def _hex(value, path: str, length: int | None = None) -> bytes:
-    try:
-        raw = bytes.fromhex(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"expected a hex string: {exc}", position=path) from exc
-    if length is not None and len(raw) != length:
-        raise ParseError(f"expected {length} bytes, got {len(raw)}", position=path)
-    return raw
-
-
-def _key_list(obj, key: str, path: str) -> tuple[crypto.SigningKeyPair, ...]:
-    seeds = _need(obj, key, list, path)
-    if not seeds:
-        raise ParseError(f"field {key!r} lists no keys", position=f"{path}.{key}")
-    return tuple(
-        crypto.signing_key_from_seed(_hex(seed, f"{path}.{key}[{i}]", crypto.KEY_LEN))
-        for i, seed in enumerate(seeds)
-    )
-
-
-def _role_map(obj, roles: set[str], path: str) -> dict:
-    if not isinstance(obj, dict) or set(obj) != roles:
-        raise ParseError(f"expected exactly the roles {sorted(roles)}", position=path)
-    return obj
+def _load_role(directory: str, role: RoleKind, version: int, mode: Mode) -> RoleMetadata:
+    filename = _filename(role, version)
+    meta = parse(_read_file(directory, filename), mode)
+    if _filename(meta.role, meta.version) != filename:
+        raise ParseError(f"{filename} holds {meta.role.value} version {meta.version}", position=filename)
+    return meta
 
 
 def load_repository(directory: str) -> RepositoryState:
     """Inverse of save_repository; a malformed or incomplete directory raises
-    ParseError (``position`` is a field path in private.json or a file name)."""
-    raw = _read_file(directory, _PRIVATE_FILE)
-    try:
-        private = json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{_PRIVATE_FILE} is not utf-8", position=exc.start) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad json: {exc.msg}", position=exc.pos) from exc
-    mode = _enum_field(private, "mode", Mode, "$")
-    tamper = _need(private, "tamper", dict, "$")
-    tamper_policy = TamperPolicy(
-        kind=_enum_field(tamper, "kind", TamperKind, "$.tamper"),
-        bit_offset=_count_field(tamper, "bit_offset", "$.tamper"),
+    ParseError (``position`` is a byte offset in private.bin or a file name)."""
+    reader = Reader(_read_file(directory, _PRIVATE_FILE))
+    if reader.take(len(_PRIVATE_MAGIC), "magic") != _PRIVATE_MAGIC:
+        raise ParseError("bad repository state magic", position=0)
+    mode = Mode.FIXED_BINARY if reader.flag("mode flag") else Mode.JSON
+    clock = reader.u64("clock")
+    kind = reader.u8("tamper kind")
+    if kind >= len(_TAMPER_KINDS):
+        raise ParseError(f"unknown tamper kind {kind}", position=reader.offset - 1)
+    tamper = TamperPolicy(kind=_TAMPER_KINDS[kind], bit_offset=reader.u64("tamper bit offset"))
+    keys = {}
+    for role in RoleKind:
+        count = reader.u16(f"{role.value} key count")
+        if not count:
+            raise ParseError(f"no {role.value} keys", position=reader.offset - 2)
+        keys[role] = tuple(crypto.signing_key_from_seed(reader.take(crypto.KEY_LEN, "key seed")) for _ in range(count))
+    archived = reader.flag("archive count")  # the archive holds at most one set
+    archive = tuple(
+        {role: reader.take(reader.u32("archived length"), "archived metadata") for role in RoleKind}
+        for _ in range(archived)
     )
-    names = {
-        RoleKind.ROOT: f"root.{_count_field(private, 'root_version', '$')}.meta",
-        RoleKind.TARGETS: f"targets.{_count_field(private, 'targets_version', '$')}.meta",
-        RoleKind.SNAPSHOT: "snapshot.meta",
-        RoleKind.TIMESTAMP: "timestamp.meta",
-    }
-    loaded: dict[str, RoleMetadata] = {}
-    for role, filename in names.items():
-        meta = parse(_read_file(directory, filename), mode)
-        if meta.role is not role:
-            raise ParseError(f"{filename} holds {meta.role.value} metadata", position=filename)
-        loaded[role.value] = meta
-    online = _role_map(
-        _need(private, "online_keys", dict, "$"),
-        {role.value for role in RoleKind if role is not RoleKind.ROOT},
-        "$.online_keys",
+    reader.end("repository state")
+    snapshot = _load_role(directory, RoleKind.SNAPSHOT, 0, mode)
+    metadata = MetadataSet(
+        root=_load_role(directory, RoleKind.ROOT, snapshot.body.root_version, mode),
+        targets=_load_role(directory, RoleKind.TARGETS, snapshot.body.targets_version, mode),
+        snapshot=snapshot,
+        timestamp=_load_role(directory, RoleKind.TIMESTAMP, 0, mode),
     )
-    archive = _need(private, "archive", list, "$")[:1]
-    envelopes = {}
     try:
         filenames = sorted(os.listdir(os.path.join(directory, "envelopes")))
     except FileNotFoundError as exc:
         raise ParseError("missing directory", position="envelopes") from exc
-    for filename in filenames:
-        if filename.endswith(".env"):
-            envelopes[filename[: -len(".env")]] = _read_file(directory, "envelopes", filename)
+    envelopes = {
+        name[: -len(".env")]: _read_file(directory, "envelopes", name) for name in filenames if name.endswith(".env")
+    }
+    root_keys = keys.pop(RoleKind.ROOT)
     return RepositoryState(
-        online_keys={RoleKind(role): _key_list(online, role, "$.online_keys") for role in sorted(online)},
-        root_keys=_key_list(private, "root_keys", "$"),
-        metadata=MetadataSet(**loaded),
+        online_keys=keys,
+        root_keys=root_keys,
+        metadata=metadata,
         envelopes=envelopes,
-        clock=_count_field(private, "clock", "$"),
+        clock=clock,
         mode=mode,
-        tamper=tamper_policy,
-        archive=tuple(
-            {
-                RoleKind(role): _hex(blob, f"$.archive[0].{role}")
-                for role, blob in _role_map(entry, {role.value for role in RoleKind}, "$.archive[0]").items()
-            }
-            for entry in archive
-        ),
+        tamper=tamper,
+        archive=archive,
     )

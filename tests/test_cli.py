@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+from assured import cli
 from assured.cli import main
+from assured.harness import AdversaryRow
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -178,6 +180,27 @@ def test_adversary_suite_cli(workspace, capsys):
     code, out = run(capsys, "adversary-suite", "--seed", "3")
     assert code == 0
     assert "all 11 attacks detected" in out
+
+
+def test_adversary_suite_names_each_undetected_attack(workspace, capsys, monkeypatch):
+    rows = [
+        AdversaryRow("replay", "channel", True, "auth_failure"),
+        AdversaryRow("forged token", "device", False, "installed"),
+    ]
+    monkeypatch.setattr(cli, "run_adversary_suite", lambda seed: rows)
+    assert main(["adversary-suite"]) == 1
+    err = capsys.readouterr().err
+    assert "UNDETECTED: forged token (installed)" in err
+    assert "replay" not in err
+
+
+def test_repo_tamper_rejects_an_offset_outside_u64(workspace, capsys):
+    assert run(capsys, "repo", "init", "--dir", "repo", "--seed", "1")[0] == 0
+    before = (workspace / "repo" / "private.bin").read_bytes()
+    for offset in ("-1", str(2**64)):
+        code, out = run(capsys, "repo", "tamper", "--dir", "repo", "flip-bit", "--offset", offset)
+        assert code == 1 and "ParseError" in out
+    assert (workspace / "repo" / "private.bin").read_bytes() == before
 
 
 def test_token_dump_rejects_garbage(workspace, capsys):

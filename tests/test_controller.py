@@ -600,3 +600,48 @@ def test_load_rejects_a_flag_byte_other_than_zero_or_one(tmp_path, controller, r
     with pytest.raises(ParseError) as excinfo:
         load_controller(str(path))
     assert excinfo.value.position == offset
+
+
+def two_entry_state(tmp_path, controller) -> tuple[bytes, dict[str, tuple[int, int, int]]]:
+    """A state file whose last-seen, registry, seen-target and allow-list
+    lists hold two entries each, and per list (first key offset, second key
+    offset, key length)."""
+    controller.last_seen = {RoleKind.ROOT: 1, RoleKind.TARGETS: 5}
+    for device_id in (1, 2):
+        controller.enroll(device_id, MODEL, bytes([device_id]) * 32, 0, bytes(32))
+    controller.seen_targets = {"fw-a": bytes(32), "fw-b": bytes(32)}
+    controller.policy = LocalPolicy(allowed_models=frozenset({MODEL, MODEL + 1}))
+    path = tmp_path / "controller.state"
+    save_controller(controller, str(path))
+    data = path.read_bytes()
+    last_seen_at = 17 + struct.unpack(">I", data[13:17])[0]  # count(1), tag(1) version(8) each
+    registry_at = last_seen_at + 1 + 2 * 9  # count(4), id(8) model(8) key(32) version(8) digest(32) each
+    seen_at = registry_at + 4 + 2 * 88  # count(4), name length(2) name(4) hash(32) each
+    allow_at = seen_at + 4 + 2 * 38 + 1  # after the window flag: flag(1) count(4) model(8) each
+    return data, {
+        "last-seen": (last_seen_at + 1, last_seen_at + 10, 1),
+        "registry": (registry_at + 4, registry_at + 92, 8),
+        "seen-target": (seen_at + 4, seen_at + 42, 6),
+        "allow-list": (allow_at + 5, allow_at + 13, 8),
+    }
+
+
+@pytest.mark.parametrize("edit", ["repeat", "swap"])
+@pytest.mark.parametrize("listed", ["last-seen", "registry", "seen-target", "allow-list"])
+def test_load_rejects_a_keyed_list_out_of_order_or_repeated(tmp_path, controller, listed, edit):
+    """Two last-seen entries for root (versions 1 and 5) once loaded as
+    {root: 5} and re-saved to different bytes; every keyed list must be
+    strictly increasing, as save_controller writes it."""
+    data, lists = two_entry_state(tmp_path, controller)
+    first, second, length = lists[listed]
+    keys = [data[first : first + length], data[second : second + length]]
+    assert keys[0] < keys[1]
+    mutated = bytearray(data)
+    mutated[second : second + length] = keys[0]
+    if edit == "swap":
+        mutated[first : first + length] = keys[1]
+    path = tmp_path / "bad.state"
+    path.write_bytes(bytes(mutated))
+    with pytest.raises(ParseError) as excinfo:
+        load_controller(str(path))
+    assert excinfo.value.position == second

@@ -557,3 +557,22 @@ def test_load_flash_rejects_a_token_field_set_on_a_bank_without_token(tmp_path, 
     with pytest.raises(ParseError) as excinfo:
         load_flash(str(path))
     assert excinfo.value.position == token_at
+
+
+@pytest.mark.parametrize("edit", ["repeat", "swap"])
+def test_load_flash_rejects_served_nonces_out_of_order_or_repeated(tmp_path, oem_key, edit):
+    device = make_device(oem_key)
+    device.attest(b"\x01" * 16)
+    device.attest(b"\x02" * 16)
+    path = tmp_path / "dev.flash"
+    save_flash(device, str(path))
+    data = bytearray(path.read_bytes())
+    first, second = len(data) - 32, len(data) - 16
+    assert data[first:second] == b"\x01" * 16 and data[second:] == b"\x02" * 16
+    data[second:] = b"\x01" * 16
+    if edit == "swap":
+        data[first:second] = b"\x02" * 16
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError) as excinfo:
+        load_flash(str(path))
+    assert excinfo.value.position == second

@@ -1,6 +1,5 @@
 """Repository state transitions, the tamper layer, and the on-disk layout."""
 
-import json
 import os
 from dataclasses import replace
 
@@ -327,70 +326,153 @@ def test_publish_rejects_targets_list_too_long_for_the_encoding(fresh_repo):
 
 # --- load_repository raises only ParseError --------------------------------------------
 
-def saved_directory(directory: str, state) -> dict:
+def saved_private(directory: str, state) -> bytes:
     save_repository(state, directory)
-    with open(os.path.join(directory, "private.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(os.path.join(directory, "private.bin"), "rb") as fh:
+        return fh.read()
 
 
-def write_private(directory: str, private) -> None:
-    with open(os.path.join(directory, "private.json"), "w", encoding="utf-8") as fh:
-        json.dump(private, fh)
+def write_private(directory: str, private: bytes) -> None:
+    with open(os.path.join(directory, "private.bin"), "wb") as fh:
+        fh.write(private)
+
+
+# private.bin: magic(4) mode(1) clock(8) tamper kind(1) bit offset(8), then per
+# role a u16 key count and 32-byte seeds, then the archive count and sets
+MODE_AT, TAMPER_KIND_AT, KEYS_AT = 4, 13, 22
+
+
+def key_count_at(private: bytes, role_index: int) -> int:
+    """Offset of the key count of the role_index-th role (4 = the archive count)."""
+    at = KEYS_AT
+    for _ in range(role_index):
+        at += 2 + 32 * int.from_bytes(private[at : at + 2], "big")
+    return at
+
+
+def with_byte(private: bytes, at: int, value: int) -> bytes:
+    return private[:at] + bytes([value]) + private[at + 1 :]
+
+
+def with_bytes(private: bytes, at: int, value: bytes) -> bytes:
+    return private[:at] + value + private[at + len(value) :]
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda p: p.update(mode="warp"),
-        lambda p: p["tamper"].update(kind="unplug"),
-        lambda p: p["tamper"].update(bit_offset=-1),
-        lambda p: p.update(root_keys=["zz" * 32]),
-        lambda p: p.update(root_keys=["ab" * 31]),
-        lambda p: p.update(root_keys=[]),
-        lambda p: p["online_keys"].pop("snapshot"),
-        lambda p: p["online_keys"].update(root=p["root_keys"]),
-        lambda p: p.pop("clock"),
-        lambda p: p.update(clock="0"),
-        lambda p: p.update(root_version=7),
-        lambda p: p["archive"][0].pop("root"),
-        lambda p: p["archive"][0].update(root="0g"),
+        lambda p: b"ASRX" + p[4:],
+        lambda p: with_byte(p, MODE_AT, 2),
+        lambda p: with_byte(p, TAMPER_KIND_AT, len(TamperKind)),
+        lambda p: with_byte(p, TAMPER_KIND_AT, 0xFF),
+        lambda p: with_bytes(p, key_count_at(p, 0), b"\x00\x00"),
+        lambda p: with_bytes(p, key_count_at(p, 1), b"\x00\x00"),
+        lambda p: with_bytes(p, key_count_at(p, 2), b"\x00\x00"),
+        lambda p: with_bytes(p, key_count_at(p, 3), b"\x00\x00"),
+        lambda p: with_byte(p, key_count_at(p, 4), 2),
+        lambda p: p[: key_count_at(p, 1) - 5],
+        lambda p: p[:-1],
+        lambda p: p + b"\x00",
+        lambda p: with_bytes(p, key_count_at(p, 4) + 1, b"\xff\xff\xff\xff"),
     ],
 )
 def test_load_repository_rejects_malformed_private_file(tmp_path, fresh_repo, envelope, edit):
+    """Bad magic, a mode flag of 2, unknown tamper kinds, a zero key count for
+    each role, an archive count of 2, truncation inside a key and inside the
+    archive, a trailing byte, and an archived length past the end."""
     directory = str(tmp_path / "repo")
-    private = saved_directory(directory, publish(fresh_repo, "fw", envelope))
-    edit(private)
-    write_private(directory, private)
-    with pytest.raises(ParseError):
+    private = saved_private(directory, publish(fresh_repo, "fw", envelope))
+    write_private(directory, edit(private))
+    with pytest.raises(ParseError) as excinfo:
         load_repository(directory)
+    assert isinstance(excinfo.value.position, int)
 
 
 def test_load_repository_rejects_truncated_and_missing_files(tmp_path, fresh_repo):
     directory = str(tmp_path / "repo")
-    saved_directory(directory, fresh_repo)
-    path = os.path.join(directory, "private.json")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(data[: len(data) // 2])
+    data = saved_private(directory, fresh_repo)
+    write_private(directory, data[: len(data) // 2])
     with pytest.raises(ParseError):
         load_repository(directory)
-    os.remove(path)
+    os.remove(os.path.join(directory, "private.bin"))
     with pytest.raises(ParseError):
         load_repository(directory)
 
 
 def test_load_repository_rejects_a_role_file_of_another_role(tmp_path, fresh_repo):
     directory = str(tmp_path / "repo")
-    saved_directory(directory, fresh_repo)
+    saved_private(directory, fresh_repo)
     os.replace(os.path.join(directory, "snapshot.meta"), os.path.join(directory, "timestamp.meta"))
     with pytest.raises(ParseError):
         load_repository(directory)
 
 
+def directory_files(directory: str) -> dict[str, bytes]:
+    files = {}
+    for parent, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, directory)] = fh.read()
+    return files
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_save_load_round_trip_is_exact(tmp_path, oem_key, mode):
+    artifact = b"\xaa" * 200
+    token = issue_token(oem_key, artifact, Constraints(new_version=2))
+    state = new_repository(
+        root_keys=seeded_keys(b"r", 2),
+        targets_keys=seeded_keys(b"t", 2),
+        snapshot_keys=seeded_keys(b"s", 1),
+        timestamp_keys=seeded_keys(b"w", 1),
+        clock=7,
+        mode=mode,
+    )
+    state = publish(state, "fw", serialize_envelope(build_envelope(token, artifact)))
+    state = rotate_root(state, seeded_keys(b"R", 3), threshold=2)
+    state = set_tamper(state, TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA, bit_offset=2**64 - 1))
+    assert state.archive
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    save_repository(state, first)
+    loaded = load_repository(first)
+    assert loaded == state
+    save_repository(loaded, second)
+    assert directory_files(second) == directory_files(first)
+
+
+def test_load_takes_root_and_targets_versions_from_the_snapshot(tmp_path, fresh_repo, envelope):
+    """Saving each step into one directory leaves every root.N and targets.N
+    file behind; the loader opens the ones snapshot.meta pins."""
+    directory = str(tmp_path / "repo")
+    save_repository(fresh_repo, directory)
+    state = rotate_root(fresh_repo, seeded_keys(b"R", 2))
+    save_repository(state, directory)
+    for name in ("fw", "fw2"):
+        state = publish(state, name, envelope)
+        save_repository(state, directory)
+    assert {"root.1.meta", "targets.2.meta"} <= set(os.listdir(directory))
+    loaded = load_repository(directory)
+    assert loaded.metadata.root.version == 2
+    assert loaded.metadata.targets.version == state.metadata.targets.version == 3
+    assert loaded.metadata == state.metadata
+
+
+def test_load_rejects_a_snapshot_pinning_a_missing_version(tmp_path, fresh_repo, envelope):
+    directory = str(tmp_path / "repo")
+    state = publish(fresh_repo, "fw", envelope)
+    save_repository(state, directory)
+    newer = publish(state, "fw2", envelope)
+    with open(os.path.join(directory, "snapshot.meta"), "wb") as fh:
+        fh.write(fetch_metadata(newer, RoleKind.SNAPSHOT))
+    with pytest.raises(ParseError) as excinfo:
+        load_repository(directory)
+    assert excinfo.value.position == "targets.3.meta"
+
+
 @pytest.fixture(scope="module")
 def repository_sample(tmp_path_factory):
-    """A saved repository directory (with an archive) and its private.json bytes."""
+    """A saved repository directory (with an archive) and its private.bin bytes."""
     oem = crypto.signing_key_from_seed(bytes(range(32)))
     artifact = b"\xaa" * 64
     token = issue_token(oem, artifact, Constraints(new_version=2))
@@ -402,14 +484,11 @@ def repository_sample(tmp_path_factory):
     )
     state = publish(state, "fw", serialize_envelope(build_envelope(token, artifact)))
     directory = str(tmp_path_factory.mktemp("repository") / "repo")
-    save_repository(state, directory)
-    with open(os.path.join(directory, "private.json"), "rb") as fh:
-        return fh.read(), directory
+    return saved_private(directory, state), directory
 
 
 def _load_private_bytes(directory: str, data: bytes) -> None:
-    with open(os.path.join(directory, "private.json"), "wb") as fh:
-        fh.write(data)
+    write_private(directory, data)
     try:
         load_repository(directory)
     except ParseError:
@@ -421,7 +500,7 @@ def _load_private_bytes(directory: str, data: bytes) -> None:
 def test_load_repository_arbitrary_bytes_only_parse_error(repository_sample, data):
     _, directory = repository_sample
     _load_private_bytes(directory, data)
-    _load_private_bytes(directory, b"{" + data)
+    _load_private_bytes(directory, b"ASRS" + data)
 
 
 @given(position=st.integers(min_value=0), value=st.integers(min_value=0, max_value=255))
