@@ -33,6 +33,7 @@ WILDCARD = 0  # matches any model / device id; version 0 = factory/none
 _U64_MAX = 2**64 - 1
 # artifact_hash, artifact_size, the four constraints, signature
 _TOKEN_LAYOUT = struct.Struct(">32sQQQQQ64s")
+_SIGNED_LEN = TOKEN_LEN - crypto.SIGNATURE_LEN  # the signature covers bytes 0..72
 
 
 @dataclass(frozen=True)
@@ -72,53 +73,52 @@ class Constraints:
 
 @dataclass(frozen=True)
 class AuthorizationToken:
-    artifact_hash: bytes
-    artifact_size: int
-    constraints: Constraints
-    signature: bytes
+    """The 136 issued-and-signed bytes. Every field is a read-only view
+    through ``_TOKEN_LAYOUT``, so a token is its own encoding: there is no
+    field that could hold a value the layout cannot."""
+
+    raw: bytes
+
+    def __post_init__(self) -> None:
+        if len(self.raw) != TOKEN_LEN:
+            raise ParseError(f"token must be exactly {TOKEN_LEN} bytes, got {len(self.raw)}", position=len(self.raw))
+
+    @property
+    def artifact_hash(self) -> bytes:
+        return _TOKEN_LAYOUT.unpack(self.raw)[0]
+
+    @property
+    def artifact_size(self) -> int:
+        return _TOKEN_LAYOUT.unpack(self.raw)[1]
+
+    @property
+    def constraints(self) -> Constraints:
+        return Constraints(*_TOKEN_LAYOUT.unpack(self.raw)[2:6])
+
+    @property
+    def signature(self) -> bytes:
+        return _TOKEN_LAYOUT.unpack(self.raw)[6]
 
     def signed_region(self) -> bytes:
-        return (
-            self.artifact_hash
-            + struct.pack(">Q", self.artifact_size)
-            + self.constraints.encode()
-        )
+        return self.raw[:_SIGNED_LEN]
 
 
 def issue_token(oem_key: crypto.SigningKeyPair, artifact: bytes, constraints: Constraints) -> AuthorizationToken:
     """Sign an artifact's hash, size, and constraints under the OEM key."""
     constraints.validate()
-    digest = crypto.hash_data(artifact)
-    region = digest + struct.pack(">Q", len(artifact)) + constraints.encode()
-    return AuthorizationToken(
-        artifact_hash=digest,
-        artifact_size=len(artifact),
-        constraints=constraints,
-        signature=crypto.sign(oem_key, region),
-    )
+    region = crypto.hash_data(artifact) + struct.pack(">Q", len(artifact)) + constraints.encode()
+    return AuthorizationToken(region + crypto.sign(oem_key, region))
 
 
 def encode_token(token: AuthorizationToken) -> bytes:
-    encoded = token.signed_region() + token.signature
-    assert len(encoded) == TOKEN_LEN
-    return encoded
+    return token.raw
 
 
 def decode_token(data: bytes) -> AuthorizationToken:
-    """Parse a 136-byte token.
-
-    Only structural checks here: adversarial tokens must decode so that
-    verification can reject them with a typed error.
-    """
-    if len(data) != TOKEN_LEN:
-        raise ParseError(f"token must be exactly {TOKEN_LEN} bytes, got {len(data)}", position=len(data))
-    digest, size, model, device_id, prev, new, signature = _TOKEN_LAYOUT.unpack(data)
-    return AuthorizationToken(
-        artifact_hash=digest,
-        artifact_size=size,
-        constraints=Constraints(device_model=model, device_id=device_id, required_prev_version=prev, new_version=new),
-        signature=signature,
-    )
+    """Wrap a 136-byte token; its length is the only structural check, so
+    adversarial tokens decode and verification rejects them with a typed
+    error."""
+    return AuthorizationToken(bytes(data))
 
 
 def verify_token(oem_public: bytes, artifact: bytes, token: AuthorizationToken) -> None:
@@ -171,7 +171,7 @@ def build_envelope(token: AuthorizationToken, artifact: bytes) -> UpdateEnvelope
 def serialize_envelope(envelope: UpdateEnvelope) -> bytes:
     return (
         ENVELOPE_MAGIC
-        + encode_token(envelope.token)
+        + envelope.token.raw
         + struct.pack(">Q", len(envelope.artifact))
         + envelope.artifact
     )

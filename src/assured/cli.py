@@ -20,12 +20,12 @@ import threading
 
 from . import crypto, repository
 from .authorization import (
+    AuthorizationToken,
     Constraints,
     ENVELOPE_MAGIC,
     TOKEN_LEN,
     build_envelope,
     decode_token,
-    encode_token,
     issue_token,
     parse_envelope,
     serialize_envelope,
@@ -126,14 +126,13 @@ def cmd_oem_issue(args) -> int:
     token = issue_token(key, artifact, constraints)
     envelope = serialize_envelope(build_envelope(token, artifact))
     _write(args.out, envelope)
-    print(f"wrote {args.out}: token {len(encode_token(token))} B, artifact {len(artifact)} B")
+    print(f"wrote {args.out}: token {len(token.raw)} B, artifact {len(artifact)} B")
     return 0
 
 
 # --- token ---------------------------------------------------------------------------
 
-def _dump_token(raw: bytes) -> None:
-    token = decode_token(raw)
+def _dump_token(token: AuthorizationToken) -> None:
     c = token.constraints
     print(f"artifact_hash          {token.artifact_hash.hex()}")
     print(f"artifact_size          {token.artifact_size}")
@@ -149,9 +148,9 @@ def cmd_token_dump(args) -> int:
     if raw[:4] == ENVELOPE_MAGIC:
         envelope = parse_envelope(raw)
         print(f"update envelope: {len(raw)} B total, artifact {len(envelope.artifact)} B")
-        _dump_token(raw[4 : 4 + TOKEN_LEN])
+        _dump_token(envelope.token)
     elif len(raw) == TOKEN_LEN:
-        _dump_token(raw)
+        _dump_token(decode_token(raw))
     else:
         raise SystemExit(f"{args.file}: neither an envelope nor a {TOKEN_LEN}-byte token")
     return 0

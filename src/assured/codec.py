@@ -1,7 +1,8 @@
 """The one reader for the binary formats: fixed-binary metadata, update
 envelopes, the controller state file, the flash image and the repository's
-private state. (The 136-byte token has no variable part and is decoded with
-one ``struct`` layout.)
+private state. (The 136-byte token has no variable part: it is kept as its
+bytes and read through one ``struct`` layout.) ``read_file`` opens a state
+file, turning a missing one into a ParseError.
 
 Decoders accept exactly what the encoders write: a flag byte is 0 or 1, a
 string is a u16 length followed by that many bytes of UTF-8, a keyed list is
@@ -74,6 +75,16 @@ class Reader:
     def end(self, what: str) -> None:
         if self.offset != len(self.data):
             raise ParseError(f"trailing bytes after {what}", position=self.offset)
+
+
+def read_file(path: str, name: str | None = None) -> bytes:
+    """A state file's bytes; a missing file is a ParseError whose position
+    is ``name`` (default: the path)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise ParseError("missing file", position=path if name is None else name) from exc
 
 
 def flip_bit(data: bytes, bit_offset: int) -> bytes:

@@ -15,8 +15,8 @@ import struct
 from dataclasses import dataclass
 
 from . import crypto
-from .authorization import UpdateEnvelope, encode_token, parse_envelope, serialize_envelope
-from .codec import Reader
+from .authorization import UpdateEnvelope, parse_envelope, serialize_envelope
+from .codec import Reader, read_file
 from .device import (
     MSG_CHUNK,
     MSG_CONFIRM,
@@ -192,7 +192,7 @@ class Controller:
                 raise EnvelopeMismatch(f"envelope {record.name!r} artifact hash != signed record")
             if len(envelope.artifact) != record.size:
                 raise EnvelopeMismatch(f"envelope {record.name!r} artifact size != signed record")
-            if encode_token(envelope.token) != encode_token(record.token):
+            if envelope.token != record.token:
                 raise EnvelopeMismatch(f"envelope {record.name!r} token != signed record token")
             seen_updates[record.name] = record.hash
             verified.append(VerifiedEnvelope(name=record.name, envelope=envelope))
@@ -358,8 +358,7 @@ def save_controller(ctrl: Controller, path: str) -> None:
 
 
 def load_controller(path: str, rng: random.Random | None = None) -> Controller:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_file(path)
     if data[:4] != _STATE_MAGIC:
         raise ParseError("bad controller state magic", position=0)
     reader = Reader(data, offset=4)

@@ -34,12 +34,11 @@ from .authorization import (
     AuthorizationToken,
     UpdateEnvelope,
     decode_token,
-    encode_token,
     evaluate_constraints,
     parse_envelope,
     verify_token,
 )
-from .codec import Reader, flip_bit
+from .codec import Reader, flip_bit, read_file
 from .errors import (
     AssuredError,
     AttestationRefused,
@@ -472,11 +471,10 @@ _FLASH_MAGIC = b"ASFL"
 def _pack_bank(bank: Bank) -> bytes:
     if bank.artifact is None:
         return b"\x00"
-    token_bytes = encode_token(bank.token) if bank.token else bytes(TOKEN_LEN)
     return (
         b"\x01"
         + struct.pack(">QB", bank.version, 1 if bank.token else 0)
-        + token_bytes
+        + (bank.token.raw if bank.token else bytes(TOKEN_LEN))
         + struct.pack(">Q", len(bank.artifact))
         + bank.artifact
     )
@@ -522,8 +520,7 @@ def save_flash(device: Device, path: str) -> None:
 
 
 def load_flash(path: str, rng: random.Random | None = None) -> Device:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_file(path)
     if data[:4] != _FLASH_MAGIC:
         raise ParseError("bad flash magic", position=0)
     reader = Reader(data, offset=4)

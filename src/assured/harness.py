@@ -39,7 +39,6 @@ from . import crypto
 from .authorization import (
     Constraints,
     build_envelope,
-    encode_token,
     issue_token,
     serialize_envelope,
 )
@@ -354,7 +353,7 @@ class World:
             Constraints(device_model=device_model, device_id=device_id, new_version=version),
         )
         before = port.verify_count()
-        port.provision(artifact, encode_token(token))
+        port.provision(artifact, token.raw)
         delta = port.verify_count() - before
         self.controller.enroll(
             device_id=device_id,
@@ -394,7 +393,7 @@ class World:
         envelope_bytes = serialize_envelope(build_envelope(token, artifact))
         self.envelopes[name] = envelope_bytes
         self.artifacts[name] = artifact
-        return "ok", f"size={size} token_bytes={len(encode_token(token))} envelope={_hex8(envelope_bytes)}"
+        return "ok", f"size={size} token_bytes={len(token.raw)} envelope={_hex8(envelope_bytes)}"
 
     def publish(self, name: str) -> tuple[str, str]:
         if name not in self.envelopes:
@@ -882,7 +881,7 @@ def _bench_assured(seed: int) -> BenchReport:
         assert outcome.startswith("installed"), outcome
         envelope_bytes = world.envelopes["fw2"]
         artifact = world.artifacts["fw2"]
-        token_bytes = len(encode_token(world.verified["fw2"].envelope.token))
+        token_bytes = len(world.verified["fw2"].envelope.token.raw)
         envelope_overhead = len(envelope_bytes) - len(artifact)
         implicit = frame_overhead + HANDSHAKE_AMORTIZED_BYTES
         role_sizes = _role_sizes(world.repo)

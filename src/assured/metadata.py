@@ -11,7 +11,8 @@ body) — one mode-independent byte region — so a metadata object re-encoded
 between JSON and fixed-binary keeps its signatures.
 
 JSON mode is canonical: lexicographically sorted keys, no insignificant
-whitespace, binary fields base64. Fixed-binary mode uses the layout:
+whitespace, binary fields base64; parse accepts nothing else, and every JSON
+integer must fit its fixed-binary width. Fixed-binary mode uses the layout:
 
     role_tag(1) || version(8) || expires(8) || body || sig_count(2)
     || (key_id(32) || signature(64))*
@@ -19,7 +20,6 @@ whitespace, binary fields base64. Fixed-binary mode uses the layout:
 
 from __future__ import annotations
 
-import base64
 import binascii
 import enum
 import json
@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass, field
 
 from . import crypto
-from .authorization import TOKEN_LEN, AuthorizationToken, decode_token, encode_token
+from .authorization import TOKEN_LEN, AuthorizationToken, decode_token
 from .codec import Reader
 from .errors import (
     BindingMismatch,
@@ -171,7 +171,7 @@ def _encode_body(body: RoleBody) -> bytes:
             if record.token is None:
                 out += b"\x00"
             else:
-                out += b"\x01" + encode_token(record.token)
+                out += b"\x01" + record.token.raw
         return bytes(out)
     if isinstance(body, SnapshotBody):
         return struct.pack(">QQ", body.root_version, body.targets_version)
@@ -250,7 +250,7 @@ def build_and_sign(
 # --- serialization ------------------------------------------------------------------
 
 def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 def _json_body(body: RoleBody):
@@ -261,7 +261,7 @@ def _json_body(body: RoleBody):
         }
     if isinstance(body, TargetsBody):
         return [
-            [r.name, _b64(r.hash), r.size, _b64(encode_token(r.token)) if r.token else None]
+            [r.name, _b64(r.hash), r.size, _b64(r.token.raw) if r.token else None]
             for r in body.records
         ]
     if isinstance(body, SnapshotBody):
@@ -278,6 +278,14 @@ def serialize_canonical(meta: RoleMetadata, mode: Mode) -> bytes:
         for kid, sig in meta.signatures:
             out += kid + sig
         return bytes(out)
+    return _canonical_json(meta)
+
+
+# built once: json.dumps builds an encoder per call when given options
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def _canonical_json(meta: RoleMetadata) -> bytes:
     obj = {
         "role": meta.role.value,
         "version": meta.version,
@@ -285,18 +293,43 @@ def serialize_canonical(meta: RoleMetadata, mode: Mode) -> bytes:
         "body": _json_body(meta.body),
         "signatures": [{"kid": _b64(kid), "sig": _b64(sig)} for kid, sig in meta.signatures],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return _CANONICAL_JSON.encode(obj).encode("ascii")
+
+
+# widths of the fixed-binary fields a JSON value must fit
+_U16_MAX = 2**16 - 1
+_U32_MAX = 2**32 - 1
+_U64_MAX = 2**64 - 1
 
 
 def _need(obj: dict, key: str, kind, path: str):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing field {key!r}", position=path)
     value = obj[key]
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(f"field {key!r} must be an integer", position=f"{path}.{key}")
-    elif not isinstance(value, kind):
+    if not isinstance(value, kind):
         raise ParseError(f"field {key!r} has wrong type", position=f"{path}.{key}")
+    return value
+
+
+def _json_uint(value, limit: int, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= limit:
+        raise ParseError(f"expected an integer in 0..{limit}", position=path)
+    return value
+
+
+def _json_count(items: list, path: str) -> list:
+    if len(items) > _U16_MAX:
+        raise ParseError(f"more than {_U16_MAX} entries", position=path)
+    return items
+
+
+def _json_name(value, path: str) -> str:
+    try:
+        length = len(value.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise ParseError("target name is not utf-8", position=path) from exc
+    if length > _U16_MAX:
+        raise ParseError(f"target name longer than {_U16_MAX} bytes", position=path)
     return value
 
 
@@ -304,7 +337,9 @@ def _json_bytes(value, length: int, path: str) -> bytes:
     if not isinstance(value, str):
         raise ParseError("expected base64 string", position=path)
     try:
-        raw = base64.b64decode(value, validate=True)
+        # lenient: parse compares the whole blob with its canonical form, which
+        # rejects any base64 that is not exactly what _b64 writes
+        raw = binascii.a2b_base64(value)
     except (binascii.Error, ValueError) as exc:
         raise ParseError(f"bad base64: {exc}", position=path) from exc
     if len(raw) != length:
@@ -322,10 +357,9 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
             entry_path = f"{path}.{entry_role.value}"
             if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
                 raise ParseError("role entry must be [threshold, [keys]]", position=entry_path)
-            threshold, keys = entry
-            if not isinstance(threshold, int) or isinstance(threshold, bool):
-                raise ParseError("threshold must be an integer", position=entry_path)
-            decoded = tuple(_json_bytes(k, 32, f"{entry_path}[{i}]") for i, k in enumerate(keys))
+            threshold = _json_uint(entry[0], _U32_MAX, f"{entry_path}[0]")
+            keys = _json_count(entry[1], f"{entry_path}[1]")
+            decoded = tuple(_json_bytes(k, 32, f"{entry_path}[1][{i}]") for i, k in enumerate(keys))
             try:
                 roles[entry_role] = RoleKeys(threshold=threshold, keys=decoded)
             except ValueError as exc:
@@ -337,19 +371,22 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
         if not isinstance(raw, list):
             raise ParseError("targets body must be a list", position=path)
         records = []
-        for i, item in enumerate(raw):
+        for i, item in enumerate(_json_count(raw, path)):
             item_path = f"{path}[{i}]"
             if not (isinstance(item, list) and len(item) == 4 and isinstance(item[0], str)):
                 raise ParseError("record must be [name, hash, size, token]", position=item_path)
             name, digest_b64, size, token_b64 = item
-            if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-                raise ParseError("record size must be a non-negative integer", position=item_path)
             token = None
             if token_b64 is not None:
-                token = decode_token(_json_bytes(token_b64, TOKEN_LEN, item_path))
+                token = decode_token(_json_bytes(token_b64, TOKEN_LEN, f"{item_path}[3]"))
             try:
                 records.append(
-                    TargetRecord(name=name, hash=_json_bytes(digest_b64, 32, item_path), size=size, token=token)
+                    TargetRecord(
+                        name=_json_name(name, f"{item_path}[0]"),
+                        hash=_json_bytes(digest_b64, 32, f"{item_path}[1]"),
+                        size=_json_uint(size, _U64_MAX, f"{item_path}[2]"),
+                        token=token,
+                    )
                 )
             except ValueError as exc:
                 raise ParseError(str(exc), position=item_path) from exc
@@ -357,17 +394,24 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
             return TargetsBody(records=records)
         except ValueError as exc:
             raise ParseError(str(exc), position=path) from exc
+    if not (isinstance(raw, list) and len(raw) == 2):
+        shape = "[root_version, targets_version]" if role is RoleKind.SNAPSHOT else "[snapshot_version, snapshot_hash]"
+        raise ParseError(f"{role.value} body must be {shape}", position=path)
     if role is RoleKind.SNAPSHOT:
-        if not (isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in raw)):
-            raise ParseError("snapshot body must be [root_version, targets_version]", position=path)
-        return SnapshotBody(root_version=raw[0], targets_version=raw[1])
-    if not (isinstance(raw, list) and len(raw) == 2 and isinstance(raw[0], int) and not isinstance(raw[0], bool)):
-        raise ParseError("timestamp body must be [snapshot_version, snapshot_hash]", position=path)
-    return TimestampBody(snapshot_version=raw[0], snapshot_hash=_json_bytes(raw[1], 32, path))
+        return SnapshotBody(
+            root_version=_json_uint(raw[0], _U64_MAX, f"{path}[0]"),
+            targets_version=_json_uint(raw[1], _U64_MAX, f"{path}[1]"),
+        )
+    return TimestampBody(
+        snapshot_version=_json_uint(raw[0], _U64_MAX, f"{path}[0]"),
+        snapshot_hash=_json_bytes(raw[1], 32, f"{path}[1]"),
+    )
 
 
 def parse(data: bytes, mode: Mode) -> RoleMetadata:
-    """Inverse of serialize_canonical; raises ParseError with a position."""
+    """Inverse of serialize_canonical, accepting only its exact output;
+    raises ParseError whose position is a byte offset or, for a JSON value of
+    the wrong shape or width, its JSON path."""
     if mode is Mode.FIXED_BINARY:
         reader = Reader(data)
         role = read_role(reader)
@@ -393,25 +437,31 @@ def parse(data: bytes, mode: Mode) -> RoleMetadata:
         role = RoleKind(role_name)
     except ValueError as exc:
         raise ParseError(f"unknown role {role_name!r}", position="$.role") from exc
-    version = _need(obj, "version", int, "$")
-    expires = _need(obj, "expires", int, "$")
+    version = _json_uint(_need(obj, "version", object, "$"), _U64_MAX, "$.version")
+    expires = _json_uint(_need(obj, "expires", object, "$"), _U64_MAX, "$.expires")
     body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body")
-    raw_sigs = _need(obj, "signatures", list, "$")
     signatures = []
-    for i, entry in enumerate(raw_sigs):
+    for i, entry in enumerate(_json_count(_need(obj, "signatures", list, "$"), "$.signatures")):
         sig_path = f"$.signatures[{i}]"
         if not isinstance(entry, dict):
             raise ParseError("signature entry must be an object", position=sig_path)
         signatures.append(
             (
-                _json_bytes(_need(entry, "kid", str, sig_path), 32, sig_path),
-                _json_bytes(_need(entry, "sig", str, sig_path), 64, sig_path),
+                _json_bytes(_need(entry, "kid", str, sig_path), 32, f"{sig_path}.kid"),
+                _json_bytes(_need(entry, "sig", str, sig_path), 64, f"{sig_path}.sig"),
             )
         )
     try:
-        return RoleMetadata(role=role, version=version, expires=expires, body=body, signatures=signatures)
+        meta = RoleMetadata(role=role, version=version, expires=expires, body=body, signatures=signatures)
     except ValueError as exc:
         raise ParseError(str(exc), position="$") from exc
+    # one encoding per value: key order, whitespace, escapes, extra keys and
+    # base64 padding bits all show up as a difference from the canonical bytes
+    canonical = _canonical_json(meta)
+    if canonical != data:
+        at = next((i for i, (a, b) in enumerate(zip(canonical, data)) if a != b), min(len(canonical), len(data)))
+        raise ParseError("metadata is not canonical JSON", position=at)
+    return meta
 
 
 # --- full-chain verification -----------------------------------------------------

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import enum
 import os
+import re
 import struct
 from dataclasses import dataclass, field, replace
 
 from . import crypto
 from .authorization import parse_envelope, serialize_envelope
-from .codec import Reader, flip_bit
+from .codec import Reader, flip_bit, read_file
 from .errors import NotFound, ParseError, PublishRejected
 from .metadata import (
     MetadataSet,
@@ -329,7 +330,8 @@ def save_repository(state: RepositoryState, directory: str) -> None:
     """Write the public layout plus the repository's private state.
 
     Public files: root.N.meta / targets.N.meta (versioned), snapshot.meta,
-    timestamp.meta, and envelopes/<name>.env.
+    timestamp.meta, and envelopes/<name>.env. A targets.N.meta of another
+    version than the one written is removed.
     """
     mode_flag = 0 if state.mode is Mode.JSON else 1
     tamper = state.tamper
@@ -351,14 +353,16 @@ def save_repository(state: RepositoryState, directory: str) -> None:
             fh.write(data)
     with open(os.path.join(directory, _PRIVATE_FILE), "wb") as fh:
         fh.write(private)
+    # only the targets version snapshot.meta pins is ever read; every
+    # root.N.meta stays, for a client that walks the root chain
+    pinned = _filename(RoleKind.TARGETS, state.metadata.targets.version)
+    for name in os.listdir(directory):
+        if name != pinned and re.fullmatch(r"targets\.[0-9]+\.meta", name):
+            os.remove(os.path.join(directory, name))
 
 
 def _read_file(directory: str, *parts: str) -> bytes:
-    try:
-        with open(os.path.join(directory, *parts), "rb") as fh:
-            return fh.read()
-    except FileNotFoundError as exc:
-        raise ParseError("missing file", position=os.path.join(*parts)) from exc
+    return read_file(os.path.join(directory, *parts), os.path.join(*parts))
 
 
 def _load_role(directory: str, role: RoleKind, version: int, mode: Mode) -> RoleMetadata:

@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -54,13 +55,11 @@ def test_appended_byte_is_size_mismatch(oem_key, token):
 
 
 def test_size_mismatch_distinct(oem_key, token):
-    # a same-hash different-size artifact cannot be constructed, so force the field
-    forged = AuthorizationToken(
-        artifact_hash=token.artifact_hash,
-        artifact_size=token.artifact_size + 1,
-        constraints=token.constraints,
-        signature=token.signature,
-    )
+    # a same-hash different-size artifact cannot be constructed, so forge the
+    # size field (bytes 32..40) in the token's bytes
+    raw = encode_token(token)
+    forged = decode_token(raw[:32] + struct.pack(">Q", token.artifact_size + 1) + raw[40:])
+    assert forged.artifact_size == len(ARTIFACT) + 1
     with pytest.raises(TokenRejected) as excinfo:
         verify_token(oem_key.public, ARTIFACT, forged)
     assert excinfo.value.reason == TokenRejected.SIZE_MISMATCH
@@ -88,26 +87,25 @@ def test_wrong_length_is_malformed(length):
         decode_token(bytes(length))
 
 
-@given(
-    st.binary(min_size=32, max_size=32),
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.binary(min_size=64, max_size=64),
-)
+@given(st.binary(min_size=TOKEN_LEN, max_size=TOKEN_LEN))
 @settings(max_examples=200)
-def test_encode_decode_identity(digest, size, model, device, prev, new, signature):
-    token = AuthorizationToken(
-        artifact_hash=digest,
-        artifact_size=size,
-        constraints=Constraints(
-            device_model=model, device_id=device, required_prev_version=prev, new_version=new
-        ),
-        signature=signature,
+def test_encode_decode_identity(data):
+    token = decode_token(data)
+    assert encode_token(token) == data
+    digest, size, model, device, prev, new, signature = struct.unpack(">32sQQQQQ64s", data)
+    assert token.artifact_hash == digest
+    assert token.artifact_size == size
+    assert token.constraints == Constraints(
+        device_model=model, device_id=device, required_prev_version=prev, new_version=new
     )
-    assert decode_token(encode_token(token)) == token
+    assert token.signature == signature
+    assert token.signed_region() == data[:72]
+
+
+def test_token_holds_exactly_its_bytes():
+    assert [f.name for f in fields(AuthorizationToken)] == ["raw"]
+    with pytest.raises(ParseError):
+        AuthorizationToken(bytes(TOKEN_LEN - 1))
 
 
 class TestVerifyToken:

@@ -207,3 +207,18 @@ def test_token_dump_rejects_garbage(workspace, capsys):
     (workspace / "junk.bin").write_bytes(b"\x00" * 10)
     with pytest.raises(SystemExit):
         main(["token", "dump", "junk.bin"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["controller", "sync", "--state", "nope.state", "--repo", "repo"],
+        ["device", "boot", "--flash", "nope.flash"],
+    ],
+    ids=["controller-state", "flash"],
+)
+def test_missing_state_file_is_a_parse_error(workspace, capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith("error: ParseError: missing file")
+    assert argv[3] in out

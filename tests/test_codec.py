@@ -1,5 +1,5 @@
 """The shared binary reader, the bit-flip helper, and the decode→re-encode
-property every binary decoder keeps."""
+property every binary decoder (and the JSON metadata decoder) keeps."""
 
 import random
 
@@ -141,6 +141,12 @@ def _metadata_case(tmp_path):
     return blobs, lambda data: serialize_canonical(parse(data, Mode.FIXED_BINARY), Mode.FIXED_BINARY)
 
 
+def _metadata_json_case(tmp_path):
+    state, _ = _sample_repository()
+    blobs = [serialize_canonical(state.metadata.by_role(role), Mode.JSON) for role in RoleKind]
+    return blobs, lambda data: serialize_canonical(parse(data, Mode.JSON), Mode.JSON)
+
+
 def _token_case(tmp_path):
     _, token = _sample_repository()
     return [encode_token(token)], lambda data: encode_token(decode_token(data))
@@ -196,8 +202,8 @@ def _repository_case(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    [_metadata_case, _token_case, _envelope_case, _controller_case, _flash_case, _repository_case],
-    ids=["metadata", "token", "envelope", "controller-state", "flash", "repository-private"],
+    [_metadata_case, _metadata_json_case, _token_case, _envelope_case, _controller_case, _flash_case, _repository_case],
+    ids=["metadata", "metadata-json", "token", "envelope", "controller-state", "flash", "repository-private"],
 )
 def test_accepted_single_byte_mutants_reencode_to_themselves(tmp_path, case):
     """Each byte of each sample is set to 0x00, 0x01, 0x02, 0x80, 0xFF, and its

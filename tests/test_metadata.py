@@ -2,6 +2,8 @@
 exact signature-verification count, expiry/rollback/binding failures, and
 the size budgets of the two encodings."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from assured.metadata import (
     build_and_sign,
     parse,
     serialize_canonical,
+    signed_region_of,
     verify_full_chain,
     verify_role_signatures,
 )
@@ -323,3 +326,96 @@ def test_fixed_binary_bit_flips_accept_no_mutant(binary_probe_set):
         if accepted(state, role, flip_bit(blob, bit))
     ]
     assert mutants == []
+
+
+# --- JSON metadata: canonical bytes only, integers within their binary widths ---------
+
+
+@pytest.fixture(scope="module")
+def json_skeletons(binary_probe_set):
+    """Each role of the probe set as canonical JSON, parsed into Python values."""
+    return {
+        role: json.loads(serialize_canonical(binary_probe_set.metadata.by_role(role), Mode.JSON))
+        for role in RoleKind
+    }
+
+
+def canonical_dumps(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def test_reindented_timestamp_with_an_extra_key_is_rejected(binary_probe_set):
+    state = binary_probe_set
+    original = serialize_canonical(state.metadata.timestamp, Mode.JSON)
+    obj = json.loads(original)
+    extended = dict(obj, extra="x")
+    probes = [json.dumps(extended, indent=2).encode(), canonical_dumps(extended), json.dumps(obj, indent=2).encode()]
+    for probe in probes:
+        assert json.loads(probe)["signatures"] == obj["signatures"]
+        with pytest.raises(ParseError):
+            parse(probe, Mode.JSON)
+    assert parse(original, Mode.JSON) == state.metadata.timestamp
+
+
+def _set(obj, path, value):
+    """A deep copy of ``obj`` with the value at ``path`` (keys and indices) replaced."""
+    copy = json.loads(json.dumps(obj))
+    *parents, last = path
+    target = copy
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return copy
+
+
+@pytest.mark.parametrize(
+    "role, path, value, position",
+    [
+        (RoleKind.TIMESTAMP, ("expires",), -1, "$.expires"),
+        (RoleKind.TIMESTAMP, ("version",), 2**64, "$.version"),
+        (RoleKind.TIMESTAMP, ("body", 0), -5, "$.body[0]"),
+        (RoleKind.SNAPSHOT, ("body", 1), 2**64, "$.body[1]"),
+        (RoleKind.TARGETS, ("body", 0, 2), 2**64, "$.body[0][2]"),
+        (RoleKind.ROOT, ("body", "targets", 0), 2**32, "$.body.targets[0]"),
+    ],
+)
+def test_json_integer_outside_its_binary_width_is_parse_error(json_skeletons, role, path, value, position):
+    with pytest.raises(ParseError) as excinfo:
+        parse(canonical_dumps(_set(json_skeletons[role], path, value)), Mode.JSON)
+    assert excinfo.value.position == position
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON value, containers and leaves alike."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-1, 0, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_json_values_in_a_valid_skeleton_only_parse_error(json_skeletons, data):
+    role = data.draw(st.sampled_from(list(RoleKind)))
+    skeleton = json_skeletons[role]
+    path = data.draw(st.sampled_from([p for p in _paths(skeleton) if p]))
+    blob = canonical_dumps(_set(skeleton, path, data.draw(JSON_VALUES)))
+    try:
+        meta = parse(blob, Mode.JSON)
+    except ParseError:
+        return
+    signed_region_of(meta)
+    assert parse(serialize_canonical(meta, Mode.FIXED_BINARY), Mode.FIXED_BINARY) == meta
+    assert serialize_canonical(meta, Mode.JSON) == blob

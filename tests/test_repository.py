@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from assured import crypto
 from assured.authorization import (
+    TOKEN_LEN,
     Constraints,
     build_envelope,
+    encode_token,
     issue_token,
     parse_envelope,
     serialize_envelope,
@@ -80,6 +82,15 @@ def test_publish_bumps_three_roles(fresh_repo, envelope):
     assert versions(state) == {"root": 1, "targets": 2, "snapshot": 2, "timestamp": 2}
     body = state.metadata.targets.body
     assert isinstance(body, TargetsBody) and len(body.records) == 1
+
+
+def test_published_record_token_is_the_envelopes_136_bytes(fresh_repo, envelope):
+    state = publish(fresh_repo, "fw", envelope)
+    for mode in Mode:
+        targets = parse(serialize_canonical(state.metadata.targets, mode), mode)
+        record_token = encode_token(targets.body.find("fw").token)
+        envelope_token = encode_token(parse_envelope(fetch_envelope(state, "fw")).token)
+        assert record_token == envelope_token == envelope[4 : 4 + TOKEN_LEN]
 
 
 def test_publish_inconsistent_token_rejected(fresh_repo, oem_key):
@@ -442,8 +453,8 @@ def test_save_load_round_trip_is_exact(tmp_path, oem_key, mode):
 
 
 def test_load_takes_root_and_targets_versions_from_the_snapshot(tmp_path, fresh_repo, envelope):
-    """Saving each step into one directory leaves every root.N and targets.N
-    file behind; the loader opens the ones snapshot.meta pins."""
+    """Saving each step into one directory keeps every root.N file and only
+    the pinned targets.N file; the loader opens the ones snapshot.meta pins."""
     directory = str(tmp_path / "repo")
     save_repository(fresh_repo, directory)
     state = rotate_root(fresh_repo, seeded_keys(b"R", 2))
@@ -451,7 +462,8 @@ def test_load_takes_root_and_targets_versions_from_the_snapshot(tmp_path, fresh_
     for name in ("fw", "fw2"):
         state = publish(state, name, envelope)
         save_repository(state, directory)
-    assert {"root.1.meta", "targets.2.meta"} <= set(os.listdir(directory))
+    assert {"root.1.meta", "root.2.meta"} <= set(os.listdir(directory))
+    assert [name for name in os.listdir(directory) if name.startswith("targets.")] == ["targets.3.meta"]
     loaded = load_repository(directory)
     assert loaded.metadata.root.version == 2
     assert loaded.metadata.targets.version == state.metadata.targets.version == 3
