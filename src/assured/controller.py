@@ -169,7 +169,12 @@ class Controller:
             return []
         metadata_set = MetadataSet(
             root=parse(repo.fetch_metadata(RoleKind.ROOT), self.mode),
-            targets=parse(repo.fetch_metadata(RoleKind.TARGETS), self.mode),
+            # the held records lend their objects to the unchanged ones
+            targets=parse(
+                repo.fetch_metadata(RoleKind.TARGETS),
+                self.mode,
+                known=self._held.targets.body if self._held is not None else None,
+            ),
             snapshot=parse(repo.fetch_metadata(RoleKind.SNAPSHOT), self.mode),
             timestamp=timestamp,
         )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import binascii
 import enum
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -84,7 +85,13 @@ class RootBody:
 @dataclass(frozen=True)
 class TargetRecord:
     """One distributable artifact: name, content hash, byte size, and the
-    OEM authorization token (None for plain-TUF comparison records)."""
+    OEM authorization token (None for plain-TUF comparison records).
+
+    A record encodes itself once, on first use, in each form. The
+    repository keeps unchanged record objects across publishes and a JSON
+    parse reuses a known record whose value the input repeats, so signing,
+    serving and parsing a targets list encode only the records that changed.
+    """
 
     name: str
     hash: bytes
@@ -96,21 +103,39 @@ class TargetRecord:
             if self.token.artifact_hash != self.hash or self.token.artifact_size != self.size:
                 raise ValueError("record hash/size must equal the token's artifact hash/size")
 
+    @functools.cached_property
+    def binary(self) -> bytes:
+        """name_len(2) || name || hash(32) || size(8) || token flag(1) || token(136)?"""
+        name = self.name.encode("utf-8")
+        token = b"\x00" if self.token is None else b"\x01" + self.token.raw
+        return struct.pack(">H", len(name)) + name + self.hash + struct.pack(">Q", self.size) + token
 
-@dataclass
+    @functools.cached_property
+    def json_value(self) -> list:
+        """[name, hash, size, token], as json.loads returns the canonical text."""
+        return [self.name, _b64(self.hash), self.size, None if self.token is None else _b64(self.token.raw)]
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """json_value as canonical JSON."""
+        return _CANONICAL_JSON.encode(self.json_value)
+
+
+@dataclass(frozen=True)
 class TargetsBody:
-    records: list[TargetRecord] = field(default_factory=list)
+    records: tuple[TargetRecord, ...] = ()
+    _by_name: dict[str, TargetRecord] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = [r.name for r in self.records]
-        if len(set(names)) != len(names):
+        records = tuple(self.records)
+        by_name = {r.name: r for r in records}
+        if len(by_name) != len(records):
             raise ValueError("target names must be unique")
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "_by_name", by_name)
 
     def find(self, name: str) -> TargetRecord | None:
-        for record in self.records:
-            if record.name == name:
-                return record
-        return None
+        return self._by_name.get(name)
 
 
 @dataclass(frozen=True)
@@ -144,6 +169,8 @@ class RoleMetadata:
     signatures: list[tuple[bytes, bytes]]  # (key_id, signature)
 
     def __post_init__(self) -> None:
+        if _BODY_ROLES.get(type(self.body)) is not self.role:
+            raise ValueError(f"{type(self.body).__name__} is not a {self.role.value} body")
         if self.version < 1:
             raise ValueError("metadata version must be >= 1")
         kids = [kid for kid, _ in self.signatures]
@@ -163,16 +190,7 @@ def _encode_body(body: RoleBody) -> bytes:
                 out += key
         return bytes(out)
     if isinstance(body, TargetsBody):
-        out = bytearray(struct.pack(">H", len(body.records)))
-        for record in body.records:
-            name = record.name.encode("utf-8")
-            out += struct.pack(">H", len(name)) + name
-            out += record.hash + struct.pack(">Q", record.size)
-            if record.token is None:
-                out += b"\x00"
-            else:
-                out += b"\x01" + record.token.raw
-        return bytes(out)
+        return struct.pack(">H", len(body.records)) + b"".join([r.binary for r in body.records])
     if isinstance(body, SnapshotBody):
         return struct.pack(">QQ", body.root_version, body.targets_version)
     if isinstance(body, TimestampBody):
@@ -259,11 +277,6 @@ def _json_body(body: RoleBody):
             role.value: [entry.threshold, [_b64(k) for k in entry.keys]]
             for role, entry in ((r, body.roles[r]) for r in _ROLE_ORDER)
         }
-    if isinstance(body, TargetsBody):
-        return [
-            [r.name, _b64(r.hash), r.size, _b64(r.token.raw) if r.token else None]
-            for r in body.records
-        ]
     if isinstance(body, SnapshotBody):
         return [body.root_version, body.targets_version]
     if isinstance(body, TimestampBody):
@@ -286,14 +299,17 @@ _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_
 
 
 def _canonical_json(meta: RoleMetadata) -> bytes:
-    obj = {
-        "role": meta.role.value,
-        "version": meta.version,
-        "expires": meta.expires,
-        "body": _json_body(meta.body),
-        "signatures": [{"kid": _b64(kid), "sig": _b64(sig)} for kid, sig in meta.signatures],
-    }
-    return _CANONICAL_JSON.encode(obj).encode("ascii")
+    """The canonical document, keys in sorted order; base64 and the role
+    name need no escaping, and a targets body joins its records' texts."""
+    if isinstance(meta.body, TargetsBody):
+        body = "[" + ",".join([r.json_text for r in meta.body.records]) + "]"
+    else:
+        body = _CANONICAL_JSON.encode(_json_body(meta.body))
+    signatures = ",".join([f'{{"kid":"{_b64(kid)}","sig":"{_b64(sig)}"}}' for kid, sig in meta.signatures])
+    return (
+        f'{{"body":{body},"expires":{meta.expires},"role":"{meta.role.value}",'
+        f'"signatures":[{signatures}],"version":{meta.version}}}'
+    ).encode("ascii")
 
 
 # widths of the fixed-binary fields a JSON value must fit
@@ -347,7 +363,7 @@ def _json_bytes(value, length: int, path: str) -> bytes:
     return raw
 
 
-def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
+def _parse_json_body(role: RoleKind, raw, path: str, known: TargetsBody | None) -> RoleBody:
     if role is RoleKind.ROOT:
         if not isinstance(raw, dict):
             raise ParseError("root body must be an object", position=path)
@@ -375,6 +391,12 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
             item_path = f"{path}[{i}]"
             if not (isinstance(item, list) and len(item) == 4 and isinstance(item[0], str)):
                 raise ParseError("record must be [name, hash, size, token]", position=item_path)
+            # equal by Python's ==, not yet by text (true == 1 == 1.0): the
+            # canonical comparison in parse settles that
+            prior = known.find(item[0]) if known is not None else None
+            if prior is not None and item == prior.json_value:
+                records.append(prior)
+                continue
             name, digest_b64, size, token_b64 = item
             token = None
             if token_b64 is not None:
@@ -408,10 +430,16 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
     )
 
 
-def parse(data: bytes, mode: Mode) -> RoleMetadata:
+def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMetadata:
     """Inverse of serialize_canonical, accepting only its exact output;
     raises ParseError whose position is a byte offset or, for a JSON value of
-    the wrong shape or width, its JSON path."""
+    the wrong shape or width, its JSON path.
+
+    ``known`` (a verified targets body, such as the last one synced) lends
+    its record objects to a JSON parse: a record whose decoded value equals
+    the known record's of the same name is that object. The verdict and the
+    value are those of a full decode, because the whole-blob canonical
+    comparison still checks every byte. A fixed-binary parse ignores it."""
     if mode is Mode.FIXED_BINARY:
         reader = Reader(data)
         role = read_role(reader)
@@ -439,7 +467,7 @@ def parse(data: bytes, mode: Mode) -> RoleMetadata:
         raise ParseError(f"unknown role {role_name!r}", position="$.role") from exc
     version = _json_uint(_need(obj, "version", object, "$"), _U64_MAX, "$.version")
     expires = _json_uint(_need(obj, "expires", object, "$"), _U64_MAX, "$.expires")
-    body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body")
+    body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body", known)
     signatures = []
     for i, entry in enumerate(_json_count(_need(obj, "signatures", list, "$"), "$.signatures")):
         sig_path = f"$.signatures[{i}]"
@@ -540,15 +568,12 @@ def verify_full_chain(
         raise BindingMismatch("root", "trusted root metadata has no root body")
     _check_role(metadata_set.root, RoleKind.ROOT, trusted_root.body.roles[RoleKind.ROOT], now, last_seen)
     root_body = metadata_set.root.body
-    assert isinstance(root_body, RootBody)
 
     _check_role(metadata_set.timestamp, RoleKind.TIMESTAMP, root_body.roles[RoleKind.TIMESTAMP], now, last_seen)
     ts_body = metadata_set.timestamp.body
-    assert isinstance(ts_body, TimestampBody)
 
     _check_role(metadata_set.snapshot, RoleKind.SNAPSHOT, root_body.roles[RoleKind.SNAPSHOT], now, last_seen)
     snap_body = metadata_set.snapshot.body
-    assert isinstance(snap_body, SnapshotBody)
 
     if ts_body.snapshot_version != metadata_set.snapshot.version:
         raise BindingMismatch(
@@ -570,9 +595,7 @@ def verify_full_chain(
             f"snapshot pins root version {snap_body.root_version}, got {metadata_set.root.version}",
         )
 
-    targets_body = metadata_set.targets.body
-    assert isinstance(targets_body, TargetsBody)
-    return targets_body
+    return metadata_set.targets.body
 
 
 def verify_timestamp_pin(

@@ -12,7 +12,9 @@ rotate_root operation uses them.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import operator
 import os
 import re
 import struct
@@ -54,8 +56,9 @@ DEFAULT_THRESHOLDS = {
     RoleKind.TIMESTAMP: 1,
 }
 
-# the signed region stores a target name's length and the record count as u16
+# the signed region stores the record count as u16
 _U16_MAX = 0xFFFF
+_NAME_MAX = 255  # bytes in a file name on common file systems
 
 
 class TamperKind(enum.Enum):
@@ -133,7 +136,7 @@ def new_repository(
         }
     )
     root = build_and_sign(root_body, 1, clock + LIFETIMES[RoleKind.ROOT], root_keys)
-    targets = build_and_sign(TargetsBody(records=[]), 1, clock + LIFETIMES[RoleKind.TARGETS], targets_keys)
+    targets = build_and_sign(TargetsBody(), 1, clock + LIFETIMES[RoleKind.TARGETS], targets_keys)
     snapshot = build_and_sign(
         SnapshotBody(root_version=1, targets_version=1),
         1,
@@ -172,14 +175,22 @@ def _archived(state: RepositoryState) -> tuple[dict[RoleKind, bytes], ...]:
 
 
 def _publish_record(state: RepositoryState, record: TargetRecord, envelope_bytes: bytes | None) -> RepositoryState:
-    if len(record.name.encode("utf-8")) > _U16_MAX:
-        raise PublishRejected(f"target name longer than {_U16_MAX} UTF-8 bytes")
-    old_body = state.metadata.targets.body
-    assert isinstance(old_body, TargetsBody)
-    records = [r for r in old_body.records if r.name != record.name] + [record]
+    """Sign a targets list with ``record`` put in its name's sorted place;
+    every other record object carries over, with the encodings it holds."""
+    # save_repository writes the envelope to envelopes/<name>.env, one
+    # path component of at most _NAME_MAX bytes
+    if "/" in record.name or "\x00" in record.name:
+        raise PublishRejected(f"target name {record.name!r} contains '/' or NUL")
+    if len(record.name.encode("utf-8")) + len(".env") > _NAME_MAX:
+        raise PublishRejected(f"target name longer than {_NAME_MAX - len('.env')} UTF-8 bytes")
+    records = list(state.metadata.targets.body.records)
+    at = bisect.bisect_left(records, record.name, key=operator.attrgetter("name"))
+    if at < len(records) and records[at].name == record.name:
+        records[at] = record
+    else:
+        records.insert(at, record)
     if len(records) > _U16_MAX:
         raise PublishRejected(f"targets list longer than {_U16_MAX} records")
-    records.sort(key=lambda r: r.name)
     targets = build_and_sign(
         TargetsBody(records=records),
         state.metadata.targets.version + 1,
@@ -245,9 +256,7 @@ def rotate_root(state: RepositoryState, new_root_keys: list[crypto.SigningKeyPai
     The new root is signed by both the outgoing and incoming key sets so
     clients anchored on the old root can adopt it.
     """
-    old_body = state.metadata.root.body
-    assert isinstance(old_body, RootBody)
-    roles = dict(old_body.roles)
+    roles = dict(state.metadata.root.body.roles)
     roles[RoleKind.ROOT] = RoleKeys(
         threshold=threshold or roles[RoleKind.ROOT].threshold,
         keys=tuple(k.public for k in new_root_keys),
@@ -404,6 +413,11 @@ def load_repository(directory: str) -> RepositoryState:
         snapshot=snapshot,
         timestamp=_load_role(directory, RoleKind.TIMESTAMP, 0, mode),
     )
+    # publish keeps the records sorted by name and inserts with bisect
+    names = [r.name for r in metadata.targets.body.records]
+    if names != sorted(names):
+        filename = _filename(RoleKind.TARGETS, metadata.targets.version)
+        raise ParseError("target names are not in sorted order", position=filename)
     try:
         filenames = sorted(os.listdir(os.path.join(directory, "envelopes")))
     except FileNotFoundError as exc:

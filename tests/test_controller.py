@@ -129,6 +129,17 @@ class TestSync:
         controller.sync(repo_port)
         assert controller.sync(repo_port) == []
 
+    def test_full_sync_keeps_the_held_objects_of_unchanged_records(self, controller, repo_port, oem_key):
+        for i in range(4):
+            publish_update(repo_port, oem_key, name=f"fw{i}", version=2 + i)
+        controller.sync(repo_port)
+        before = controller._held.targets.body
+        publish_update(repo_port, oem_key, name="fw1", version=9)
+        assert [v.name for v in controller.sync(repo_port)] == ["fw1"]
+        after = controller._held.targets.body
+        shared = [r.name for r in after.records if r is before.find(r.name)]
+        assert shared == ["fw0", "fw2", "fw3"]
+
     def test_tampered_envelope_byte(self, controller, repo_port, oem_key):
         publish_update(repo_port, oem_key)
         repo_port.tamper(TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=2000))

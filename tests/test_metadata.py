@@ -24,6 +24,7 @@ from assured.metadata import (
     Mode,
     RoleKind,
     RoleKeys,
+    RoleMetadata,
     RootBody,
     SnapshotBody,
     TargetRecord,
@@ -280,6 +281,16 @@ class TestInvariantsAtConstruction:
         with pytest.raises(ValueError):
             RootBody(roles={RoleKind.ROOT: RoleKeys(threshold=1, keys=(bytes(32),))})
 
+    @pytest.mark.parametrize("role", list(RoleKind))
+    def test_role_and_body_must_match(self, repo, role):
+        for other in RoleKind:
+            body = repo.metadata.by_role(other).body
+            if other is role:
+                RoleMetadata(role=role, version=1, expires=10, body=body, signatures=[])
+                continue
+            with pytest.raises(ValueError):
+                RoleMetadata(role=role, version=1, expires=10, body=body, signatures=[])
+
 
 # --- the fixed-binary decoder accepts exactly what the encoder writes ----------------
 
@@ -419,3 +430,88 @@ def test_json_values_in_a_valid_skeleton_only_parse_error(json_skeletons, data):
     signed_region_of(meta)
     assert parse(serialize_canonical(meta, Mode.FIXED_BINARY), Mode.FIXED_BINARY) == meta
     assert serialize_canonical(meta, Mode.JSON) == blob
+
+
+# --- records encode themselves; parse reuses known records without changing a verdict ---
+
+
+_TOKEN = issue_token(crypto.signing_key_from_seed(bytes(range(32))), b"artifact", Constraints(new_version=2))
+
+
+@given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12), st.integers(0, 2**64 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_record_encodings_round_trip_in_both_modes(name, size, with_token):
+    if with_token:
+        record = TargetRecord(name=name, hash=_TOKEN.artifact_hash, size=_TOKEN.artifact_size, token=_TOKEN)
+    else:
+        record = TargetRecord(name=name, hash=bytes(range(32)), size=size)
+    meta = build_and_sign(TargetsBody(records=[record]), 2, 9, keypairs(b"t", 1))
+    for mode in Mode:
+        assert parse(serialize_canonical(meta, mode), mode) == meta
+
+
+@pytest.fixture(scope="module", params=list(Mode), ids=lambda m: m.value)
+def catalog_states(request, role_keys):
+    """A repository in each mode with four records (three with tokens, one
+    without), and the state after re-publishing one of them."""
+    oem_key = crypto.signing_key_from_seed(bytes(range(32)))
+    state = new_repository(
+        root_keys=role_keys[RoleKind.ROOT],
+        targets_keys=role_keys[RoleKind.TARGETS],
+        snapshot_keys=role_keys[RoleKind.SNAPSHOT],
+        timestamp_keys=role_keys[RoleKind.TIMESTAMP],
+        mode=request.param,
+    )
+    for version, name in enumerate(("fw", "ünï", "zz"), start=2):
+        artifact = bytes([version]) * 40
+        token = issue_token(oem_key, artifact, Constraints(new_version=version))
+        state = publish(state, name, serialize_envelope(build_envelope(token, artifact)))
+    state = publish_vanilla(state, "plain", b"plain artifact")
+    artifact = b"\x77" * 40
+    token = issue_token(oem_key, artifact, Constraints(new_version=9))
+    return state, publish(state, "ünï", serialize_envelope(build_envelope(token, artifact)))
+
+
+def test_next_version_parses_equal_with_the_last_one_known(catalog_states):
+    state, after = catalog_states
+    known = parse(fetch_metadata(state, RoleKind.TARGETS), state.mode).body
+    blob = fetch_metadata(after, RoleKind.TARGETS)
+    meta = parse(blob, state.mode, known=known)
+    assert meta == parse(blob, state.mode)
+    assert serialize_canonical(meta, state.mode) == blob
+    lent = [r.name for r in meta.body.records if r is known.find(r.name)]
+    assert lent == (["fw", "plain", "zz"] if state.mode is Mode.JSON else [])  # binary always decodes
+
+
+def parsed_or_rejected(blob, mode, known=None):
+    try:
+        return parse(blob, mode, known=known)
+    except ParseError:
+        return ParseError
+
+
+def test_single_byte_mutants_get_the_same_verdict_with_known_records(catalog_states):
+    state, _ = catalog_states
+    blob = fetch_metadata(state, RoleKind.TARGETS)
+    known = parse(blob, state.mode).body
+    accepted = 0
+    for at, original in enumerate(blob):
+        for value in {0x00, 0x01, 0x02, 0x80, 0xFF, (original + 1) % 256, (original - 1) % 256} - {original}:
+            mutant = blob[:at] + bytes([value]) + blob[at + 1 :]
+            verdict = parsed_or_rejected(mutant, state.mode)
+            assert parsed_or_rejected(mutant, state.mode, known) == verdict, (at, value)
+            accepted += verdict is not ParseError
+    assert accepted  # mutants inside a hash or a signature still parse
+
+
+@pytest.mark.parametrize("alias", [b"true", b"1.0"])
+def test_json_size_equal_to_a_known_one_only_by_python_equality_is_rejected(role_keys, alias):
+    record = TargetRecord(name="one", hash=bytes(32), size=1, token=None)
+    meta = build_and_sign(TargetsBody(records=[record]), 2, 1000, role_keys[RoleKind.TARGETS])
+    blob = serialize_canonical(meta, Mode.JSON)
+    known = parse(blob, Mode.JSON).body
+    forged = blob.replace(b",1,null]", b"," + alias + b",null]")
+    assert forged != blob and json.loads(forged)["body"][0] == known.records[0].json_value
+    for lent in (None, known):
+        with pytest.raises(ParseError):
+            parse(forged, Mode.JSON, known=lent)

@@ -93,6 +93,49 @@ def test_published_record_token_is_the_envelopes_136_bytes(fresh_repo, envelope)
         assert record_token == envelope_token == envelope[4 : 4 + TOKEN_LEN]
 
 
+def test_publish_keeps_every_unchanged_record_object(fresh_repo, oem_key):
+    state = fresh_repo
+    for name in ("c", "a", "e"):
+        state = publish_vanilla(state, name, name.encode())
+    for name in ("b", "c", "f"):  # insert, replace, append
+        parent = state
+        state = publish_vanilla(state, name, b"new " + name.encode())
+        records = state.metadata.targets.body.records
+        assert [r.name for r in records] == sorted(r.name for r in records)
+        unchanged = [r for r in records if r.name != name]
+        assert all(r is parent.metadata.targets.body.find(r.name) for r in unchanged)
+        assert len(unchanged) == len(parent.metadata.targets.body.records) - (name == "c")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["../escaped", "a/b", "/abs", "nul\x00name", "n" * 252, "\u00e9" * 126],
+    ids=["dotdot", "slash", "absolute", "nul", "252-ascii-bytes", "252-utf8-bytes"],
+)
+def test_publish_rejects_a_name_with_a_path_separator_or_nul(monkeypatch, fresh_repo, envelope, name):
+    def no_signing(*args):
+        raise AssertionError("signed before the name was checked")
+
+    monkeypatch.setattr(repository, "build_and_sign", no_signing)
+    with pytest.raises(PublishRejected):
+        publish(fresh_repo, name, envelope)
+    with pytest.raises(PublishRejected):
+        publish_vanilla(fresh_repo, name, b"plain")
+
+
+def test_saved_repository_keeps_every_envelope(tmp_path, fresh_repo, envelope):
+    state = fresh_repo
+    names = ["fw", "..", ".hidden", "a\\b", "ünï", " spaced", "n" * 251, "\u00e9" * 125 + "n"]
+    for name in names:
+        state = publish(state, name, envelope)
+    save_repository(state, str(tmp_path / "repo"))
+    assert sorted(os.listdir(tmp_path)) == ["repo"]
+    loaded = load_repository(str(tmp_path / "repo"))
+    assert loaded.envelopes == state.envelopes
+    for name in names:
+        assert fetch_envelope(loaded, name) == envelope
+
+
 def test_publish_inconsistent_token_rejected(fresh_repo, oem_key):
     artifact = b"\xbb" * 100
     token = issue_token(oem_key, artifact, Constraints(new_version=2))
@@ -322,7 +365,8 @@ def test_publish_rejects_name_too_long_for_the_encoding(fresh_repo, oem_key):
         publish(fresh_repo, name, serialize_envelope(build_envelope(token, artifact)))
     with pytest.raises(PublishRejected):
         publish_vanilla(fresh_repo, "\u00e9" * 32_768, artifact)  # 65536 UTF-8 bytes
-    assert publish_vanilla(fresh_repo, "n" * 65_535, artifact).metadata.targets.version == 2
+    # the name is also a file name, envelopes/<name>.env, of at most 255 bytes
+    assert publish_vanilla(fresh_repo, "n" * 251, artifact).metadata.targets.version == 2
 
 
 def test_publish_rejects_targets_list_too_long_for_the_encoding(fresh_repo):
@@ -416,6 +460,17 @@ def test_load_repository_rejects_a_role_file_of_another_role(tmp_path, fresh_rep
     os.replace(os.path.join(directory, "snapshot.meta"), os.path.join(directory, "timestamp.meta"))
     with pytest.raises(ParseError):
         load_repository(directory)
+
+
+def test_load_rejects_targets_out_of_name_order(tmp_path, fresh_repo):
+    state = publish_vanilla(publish_vanilla(fresh_repo, "a", b"a"), "b", b"b")
+    targets = state.metadata.targets
+    swapped = replace(targets, body=TargetsBody(records=targets.body.records[::-1]))
+    directory = str(tmp_path / "repo")
+    save_repository(replace(state, metadata=replace(state.metadata, targets=swapped)), directory)
+    with pytest.raises(ParseError) as info:
+        load_repository(directory)
+    assert info.value.position == "targets.3.meta"
 
 
 def directory_files(directory: str) -> dict[str, bytes]:
