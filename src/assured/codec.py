@@ -1,6 +1,6 @@
 """The one reader for the binary formats: fixed-binary metadata, update
-envelopes, the controller state file, the flash image and the repository's
-private state. (The 136-byte token has no variable part: it is kept as its
+envelopes, the device's install status, the controller state file, the flash
+image and the repository's private state. (The 136-byte token has no variable part: it is kept as its
 bytes and read through one ``struct`` layout.) ``read_file`` opens a state
 file, turning a missing one into a ParseError.
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from . import crypto
 from .authorization import UpdateEnvelope, parse_envelope, serialize_envelope
 from .codec import Reader, read_file
-from .device import (
-    MSG_CHUNK,
-    MSG_CONFIRM,
-    MSG_FINAL_CHUNK,
-    MSG_STATUS,
-    InstallOutcome,
-    handshake_transcript,
-)
+from .device import InstallOutcome
 from .errors import (
     ChannelError,
     DeliveryFailed,
@@ -86,10 +79,7 @@ class VerifiedEnvelope:
 class ChannelSession:
     device_id: int
     port: object  # DevicePort
-    to_device: crypto.SessionKeys
-    to_controller: crypto.SessionKeys
-    send_seq: int = 0
-    recv_seq: int = 0
+    channel: crypto.Channel
 
 
 @dataclass(frozen=True)
@@ -224,35 +214,18 @@ class Controller:
     # --- authenticated channel ---------------------------------------------------------------
 
     def open_channel(self, device_port, device_id: int) -> ChannelSession:
-        """Two-message nonce exchange, then mutual transcript confirmation.
-
-        Each direction gets its own session keys (nonce order swapped in the
-        derivation), so both sequence counters can start at zero without
-        keystream reuse.
-        """
+        """Two-message nonce exchange, then mutual transcript confirmation."""
         record = self.registry[device_id]
         controller_nonce = self.rng.randbytes(crypto.NONCE_LEN)
-        device_nonce = device_port.hello(controller_nonce)
-        if len(device_nonce) != crypto.NONCE_LEN:
-            raise ChannelError("device nonce must be 16 bytes")
-        master = record.attestation_key
-        session = ChannelSession(
-            device_id=device_id,
-            port=device_port,
-            to_device=crypto.derive_session_keys(master, controller_nonce, device_nonce),
-            to_controller=crypto.derive_session_keys(master, device_nonce, controller_nonce),
+        channel = crypto.Channel(
+            record.attestation_key, device_id, controller_nonce, device_port.hello(controller_nonce), controller=True
         )
-        transcript = handshake_transcript(device_id, controller_nonce, device_nonce)
-        confirm = crypto.seal(session.to_device, session.send_seq, bytes([MSG_CONFIRM]) + transcript)
-        session.send_seq += 1
-        replies = device_port.exchange([confirm])
+        replies = device_port.exchange([channel.seal(crypto.MSG_CONFIRM, channel.transcript)])
         if len(replies) != 1:
             raise ChannelError("expected one handshake confirmation frame")
-        plaintext = crypto.open_frame(session.to_controller, session.recv_seq, replies[0])
-        session.recv_seq += 1
-        if plaintext != bytes([MSG_CONFIRM]) + transcript:
+        if channel.open(replies[0]) != (crypto.MSG_CONFIRM, channel.transcript):
             raise ChannelError("device transcript confirmation mismatch")
-        return session
+        return ChannelSession(device_id=device_id, port=device_port, channel=channel)
 
     def deliver(self, session: ChannelSession, verified: VerifiedEnvelope) -> InstallOutcome:
         """Seal the envelope frame-by-frame and send it; the sealed delivery
@@ -263,25 +236,20 @@ class Controller:
         self.policy_gate(verified.envelope)
         payload = serialize_envelope(verified.envelope)
         chunks = [payload[i : i + FRAME_PAYLOAD] for i in range(0, len(payload), FRAME_PAYLOAD)] or [b""]
-        frames = []
-        for i, chunk in enumerate(chunks):
-            kind = MSG_FINAL_CHUNK if i == len(chunks) - 1 else MSG_CHUNK
-            frames.append(crypto.seal(session.to_device, session.send_seq, bytes([kind]) + chunk))
-            session.send_seq += 1
+        frames = [
+            session.channel.seal(crypto.MSG_FINAL_CHUNK if i == len(chunks) - 1 else crypto.MSG_CHUNK, chunk)
+            for i, chunk in enumerate(chunks)
+        ]
         try:
             replies = session.port.exchange(frames)
+            if not replies:
+                raise DeliveryFailed(AttestOutcome.MISSING)
+            kind, status = session.channel.open(replies[-1])
         except ChannelError as exc:
             raise DeliveryFailed(channel_reason(exc)) from exc
-        if not replies:
-            raise DeliveryFailed(AttestOutcome.MISSING)
-        try:
-            plaintext = crypto.open_frame(session.to_controller, session.recv_seq, replies[-1])
-        except ChannelError as exc:
-            raise DeliveryFailed(channel_reason(exc)) from exc
-        session.recv_seq += 1
-        if not plaintext or plaintext[0] != MSG_STATUS:
+        if kind != crypto.MSG_STATUS:
             raise DeliveryFailed("device reply is not a status frame")
-        outcome = InstallOutcome.decode(plaintext[1:])
+        outcome = InstallOutcome.decode(status)
         if outcome.status == InstallOutcome.INSTALLED:
             record = self.registry[session.device_id]
             record.expected_version = outcome.version
@@ -306,10 +274,7 @@ class Controller:
         report = device_port.attest(nonce)
         if report is None:
             return AttestOutcome(verified=False, reason=AttestOutcome.MISSING)
-        expected_tag = crypto.mac(
-            record.attestation_key,
-            struct.pack(">Q", device_id) + report.nonce + report.measurement,
-        )
+        expected_tag = crypto.attestation_tag(record.attestation_key, device_id, report.nonce, report.measurement)
         if not crypto.mac_equal(report.tag, expected_tag):
             return AttestOutcome(verified=False, reason=AttestOutcome.BAD_TAG)
         if report.nonce != nonce:

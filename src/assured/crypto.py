@@ -1,5 +1,6 @@
 """Cryptographic primitive layer: hashing, signatures, MACs, session-key
-derivation, and authenticated channel framing.
+derivation, authenticated channel framing, and the controller<->device
+channel both ends share.
 
 Everything above this module is algorithm-agnostic against this interface.
 Fixed algorithm suite: SHA-256, Ed25519, HMAC-SHA256, and AES-CTR in an
@@ -9,6 +10,8 @@ Frame layout (byte-exact wire contract):
 
     8-byte big-endian sequence || 4-byte big-endian payload length
     || ciphertext || 32-byte HMAC tag over everything before the tag
+
+Every channel plaintext is one kind byte (``MSG_*``) and its payload.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .errors import AuthFailure, MalformedFrame, ReplayOrReorder
+from .errors import AuthFailure, ChannelError, MalformedFrame, ReplayOrReorder
 
 DIGEST_LEN = 32
 KEY_LEN = 32
@@ -36,6 +39,12 @@ FRAME_SEQ_LEN = 8
 FRAME_LEN_FIELD = 4
 FRAME_HEADER_LEN = FRAME_SEQ_LEN + FRAME_LEN_FIELD
 FRAME_OVERHEAD = FRAME_HEADER_LEN + TAG_LEN
+
+# sealed payload kinds
+MSG_CONFIRM = 0x01
+MSG_CHUNK = 0x02
+MSG_FINAL_CHUNK = 0x03
+MSG_STATUS = 0x04
 
 _ENC_LABEL = b"ASSURED-ENC"
 _MAC_LABEL = b"ASSURED-MAC"
@@ -190,3 +199,45 @@ def open_frame(keys: SessionKeys, expected_sequence: int, frame: bytes) -> bytes
     if sequence != expected_sequence:
         raise ReplayOrReorder(expected_sequence, sequence)
     return _keystream_xor(keys.enc_key, sequence, body)
+
+
+class Channel:
+    """One end of the controller<->device channel, keyed by the device's
+    pre-shared attestation key and both handshake nonces.
+
+    The controller-to-device direction is keyed with the nonces in
+    (controller, device) order and the reply direction with them swapped, so
+    both sequence counters start at zero without keystream reuse and a frame
+    sent back to the end that sealed it fails its tag. ``transcript`` is the
+    handshake hash each end confirms to the other.
+    """
+
+    def __init__(
+        self, master: bytes, device_id: int, controller_nonce: bytes, device_nonce: bytes, controller: bool
+    ) -> None:
+        if len(controller_nonce) != NONCE_LEN or len(device_nonce) != NONCE_LEN:
+            raise ChannelError("channel nonces must be exactly 16 bytes")
+        to_device = derive_session_keys(master, controller_nonce, device_nonce)
+        to_controller = derive_session_keys(master, device_nonce, controller_nonce)
+        self._send, self._receive = (to_device, to_controller) if controller else (to_controller, to_device)
+        self._sent = 0
+        self._received = 0
+        self.transcript = hash_data(struct.pack(">Q", device_id) + controller_nonce + device_nonce)
+
+    def seal(self, kind: int, payload: bytes) -> bytes:
+        frame = seal(self._send, self._sent, bytes([kind]) + payload)
+        self._sent += 1
+        return frame
+
+    def open(self, frame: bytes) -> tuple[int, bytes]:
+        """The next frame's (kind, payload); a channel failure raises."""
+        plaintext = open_frame(self._receive, self._received, frame)
+        self._received += 1
+        if not plaintext:
+            raise ChannelError("empty frame payload")
+        return plaintext[0], plaintext[1:]
+
+
+def attestation_tag(key: bytes, device_id: int, nonce: bytes, measurement: bytes) -> bytes:
+    """MAC of an attestation report: device id (u64) || nonce || measurement."""
+    return mac(key, struct.pack(">Q", device_id) + nonce + measurement)

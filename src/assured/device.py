@@ -23,7 +23,6 @@ security boundary; they are not part of the device's protocol surface.
 from __future__ import annotations
 
 import enum
-import json
 import random
 import struct
 from dataclasses import dataclass, field
@@ -48,12 +47,6 @@ from .errors import (
     TokenRejected,
 )
 from .metadata import MetadataSet, Mode, RoleKind, RoleMetadata, parse, verify_full_chain
-
-# sealed payload kinds
-MSG_CONFIRM = 0x01
-MSG_CHUNK = 0x02
-MSG_FINAL_CHUNK = 0x03
-MSG_STATUS = 0x04
 
 BANK_WRITE_CHUNK = 64  # granularity of simulated flash writes
 
@@ -96,21 +89,22 @@ class InstallOutcome:
     INSTALLED = "installed"
     REJECTED = "rejected"
     ROLLED_BACK = "rolled_back"
+    STATUSES = (INSTALLED, REJECTED, ROLLED_BACK)
 
     def encode(self) -> bytes:
-        return json.dumps(
-            {"status": self.status, "version": self.version, "reason": self.reason},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("ascii")
+        """status index(1) || version(8) || reason (u16-length UTF-8)"""
+        reason = self.reason.encode("utf-8")
+        return struct.pack(">BQH", self.STATUSES.index(self.status), self.version, len(reason)) + reason
 
     @classmethod
     def decode(cls, data: bytes) -> "InstallOutcome":
-        try:
-            obj = json.loads(data.decode("ascii"))
-            return cls(status=obj["status"], version=obj["version"], reason=obj["reason"])
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            raise ParseError(f"bad install status: {exc}") from exc
+        reader = Reader(data)
+        index = reader.u8("install status")
+        if index >= len(cls.STATUSES):
+            raise ParseError(f"unknown install status {index}", position=0)
+        outcome = cls(cls.STATUSES[index], reader.u64("installed version"), reader.text("reason"))
+        reader.end("install status")
+        return outcome
 
 
 @dataclass(frozen=True)
@@ -130,17 +124,9 @@ class FaultHooks:
 
 @dataclass
 class _Session:
-    to_device: crypto.SessionKeys
-    to_controller: crypto.SessionKeys
-    transcript: bytes
-    recv_seq: int = 0
-    send_seq: int = 0
+    channel: crypto.Channel
     confirmed: bool = False
     chunks: list[bytes] = field(default_factory=list)
-
-
-def handshake_transcript(device_id: int, controller_nonce: bytes, device_nonce: bytes) -> bytes:
-    return crypto.hash_data(struct.pack(">Q", device_id) + controller_nonce + device_nonce)
 
 
 class Device:
@@ -203,29 +189,12 @@ class Device:
     # --- authenticated channel ------------------------------------------------------
 
     def channel_accept(self, controller_nonce: bytes) -> bytes:
-        """Answer a channel open: return a fresh device nonce and reset counters."""
+        """Answer a channel open: return a fresh device nonce and start a new session."""
         device_nonce = self._rng.randbytes(crypto.NONCE_LEN)
-        master = self.__attestation_key
         self._session = _Session(
-            to_device=crypto.derive_session_keys(master, controller_nonce, device_nonce),
-            to_controller=crypto.derive_session_keys(master, device_nonce, controller_nonce),
-            transcript=handshake_transcript(self.device_id, controller_nonce, device_nonce),
+            crypto.Channel(self.__attestation_key, self.device_id, controller_nonce, device_nonce, controller=False)
         )
         return device_nonce
-
-    def _open_next(self, frame: bytes) -> bytes:
-        session = self._session
-        assert session is not None
-        plaintext = crypto.open_frame(session.to_device, session.recv_seq, frame)
-        session.recv_seq += 1
-        return plaintext
-
-    def _seal_reply(self, kind: int, payload: bytes) -> bytes:
-        session = self._session
-        assert session is not None
-        frame = crypto.seal(session.to_controller, session.send_seq, bytes([kind]) + payload)
-        session.send_seq += 1
-        return frame
 
     def channel_receive(self, frames: list[bytes]) -> list[bytes]:
         """Process a batch of sealed frames, returning sealed responses.
@@ -236,23 +205,21 @@ class Device:
         if self._session is None:
             raise ChannelError("no active session")
         session = self._session
+        channel = session.channel
         replies: list[bytes] = []
         envelope_complete = False
         for frame in frames:
-            plaintext = self._open_next(frame)
-            if not plaintext:
-                raise ChannelError("empty frame payload")
-            kind, payload = plaintext[0], plaintext[1:]
-            if kind == MSG_CONFIRM:
-                if session.confirmed or payload != session.transcript:
+            kind, payload = channel.open(frame)
+            if kind == crypto.MSG_CONFIRM:
+                if session.confirmed or payload != channel.transcript:
                     raise ChannelError("handshake transcript mismatch")
                 session.confirmed = True
-                replies.append(self._seal_reply(MSG_CONFIRM, session.transcript))
-            elif kind in (MSG_CHUNK, MSG_FINAL_CHUNK):
+                replies.append(channel.seal(crypto.MSG_CONFIRM, channel.transcript))
+            elif kind in (crypto.MSG_CHUNK, crypto.MSG_FINAL_CHUNK):
                 if not session.confirmed:
                     raise ChannelError("envelope frame before handshake confirmation")
                 session.chunks.append(payload)
-                if kind == MSG_FINAL_CHUNK:
+                if kind == crypto.MSG_FINAL_CHUNK:
                     envelope_complete = True
             else:
                 raise ChannelError(f"unexpected frame kind {kind}")
@@ -260,7 +227,7 @@ class Device:
             envelope_bytes = b"".join(session.chunks)
             session.chunks = []
             outcome = self._install_from_bytes(envelope_bytes)
-            replies.append(self._seal_reply(MSG_STATUS, outcome.encode()))
+            replies.append(channel.seal(crypto.MSG_STATUS, outcome.encode()))
         return replies
 
     def receive_unsealed(self, envelope_bytes: bytes) -> InstallOutcome:
@@ -439,10 +406,7 @@ class Device:
         self._served_nonces.add(nonce)
         artifact = self._banks[self._active].artifact or b""
         measurement = crypto.hash_data(artifact)
-        tag = crypto.mac(
-            self.__attestation_key,
-            struct.pack(">Q", self.device_id) + nonce + measurement,
-        )
+        tag = crypto.attestation_tag(self.__attestation_key, self.device_id, nonce, measurement)
         return AttestationReport(
             device_id=self.device_id, nonce=nonce, measurement=measurement, tag=tag
         )

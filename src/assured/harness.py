@@ -695,9 +695,9 @@ def run_adversary_suite(seed: int = 0) -> list[AdversaryRow]:
         world.deliver("dev", "fw2")
         device = world.devices["dev"]
         session = world.controller.open_channel(device.port, device.device_id)
-        frame = crypto.seal(session.to_device, 0, bytes([1]) + bytes(32))  # stale sequence
+        frame = session.channel.seal(crypto.MSG_CHUNK, b"")
         try:
-            device.port.exchange([frame])
+            device.port.exchange([frame, frame])  # the intact frame, then its replay
             add("channel replay", "channel.open_frame", False, "replayed frame accepted")
         except ChannelError as exc:
             add("channel replay", "channel.open_frame", True, channel_reason(exc))
@@ -878,7 +878,8 @@ def _bench_assured(seed: int) -> BenchReport:
         outcome, _ = world.deliver("dev", "fw2")
         verify_count = port.verify_count() - before
         wall_ms = (time.perf_counter() - started) * 1000.0
-        assert outcome.startswith("installed"), outcome
+        if not outcome.startswith("installed"):
+            raise AssuredError(f"bench delivery did not install: {outcome}")
         envelope_bytes = world.envelopes["fw2"]
         artifact = world.artifacts["fw2"]
         token_bytes = len(world.verified["fw2"].envelope.token.raw)
@@ -923,7 +924,8 @@ def _bench_tuf(seed: int) -> BenchReport:
         outcome = device.receive_update_tuf(blobs, "fw", artifact, world.mode, now=world.repo.clock())
         verify_count = VERIFY_COUNTER.read() - before
         wall_ms = (time.perf_counter() - started) * 1000.0
-        assert outcome.status == InstallOutcome.INSTALLED, outcome
+        if outcome.status != InstallOutcome.INSTALLED:
+            raise AssuredError(f"bench update did not install: {outcome}")
         mobile_roles = (RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP)
         metadata_bytes = sum(len(blobs[role]) for role in mobile_roles)
         role_sizes = _role_sizes(world.repo)

@@ -46,9 +46,9 @@ class RoleKind(enum.Enum):
     TIMESTAMP = "timestamp"
 
 
-ROLE_TAGS = {RoleKind.ROOT: 0, RoleKind.TARGETS: 1, RoleKind.SNAPSHOT: 2, RoleKind.TIMESTAMP: 3}
-_TAG_ROLES = {v: k for k, v in ROLE_TAGS.items()}
-_ROLE_ORDER = (RoleKind.ROOT, RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP)
+# a role's tag is its index in RoleKind, the order root bodies list roles in
+_TAG_ROLES = tuple(RoleKind)
+ROLE_TAGS = {role: tag for tag, role in enumerate(_TAG_ROLES)}
 
 
 class Mode(enum.Enum):
@@ -77,7 +77,7 @@ class RootBody:
     roles: dict[RoleKind, RoleKeys]
 
     def __post_init__(self) -> None:
-        missing = [r.value for r in _ROLE_ORDER if r not in self.roles]
+        missing = [r.value for r in RoleKind if r not in self.roles]
         if missing:
             raise ValueError(f"root body missing roles: {missing}")
 
@@ -183,7 +183,7 @@ class RoleMetadata:
 def _encode_body(body: RoleBody) -> bytes:
     if isinstance(body, RootBody):
         out = bytearray()
-        for role in _ROLE_ORDER:
+        for role in RoleKind:
             entry = body.roles[role]
             out += struct.pack(">IH", entry.threshold, len(entry.keys))
             for key in entry.keys:
@@ -201,7 +201,7 @@ def _encode_body(body: RoleBody) -> bytes:
 def read_role(reader: Reader) -> RoleKind:
     """One role-tag byte, as fixed-binary metadata and the controller state write it."""
     tag = reader.u8("role tag")
-    if tag not in _TAG_ROLES:
+    if tag >= len(_TAG_ROLES):
         raise ParseError(f"unknown role tag {tag}", position=reader.offset - 1)
     return _TAG_ROLES[tag]
 
@@ -209,7 +209,7 @@ def read_role(reader: Reader) -> RoleKind:
 def _decode_body(role: RoleKind, reader: Reader) -> RoleBody:
     if role is RoleKind.ROOT:
         roles: dict[RoleKind, RoleKeys] = {}
-        for entry_role in _ROLE_ORDER:
+        for entry_role in RoleKind:
             threshold = reader.u32("threshold")
             count = reader.u16("key count")
             keys = tuple(reader.take(32, "public key") for _ in range(count))
@@ -275,7 +275,7 @@ def _json_body(body: RoleBody):
     if isinstance(body, RootBody):
         return {
             role.value: [entry.threshold, [_b64(k) for k in entry.keys]]
-            for role, entry in ((r, body.roles[r]) for r in _ROLE_ORDER)
+            for role, entry in ((r, body.roles[r]) for r in RoleKind)
         }
     if isinstance(body, SnapshotBody):
         return [body.root_version, body.targets_version]
@@ -368,7 +368,7 @@ def _parse_json_body(role: RoleKind, raw, path: str, known: TargetsBody | None) 
         if not isinstance(raw, dict):
             raise ParseError("root body must be an object", position=path)
         roles = {}
-        for entry_role in _ROLE_ORDER:
+        for entry_role in RoleKind:
             entry = raw.get(entry_role.value)
             entry_path = f"{path}.{entry_role.value}"
             if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
@@ -380,7 +380,7 @@ def _parse_json_body(role: RoleKind, raw, path: str, known: TargetsBody | None) 
                 roles[entry_role] = RoleKeys(threshold=threshold, keys=decoded)
             except ValueError as exc:
                 raise ParseError(str(exc), position=entry_path) from exc
-        if set(raw) != {r.value for r in _ROLE_ORDER}:
+        if set(raw) != {r.value for r in RoleKind}:
             raise ParseError("root body must list exactly the four roles", position=path)
         return RootBody(roles=roles)
     if role is RoleKind.TARGETS:

@@ -19,7 +19,7 @@ from assured.authorization import (
 )
 from assured.codec import Reader, flip_bit
 from assured.controller import Controller, LocalPolicy, load_controller, save_controller
-from assured.device import Bank, Device, load_flash, save_flash
+from assured.device import Bank, Device, InstallOutcome, load_flash, save_flash
 from assured.errors import ParseError
 from assured.metadata import Mode, RoleKind, parse, serialize_canonical
 from assured.repository import (
@@ -186,6 +186,11 @@ def _flash_case(tmp_path):
     return [(tmp_path / "sample").read_bytes()], _file_round_trip(tmp_path, load_flash, save_flash)
 
 
+def _install_status_case(tmp_path):
+    outcome = InstallOutcome(InstallOutcome.ROLLED_BACK, version=3, reason="validation_after_write_failed:é")
+    return [outcome.encode()], lambda data: InstallOutcome.decode(data).encode()
+
+
 def _repository_case(tmp_path):
     # unpublished, so the archive is empty: an archived set is ~700 bytes the
     # loader takes as they are, which would multiply this case's file round
@@ -202,8 +207,8 @@ def _repository_case(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    [_metadata_case, _metadata_json_case, _token_case, _envelope_case, _controller_case, _flash_case, _repository_case],
-    ids=["metadata", "metadata-json", "token", "envelope", "controller-state", "flash", "repository-private"],
+    [_metadata_case, _metadata_json_case, _token_case, _envelope_case, _controller_case, _flash_case, _install_status_case, _repository_case],
+    ids=["metadata", "metadata-json", "token", "envelope", "controller-state", "flash", "install-status", "repository-private"],
 )
 def test_accepted_single_byte_mutants_reencode_to_themselves(tmp_path, case):
     """Each byte of each sample is set to 0x00, 0x01, 0x02, 0x80, 0xFF, and its

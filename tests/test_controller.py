@@ -25,6 +25,8 @@ from assured.controller import (
 )
 from assured.device import Device, InstallMode, InstallOutcome
 from assured.errors import (
+    AuthFailure,
+    DeliveryFailed,
     EnvelopeMismatch,
     Expired,
     NonceCollision,
@@ -366,6 +368,29 @@ class TestDelivery:
         assert retry.status == InstallOutcome.REJECTED
         assert retry.reason == "version_not_monotonic"
         assert controller.registry[DEVICE_ID].expected_version == 2
+
+    def test_reflected_frames_are_rejected(self, controller, repo_port, device_port, oem_key):
+        """Each direction has its own keys, so the controller's own frames
+        echoed back to it fail the tag, at the handshake and at delivery."""
+
+        class EchoPort:
+            hello = device_port.hello
+
+            def exchange(self, frames):
+                return frames
+
+        enroll(controller, device_port)
+        publish_update(repo_port, oem_key)
+        batch = controller.sync(repo_port)
+        with pytest.raises(AuthFailure):
+            controller.open_channel(EchoPort(), DEVICE_ID)
+        session = controller.open_channel(device_port, DEVICE_ID)
+        session.port = EchoPort()
+        with pytest.raises(DeliveryFailed) as failed:
+            controller.deliver(session, batch[0])
+        assert failed.value.reason == "auth_failure"
+        assert device_port.info()["version"] == 1
+        assert controller.registry[DEVICE_ID].expected_version == 1
 
 
 class TestAttestation:

@@ -1,12 +1,12 @@
 """Primitive layer: known-answer vectors, determinism, bit-flip rejection,
-session-key derivation, and channel framing."""
+session-key derivation, channel framing, and the shared channel end."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assured import crypto
-from assured.errors import AuthFailure, MalformedFrame, ReplayOrReorder
+from assured.errors import AuthFailure, ChannelError, MalformedFrame, ReplayOrReorder
 
 # Published SHA-256 test vectors.
 SHA256_EMPTY = bytes.fromhex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -205,3 +205,56 @@ class TestChannelFrames:
     def test_seal_open_identity(self, payload, sequence):
         keys = session_keys()
         assert crypto.open_frame(keys, sequence, crypto.seal(keys, sequence, payload)) == payload
+
+
+def channel_ends(master: bytes = b"\x07" * 32) -> tuple[crypto.Channel, crypto.Channel]:
+    nonces = (b"\x0c" * 16, b"\x0d" * 16)
+    return crypto.Channel(master, 9, *nonces, controller=True), crypto.Channel(master, 9, *nonces, controller=False)
+
+
+class TestChannel:
+    def test_both_ends_share_the_transcript(self):
+        controller, device = channel_ends()
+        assert controller.transcript == device.transcript == crypto.hash_data(
+            (9).to_bytes(8, "big") + b"\x0c" * 16 + b"\x0d" * 16
+        )
+
+    def test_each_direction_opens_in_order(self):
+        controller, device = channel_ends()
+        for i in range(3):
+            assert device.open(controller.seal(crypto.MSG_CHUNK, bytes([i]))) == (crypto.MSG_CHUNK, bytes([i]))
+        assert controller.open(device.seal(crypto.MSG_STATUS, b"ok")) == (crypto.MSG_STATUS, b"ok")
+
+    def test_frames_carry_the_direction_keys_and_counter(self):
+        controller, _ = channel_ends()
+        keys = crypto.derive_session_keys(b"\x07" * 32, b"\x0c" * 16, b"\x0d" * 16)
+        controller.seal(crypto.MSG_CONFIRM, b"")
+        frame = controller.seal(crypto.MSG_CHUNK, b"xy")
+        assert crypto.open_frame(keys, 1, frame) == bytes([crypto.MSG_CHUNK]) + b"xy"
+
+    def test_replay_and_reflection_are_rejected(self):
+        controller, device = channel_ends()
+        frame = controller.seal(crypto.MSG_CHUNK, b"")
+        device.open(frame)
+        with pytest.raises(ReplayOrReorder):
+            device.open(frame)
+        with pytest.raises(AuthFailure):
+            controller.open(controller.seal(crypto.MSG_CHUNK, b""))
+
+    def test_a_rejected_frame_does_not_advance_the_counter(self):
+        controller, device = channel_ends()
+        with pytest.raises(AuthFailure):
+            device.open(channel_ends(b"\x08" * 32)[0].seal(crypto.MSG_CHUNK, b""))
+        assert device.open(controller.seal(crypto.MSG_CHUNK, b"")) == (crypto.MSG_CHUNK, b"")
+
+    @pytest.mark.parametrize("controller_nonce,device_nonce", [(bytes(15), bytes(16)), (bytes(16), bytes(17))])
+    def test_wrong_nonce_length_is_a_channel_error(self, controller_nonce, device_nonce):
+        with pytest.raises(ChannelError, match="16 bytes"):
+            crypto.Channel(bytes(32), 9, controller_nonce, device_nonce, controller=False)
+
+    def test_frame_without_a_kind_byte_is_a_channel_error(self):
+        _, device = channel_ends()
+        keys = crypto.derive_session_keys(b"\x07" * 32, b"\x0c" * 16, b"\x0d" * 16)
+        with pytest.raises(ChannelError, match="empty frame payload"):
+            device.open(crypto.seal(keys, 0, b""))
+

@@ -14,22 +14,18 @@ from assured.authorization import (
     issue_token,
     serialize_envelope,
 )
+from assured.crypto import MSG_CHUNK, MSG_CONFIRM, MSG_FINAL_CHUNK, MSG_STATUS
 from assured.device import (
     BANK_WRITE_CHUNK,
-    MSG_CHUNK,
-    MSG_CONFIRM,
-    MSG_FINAL_CHUNK,
-    MSG_STATUS,
     Bank,
     Device,
     InstallMode,
     InstallOutcome,
     SimulatedPowerLoss,
-    handshake_transcript,
     load_flash,
     save_flash,
 )
-from assured.errors import AttestationRefused, ChannelError, ParseError
+from assured.errors import AttestationRefused, AuthFailure, ChannelError, ParseError
 from assured.metadata import RoleKind
 from assured.repository import fetch_metadata, new_repository, publish_vanilla
 
@@ -66,29 +62,15 @@ def make_envelope(oem_key, version=2, model=MODEL, device_id=0, size=500, prev=0
     return serialize_envelope(build_envelope(token, artifact)), artifact
 
 
-class Channel:
-    """Controller-side half of the handshake, for driving a device directly."""
+class Channel(crypto.Channel):
+    """The controller end of a confirmed channel, for driving a device directly."""
 
     def __init__(self, device: Device, controller_nonce: bytes = b"\x44" * 16):
-        self.device = device
         device_nonce = device.channel_accept(controller_nonce)
-        self.to_device = crypto.derive_session_keys(K_ATT, controller_nonce, device_nonce)
-        self.to_controller = crypto.derive_session_keys(K_ATT, device_nonce, controller_nonce)
-        self.transcript = handshake_transcript(device.device_id, controller_nonce, device_nonce)
-        self.send_seq = 0
-        self.recv_seq = 0
+        super().__init__(K_ATT, device.device_id, controller_nonce, device_nonce, controller=True)
+        self.device = device
         replies = device.channel_receive([self.seal(MSG_CONFIRM, self.transcript)])
-        assert self.open(replies[0]) == bytes([MSG_CONFIRM]) + self.transcript
-
-    def seal(self, kind: int, payload: bytes) -> bytes:
-        frame = crypto.seal(self.to_device, self.send_seq, bytes([kind]) + payload)
-        self.send_seq += 1
-        return frame
-
-    def open(self, frame: bytes) -> bytes:
-        plaintext = crypto.open_frame(self.to_controller, self.recv_seq, frame)
-        self.recv_seq += 1
-        return plaintext
+        assert self.open(replies[0]) == (MSG_CONFIRM, self.transcript)
 
     def deliver(self, envelope_bytes: bytes, chunk: int = 4096) -> InstallOutcome:
         chunks = [envelope_bytes[i : i + chunk] for i in range(0, len(envelope_bytes), chunk)]
@@ -97,9 +79,9 @@ class Channel:
             for i, part in enumerate(chunks)
         ]
         replies = self.device.channel_receive(frames)
-        status = self.open(replies[-1])
-        assert status[0] == MSG_STATUS
-        return InstallOutcome.decode(status[1:])
+        kind, status = self.open(replies[-1])
+        assert kind == MSG_STATUS
+        return InstallOutcome.decode(status)
 
 
 class TestHandshake:
@@ -134,10 +116,24 @@ class TestHandshake:
         device = make_device(oem_key)
         nonce = b"\x44" * 16
         device_nonce = device.channel_accept(nonce)
-        keys = crypto.derive_session_keys(K_ATT, nonce, device_nonce)
-        frame = crypto.seal(keys, 0, bytes([MSG_FINAL_CHUNK]) + b"data")
+        channel = crypto.Channel(K_ATT, DEVICE_ID, nonce, device_nonce, controller=True)
         with pytest.raises(ChannelError):
-            device.channel_receive([frame])
+            device.channel_receive([channel.seal(MSG_FINAL_CHUNK, b"data")])
+
+    def test_short_controller_nonce_is_a_channel_error(self, oem_key):
+        with pytest.raises(ChannelError):
+            make_device(oem_key).channel_accept(b"\x44" * 15)
+
+    def test_reflected_confirm_is_rejected(self, oem_key):
+        """Each direction has its own keys, so the device's own confirmation
+        sent back to it fails the tag and installs nothing."""
+        device = make_device(oem_key)
+        nonce = b"\x44" * 16
+        channel = crypto.Channel(K_ATT, DEVICE_ID, nonce, device.channel_accept(nonce), controller=True)
+        reply = device.channel_receive([channel.seal(MSG_CONFIRM, channel.transcript)])
+        with pytest.raises(AuthFailure):
+            device.channel_receive(reply)
+        assert device.installed_version == 1
 
 
 class TestReceiveUpdate:
@@ -576,3 +572,29 @@ def test_load_flash_rejects_served_nonces_out_of_order_or_repeated(tmp_path, oem
     with pytest.raises(ParseError) as excinfo:
         load_flash(str(path))
     assert excinfo.value.position == second
+
+
+def test_install_status_layout():
+    outcome = InstallOutcome(InstallOutcome.ROLLED_BACK, version=0x0102, reason="é")
+    assert outcome.encode() == b"\x02" + (0x0102).to_bytes(8, "big") + b"\x00\x02" + "é".encode()
+    assert InstallOutcome.decode(outcome.encode()) == outcome
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"[]", b"\x03" + bytes(10), b"\x00" + bytes(9), b"\x00" + bytes(10) + b"x", b"\x00" + bytes(9) + b"\x01\xff"],
+    ids=["empty", "json-list", "unknown-status", "truncated", "trailing-byte", "bad-utf8"],
+)
+def test_install_status_rejects_non_canonical_bytes(data):
+    with pytest.raises(ParseError):
+        InstallOutcome.decode(data)
+
+
+@given(data=st.binary(max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_install_status_arbitrary_bytes_only_parse_error(data):
+    try:
+        outcome = InstallOutcome.decode(data)
+    except ParseError:
+        return
+    assert outcome.encode() == data

@@ -2,6 +2,8 @@
 
 import pytest
 
+from assured.device import Device, InstallOutcome
+from assured.errors import AssuredError
 from assured.harness import (
     BUILTIN_SCENARIOS,
     DROP_UPDATE,
@@ -181,6 +183,18 @@ class TestBench:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_bench("warp", seed=6)
+
+    @pytest.mark.parametrize(
+        "mode, method",
+        [("assured", "_install_from_bytes"), ("tuf", "receive_update_tuf")],
+    )
+    def test_failed_install_raises_instead_of_reporting(self, monkeypatch, mode, method):
+        """A bench whose update does not install reports no numbers, also
+        under ``python -O``, which would strip an ``assert``."""
+        rejected = InstallOutcome(InstallOutcome.REJECTED, reason="forced")
+        monkeypatch.setattr(Device, method, lambda self, *args, **kwargs: rejected)
+        with pytest.raises(AssuredError, match="did not install"):
+            run_bench(mode, seed=6)
 
 
 class TestFixedBinaryRepository:
