@@ -91,6 +91,10 @@ class InstallOutcome:
     ROLLED_BACK = "rolled_back"
     STATUSES = (INSTALLED, REJECTED, ROLLED_BACK)
 
+    def __post_init__(self) -> None:
+        if self.status not in self.STATUSES:
+            raise ValueError(f"unknown install status {self.status!r}")
+
     def encode(self) -> bytes:
         """status index(1) || version(8) || reason (u16-length UTF-8)"""
         reason = self.reason.encode("utf-8")

@@ -7,6 +7,10 @@ seed and produces a diffable transcript that is byte-identical whether the
 repository and devices are in-process objects or separate processes reached
 over local sockets.
 
+``frame-tamper``, ``drop``, ``replay`` and ``forge-tag`` arm one adversary
+slot (a later one replaces an earlier one); the next ``deliver`` or ``attest``,
+whichever comes first, runs through it and disarms it.
+
 Step vocabulary:
 
     enroll <dev> model=<n> id=<n> [version=<n>] [mode=dual|single]
@@ -18,6 +22,8 @@ Step vocabulary:
     sync
     frame-tamper [bit=<n>]
     drop
+    replay
+    forge-tag
     deliver <dev> <name>
     attest <dev>
     corrupt-flash <dev> [bank=active|inactive|0|1] [bit=<n>]
@@ -43,7 +49,7 @@ from .authorization import (
     serialize_envelope,
 )
 from .codec import flip_bit
-from .controller import AttestOutcome, Controller, LocalPolicy, VerifiedEnvelope
+from .controller import Controller, LocalPolicy, VerifiedEnvelope
 from .crypto import VERIFY_COUNTER
 from .device import Device, InstallMode, InstallOutcome
 from .errors import (
@@ -165,9 +171,7 @@ class _TamperingPort(_PortWrapper):
         self._bit = bit_offset
 
     def exchange(self, frames: list[bytes]) -> list[bytes]:
-        if frames:
-            frames = [flip_bit(frames[0], self._bit), *frames[1:]]
-        return self._inner.exchange(frames)
+        return self._inner.exchange([flip_bit(frame, self._bit) for frame in frames[:1]] + frames[1:])
 
 
 class _DroppingPort(_PortWrapper):
@@ -178,6 +182,13 @@ class _DroppingPort(_PortWrapper):
 
     def attest(self, nonce: bytes):
         return None
+
+
+class _ReplayingPort(_PortWrapper):
+    """Local-adversary model: sends the first frame in transit twice."""
+
+    def exchange(self, frames: list[bytes]) -> list[bytes]:
+        return self._inner.exchange(frames[:1] + frames)
 
 
 class _RecordingPort(_PortWrapper):
@@ -220,7 +231,6 @@ class _ForgedTagPort(_PortWrapper):
 class _DeviceHandle:
     port: object
     device_id: int
-    device_model: int
 
 
 class World:
@@ -260,8 +270,7 @@ class World:
         self.envelopes: dict[str, bytes] = {}
         self.artifacts: dict[str, bytes] = {}
         self.verified: dict[str, VerifiedEnvelope] = {}
-        self._armed_tamper_bit: int | None = None
-        self._armed_drop = False
+        self._armed = None  # the adversary port wrapper the next deliver or attest runs through
 
     def _build_repository(self, seed: int, mode: Mode) -> RepositoryState:
         def keys(label: str, count: int) -> list[crypto.SigningKeyPair]:
@@ -362,7 +371,7 @@ class World:
             installed_version=version,
             installed_digest=crypto.hash_data(artifact),
         )
-        self.devices[handle] = _DeviceHandle(port=port, device_id=device_id, device_model=device_model)
+        self.devices[handle] = _DeviceHandle(port=port, device_id=device_id)
         return "ok", f"model={device_model} id={device_id} version={version} verify_delta={delta}"
 
     def issue(
@@ -430,12 +439,25 @@ class World:
         return f"ok:{len(batch)}", f"new=[{names}] verify_delta={delta}"
 
     def frame_tamper(self, bit: int = 0) -> tuple[str, str]:
-        self._armed_tamper_bit = bit
+        self._armed = lambda port: _TamperingPort(port, bit)
         return "ok", f"bit={bit}"
 
     def drop(self) -> tuple[str, str]:
-        self._armed_drop = True
+        self._armed = _DroppingPort
         return "ok", ""
+
+    def replay(self) -> tuple[str, str]:
+        self._armed = _ReplayingPort
+        return "ok", ""
+
+    def forge_tag(self) -> tuple[str, str]:
+        self._armed = _ForgedTagPort
+        return "ok", ""
+
+    def _through_armed(self, port):
+        """Wrap ``port`` in the armed adversary, if any, and disarm it."""
+        armed, self._armed = self._armed, None
+        return port if armed is None else armed(port)
 
     def deliver(self, handle: str, name: str) -> tuple[str, str]:
         device = self.devices[handle]
@@ -448,14 +470,7 @@ class World:
         except ChannelError as exc:
             return f"delivery-failed:{channel_reason(exc)}", "handshake"
         recorder = _RecordingPort(port)
-        if self._armed_drop:
-            session.port = _DroppingPort(recorder)
-            self._armed_drop = False
-        elif self._armed_tamper_bit is not None:
-            session.port = _TamperingPort(recorder, self._armed_tamper_bit)
-            self._armed_tamper_bit = None
-        else:
-            session.port = recorder
+        session.port = self._through_armed(recorder)
 
         def traffic() -> str:
             return f"frames_out={recorder.sent} frames_in={recorder.received} stream={recorder.stream_digest()}"
@@ -478,15 +493,9 @@ class World:
 
     def attest(self, handle: str) -> tuple[str, str]:
         device = self.devices[handle]
-        port = device.port
-        if self._armed_drop:
-            port = _DroppingPort(port)
-            self._armed_drop = False
-        result = self.controller.request_attestation(port, device.device_id)
+        result = self.controller.request_attestation(self._through_armed(device.port), device.device_id)
         nonce = self.controller.nonce_log[-1].hex()[:16]
-        if result.verified:
-            return "verified", f"nonce={nonce}"
-        return f"failed:{result.reason}", f"nonce={nonce}"
+        return ("verified" if result.verified else f"failed:{result.reason}"), f"nonce={nonce}"
 
     def corrupt_flash(self, handle: str, bank: str = "active", bit: int = 0) -> tuple[str, str]:
         device = self.devices[handle]
@@ -535,6 +544,8 @@ _STEPS = {
     "sync": ("sync", (), {}),
     "frame-tamper": ("frame_tamper", (), {"bit": ("bit", int, 0)}),
     "drop": ("drop", (), {}),
+    "replay": ("replay", (), {}),
+    "forge-tag": ("forge_tag", (), {}),
     "deliver": ("deliver", (str, str), {}),
     "attest": ("attest", (str,), {}),
     "corrupt-flash": ("corrupt_flash", (str,), {"bank": ("bank", str, "active"), "bit": ("bit", int, 0)}),
@@ -577,47 +588,101 @@ def run_scenario(text: str, seed: int = 0, multiprocess: bool = False) -> Transc
 
 # --- built-in scenarios ----------------------------------------------------------------------
 
-HAPPY_PATH = """\
-# full distribution-and-delivery flow
+# one device enrolled at version 1 and version 2 for its model issued and published;
+# _SETUP also syncs it
+_PUBLISHED = """\
 enroll dev1 model=100 id=1 version=1
 issue fw2 version=2 model=100
 publish fw2 -> ok
-sync -> ok:1
+"""
+_SETUP = _PUBLISHED + "sync -> ok:1\n"
+
+HAPPY_PATH = "# full distribution-and-delivery flow\n" + _SETUP + """\
 deliver dev1 fw2 -> installed:2
 attest dev1 -> verified
 boot dev1 -> running:2
 """
 
-DROP_UPDATE = """\
-# adversary suppresses the update and the attestation response
-enroll dev1 model=100 id=1 version=1
-issue fw2 version=2 model=100
-publish fw2 -> ok
-sync -> ok:1
+DROP_UPDATE = "# adversary suppresses the update and the attestation response\n" + _SETUP + """\
 drop
 deliver dev1 fw2 -> delivery-failed:missing
 drop
 attest dev1 -> failed:missing
 """
 
-ROLLBACK = """\
-# re-delivering an already-installed version is rejected on-device
-enroll dev1 model=100 id=1 version=1
-issue fw2 version=2 model=100
-publish fw2 -> ok
-sync -> ok:1
+ROLLBACK = "# re-delivering an already-installed version is rejected on-device\n" + _SETUP + """\
 deliver dev1 fw2 -> installed:2
 deliver dev1 fw2 -> rejected:version_not_monotonic
 """
+
+
+# --- adversary suite ---------------------------------------------------------------------------
+
+# (label, attack, detection layer, script); a row reads detected when every
+# expectation in its script holds, set-up steps included
+ATTACKS = (
+    ("mirror-bit-flip", "mirror bit-flip in envelope", "controller.sync", _PUBLISHED + """\
+tamper-policy flip-bit offset=600
+sync -> error:EnvelopeMismatch
+"""),
+    ("stale-metadata", "stale-metadata replay", "controller.sync",
+     "# mirror replays an old metadata set after the controller has seen newer\n" + _SETUP + """\
+tamper-policy stale
+sync -> error:VersionRollback
+"""),
+    ("substitute", "artifact substitution at mirror", "controller.sync", _PUBLISHED + """\
+tamper-policy substitute
+sync -> error:EnvelopeMismatch
+"""),
+    ("drop-envelope", "envelope drop at mirror", "controller.sync", _PUBLISHED + """\
+tamper-policy drop
+sync -> error:NotFound
+"""),
+    ("frame-tamper", "channel frame tamper (MitM)", "channel.open_frame", _SETUP + """\
+frame-tamper bit=77
+deliver dev1 fw2 -> delivery-failed:auth_failure
+boot dev1 -> running:1
+"""),
+    ("channel-replay", "channel replay", "channel.open_frame", _SETUP + """\
+replay
+deliver dev1 fw2 -> delivery-failed:replay_or_reorder
+boot dev1 -> running:1
+"""),
+    ("wrong-device", "wrong-device envelope", "device.constraints", """\
+enroll dev1 model=100 id=1 version=1
+issue fw2 version=2 model=100 device=99
+publish fw2 -> ok
+sync -> ok:1
+deliver dev1 fw2 -> rejected:wrong_device
+"""),
+    ("version-rollback", "version rollback (re-deliver old version)", "device.constraints", ROLLBACK),
+    ("forged-token", "forged token (non-OEM key)", "device.verify_token", """\
+enroll dev1 model=100 id=1 version=1
+issue fw2 version=2 model=100 key=rogue
+publish fw2 -> ok
+sync -> ok:1
+deliver dev1 fw2 -> rejected:bad_signature
+"""),
+    ("forged-attestation", "forged attestation tag", "controller.attestation", _SETUP + """\
+deliver dev1 fw2 -> installed:2
+forge-tag
+attest dev1 -> failed:bad_tag
+"""),
+    ("flash-corruption", "post-install flash corruption", "device.boot + controller.attestation", _SETUP + """\
+deliver dev1 fw2 -> installed:2
+corrupt-flash dev1 bank=active bit=123
+boot dev1 -> running:1
+attest dev1 -> failed:wrong_measurement
+"""),
+)
 
 BUILTIN_SCENARIOS = {
     "happy-path": HAPPY_PATH,
     "drop-update": DROP_UPDATE,
     "rollback": ROLLBACK,
+    **{label: script for label, _, _, script in ATTACKS},
 }
 
-
-# --- adversary suite ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AdversaryRow:
@@ -627,137 +692,12 @@ class AdversaryRow:
     detail: str
 
 
-def _expect(token_prefix: str, outcome: str) -> bool:
-    return outcome.startswith(token_prefix)
-
-
 def run_adversary_suite(seed: int = 0) -> list[AdversaryRow]:
-    """Run every modeled attack; each row names its detection layer."""
-    rows: list[AdversaryRow] = []
-
-    def fresh(label: str) -> World:
-        return World(seed=derived_seed(seed, f"adversary:{label}"))
-
-    def standard_setup(world: World, **issue_kwargs) -> None:
-        world.enroll("dev", device_model=100, device_id=1, version=1)
-        world.issue("fw2", version=2, device_model=100, **issue_kwargs)
-        world.publish("fw2")
-
-    def add(attack: str, layer: str, detected: bool, detail: str) -> None:
-        rows.append(AdversaryRow(attack=attack, layer=layer, detected=detected, detail=detail))
-
-    with fresh("mirror-bit-flip") as world:
-        standard_setup(world)
-        world.tamper("flip-bit", offset=600)
-        outcome, detail = world.sync()
-        add("mirror bit-flip in envelope", "controller.sync", _expect("error:EnvelopeMismatch", outcome), detail)
-
-    with fresh("stale-metadata") as world:
-        standard_setup(world)
-        world.sync()
-        world.tamper("stale")
-        outcome, detail = world.sync()
-        add(
-            "stale-metadata replay",
-            "controller.sync",
-            _expect("error:VersionRollback", outcome) or _expect("error:Expired", outcome),
-            detail,
-        )
-
-    with fresh("substitute") as world:
-        standard_setup(world)
-        world.tamper("substitute")
-        outcome, detail = world.sync()
-        add("artifact substitution at mirror", "controller.sync", _expect("error:EnvelopeMismatch", outcome), detail)
-
-    with fresh("drop-envelope") as world:
-        standard_setup(world)
-        world.tamper("drop")
-        outcome, detail = world.sync()
-        add("envelope drop at mirror", "controller.sync", _expect("error:NotFound", outcome), detail)
-
-    with fresh("frame-tamper") as world:
-        standard_setup(world)
-        world.sync()
-        world.frame_tamper(bit=77)
-        outcome, detail = world.deliver("dev", "fw2")
-        unchanged = world.devices["dev"].port.info()["version"] == 1
-        add(
-            "channel frame tamper (MitM)",
-            "channel.open_frame",
-            _expect("delivery-failed:auth_failure", outcome) and unchanged,
-            f"{detail} device_version_unchanged={unchanged}",
-        )
-
-    with fresh("channel-replay") as world:
-        standard_setup(world)
-        world.sync()
-        world.deliver("dev", "fw2")
-        device = world.devices["dev"]
-        session = world.controller.open_channel(device.port, device.device_id)
-        frame = session.channel.seal(crypto.MSG_CHUNK, b"")
-        try:
-            device.port.exchange([frame, frame])  # the intact frame, then its replay
-            add("channel replay", "channel.open_frame", False, "replayed frame accepted")
-        except ChannelError as exc:
-            add("channel replay", "channel.open_frame", True, channel_reason(exc))
-
-    with fresh("wrong-device") as world:
-        world.enroll("dev", device_model=100, device_id=1, version=1)
-        world.issue("fw2", version=2, device_model=100, device_id=99)
-        world.publish("fw2")
-        world.sync()
-        outcome, detail = world.deliver("dev", "fw2")
-        add("wrong-device envelope", "device.constraints", _expect("rejected:wrong_device", outcome), detail)
-
-    with fresh("version-rollback") as world:
-        standard_setup(world)
-        world.sync()
-        world.deliver("dev", "fw2")
-        outcome, detail = world.deliver("dev", "fw2")
-        add(
-            "version rollback (re-deliver old version)",
-            "device.constraints",
-            _expect("rejected:version_not_monotonic", outcome),
-            detail,
-        )
-
-    with fresh("forged-token") as world:
-        world.enroll("dev", device_model=100, device_id=1, version=1)
-        world.issue("fw2", version=2, device_model=100, key="rogue")
-        world.publish("fw2")
-        world.sync()
-        outcome, detail = world.deliver("dev", "fw2")
-        add("forged token (non-OEM key)", "device.verify_token", _expect("rejected:bad_signature", outcome), detail)
-
-    with fresh("forged-attestation") as world:
-        standard_setup(world)
-        world.sync()
-        world.deliver("dev", "fw2")
-        device = world.devices["dev"]
-        result = world.controller.request_attestation(_ForgedTagPort(device.port), device.device_id)
-        add(
-            "forged attestation tag",
-            "controller.attestation",
-            (not result.verified) and result.reason == AttestOutcome.BAD_TAG,
-            result.reason,
-        )
-
-    with fresh("flash-corruption") as world:
-        standard_setup(world)
-        world.sync()
-        world.deliver("dev", "fw2")
-        world.corrupt_flash("dev", bank="active", bit=123)
-        boot_outcome, boot_detail = world.boot("dev")
-        attest_outcome, attest_detail = world.attest("dev")
-        detected = _expect("running:1", boot_outcome) and _expect("failed:wrong_measurement", attest_outcome)
-        add(
-            "post-install flash corruption",
-            "device.boot + controller.attestation",
-            detected,
-            f"boot={boot_outcome} attest={attest_outcome}",
-        )
-
+    """Run every modeled attack's script; each row names its detection layer."""
+    rows = []
+    for label, attack, layer, script in ATTACKS:
+        transcript = run_scenario(script, seed=derived_seed(seed, f"adversary:{label}"))
+        rows.append(AdversaryRow(attack=attack, layer=layer, detected=transcript.ok, detail=transcript.text()))
     return rows
 
 

@@ -22,6 +22,7 @@ import socket
 import socketserver
 import threading
 import time
+import typing
 
 from . import errors, repository
 from .authorization import decode_token
@@ -129,6 +130,8 @@ DEVICE_OPS = tuple(name for name in vars(LocalDevicePort) if not name.startswith
 
 _WIRE_ENUMS = {cls.__name__: cls for cls in (Mode, RoleKind, TamperKind)}
 _WIRE_DATACLASSES = {cls.__name__: cls for cls in (TamperPolicy, AttestationReport, BootResult, InstallOutcome)}
+# each wire dataclass's fields and their exact types: a "data" value carries all of them
+_WIRE_FIELDS = {name: typing.get_type_hints(cls) for name, cls in _WIRE_DATACLASSES.items()}
 _WIRE_ERRORS = {name: cls for name, cls in vars(errors).items()
                 if isinstance(cls, type) and issubclass(cls, AssuredError)}
 
@@ -172,7 +175,10 @@ def _decode(value):
             return _WIRE_ENUMS[name](member)
         if tag == "data":
             name, fields = payload
-            return _WIRE_DATACLASSES[name](**_decode(fields))
+            fields = _decode(fields)
+            if {key: type(item) for key, item in fields.items()} != _WIRE_FIELDS[name]:
+                raise TypeError(f"{name} fields are not exactly {_WIRE_FIELDS[name]}")
+            return _WIRE_DATACLASSES[name](**fields)
         if tag == "error":
             name, args, attributes = payload
             cls = _WIRE_ERRORS[name]

@@ -150,6 +150,15 @@ def test_scenario_run_builtin(workspace, capsys):
     assert (workspace / "transcript.txt").read_text() == out
 
 
+def test_scenario_run_attack_builtin_multiprocess(workspace, capsys, monkeypatch):
+    # the server processes import this same package, also from the temp directory
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code, out = run(capsys, "scenario", "run", "channel-replay", "--multiprocess")
+    assert code == 0
+    assert "delivery-failed:replay_or_reorder" in out
+
+
 def test_scenario_run_file(workspace, capsys):
     (workspace / "s.scn").write_text(
         "enroll d model=1 id=1\nissue f version=2 model=1\npublish f -> ok\nsync -> ok:1\ndeliver d f -> installed:2\n"

@@ -1,10 +1,14 @@
 """Scenario DSL, builtin scenarios, determinism, adversary suite, bench."""
 
+from pathlib import Path
+
 import pytest
 
+import assured.device
 from assured.device import Device, InstallOutcome
 from assured.errors import AssuredError
 from assured.harness import (
+    ATTACKS,
     BUILTIN_SCENARIOS,
     DROP_UPDATE,
     HAPPY_PATH,
@@ -12,6 +16,7 @@ from assured.harness import (
     ScenarioError,
     World,
     adversary_table,
+    derived_seed,
     parse_scenario,
     run_adversary_suite,
     run_bench,
@@ -159,6 +164,32 @@ class TestAdversarySuite:
         table = adversary_table(rows)
         assert "forged token" in table
 
+    def test_a_row_is_its_scripts_transcript(self):
+        rows = run_adversary_suite(seed=2)
+        assert [row.attack for row in rows] == [attack for _, attack, _, _ in ATTACKS]
+        for row, (label, _, layer, script) in zip(rows, ATTACKS):
+            transcript = run_scenario(script, seed=derived_seed(2, f"adversary:{label}"))
+            assert row.layer == layer
+            assert row.detail == transcript.text()
+            assert row.detected == transcript.ok
+
+    @pytest.mark.parametrize("label, script", [(label, script) for label, _, _, script in ATTACKS])
+    def test_each_attack_passes_multiprocess_with_the_in_process_transcript(self, label, script):
+        seed = derived_seed(2, f"adversary:{label}")
+        local = run_scenario(script, seed=seed)
+        remote = run_scenario(script, seed=seed, multiprocess=True)
+        assert local.ok, local.text()
+        assert remote.text() == local.text()
+
+    def test_each_attack_is_a_builtin_scenario(self):
+        for label, _, _, script in ATTACKS:
+            assert BUILTIN_SCENARIOS[label] == script
+
+    def test_switching_off_the_constraint_check_misses_exactly_its_attacks(self, monkeypatch):
+        monkeypatch.setattr(assured.device, "evaluate_constraints", lambda *args, **kwargs: None)
+        missed = {row.attack for row in run_adversary_suite(seed=2) if not row.detected}
+        assert missed == {"wrong-device envelope", "version rollback (re-deliver old version)"}
+
 
 class TestBench:
     def test_assured_numbers(self):
@@ -232,6 +263,44 @@ class TestWorldDirect:
                 world.attest("dev")
             log = world.controller.nonce_log
             assert len(log) == len(set(log))
+
+
+SCENARIO_FILES = sorted((Path(__file__).parent.parent / "scenarios").glob("*.scn"))
+
+
+class TestScenarioFiles:
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda path: path.name)
+    def test_file_passes_with_identical_transcripts_in_both_modes(self, path):
+        text = path.read_text(encoding="utf-8")
+        local = run_scenario(text, seed=7)
+        assert local.ok, local.text()
+        assert run_scenario(text, seed=7, multiprocess=True).text() == local.text()
+
+    def test_a_file_named_after_a_builtin_holds_its_text(self):
+        named = {path.stem.replace("_", "-"): path for path in SCENARIO_FILES}
+        shared = sorted(set(named) & set(BUILTIN_SCENARIOS))
+        assert shared == ["drop-update", "happy-path", "rollback", "stale-metadata"]
+        for name in shared:
+            assert named[name].read_text(encoding="utf-8") == BUILTIN_SCENARIOS[name], name
+
+
+class TestArmedAdversary:
+    SETUP = "enroll dev1 model=100 id=1 version=1\nissue fw2 version=2 model=100\npublish fw2\nsync -> ok:1\n"
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            # an attestation consumes the armed drop, so the delivery goes through
+            "drop\nattest dev1 -> failed:missing\ndeliver dev1 fw2 -> installed:2\n",
+            # a delivery consumes the armed tag forgery, so the attestation verifies
+            "forge-tag\ndeliver dev1 fw2 -> installed:2\nattest dev1 -> verified\n",
+            # a later adversary replaces the armed one, and the next delivery disarms it
+            "replay\ndrop\ndeliver dev1 fw2 -> delivery-failed:missing\ndeliver dev1 fw2 -> installed:2\n",
+        ],
+    )
+    def test_one_slot_the_next_deliver_or_attest_consumes(self, steps):
+        transcript = run_scenario(self.SETUP + steps, seed=5)
+        assert transcript.ok, transcript.text()
 
 
 class TestStepTable:

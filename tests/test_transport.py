@@ -284,6 +284,15 @@ def test_codec_round_trips_every_value_kind():
         {"data": ["Device", {"dict": {}}]},
         {"data": ["BootResult", {"dict": {"bogus": 1}}]},
         {"data": ["BootResult", [True]]},
+        {"data": ["BootResult", {"dict": {"running": 1, "version": 0, "reason": ""}}]},
+        {"data": ["BootResult", {"dict": {"running": True, "version": 0}}]},
+        {"data": ["InstallOutcome", {"dict": {"status": "bogus", "version": "x", "reason": None}}]},
+        {"data": ["InstallOutcome", {"dict": {"status": "bogus", "version": 1, "reason": ""}}]},
+        {"data": ["InstallOutcome", {"dict": {"status": "installed", "version": True, "reason": ""}}]},
+        {"data": ["AttestationReport", {"dict": {
+            "device_id": 2, "nonce": 5, "measurement": {"bytes": ""}, "tag": {"bytes": ""}}}]},
+        {"data": ["TamperPolicy", {"dict": {"kind": "stale", "bit_offset": 0}}]},
+        {"data": ["TamperPolicy", {"dict": {"kind": {"enum": ["TamperKind", "stale"]}, "bit_offset": 0, "x": 1}}]},
         {"error": ["ValueError", ["x"], {"dict": {}}]},
         {"error": ["SimulatedPowerLoss", ["x"], {"dict": {}}]},
         {"error": ["TokenRejected", "hash_mismatch", {"dict": {}}]},
@@ -294,6 +303,48 @@ def test_codec_round_trips_every_value_kind():
 def test_codec_rejects_unknown_tags_and_classes(wire):
     with pytest.raises(errors.ParseError):
         _decode(wire)
+
+
+# each wire dataclass and the exact type of each of its fields
+WIRE_FIELD_TYPES = {
+    TamperPolicy: {"kind": TamperKind, "bit_offset": int},
+    AttestationReport: {"device_id": int, "nonce": bytes, "measurement": bytes, "tag": bytes},
+    BootResult: {"running": bool, "version": int, "reason": str},
+    InstallOutcome: {"status": str, "version": int, "reason": str},
+}
+well_typed = {
+    TamperKind: st.sampled_from(TamperKind).map(_encode),
+    int: st.integers(),
+    bool: st.booleans(),
+    str: st.sampled_from(InstallOutcome.STATUSES) | st.text(max_size=8),
+    bytes: st.binary(max_size=40).map(_encode),
+}
+
+
+@st.composite
+def wire_dataclass_values(draw):
+    cls = draw(st.sampled_from(sorted(WIRE_FIELD_TYPES, key=lambda cls: cls.__name__)))
+    # each field: a value of its type, or any JSON value (json_values, defined below)
+    values = {key: well_typed[kind] | json_values for key, kind in WIRE_FIELD_TYPES[cls].items()}
+    fields = draw(
+        st.fixed_dictionaries(values)
+        | st.fixed_dictionaries({}, optional={**values, "extra": json_values})
+    )
+    return cls, {"data": [cls.__name__, {"dict": fields}]}
+
+
+@given(case=wire_dataclass_values())
+@settings(max_examples=300, deadline=None)
+def test_wire_dataclasses_decode_only_with_exactly_their_typed_fields(case):
+    cls, wire = case
+    try:
+        value = _decode(json.loads(json.dumps(wire)))
+    except errors.ParseError:
+        return
+    assert type(value) is cls
+    assert {key: type(item) for key, item in vars(value).items()} == WIRE_FIELD_TYPES[cls]
+    if cls is InstallOutcome:
+        assert value.status in InstallOutcome.STATUSES
 
 
 def test_codec_refuses_values_outside_its_tables():
