@@ -33,6 +33,7 @@ Step vocabulary:
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import shlex
 import subprocess
@@ -253,7 +254,11 @@ class World:
         if multiprocess:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="assured-repo-")
             save_repository(state, self._tmpdir.name)
-            address = self._spawn(["repo", "serve", "--dir", self._tmpdir.name, "--listen", "127.0.0.1:0"])
+            try:
+                address = self._spawn(["repo", "serve", "--dir", self._tmpdir.name, "--listen", "127.0.0.1:0"])
+            except AssuredError:
+                self._tmpdir.cleanup()
+                raise
             self.repo = RemoteRepoPort(address)
         else:
             self.repo = LocalRepoPort(state)
@@ -289,17 +294,26 @@ class World:
         )
 
     def _spawn(self, argv: list[str]) -> str:
-        process = subprocess.Popen(
-            [sys.executable, "-m", "assured", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
-        self._processes.append(process)
+        # the server imports this same package, whatever its working directory
+        package_parent = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        pythonpath = os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")]))
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "assured", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+                env={**os.environ, "PYTHONPATH": pythonpath},
+            )
+        except OSError as exc:
+            raise AssuredError(f"server process failed to start: {exc}") from exc
         line = process.stdout.readline().strip()  # type: ignore[union-attr]
         if not line.startswith("LISTENING "):
-            process.terminate()
-            raise RuntimeError(f"server process failed to start: {line!r}")
+            process.kill()
+            process.wait()
+            process.stdout.close()  # type: ignore[union-attr]
+            raise AssuredError(f"server process failed to start: {line!r}")
+        self._processes.append(process)
         return line[len("LISTENING "):]
 
     def close(self) -> None:
@@ -314,6 +328,7 @@ class World:
                 process.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 process.kill()
+            process.stdout.close()  # type: ignore[union-attr]
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
 

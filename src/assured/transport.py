@@ -1,6 +1,6 @@
 """Port abstractions over the repository and device, with two interchangeable
-implementations: direct in-process calls and a JSON-lines protocol over a
-local socket (TCP ``host:port`` or a unix-socket path).
+implementations: direct in-process calls and framed messages over a local
+socket (TCP ``host:port`` or a unix-socket path).
 
 The public methods of the local ports are the operations: a server runs them
 by name and a remote port forwards them, with one typed codec for arguments,
@@ -12,7 +12,6 @@ processes.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import io
 import json
@@ -124,9 +123,20 @@ DEVICE_OPS = tuple(name for name in vars(LocalDevicePort) if not name.startswith
 
 # --- wire codec ---------------------------------------------------------------------------
 
-# JSON null, booleans, integers, strings and arrays stand for themselves; every
-# JSON object is one tagged value {tag: payload} (see _encode). Any other JSON,
-# an unknown tag or a class outside these tables decodes to ParseError.
+# A frame is one message: a header line, json.dumps of a JSON object, then the
+# raw byte segments its "sizes" list counts, in order. A request header is
+# {"op": name, "args": [value, ...]} and a reply header {"ok": true, "result":
+# value} or {"ok": false, "error": value}; "sizes" comes last and only when
+# there are segments. In a header value, JSON null, booleans, integers,
+# strings and arrays stand for themselves, and every JSON object is one tagged
+# value {tag: payload} (see _encode). A bytes value is {"bytes": i}, the i-th
+# segment: references run 0, 1, ... in the order they appear, and each
+# segment is referenced exactly once. A decoder accepts only the bytes
+# _encode_frame writes; any other frame, an unknown tag or a class outside
+# these tables is a ParseError.
+
+_HEADER_CAP = 1 << 20  # bytes in a header line, newline included
+_FRAME_CAP = 16 << 20  # bytes in a header and its segments, 4x those of a 4 MiB artifact's frames
 
 _WIRE_ENUMS = {cls.__name__: cls for cls in (Mode, RoleKind, TamperKind)}
 _WIRE_DATACLASSES = {cls.__name__: cls for cls in (TamperPolicy, AttestationReport, BootResult, InstallOutcome)}
@@ -134,48 +144,65 @@ _WIRE_DATACLASSES = {cls.__name__: cls for cls in (TamperPolicy, AttestationRepo
 _WIRE_FIELDS = {name: typing.get_type_hints(cls) for name, cls in _WIRE_DATACLASSES.items()}
 _WIRE_ERRORS = {name: cls for name, cls in vars(errors).items()
                 if isinstance(cls, type) and issubclass(cls, AssuredError)}
+# the keys of a header, in order: a request, a result or an error, each with or without segments
+_HEADER_KEYS = {keys + sizes for keys in (("op", "args"), ("ok", "result"), ("ok", "error"))
+                for sizes in ((), ("sizes",))}
 
 
-def _encode(value):
+def _encode(value, segments: list[bytes]):
+    """The header form of ``value``; each bytes value is appended to ``segments``."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, bytes):
-        return {"bytes": base64.b64encode(value).decode("ascii")}
+        segments.append(value)
+        return {"bytes": len(segments) - 1}
     if isinstance(value, list):
-        return [_encode(item) for item in value]
+        return [_encode(item, segments) for item in value]
     if isinstance(value, dict):
-        return {"dict": {key: _encode(item) for key, item in value.items()}}
+        return {"dict": {key: _encode(item, segments) for key, item in value.items()}}
     if isinstance(value, AssuredError):
         # an error class defined elsewhere travels as its nearest errors.py base
         name = next(cls.__name__ for cls in type(value).__mro__ if _WIRE_ERRORS.get(cls.__name__) is cls)
-        return {"error": [name, _encode(list(value.args)), _encode(vars(value))]}
+        return {"error": [name, _encode(list(value.args), segments), _encode(vars(value), segments)]}
     name = type(value).__name__
     if _WIRE_ENUMS.get(name) is type(value):
         return {"enum": [name, value.value]}
     if _WIRE_DATACLASSES.get(name) is type(value):
-        return {"data": [name, _encode(vars(value))]}
+        return {"data": [name, _encode(vars(value), segments)]}
     raise TypeError(f"no wire encoding for {type(value).__name__}")
 
 
-def _decode(value):
+def _decode(value, segments: typing.Sequence[bytes] = ()):
+    """The value a header holds, whose bytes references use every one of ``segments``."""
+    refs = iter(enumerate(segments))
+    decoded = _decode_value(value, refs)
+    if next(refs, None) is not None:
+        raise ParseError("a frame segment is not referenced", "wire")
+    return decoded
+
+
+def _decode_value(value, refs):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, list):
-        return [_decode(item) for item in value]
+        return [_decode_value(item, refs) for item in value]
     if not isinstance(value, dict) or len(value) != 1:
         raise ParseError(f"not a wire value: {value!r:.80}", "wire")
     [(tag, payload)] = value.items()
     try:
         if tag == "bytes":
-            return base64.b64decode(payload, validate=True)
+            index, segment = next(refs, (None, None))
+            if type(payload) is not int or payload != index:
+                raise ValueError(f"reference {payload!r:.20} where segment {index} is next")
+            return segment
         if tag == "dict":
-            return {key: _decode(item) for key, item in payload.items()}
+            return {key: _decode_value(item, refs) for key, item in payload.items()}
         if tag == "enum":
             name, member = payload
             return _WIRE_ENUMS[name](member)
         if tag == "data":
             name, fields = payload
-            fields = _decode(fields)
+            fields = _decode_value(fields, refs)
             if {key: type(item) for key, item in fields.items()} != _WIRE_FIELDS[name]:
                 raise TypeError(f"{name} fields are not exactly {_WIRE_FIELDS[name]}")
             return _WIRE_DATACLASSES[name](**fields)
@@ -185,23 +212,77 @@ def _decode(value):
             if not isinstance(args, list):
                 raise TypeError("error args are not a list")
             error = cls.__new__(cls)
-            error.args = tuple(_decode(args))
-            vars(error).update(**_decode(attributes))
+            error.args = tuple(_decode_value(args, refs))
+            vars(error).update(**_decode_value(attributes, refs))
             return error
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad {tag!r} value: {exc!r}", "wire") from exc
     raise ParseError(f"unknown wire tag {tag!r}", "wire")
 
 
-def _json_line(obj: dict) -> bytes:
-    return json.dumps(obj).encode("ascii") + b"\n"
+def _encode_frame(message: dict) -> bytes:
+    """One frame holding ``message``, a request or a reply (see _HEADER_KEYS)."""
+    segments: list[bytes] = []
+    header = {key: _encode(value, segments) for key, value in message.items()}
+    if segments:
+        header["sizes"] = [len(segment) for segment in segments]
+    return b"".join([json.dumps(header).encode("ascii"), b"\n", *segments])
 
 
-def _read_request(line: bytes):
+def _read_frame(stream) -> tuple[bytes, list[bytes]] | None:
+    """The header line and segments of the next frame on ``stream``; None at its end.
+
+    Only the sizes are read from the header here: a header that is not a JSON
+    object listing sizes delimits a frame without segments, which _message
+    then rejects. A frame that cannot be delimited is a
+    ParseError, after which no next frame can be found; a stream that ends
+    inside a frame raises EOFError."""
+    line = stream.readline(_HEADER_CAP + 1)
+    if not line:
+        return None
+    if len(line) > _HEADER_CAP:
+        raise ParseError(f"frame header is longer than {_HEADER_CAP} bytes", "frame")
+    if not line.endswith(b"\n"):
+        raise EOFError("stream ended inside a frame header")
     try:
-        return json.loads(line)
+        header = json.loads(line)
+    except (ValueError, RecursionError):
+        return line, []
+    sizes = header.get("sizes", []) if isinstance(header, dict) else []
+    if not isinstance(sizes, list) or not all(type(size) is int and size >= 0 for size in sizes):
+        raise ParseError(f"frame sizes are not a list of byte counts: {sizes!r:.80}", "frame")
+    if len(line) + sum(sizes) > _FRAME_CAP:
+        raise ParseError(f"frame is longer than {_FRAME_CAP} bytes", "frame")
+    segments = [stream.read(size) for size in sizes]
+    if [len(segment) for segment in segments] != sizes:
+        raise EOFError("stream ended inside a frame segment")
+    return line, segments
+
+
+def _message(line: bytes, segments: list[bytes]) -> dict:
+    """The message of a frame _read_frame delimited."""
+    try:
+        header = json.loads(line)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-        raise ParseError(f"request is not JSON: {exc!r:.80}", "request") from exc
+        raise ParseError(f"frame header is not JSON: {exc!r:.80}", "header") from exc
+    if not isinstance(header, dict) or tuple(header) not in _HEADER_KEYS or header.get("sizes") == []:
+        raise ParseError(f"not a frame header: {line!r:.80}", "header")
+    if json.dumps(header).encode("ascii") + b"\n" != line:
+        raise ParseError("frame header is not in canonical form", "header")
+    keys = [key for key in header if key != "sizes"]
+    return dict(zip(keys, _decode([header[key] for key in keys], segments)))
+
+
+def _decode_frame(frame: bytes) -> dict:
+    """The message of one whole frame: a ParseError unless _encode_frame writes exactly ``frame``."""
+    stream = io.BytesIO(frame)
+    try:
+        delimited = _read_frame(stream)
+    except EOFError as exc:
+        raise ParseError(f"frame is cut short: {exc}", "frame") from exc
+    if delimited is None or stream.tell() != len(frame):
+        raise ParseError("not exactly one frame", "frame")
+    return _message(*delimited)
 
 
 def is_unix_address(spec: str) -> bool:
@@ -215,7 +296,7 @@ def parse_listen_address(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-# --- line reading ----------------------------------------------------------------------------
+# --- frame reading ---------------------------------------------------------------------------
 
 # How long a reader polls its socket before it sleeps in the kernel. Each
 # call is a closed loop between two processes: while one side works the
@@ -265,28 +346,36 @@ class _Server(socketserver.ThreadingTCPServer):
         self._lock = threading.Lock()
 
     def finish_request(self, connection: socket.socket, client_address) -> None:
-        """Answer each request line of one connection until the peer closes it."""
+        """Answer each frame of one connection until the peer closes it. A
+        frame that cannot be delimited is answered with its ParseError, and
+        the connection closed: no next frame can be found after it."""
         with _line_reader(connection) as reader:
-            for line in iter(reader.readline, b""):
+            while True:
                 try:
-                    reply = {"ok": True, "result": _encode(self.dispatch(_read_request(line)))}
+                    frame = _read_frame(reader)
+                except EOFError:
+                    return
+                except ParseError as exc:
+                    connection.sendall(_encode_frame({"ok": False, "error": exc}))
+                    return
+                if frame is None:
+                    return
+                try:
+                    reply = _encode_frame({"ok": True, "result": self.dispatch(_message(*frame))})
                 except AssuredError as exc:
-                    reply = {"ok": False, "error": _encode(exc)}
+                    reply = _encode_frame({"ok": False, "error": exc})
                 except Exception as exc:  # a crash-level failure; keep the connection alive
-                    reply = {"ok": False, "error": _encode(AssuredError(f"server error: {exc!r}"))}
-                connection.sendall(_json_line(reply))
+                    reply = _encode_frame({"ok": False, "error": AssuredError(f"server error: {exc!r}")})
+                connection.sendall(reply)
 
     def dispatch(self, request: dict):
         try:
-            if not isinstance(request, dict):
-                raise ParseError("request is not a JSON object", "request")
             op = request.get("op")
             if op not in self.ops:
                 raise AssuredError(f"unknown op {op!r}")
-            args = request.get("args")
+            args = request["args"]
             if not isinstance(args, list):
                 raise ParseError(f"args of {op!r} are not a list", "args")
-            args = _decode(args)
             with self._lock:
                 return getattr(self.port_impl, op)(*args)
         finally:
@@ -348,21 +437,19 @@ class _LineClient:
         self._reader = _line_reader(self._sock)
 
     def call(self, op: str, *args):
-        self._sock.sendall(_json_line({"op": op, "args": _encode(list(args))}))
-        line = self._reader.readline()
-        if not line:
-            raise AssuredError(f"connection closed during op {op!r}")
+        self._sock.sendall(_encode_frame({"op": op, "args": list(args)}))
         try:
-            reply = json.loads(line)
-            ok = reply.get("ok") if isinstance(reply, dict) else None
-            if ok is True and "result" in reply:
-                return _decode(reply["result"])
-            error = _decode(reply["error"]) if ok is False and "error" in reply else None
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"malformed reply to {op!r}: {exc!r}", "reply") from exc
-        if not isinstance(error, AssuredError):
-            raise ParseError(f"malformed reply to {op!r}", "reply")
-        raise error
+            frame = _read_frame(self._reader)
+        except EOFError:
+            frame = None
+        if frame is None:
+            raise AssuredError(f"connection closed during op {op!r}")
+        reply = _message(*frame)
+        if reply.get("ok") is True and "result" in reply:
+            return reply["result"]
+        if reply.get("ok") is False and isinstance(reply.get("error"), AssuredError):
+            raise reply["error"]
+        raise ParseError(f"malformed reply to {op!r}", "reply")
 
     def close(self) -> None:
         with contextlib.suppress(OSError):

@@ -159,6 +159,24 @@ def test_scenario_run_attack_builtin_multiprocess(workspace, capsys, monkeypatch
     assert "delivery-failed:replay_or_reorder" in out
 
 
+def test_scenario_run_multiprocess_with_a_relative_pythonpath(workspace, capsys, monkeypatch):
+    # "src" names nothing in the temp directory: the server processes must
+    # import the package this process runs
+    monkeypatch.setenv("PYTHONPATH", "src")
+    code, out = run(capsys, "scenario", "run", "channel-replay", "--multiprocess")
+    assert code == 0
+    assert "delivery-failed:replay_or_reorder" in out
+
+
+def test_scenario_run_multiprocess_reports_a_server_that_does_not_start(workspace, capsys, monkeypatch):
+    # with no standard library to import, a server process exits before it listens
+    monkeypatch.setenv("PYTHONHOME", str(workspace / "no-python-home"))
+    code, out = run(capsys, "scenario", "run", "channel-replay", "--multiprocess")
+    assert code == 1
+    assert out.startswith("error: AssuredError: server process failed to start")
+    assert "Traceback" not in out
+
+
 def test_scenario_run_file(workspace, capsys):
     (workspace / "s.scn").write_text(
         "enroll d model=1 id=1\nissue f version=2 model=1\npublish f -> ok\nsync -> ok:1\ndeliver d f -> installed:2\n"

@@ -1,5 +1,5 @@
 """The shared binary reader, the bit-flip helper, and the decode→re-encode
-property every binary decoder (and the JSON metadata decoder) keeps."""
+property every binary decoder (and the JSON metadata and wire frame decoders) keeps."""
 
 import random
 
@@ -19,8 +19,8 @@ from assured.authorization import (
 )
 from assured.codec import Reader, flip_bit
 from assured.controller import Controller, LocalPolicy, load_controller, save_controller
-from assured.device import Bank, Device, InstallOutcome, load_flash, save_flash
-from assured.errors import ParseError
+from assured.device import AttestationReport, Bank, Device, InstallOutcome, load_flash, save_flash
+from assured.errors import ParseError, ReplayOrReorder
 from assured.metadata import Mode, RoleKind, parse, serialize_canonical
 from assured.repository import (
     TamperKind,
@@ -33,6 +33,7 @@ from assured.repository import (
     save_repository,
     set_tamper,
 )
+from assured.transport import _decode_frame, _encode_frame
 
 
 def test_integers_are_big_endian_and_advance():
@@ -205,10 +206,17 @@ def _repository_case(tmp_path):
     return [(tmp_path / "in" / "private.bin").read_bytes()], round_trip
 
 
+def _wire_frame_case(tmp_path):
+    report = AttestationReport(device_id=2, nonce=b"\x01" * 4, measurement=b"\x02" * 4, tag=b"\x03" * 4)
+    request = _encode_frame({"op": "exchange", "args": [[b"\x00\x01", b"\xff" * 3], RoleKind.TARGETS, report]})
+    reply = _encode_frame({"ok": False, "error": ReplayOrReorder(3, 5)})
+    return [request, reply], lambda data: _encode_frame(_decode_frame(data))
+
+
 @pytest.mark.parametrize(
     "case",
-    [_metadata_case, _metadata_json_case, _token_case, _envelope_case, _controller_case, _flash_case, _install_status_case, _repository_case],
-    ids=["metadata", "metadata-json", "token", "envelope", "controller-state", "flash", "install-status", "repository-private"],
+    [_metadata_case, _metadata_json_case, _token_case, _envelope_case, _controller_case, _flash_case, _install_status_case, _repository_case, _wire_frame_case],
+    ids=["metadata", "metadata-json", "token", "envelope", "controller-state", "flash", "install-status", "repository-private", "wire-frame"],
 )
 def test_accepted_single_byte_mutants_reencode_to_themselves(tmp_path, case):
     """Each byte of each sample is set to 0x00, 0x01, 0x02, 0x80, 0xFF, and its

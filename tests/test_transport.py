@@ -1,6 +1,7 @@
-"""Local vs remote port equivalence: the JSON-lines servers must be
+"""Local vs remote port equivalence: the framed servers must be
 byte-for-byte and error-for-error interchangeable with direct calls."""
 
+import contextlib
 import json
 import random
 import socket
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from assured import crypto, errors
 from assured.authorization import Constraints, build_envelope, encode_token, issue_token, serialize_envelope
+from assured.controller import FRAME_PAYLOAD
 from assured.device import AttestationReport, BootResult, Device, InstallMode, InstallOutcome
 from assured.errors import AuthFailure, ChannelError, NotFound
 from assured.metadata import Mode, RoleKind
@@ -29,7 +31,11 @@ from assured.transport import (
     RemoteRepoPort,
     RepoServer,
     _decode,
+    _decode_frame,
     _encode,
+    _encode_frame,
+    _FRAME_CAP,
+    _HEADER_CAP,
     _line_reader,
     _LineClient,
     is_unix_address,
@@ -219,7 +225,7 @@ def sample_error(cls):
 
 
 def over_the_wire(value):
-    return _decode(json.loads(json.dumps(_encode(value))))
+    return _decode_frame(_encode_frame({"ok": True, "result": value}))["result"]
 
 
 ERROR_CLASSES = [
@@ -313,11 +319,11 @@ WIRE_FIELD_TYPES = {
     InstallOutcome: {"status": str, "version": int, "reason": str},
 }
 well_typed = {
-    TamperKind: st.sampled_from(TamperKind).map(_encode),
+    TamperKind: st.sampled_from(TamperKind).map(lambda kind: _encode(kind, [])),
     int: st.integers(),
     bool: st.booleans(),
     str: st.sampled_from(InstallOutcome.STATUSES) | st.text(max_size=8),
-    bytes: st.binary(max_size=40).map(_encode),
+    bytes: st.binary(max_size=40),  # encoded, with its segment, once the fields are drawn
 }
 
 
@@ -330,15 +336,17 @@ def wire_dataclass_values(draw):
         st.fixed_dictionaries(values)
         | st.fixed_dictionaries({}, optional={**values, "extra": json_values})
     )
-    return cls, {"data": [cls.__name__, {"dict": fields}]}
+    segments = []
+    fields = {key: _encode(item, segments) if isinstance(item, bytes) else item for key, item in fields.items()}
+    return cls, {"data": [cls.__name__, {"dict": fields}]}, segments
 
 
 @given(case=wire_dataclass_values())
 @settings(max_examples=300, deadline=None)
 def test_wire_dataclasses_decode_only_with_exactly_their_typed_fields(case):
-    cls, wire = case
+    cls, wire, segments = case
     try:
-        value = _decode(json.loads(json.dumps(wire)))
+        value = _decode(json.loads(json.dumps(wire)), segments)
     except errors.ParseError:
         return
     assert type(value) is cls
@@ -349,9 +357,92 @@ def test_wire_dataclasses_decode_only_with_exactly_their_typed_fields(case):
 
 def test_codec_refuses_values_outside_its_tables():
     with pytest.raises(TypeError):
-        _encode(InstallMode.DUAL_BANK)
+        _encode(InstallMode.DUAL_BANK, [])
     with pytest.raises(TypeError):
-        _encode(1.5)
+        _encode(1.5, [])
+
+
+# --- frames ------------------------------------------------------------------------
+
+
+def test_a_frame_is_a_json_header_line_then_the_raw_segments():
+    frame = _encode_frame({"op": "publish", "args": ["fw", b"\x00\n\xff", [b"", b"z"]]})
+    assert frame == (
+        b'{"op": "publish", "args": ["fw", {"bytes": 0}, [{"bytes": 1}, {"bytes": 2}]], "sizes": [3, 0, 1]}\n'
+        b"\x00\n\xffz"
+    )
+    assert _encode_frame({"op": "info", "args": []}) == b'{"op": "info", "args": []}\n'
+    assert _decode_frame(frame) == {"op": "publish", "args": ["fw", b"\x00\n\xff", [b"", b"z"]]}
+
+
+@pytest.mark.parametrize(
+    "wire, segments",
+    [
+        ({"bytes": 0}, []),
+        ({"bytes": 1}, [b"a", b"b"]),
+        ([{"bytes": 1}, {"bytes": 0}], [b"a", b"b"]),
+        ([{"bytes": 0}, {"bytes": 0}], [b"a"]),
+        ({"bytes": False}, [b"a"]),
+        ({"bytes": -1}, [b"a"]),
+        ({"bytes": "AB=="}, [b"\x00"]),
+        ({"bytes": 0}, [b"a", b"b"]),
+        ("no reference", [b"a"]),
+    ],
+    ids=["missing", "skips-one", "out-of-order", "reused", "bool", "negative", "base64", "one-unused", "all-unused"],
+)
+def test_bytes_references_name_every_segment_once_in_order(wire, segments):
+    with pytest.raises(errors.ParseError):
+        _decode(wire, segments)
+
+
+def frame_header(sizes) -> bytes:
+    return json.dumps({"op": "hello", "args": [{"bytes": 0}], "sizes": sizes}).encode() + b"\n"
+
+
+HEADER = frame_header([2])
+
+
+# each frame that cannot be delimited, sent whole: the server reads all of it
+UNDELIMITED = {
+    "header-over-cap": b"x" * (_HEADER_CAP + 1),
+    "sizes-not-a-list": frame_header(16),
+    "size-negative": frame_header([-1]),
+    "size-bool": frame_header([True]),
+    "size-float": frame_header([16.0]),
+    "size-text": frame_header(["16"]),
+    "frame-over-cap": frame_header([_FRAME_CAP]),
+}
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        b"",
+        HEADER,
+        HEADER + b"a",
+        HEADER + b"abc",
+        HEADER + b"ab" + HEADER + b"ab",
+        b'{"op": "hello", "args": [{"bytes": 0}], "sizes": [2]}' + b"ab",
+        b'{"op":"hello","args":[{"bytes":0}],"sizes":[2]}\nab',
+        b'{"op": "hello", "args": [{"bytes": 0}], "sizes": [2]}\r\nab',
+        b'{"op": "hello", "args": [{"bytes": 0}], "sizes": [2], "sizes": [2]}\nab',
+        b'{"sizes": [2], "op": "hello", "args": [{"bytes": 0}]}\nab',
+        b'{"args": [], "op": "info"}\n',
+        b'{"op": "info", "args": [], "sizes": []}\n',
+        b'{"op": "info", "args": [], "extra": 1}\n',
+        b'{"ok": true, "result": 1, "error": 2}\n',
+        b'{"ok": true}\n',
+        '{"op": "info", "args": ["\u00e9"]}\n'.encode(),
+    ],
+    ids=[
+        "empty", "no-segment", "short-segment", "trailing-byte", "two-frames", "no-newline", "compact-json",
+        "crlf", "duplicate-key", "sizes-first", "keys-reordered", "empty-sizes", "extra-key", "three-keys",
+        "no-result", "raw-utf8",
+    ],
+)
+def test_frame_decoder_accepts_only_what_the_encoder_writes(frame):
+    with pytest.raises(errors.ParseError):
+        _decode_frame(frame)
 
 
 # --- errors and ops across a connection ----------------------------------------------
@@ -420,6 +511,43 @@ def test_device_server_refuses_names_outside_its_ops(device_pair, op):
     assert remote.info()["id"] == 2
 
 
+@contextlib.contextmanager
+def client_reading(reply: bytes, then_end: bool = False):
+    """A client whose next reply is ``reply`` (then end of stream, if
+    ``then_end``), over a socketpair whose ends both have a timeout."""
+    near, far = socket.socketpair()
+    near.settimeout(10)
+    far.settimeout(10)
+    client = _LineClient.__new__(_LineClient)
+    client._sock, client._reader = near, _line_reader(near)
+
+    def send() -> None:
+        far.sendall(reply)
+        if then_end:
+            far.shutdown(socket.SHUT_WR)
+
+    sender = threading.Thread(target=send, daemon=True)
+    sender.start()
+    try:
+        yield client
+    finally:
+        sender.join(timeout=10)
+        client.close()
+        far.close()
+    assert not sender.is_alive()
+
+
+BAD_REPLY_FRAMES = {
+    **UNDELIMITED,
+    "reference-out-of-order": b'{"ok": true, "result": [{"bytes": 1}, {"bytes": 0}], "sizes": [1, 1]}\nab',
+    "segment-unused": b'{"ok": true, "result": 1, "sizes": [2]}\nab',
+    "empty-sizes": b'{"ok": true, "result": 1, "sizes": []}\n',
+    "not-canonical": b'{"ok":true,"result":{"bytes":0},"sizes":[2]}\nab',
+    "request-shaped": b'{"op": "info", "args": []}\n',
+    "error-not-an-error": b'{"ok": false, "error": {"bytes": 0}, "sizes": [2]}\nab',
+}
+
+
 @pytest.mark.parametrize(
     "reply",
     [
@@ -438,26 +566,38 @@ def test_device_server_refuses_names_outside_its_ops(device_pair, op):
         b'{"ok": true, "result": {"no-such-tag": 1}}\n',
         b'{"ok": true, "result": 1.5}\n',
         b"[" * 100_000 + b"\n",
+        *(pytest.param(reply, id=name) for name, reply in BAD_REPLY_FRAMES.items()),
     ],
 )
 def test_client_raises_parse_error_on_a_malformed_reply(reply):
-    near, far = socket.socketpair()
-    client = _LineClient.__new__(_LineClient)
-    client._sock, client._reader = near, _line_reader(near)
-    try:
-        far.sendall(reply)
-        with pytest.raises(errors.ParseError):
-            client.call("info")
-    finally:
-        client.close()
-        far.close()
+    with client_reading(reply) as client, pytest.raises(errors.ParseError):
+        client.call("info")
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"", b'{"ok": true, "result": 1', b'{"ok": true, "result": {"bytes": 0}, "sizes": [10]}\nabc'],
+    ids=["before-the-frame", "inside-the-header", "inside-a-segment"],
+)
+def test_client_raises_assured_error_when_the_stream_ends_inside_a_frame(reply):
+    with client_reading(reply, then_end=True) as client, pytest.raises(errors.AssuredError) as caught:
+        client.call("info")
+    assert type(caught.value) is errors.AssuredError
+    assert "connection closed" in str(caught.value)
 
 
 @pytest.fixture(scope="module")
-def device_connection():
+def device_address():
     oem = crypto.signing_key_from_seed(bytes(range(32)))
     server = DeviceServer(fresh_device(oem))
-    sock = socket.create_connection(parse_listen_address(serve_in_thread(server)), timeout=10)
+    yield parse_listen_address(serve_in_thread(server))
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture(scope="module")
+def device_connection(device_address):
+    sock = socket.create_connection(device_address, timeout=10)
     reader = _line_reader(sock)
 
     def exchange(line: bytes) -> dict:
@@ -467,8 +607,6 @@ def device_connection():
     yield exchange
     reader.close()
     sock.close()
-    server.shutdown()
-    server.server_close()
 
 
 def is_device_call(value) -> bool:
@@ -510,6 +648,137 @@ def test_server_answers_a_line_that_is_not_json_with_parse_error(device_connecti
     assert reply["ok"] is False
     assert type(_decode(reply["error"])) is errors.ParseError
     assert device_connection(b'{"op": "info", "args": []}\n')["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        HEADER.replace(b'"bytes": 0', b'"bytes": 1') + b"ab",
+        HEADER.replace(b'[{"bytes": 0}]', b"[]") + b"ab",
+        HEADER.replace(b'"args": [{"bytes": 0}]', b'"args": [{"bytes": 0}, {"bytes": 0}]') + b"ab",
+        HEADER.replace(b", ", b",") + b"ab",
+        b'{"sizes": [2], "op": "hello", "args": [{"bytes": 0}]}\nab',
+        b'{"op": "info", "args": [], "sizes": []}\n',
+        b'{"op": "info", "args": [], "sizes": [0]}\n',
+    ],
+    ids=["reference-out-of-order", "segment-unused", "segment-reused", "not-canonical", "sizes-first",
+         "empty-sizes", "unused-empty-segment"],
+)
+def test_server_answers_a_well_framed_bad_request_and_keeps_the_connection(device_connection, frame):
+    reply = device_connection(frame)
+    assert reply["ok"] is False
+    assert type(_decode(reply["error"])) is errors.ParseError
+    assert device_connection(b'{"op": "info", "args": []}\n')["ok"] is True
+
+
+@pytest.mark.parametrize("frame", UNDELIMITED.values(), ids=UNDELIMITED.keys())
+def test_server_answers_a_frame_it_cannot_delimit_and_closes_only_that_connection(device_address, frame):
+    with socket.create_connection(device_address, timeout=10) as bad, \
+            socket.create_connection(device_address, timeout=10) as good:
+        bad.sendall(frame)
+        with _line_reader(bad) as reader:
+            reply = json.loads(reader.readline())
+            assert reply["ok"] is False
+            assert type(_decode(reply["error"])) is errors.ParseError
+            assert reader.read() == b""  # the server closed the connection
+        good.sendall(b'{"op": "info", "args": []}\n')
+        with _line_reader(good) as reader:
+            assert json.loads(reader.readline())["ok"] is True
+
+
+def test_header_at_the_cap_is_still_read_as_one_frame(device_connection):
+    reply = device_connection(b"x" * (_HEADER_CAP - 1) + b"\n")
+    assert type(_decode(reply["error"])) is errors.ParseError
+    assert device_connection(b'{"op": "info", "args": []}\n')["ok"] is True
+
+
+# --- bytes on the wire --------------------------------------------------------------
+
+
+class CountingProxy:
+    """Forwards one connection to ``upstream`` and counts every byte each end
+    sends: ``counts`` is [client to server, server to client]."""
+
+    def __init__(self, upstream: str) -> None:
+        self.counts = [0, 0]
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(10)
+        self._upstream = parse_listen_address(upstream)
+        self._sockets: list[socket.socket] = []
+        self._threads = [threading.Thread(target=self._serve, daemon=True)]
+        self._threads[0].start()
+
+    @property
+    def address(self) -> str:
+        return "127.0.0.1:%d" % self._listener.getsockname()[1]
+
+    def _serve(self) -> None:
+        client, _ = self._listener.accept()
+        server = socket.create_connection(self._upstream, timeout=10)
+        client.settimeout(10)
+        self._sockets += [client, server]
+        for direction, (source, sink) in enumerate([(client, server), (server, client)]):
+            thread = threading.Thread(target=self._pump, args=(source, sink, direction), daemon=True)
+            thread.start()
+            self._threads.append(thread)
+
+    def _pump(self, source: socket.socket, sink: socket.socket, direction: int) -> None:
+        while data := source.recv(1 << 16):
+            self.counts[direction] += len(data)
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+
+    def total(self) -> int:
+        return sum(self.counts)
+
+    def close(self) -> None:
+        for thread in self._threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        for sock in [self._listener, *self._sockets]:
+            sock.close()
+
+
+def test_wire_bytes_are_within_one_percent_of_payload_bytes(oem_key):
+    """One publish of a 256 KiB envelope and one exchange of its sealed frames."""
+    artifact = bytes(range(256)) * 1024
+    token = issue_token(oem_key, artifact, Constraints(device_model=1, device_id=2, new_version=1))
+    envelope = serialize_envelope(build_envelope(token, artifact))
+    repo_server, device_server = RepoServer(fresh_state()), DeviceServer(fresh_device(oem_key))
+    repo_proxy = CountingProxy(serve_in_thread(repo_server))
+    device_proxy = CountingProxy(serve_in_thread(device_server))
+    repo, device = RemoteRepoPort(repo_proxy.address), RemoteDevicePort(device_proxy.address)
+    try:
+        repo.publish("fw", envelope)
+        publish_wire = repo_proxy.total()
+
+        controller_nonce = b"\x07" * 16
+        channel = crypto.Channel(K_ATT, 2, controller_nonce, device.hello(controller_nonce), controller=True)
+        [confirmation] = device.exchange([channel.seal(crypto.MSG_CONFIRM, channel.transcript)])
+        assert channel.open(confirmation) == (crypto.MSG_CONFIRM, channel.transcript)
+        handshake_wire = device_proxy.total()
+        chunks = [envelope[i : i + FRAME_PAYLOAD] for i in range(0, len(envelope), FRAME_PAYLOAD)]
+        frames = [
+            channel.seal(crypto.MSG_FINAL_CHUNK if i == len(chunks) - 1 else crypto.MSG_CHUNK, chunk)
+            for i, chunk in enumerate(chunks)
+        ]
+        replies = device.exchange(frames)
+        exchange_wire = device_proxy.total() - handshake_wire
+
+        kind, status = channel.open(replies[-1])
+        assert kind == crypto.MSG_STATUS
+        assert InstallOutcome.decode(status).status == InstallOutcome.INSTALLED
+    finally:
+        repo.close()
+        device.close()
+        repo_proxy.close()
+        device_proxy.close()
+        for server in (repo_server, device_server):
+            server.shutdown()
+            server.server_close()
+    payload = len(envelope) + sum(map(len, frames)) + sum(map(len, replies))
+    assert len(envelope) > 256 * 1024
+    assert publish_wire + exchange_wire <= 1.01 * payload
 
 
 # --- the traced benchmark binds transport internals by name --------------------------------
