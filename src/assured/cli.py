@@ -30,6 +30,7 @@ from .authorization import (
     parse_envelope,
     serialize_envelope,
 )
+from .codec import read_file
 from .controller import Controller, LocalPolicy, load_controller, save_controller
 from .device import Device, InstallMode, load_flash, save_flash
 from .errors import AssuredError, ParseError
@@ -72,18 +73,13 @@ def _load_controller(args) -> Controller:
     return ctrl
 
 
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _write(path: str, data: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(data)
 
 
 def _load_oem_key(path: str) -> crypto.SigningKeyPair:
-    seed = _read(path)
+    seed = read_file(path)
     if len(seed) != 32:
         raise SystemExit(f"{path}: OEM key file must hold a 32-byte seed")
     return crypto.signing_key_from_seed(seed)
@@ -116,7 +112,7 @@ def cmd_oem_keygen(args) -> int:
 
 def cmd_oem_issue(args) -> int:
     key = _load_oem_key(args.key)
-    artifact = _read(args.artifact)
+    artifact = read_file(args.artifact)
     constraints = Constraints(
         device_model=args.model,
         device_id=args.device,
@@ -144,7 +140,7 @@ def _dump_token(token: AuthorizationToken) -> None:
 
 
 def cmd_token_dump(args) -> int:
-    raw = _read(args.file)
+    raw = read_file(args.file)
     if raw[:4] == ENVELOPE_MAGIC:
         envelope = parse_envelope(raw)
         print(f"update envelope: {len(raw)} B total, artifact {len(envelope.artifact)} B")
@@ -185,7 +181,7 @@ def _with_repo(args, transform) -> int:
 
 
 def cmd_repo_publish(args) -> int:
-    envelope = _read(args.envelope)
+    envelope = read_file(args.envelope)
     return _with_repo(args, lambda state: repository.publish(state, args.name, envelope))
 
 
@@ -336,7 +332,7 @@ def cmd_device_init(args) -> int:
     attestation_key = bytes.fromhex(args.attestation_key) if args.attestation_key else rng.randbytes(32)
     device = _new_device(args, attestation_key, rng)
     if args.envelope:
-        envelope = parse_envelope(_read(args.envelope))
+        envelope = parse_envelope(read_file(args.envelope))
         device.provision_firmware(envelope.artifact, envelope.token)
     save_flash(device, args.flash)
     print(f"wrote {args.flash}; attestation key {attestation_key.hex()}")

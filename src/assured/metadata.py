@@ -72,7 +72,7 @@ class RoleKeys:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootBody:
     roles: dict[RoleKind, RoleKeys]
 
@@ -160,22 +160,38 @@ _BODY_ROLES = {
 RoleBody = RootBody | TargetsBody | SnapshotBody | TimestampBody
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoleMetadata:
+    """One signed role object; like a TargetRecord it encodes itself once,
+    on first use, in each mode, and keeps those bytes as long as it lives."""
+
     role: RoleKind
     version: int
     expires: int
     body: RoleBody
-    signatures: list[tuple[bytes, bytes]]  # (key_id, signature)
+    signatures: tuple[tuple[bytes, bytes], ...]  # (key_id, signature)
 
     def __post_init__(self) -> None:
         if _BODY_ROLES.get(type(self.body)) is not self.role:
             raise ValueError(f"{type(self.body).__name__} is not a {self.role.value} body")
         if self.version < 1:
             raise ValueError("metadata version must be >= 1")
+        object.__setattr__(self, "signatures", tuple(self.signatures))
         kids = [kid for kid, _ in self.signatures]
         if len(set(kids)) != len(kids):
             raise ValueError("key_ids within one metadata object must be distinct")
+
+    def canonical(self, mode: Mode) -> bytes:
+        """serialize_canonical(self, mode), computed at most once per mode."""
+        return self._binary if mode is Mode.FIXED_BINARY else self._json
+
+    @functools.cached_property
+    def _json(self) -> bytes:
+        return serialize_canonical(self, Mode.JSON)
+
+    @functools.cached_property
+    def _binary(self) -> bytes:
+        return serialize_canonical(self, Mode.FIXED_BINARY)
 
 
 # --- signed region (fixed-binary body encoding) ----------------------------------
@@ -494,7 +510,7 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
 
 # --- full-chain verification -----------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MetadataSet:
     root: RoleMetadata
     targets: RoleMetadata

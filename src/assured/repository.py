@@ -18,7 +18,7 @@ import operator
 import os
 import re
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import crypto
 from .authorization import parse_envelope, serialize_envelope
@@ -37,7 +37,6 @@ from .metadata import (
     TimestampBody,
     build_and_sign,
     parse,
-    serialize_canonical,
     signed_region_of,
 )
 
@@ -58,6 +57,8 @@ DEFAULT_THRESHOLDS = {
 
 # the signed region stores the record count as u16
 _U16_MAX = 0xFFFF
+# and expiries, clock + lifetime, as u64
+_CLOCK_MAX = 2**64 - 1 - max(LIFETIMES.values())
 _NAME_MAX = 255  # bytes in a file name on common file systems
 
 
@@ -87,21 +88,10 @@ class RepositoryState:
     # the serialized metadata set from before the first mutation (what the
     # stale-metadata tamper serves); empty until something is published
     archive: tuple[dict[RoleKind, bytes], ...] = ()
-    # each role's canonical bytes, filled on first use; replace() starts a
-    # new state with an empty cache, so publish pays no serialization, and
-    # clock and tamper steps share their parent's cache
-    _canonical: dict[RoleKind, bytes] = field(default_factory=dict, init=False, compare=False, repr=False)
-
-
-def _canonical_bytes(state: RepositoryState, role: RoleKind) -> bytes:
-    blob = state._canonical.get(role)
-    if blob is None:
-        blob = state._canonical[role] = serialize_canonical(state.metadata.by_role(role), state.mode)
-    return blob
 
 
 def _serialized_set(state: RepositoryState) -> dict[RoleKind, bytes]:
-    return {role: _canonical_bytes(state, role) for role in RoleKind}
+    return {role: state.metadata.by_role(role).canonical(state.mode) for role in RoleKind}
 
 
 def _sign_timestamp(
@@ -276,20 +266,17 @@ def rotate_root(state: RepositoryState, new_root_keys: list[crypto.SigningKeyPai
     )
 
 
-def _same_metadata(state: RepositoryState, **changes) -> RepositoryState:
-    """replace() for a change that leaves the metadata and mode as they are,
-    so the new state shares the serialization cache."""
-    new_state = replace(state, **changes)
-    object.__setattr__(new_state, "_canonical", state._canonical)
-    return new_state
-
-
 def advance_clock(state: RepositoryState, ticks: int) -> RepositoryState:
-    return _same_metadata(state, clock=state.clock + ticks)
+    """The clock ``ticks`` later (or earlier); ParseError unless every
+    expiry signed at the new clock still fits its u64."""
+    clock = state.clock + ticks
+    if not 0 <= clock <= _CLOCK_MAX:
+        raise ParseError(f"clock {state.clock} + {ticks} ticks is outside 0..{_CLOCK_MAX}", position="ticks")
+    return replace(state, clock=clock)
 
 
 def set_tamper(state: RepositoryState, policy: TamperPolicy) -> RepositoryState:
-    return _same_metadata(state, tamper=policy)
+    return replace(state, tamper=policy)
 
 
 # --- mirror fetch surface (tamper-transformed) -----------------------------------
@@ -298,7 +285,7 @@ def fetch_metadata(state: RepositoryState, role: RoleKind) -> bytes:
     """Serve role metadata bytes as the (untrusted) mirror would."""
     if state.tamper.kind is TamperKind.SERVE_STALE_METADATA and state.archive:
         return state.archive[0][role]
-    return _canonical_bytes(state, role)
+    return state.metadata.by_role(role).canonical(state.mode)
 
 
 def fetch_envelope(state: RepositoryState, name: str) -> bytes:

@@ -56,7 +56,7 @@ class LocalRepoPort:
     def trusted_root_bytes(self) -> bytes:
         # install-time trust anchor: read straight from the honest store,
         # not through the mirror's tamper layer
-        return repository._canonical_bytes(self.state, RoleKind.ROOT)
+        return self.state.metadata.root.canonical(self.state.mode)
 
     def publish(self, name: str, envelope_bytes: bytes) -> None:
         self.state = repository.publish(self.state, name, envelope_bytes)
@@ -429,27 +429,45 @@ def serve_in_thread(server) -> str:
 # --- remote clients --------------------------------------------------------------------------
 
 class _LineClient:
+    """One connection that carries one call at a time. A call that fails on
+    the connection, or gets no well-formed reply, closes the client: a late
+    reply must never be read as the answer to a next call."""
+
+    _address = "a socket"  # the peer its errors name; set by __init__
+
     def __init__(self, address: str, timeout: float = 30.0) -> None:
+        self._address = address
         unix = is_unix_address(address)
         self._sock = socket.socket(socket.AF_UNIX if unix else socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(address if unix else parse_listen_address(address))
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(address if unix else parse_listen_address(address))
+        except OSError as exc:
+            self._sock.close()
+            raise AssuredError(f"cannot connect to {address}: {type(exc).__name__}: {exc}") from exc
         self._reader = _line_reader(self._sock)
 
     def call(self, op: str, *args):
-        self._sock.sendall(_encode_frame({"op": op, "args": list(args)}))
+        request = _encode_frame({"op": op, "args": list(args)})
         try:
+            self._sock.sendall(request)
             frame = _read_frame(self._reader)
-        except EOFError:
-            frame = None
-        if frame is None:
-            raise AssuredError(f"connection closed during op {op!r}")
-        reply = _message(*frame)
-        if reply.get("ok") is True and "result" in reply:
+            if frame is None:
+                raise EOFError("no reply")
+            reply = _message(*frame)
+            if not (reply.get("ok") is True and "result" in reply
+                    or reply.get("ok") is False and isinstance(reply.get("error"), AssuredError)):
+                raise ParseError(f"malformed reply to {op!r}", "reply")
+        except (OSError, EOFError) as exc:
+            self.close()
+            reason = f"{type(exc).__name__}: {exc}"
+            raise AssuredError(f"connection closed during op {op!r} to {self._address}: {reason}") from exc
+        except ParseError:
+            self.close()
+            raise
+        if reply["ok"]:
             return reply["result"]
-        if reply.get("ok") is False and isinstance(reply.get("error"), AssuredError):
-            raise reply["error"]
-        raise ParseError(f"malformed reply to {op!r}", "reply")
+        raise reply["error"]
 
     def close(self) -> None:
         with contextlib.suppress(OSError):

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -249,3 +252,53 @@ def test_missing_state_file_is_a_parse_error(workspace, capsys, argv):
     assert code == 1
     assert out.startswith("error: ParseError: missing file")
     assert argv[3] in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oem", "issue", "--key", "nope.key", "--artifact", "fw.bin", "--new-version", "1", "--out", "fw.env"],
+        ["oem", "issue", "--key", "oem.key", "--artifact", "nope.bin", "--new-version", "1", "--out", "fw.env"],
+        ["repo", "publish", "--dir", "repo", "--name", "fw", "--envelope", "nope.env"],
+        ["device", "init", "--flash", "dev.flash", "--model", "1", "--id", "1", "--oem-public", "00" * 32,
+         "--envelope", "nope.env"],
+        ["token", "dump", "nope.env"],
+    ],
+    ids=["oem-key", "artifact", "publish-envelope", "device-envelope", "token-dump"],
+)
+def test_missing_input_file_is_a_parse_error(workspace, capsys, argv):
+    run(capsys, "oem", "keygen", "--out", "oem.key", "--seed", "1")
+    run(capsys, "repo", "init", "--dir", "repo", "--seed", "2")
+    (workspace / "fw.bin").write_bytes(b"\x01" * 16)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    missing = next(arg for arg in argv if arg.startswith("nope"))
+    assert out == f"error: ParseError: missing file (at {missing})\n"
+    assert not os.path.exists("fw.env") and not os.path.exists("dev.flash")
+
+
+def test_repo_advance_rejects_a_clock_outside_u64(workspace, capsys):
+    assert run(capsys, "repo", "init", "--dir", "repo", "--seed", "1")[0] == 0
+    before = (workspace / "repo" / "private.bin").read_bytes()
+    for ticks in ("-5", "99999999999999999999"):
+        code, out = run(capsys, "repo", "advance", "--dir", "repo", "--ticks", ticks)
+        assert code == 1
+        assert out.startswith(f"error: ParseError: clock 0 + {ticks} ticks is outside") and out.count("\n") == 1
+    assert (workspace / "repo" / "private.bin").read_bytes() == before
+
+
+def test_an_unreachable_repository_is_one_error_line(workspace):
+    with socket.socket() as sock:  # a port just bound and released: nothing listens there
+        sock.bind(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % sock.getsockname()[1]
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    # -X dev reports a socket left unclosed as a ResourceWarning on stderr
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "assured", "controller", "init", "--state", "s", "--repo", address],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: AssuredError: cannot connect to {address}: ConnectionRefusedError")
+    assert result.stderr.count("\n") == 1 and result.stdout == ""
+    assert not os.path.exists("s")

@@ -178,7 +178,8 @@ class TestThresholds:
     def test_duplicate_signatures_count_once(self, role_keys):
         keys = role_keys[RoleKind.TARGETS]
         meta = build_and_sign(SnapshotBody(1, 1), 1, 10, keys[:1])
-        meta.signatures = meta.signatures * 2  # sidestep construction-time distinctness
+        # sidestep construction-time distinctness on the frozen value
+        object.__setattr__(meta, "signatures", meta.signatures * 2)
         with pytest.raises(ThresholdNotMet):
             verify_role_signatures(meta, RoleKeys(threshold=2, keys=tuple(k.public for k in keys)))
 

@@ -1,6 +1,7 @@
 """Repository state transitions, the tamper layer, and the on-disk layout."""
 
 import os
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from assured.authorization import (
     parse_envelope,
     serialize_envelope,
 )
-from assured import repository
+from assured import metadata, repository
 from assured.errors import Expired, NotFound, ParseError, PublishRejected, VersionRollback
 from assured.metadata import (
     Mode,
@@ -202,6 +203,18 @@ def test_honest_store_verifies_after_any_mutation_sequence(ops):
     verify_full_chain(metadata_set.root, metadata_set, now=state.clock)
 
 
+@pytest.mark.parametrize("ticks", [-1, -20, 2**64, repository._CLOCK_MAX + 1])
+def test_advance_clock_refuses_a_clock_an_expiry_could_not_follow(fresh_repo, ticks, tmp_path):
+    with pytest.raises(ParseError, match="ticks is outside"):
+        advance_clock(fresh_repo, ticks)
+    # at the highest clock it accepts, every expiry signed still fits its u64
+    state = advance_clock(fresh_repo, repository._CLOCK_MAX)
+    state = publish_vanilla(refresh_timestamp(state), "fw", b"\x01" * 8)
+    state = rotate_root(state, seeded_keys(b"R", 2))
+    save_repository(state, str(tmp_path))
+    assert load_repository(str(tmp_path)).metadata == state.metadata
+
+
 def test_expiry_then_refresh(fresh_repo):
     state = advance_clock(fresh_repo, LIFETIMES[RoleKind.TIMESTAMP] + 1)
     metadata_set = state.metadata
@@ -327,14 +340,16 @@ def test_fetch_serializes_each_role_once_per_state(monkeypatch, oem_key, mode):
         serialized.append(meta.role)
         return serialize_canonical(meta, mode)
 
-    monkeypatch.setattr(repository, "serialize_canonical", counting)
+    monkeypatch.setattr(metadata, "serialize_canonical", counting)
     fetch_metadata(state, RoleKind.TIMESTAMP)
     assert serialized == [RoleKind.TIMESTAMP]
     for _ in range(3):
         served = {role: fetch_metadata(state, role) for role in RoleKind}
-    assert sorted(r.value for r in serialized) == sorted(r.value for r in RoleKind)
+    # the publish's three new roles are encoded once each; root, carried
+    # over with the bytes the archive step encoded, not at all
+    assert sorted(r.value for r in serialized) == ["snapshot", "targets", "timestamp"]
     assert served == {role: serialize_canonical(state.metadata.by_role(role), mode) for role in RoleKind}
-    # a new state value starts with an empty cache
+    # a refresh's new timestamp is encoded anew
     assert fetch_metadata(refresh_timestamp(state), RoleKind.TIMESTAMP) != served[RoleKind.TIMESTAMP]
 
 
@@ -347,7 +362,7 @@ def test_clock_and_tamper_steps_keep_the_serialization_cache(monkeypatch, fresh_
         serialized.append(meta.role)
         return serialize_canonical(meta, mode)
 
-    monkeypatch.setattr(repository, "serialize_canonical", counting)
+    monkeypatch.setattr(metadata, "serialize_canonical", counting)
     stepped = set_tamper(advance_clock(state, 3), TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE))
     assert {role: fetch_metadata(stepped, role) for role in RoleKind} == before
     assert LocalRepoPort(stepped).trusted_root_bytes() == before[RoleKind.ROOT]
@@ -355,6 +370,70 @@ def test_clock_and_tamper_steps_keep_the_serialization_cache(monkeypatch, fresh_
     # a publish after the steps still serializes its new metadata
     assert fetch_metadata(publish_vanilla(stepped, "fw2", b"\x01" * 8), RoleKind.TARGETS) != before[RoleKind.TARGETS]
     assert serialized == [RoleKind.TARGETS]
+
+
+# each step and the roles it replaces; publishing "a" or "b" a second time
+# replaces an existing record
+SERVING_STEPS = {
+    ("publish", "a"): {RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP},
+    ("publish", "b"): {RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP},
+    ("publish_vanilla", "b"): {RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP},
+    ("publish_vanilla", "c"): {RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP},
+    ("refresh", ""): {RoleKind.TIMESTAMP},
+    ("advance", ""): set(),
+    ("tamper", "stale"): set(),
+    ("tamper", "flip-bit"): set(),
+    ("rotate_root", ""): {RoleKind.ROOT, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP},
+}
+
+
+def serving_step(state, step, index: int, envelope_bytes: bytes):
+    op, arg = step
+    if op == "publish":
+        return publish(state, arg, envelope_bytes)
+    if op == "publish_vanilla":
+        return publish_vanilla(state, arg, bytes([index]) * 16)
+    if op == "refresh":
+        return refresh_timestamp(state)
+    if op == "advance":
+        return advance_clock(state, 3)
+    if op == "tamper":
+        return set_tamper(state, TamperPolicy(kind=TamperKind(arg)))
+    return rotate_root(state, seeded_keys(bytes([index + 1]), 2))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(steps=st.lists(st.sampled_from(sorted(SERVING_STEPS)), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_no_served_encoding_goes_stale(mode, steps):
+    """After every transition, what the repository serves and saves is a fresh
+    encoding of its current roles, and each role the step did not replace is
+    the object (with the encodings) it was before."""
+    artifact = b"\xaa" * 64
+    token = issue_token(crypto.signing_key_from_seed(b"\x07" * 32), artifact, Constraints(new_version=2))
+    envelope_bytes = serialize_envelope(build_envelope(token, artifact))
+    state = new_repository(
+        root_keys=seeded_keys(b"r", 2),
+        targets_keys=seeded_keys(b"t", 2),
+        snapshot_keys=seeded_keys(b"s", 1),
+        timestamp_keys=seeded_keys(b"w", 1),
+        mode=mode,
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        for index, step in enumerate(steps):
+            before = state.metadata
+            state = serving_step(state, step, index, envelope_bytes)
+            fresh = {role: serialize_canonical(state.metadata.by_role(role), mode) for role in RoleKind}
+            honest = set_tamper(state, TamperPolicy())
+            assert {role: fetch_metadata(honest, role) for role in RoleKind} == fresh
+            assert LocalRepoPort(state).trusted_root_bytes() == fresh[RoleKind.ROOT]
+            save_repository(state, directory)
+            for role in RoleKind:
+                name = repository._filename(role, state.metadata.by_role(role).version)
+                with open(os.path.join(directory, name), "rb") as fh:
+                    assert fh.read() == fresh[role]
+                kept = state.metadata.by_role(role) is before.by_role(role)
+                assert kept is (role not in SERVING_STEPS[step])
 
 
 def test_publish_rejects_name_too_long_for_the_encoding(fresh_repo, oem_key):

@@ -2,12 +2,14 @@
 byte-for-byte and error-for-error interchangeable with direct calls."""
 
 import contextlib
+import gc
 import json
 import random
 import socket
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -584,6 +586,72 @@ def test_client_raises_assured_error_when_the_stream_ends_inside_a_frame(reply):
         client.call("info")
     assert type(caught.value) is errors.AssuredError
     assert "connection closed" in str(caught.value)
+
+
+@contextlib.contextmanager
+def no_resource_warnings():
+    """Fails if the block leaves a socket or file for the garbage collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def released_port_address() -> str:
+    """A loopback address that nothing listens on: a port just bound and released."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return "127.0.0.1:%d" % sock.getsockname()[1]
+
+
+def test_a_refused_connect_is_an_assured_error_naming_the_address():
+    address = released_port_address()
+    with no_resource_warnings():
+        error = raised(lambda: RemoteRepoPort(address))
+        assert type(error) is errors.AssuredError
+        assert str(error).startswith(f"cannot connect to {address}: ConnectionRefusedError")
+        del error  # its traceback holds the client that failed to connect
+
+
+def test_an_unanswered_call_times_out_and_no_late_reply_answers_the_next_call():
+    with socket.create_server(("127.0.0.1", 0)) as listener, no_resource_warnings():
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+        timed_out = threading.Event()
+
+        def answer_late() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(1 << 16)
+                timed_out.wait(10)
+                with contextlib.suppress(OSError):
+                    conn.sendall(_encode_frame({"ok": True, "result": 1}))
+
+        server = threading.Thread(target=answer_late, daemon=True)
+        server.start()
+        client = _LineClient(address, timeout=0.3)
+        first = raised(lambda: client.call("clock"))
+        timed_out.set()
+        server.join(timeout=10)
+        assert not server.is_alive()
+        assert type(first) is errors.AssuredError
+        assert str(first).startswith(f"connection closed during op 'clock' to {address}: TimeoutError")
+        second = raised(lambda: client.call("clock"))
+        assert type(second) is errors.AssuredError and "connection closed" in str(second)
+        del first, second, client
+
+
+def test_a_clock_step_outside_u64_is_refused_alike_over_the_wire(repo_pair):
+    local, remote = repo_pair
+    for ticks in (-20, 2**64):
+        errors_raised = [raised(lambda: port.advance_clock(ticks)) for port in repo_pair]
+        assert [type(e) for e in errors_raised] == [errors.ParseError] * 2
+        assert str(errors_raised[0]) == str(errors_raised[1])
+    # the server keeps serving the state the refused steps left unchanged
+    assert remote.clock() == local.clock() == 0
+    remote.refresh()
+    local.refresh()
+    assert remote.fetch_metadata(RoleKind.TIMESTAMP) == local.fetch_metadata(RoleKind.TIMESTAMP)
 
 
 @pytest.fixture(scope="module")
