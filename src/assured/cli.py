@@ -10,6 +10,7 @@ hex-dumps a 136-byte token or an envelope for debugging.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -85,19 +86,29 @@ def _load_oem_key(path: str) -> crypto.SigningKeyPair:
     return crypto.signing_key_from_seed(seed)
 
 
+@contextlib.contextmanager
 def _repo_port(spec: str):
+    """The repository at a directory or a served address; a connection
+    opened for an address is closed when the block exits, however it exits."""
     if os.path.isdir(spec):
-        return LocalRepoPort(load_repository(spec))
-    return RemoteRepoPort(spec)
+        yield LocalRepoPort(load_repository(spec))
+    else:
+        with contextlib.closing(RemoteRepoPort(spec)) as port:
+            yield port
 
 
+@contextlib.contextmanager
 def _device_port(args):
+    """(port, device): a served device (device None, closed on exit) or
+    one loaded from its flash file."""
     if getattr(args, "device_addr", None):
-        return RemoteDevicePort(args.device_addr), None
-    if getattr(args, "flash", None):
+        with contextlib.closing(RemoteDevicePort(args.device_addr)) as port:
+            yield port, None
+    elif getattr(args, "flash", None):
         device = load_flash(args.flash, rng=_rng(getattr(args, "seed", None)))
-        return LocalDevicePort(device), device
-    raise SystemExit("need --device-addr (host:port or socket path) or --flash file")
+        yield LocalDevicePort(device), device
+    else:
+        raise SystemExit("need --device-addr (host:port or socket path) or --flash file")
 
 
 # --- oem -----------------------------------------------------------------------------
@@ -224,8 +235,9 @@ def cmd_repo_serve(args) -> int:
 # --- controller ------------------------------------------------------------------------
 
 def cmd_controller_init(args) -> int:
-    repo = _repo_port(args.repo)
-    trusted_root = parse(repo.trusted_root_bytes(), repo.mode())
+    with _repo_port(args.repo) as repo:
+        mode = repo.mode()
+        trusted_root = parse(repo.trusted_root_bytes(), mode)
     window = None
     if args.window:
         start, _, end = args.window.partition(":")
@@ -233,7 +245,7 @@ def cmd_controller_init(args) -> int:
     models = frozenset(int(m) for m in args.models.split(",")) if args.models else None
     ctrl = Controller(
         trusted_root=trusted_root,
-        mode=repo.mode(),
+        mode=mode,
         policy=LocalPolicy(window=window, allowed_models=models),
         rng=_rng(args.seed),
     )
@@ -258,12 +270,12 @@ def cmd_controller_enroll(args) -> int:
 
 def cmd_controller_sync(args) -> int:
     ctrl = _load_controller(args)
-    repo = _repo_port(args.repo)
-    try:
-        batch = ctrl.sync(repo)
-    except AssuredError as exc:
-        print(f"sync failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    with _repo_port(args.repo) as repo:
+        try:
+            batch = ctrl.sync(repo)
+        except AssuredError as exc:
+            print(f"sync failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
     save_controller(ctrl, args.state)
     for item in batch:
         print(f"verified {item.name}: artifact {len(item.envelope.artifact)} B")
@@ -273,37 +285,36 @@ def cmd_controller_sync(args) -> int:
 
 def cmd_controller_deliver(args) -> int:
     ctrl = _load_controller(args)
-    repo = _repo_port(args.repo)
-    port, device = _device_port(args)
-    ctrl.seen_targets.pop(args.name, None)  # re-verify and re-deliver idempotently
-    try:
-        batch = ctrl.sync(repo)
-    except AssuredError as exc:
-        print(f"sync failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    wanted = [item for item in batch if item.name == args.name]
-    if not wanted:
-        print(f"no verified envelope named {args.name!r}", file=sys.stderr)
-        return 1
-    try:
-        session = ctrl.open_channel(port, args.device)
-        outcome = ctrl.deliver(session, wanted[0])
-    except AssuredError as exc:
-        print(f"delivery failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        save_controller(ctrl, args.state)
-        if device is not None and args.flash:
-            save_flash(device, args.flash)
+    with _repo_port(args.repo) as repo, _device_port(args) as (port, device):
+        ctrl.seen_targets.pop(args.name, None)  # re-verify and re-deliver idempotently
+        try:
+            batch = ctrl.sync(repo)
+        except AssuredError as exc:
+            print(f"sync failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        wanted = [item for item in batch if item.name == args.name]
+        if not wanted:
+            print(f"no verified envelope named {args.name!r}", file=sys.stderr)
+            return 1
+        try:
+            session = ctrl.open_channel(port, args.device)
+            outcome = ctrl.deliver(session, wanted[0])
+        except AssuredError as exc:
+            print(f"delivery failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            save_controller(ctrl, args.state)
+            if device is not None and args.flash:
+                save_flash(device, args.flash)
     print(f"device reports {outcome.status} (version {outcome.version}) {outcome.reason}")
     return 0 if outcome.status == "installed" else 1
 
 
 def cmd_controller_attest(args) -> int:
     ctrl = _load_controller(args)
-    port, device = _device_port(args)
     expected = bytes.fromhex(args.expected) if args.expected else None
-    result = ctrl.request_attestation(port, args.device, expected_digest=expected)
+    with _device_port(args) as (port, device):
+        result = ctrl.request_attestation(port, args.device, expected_digest=expected)
     save_controller(ctrl, args.state)
     if device is not None and args.flash:
         save_flash(device, args.flash)

@@ -11,11 +11,16 @@ Frame layout (byte-exact wire contract):
     8-byte big-endian sequence || 4-byte big-endian payload length
     || ciphertext || 32-byte HMAC tag over everything before the tag
 
-Every channel plaintext is one kind byte (``MSG_*``) and its payload.
+Every channel plaintext is one kind byte (``MSG_*``) and its payload. Each
+direction's ``SessionKeys`` keys one AES-CTR context and one HMAC state once;
+a frame resets the context to its counter block ``sequence || 0^8`` and tags
+with a copy of the keyed HMAC state, so a frame's bytes are those of a fresh
+cipher and MAC under the same keys. A key object belongs to one channel end.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import struct
@@ -77,6 +82,11 @@ class SigningKeyPair:
         if len(self.private) != KEY_LEN or len(self.public) != PUBLIC_KEY_LEN:
             raise ValueError("signing key material must be 32 bytes each")
 
+    @functools.cached_property
+    def signer(self) -> ed25519.Ed25519PrivateKey:
+        """The private key loaded from ``private``, once, on first use."""
+        return ed25519.Ed25519PrivateKey.from_private_bytes(self.private)
+
 
 def signing_key_from_seed(seed: bytes) -> SigningKeyPair:
     if len(seed) != KEY_LEN:
@@ -86,8 +96,7 @@ def signing_key_from_seed(seed: bytes) -> SigningKeyPair:
 
 
 def sign(key: SigningKeyPair, message: bytes) -> bytes:
-    private = ed25519.Ed25519PrivateKey.from_private_bytes(key.private)
-    return private.sign(message)
+    return key.signer.sign(message)
 
 
 class VerificationCounter:
@@ -142,8 +151,26 @@ def key_id(public: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class SessionKeys:
+    """One direction's keys, and the AES-CTR context and HMAC state keyed
+    from them once, on first use.
+
+    Sealing and opening reset the context and copy the state, so a key
+    object is mutable state: it belongs to one channel end and is not
+    shared across threads.
+    """
+
     enc_key: bytes
     mac_key: bytes
+
+    @functools.cached_property
+    def ctr(self):
+        """AES-CTR encryptor under ``enc_key``; every frame resets its counter block."""
+        return Cipher(algorithms.AES(self.enc_key), modes.CTR(bytes(16))).encryptor()
+
+    @functools.cached_property
+    def keyed_mac(self):
+        """HMAC-SHA256 state keyed with ``mac_key`` and fed nothing; frames tag with copies."""
+        return _hmac.new(self.mac_key, digestmod=hashlib.sha256)
 
 
 def derive_session_keys(master: bytes, controller_nonce: bytes, device_nonce: bytes) -> SessionKeys:
@@ -161,20 +188,26 @@ def derive_session_keys(master: bytes, controller_nonce: bytes, device_nonce: by
     )
 
 
-def _keystream_xor(enc_key: bytes, sequence: int, data: bytes) -> bytes:
+def _keystream_xor(keys: SessionKeys, sequence: int, data: bytes) -> bytes:
     # CTR initial block is the frame sequence; sequences never repeat within
-    # a direction, so counter blocks never collide.
-    nonce = struct.pack(">Q", sequence) + bytes(8)
-    encryptor = Cipher(algorithms.AES(enc_key), modes.CTR(nonce)).encryptor()
-    return encryptor.update(data) + encryptor.finalize()
+    # a direction, so counter blocks never collide. The reset also drops any
+    # keystream left over from the previous frame's partial block.
+    keys.ctr.reset_nonce(struct.pack(">Q", sequence) + bytes(8))
+    return keys.ctr.update(data)
+
+
+def _frame_tag(keys: SessionKeys, header: bytes, ciphertext: bytes) -> bytes:
+    state = keys.keyed_mac.copy()
+    state.update(header)
+    state.update(ciphertext)
+    return state.digest()
 
 
 def seal(keys: SessionKeys, sequence: int, plaintext: bytes) -> bytes:
     """Encrypt-then-MAC ``plaintext`` into a framed message."""
     header = struct.pack(">QI", sequence, len(plaintext))
-    ciphertext = _keystream_xor(keys.enc_key, sequence, plaintext)
-    tag = mac(keys.mac_key, header + ciphertext)
-    return header + ciphertext + tag
+    ciphertext = _keystream_xor(keys, sequence, plaintext)
+    return header + ciphertext + _frame_tag(keys, header, ciphertext)
 
 
 def open_frame(keys: SessionKeys, expected_sequence: int, frame: bytes) -> bytes:
@@ -191,14 +224,14 @@ def open_frame(keys: SessionKeys, expected_sequence: int, frame: bytes) -> bytes
     header = frame[:FRAME_HEADER_LEN]
     body = frame[FRAME_HEADER_LEN:-TAG_LEN]
     tag = frame[-TAG_LEN:]
-    if not mac_equal(tag, mac(keys.mac_key, header + body)):
+    if not mac_equal(tag, _frame_tag(keys, header, body)):
         raise AuthFailure("frame tag mismatch")
     sequence, length = struct.unpack(">QI", header)
     if len(body) != length:
         raise MalformedFrame(f"payload length field {length} != {len(body)} actual")
     if sequence != expected_sequence:
         raise ReplayOrReorder(expected_sequence, sequence)
-    return _keystream_xor(keys.enc_key, sequence, body)
+    return _keystream_xor(keys, sequence, body)
 
 
 class Channel:

@@ -302,3 +302,57 @@ def test_an_unreachable_repository_is_one_error_line(workspace):
     assert result.stderr.startswith(f"error: AssuredError: cannot connect to {address}: ConnectionRefusedError")
     assert result.stderr.count("\n") == 1 and result.stdout == ""
     assert not os.path.exists("s")
+
+
+def test_remote_controller_commands_close_their_connections(workspace, capsys):
+    (workspace / "fw1.bin").write_bytes(b"\x01" * 200)
+    (workspace / "fw2.bin").write_bytes(b"\x02" * 300)
+    _, out = run(capsys, "oem", "keygen", "--out", "oem.key", "--seed", "1")
+    oem_public = out.strip().rsplit(" ", 1)[-1]
+    for version in (1, 2):
+        run(
+            capsys, "oem", "issue", "--key", "oem.key", "--artifact", f"fw{version}.bin",
+            "--new-version", str(version), "--model", "5", "--out", f"fw{version}.env",
+        )
+    run(capsys, "repo", "init", "--dir", "repo", "--seed", "2")
+    run(capsys, "repo", "publish", "--dir", "repo", "--name", "fw2", "--envelope", "fw2.env")
+    attestation_key = "ab" * 32
+    run(
+        capsys, "device", "init", "--flash", "dev.flash", "--model", "5", "--id", "9",
+        "--oem-public", oem_public, "--attestation-key", attestation_key, "--envelope", "fw1.env",
+    )
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    servers = [
+        subprocess.Popen([sys.executable, "-m", "assured", *argv], stdout=subprocess.PIPE, text=True, env=env)
+        for argv in (["repo", "serve", "--dir", "repo"], ["device", "run", "--flash", "dev.flash"])
+    ]
+    try:
+        repo_address, device_address = (server.stdout.readline().split()[-1] for server in servers)
+
+        def remote(*argv) -> str:
+            # -X dev reports a socket left unclosed as a ResourceWarning on stderr
+            result = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "assured", "controller", *argv, "--state", "ctrl.bin"],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert result.returncode == 0 and result.stderr == "", result.stderr
+            return result.stdout
+
+        assert "trust anchor" in remote("init", "--repo", repo_address)
+        code, _ = run(
+            capsys, "controller", "enroll", "--state", "ctrl.bin", "--device", "9", "--model", "5",
+            "--attestation-key", attestation_key, "--version", "1",
+            "--digest", hashlib.sha256(b"\x01" * 200).hexdigest(),
+        )
+        assert code == 0
+        assert "1 new envelope" in remote("sync", "--repo", repo_address)
+        assert "installed" in remote(
+            "deliver", "--repo", repo_address, "--device", "9", "--name", "fw2", "--device-addr", device_address
+        )
+        assert "attestation verified" in remote("attest", "--device", "9", "--device-addr", device_address)
+    finally:
+        for server in servers:
+            server.terminate()
+            server.wait(timeout=10)
+            server.stdout.close()

@@ -1,8 +1,12 @@
 """Primitive layer: known-answer vectors, determinism, bit-flip rejection,
 session-key derivation, channel framing, and the shared channel end."""
 
+import struct
+
 import pytest
-from hypothesis import given, settings
+from cryptography.hazmat.primitives.asymmetric import ed25519
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assured import crypto
@@ -49,8 +53,33 @@ HMAC_VECTORS = [
 ]
 
 
+# Frames sealed under derive_session_keys(b"\x07" * 32, b"\x0c" * 16, b"\x0d" * 16):
+# (sequence, plaintext, frame).
+FRAME_VECTORS = [
+    (
+        0x0102030405060708,
+        b"ab",
+        "010203040506070800000002b40cda17ba37f408846834a9f0433681a12e0ffa3d9fbc5d38a895b64ace070683ac",
+    ),
+    (
+        0,
+        bytes(range(17)),
+        "000000000000000000000011c7ae93a11ea0b848393488b898a1ee6576e47751dcd04476f37ec5455129f7c643872dbd2f3efe3cd3494c38bf4372e01f",
+    ),
+]
+
+
 def session_keys(master: bytes = bytes(32)) -> crypto.SessionKeys:
     return crypto.derive_session_keys(master, bytes(16), b"\x01" * 16)
+
+
+def reference_frame(keys: crypto.SessionKeys, sequence: int, plaintext: bytes) -> bytes:
+    """The frame from a fresh AES-CTR cipher at counter block sequence || 0^8
+    and a fresh HMAC over header || ciphertext."""
+    header = struct.pack(">QI", sequence, len(plaintext))
+    encryptor = Cipher(algorithms.AES(keys.enc_key), modes.CTR(struct.pack(">Q", sequence) + bytes(8))).encryptor()
+    ciphertext = encryptor.update(plaintext) + encryptor.finalize()
+    return header + ciphertext + crypto.mac(keys.mac_key, header + ciphertext)
 
 
 class TestHash:
@@ -113,6 +142,20 @@ class TestSignatures:
     def test_sign_verify_property(self, message):
         key = crypto.signing_key_from_seed(bytes(31) + b"\x07")
         assert crypto.verify(key.public, message, crypto.sign(key, message))
+
+    @given(st.binary(min_size=32, max_size=32), st.lists(st.binary(max_size=256), min_size=1, max_size=4))
+    @settings(max_examples=50)
+    def test_sign_equals_a_freshly_loaded_key(self, seed, messages):
+        key = crypto.signing_key_from_seed(seed)
+        for message in messages:
+            assert crypto.sign(key, message) == ed25519.Ed25519PrivateKey.from_private_bytes(key.private).sign(message)
+
+    def test_key_pairs_from_one_seed_are_equal_whether_or_not_they_signed(self, oem_key):
+        first, second = crypto.signing_key_from_seed(oem_key.private), crypto.signing_key_from_seed(oem_key.private)
+        for signer in (None, first, second):
+            if signer is not None:
+                crypto.sign(signer, b"m")
+            assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
 
     def test_counter_increments_and_resets(self, oem_key):
         sig = crypto.sign(oem_key, b"x")
@@ -205,6 +248,52 @@ class TestChannelFrames:
     def test_seal_open_identity(self, payload, sequence):
         keys = session_keys()
         assert crypto.open_frame(keys, sequence, crypto.seal(keys, sequence, payload)) == payload
+
+    @pytest.mark.parametrize("sequence,plaintext,frame", FRAME_VECTORS)
+    def test_known_answer_frames(self, sequence, plaintext, frame):
+        keys = crypto.derive_session_keys(b"\x07" * 32, b"\x0c" * 16, b"\x0d" * 16)
+        assert crypto.seal(keys, sequence, plaintext) == bytes.fromhex(frame)
+        assert crypto.open_frame(keys, sequence, bytes.fromhex(frame)) == plaintext
+
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.tuples(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16)),
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(2**64 - 1), st.integers(min_value=0, max_value=2**64 - 1)),
+                st.one_of(st.sampled_from([15, 16, 17]), st.integers(min_value=0, max_value=5000)),
+                st.sampled_from(["none", "flip", "replay", "truncate"]),
+                st.integers(min_value=0, max_value=2**32),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @example(
+        bytes(32),
+        (bytes(16), b"\x01" * 16),
+        [(2**64 - 1, 15, "flip", 3), (0, 16, "replay", 0), (5, 17, "truncate", 40), (2**64 - 1, 17, "none", 0)],
+    )
+    @settings(max_examples=100)
+    def test_one_key_object_seals_and_opens_frames_as_fresh_ones_would(self, master, nonces, steps):
+        keys = crypto.derive_session_keys(master, *nonces)
+        for sequence, length, failure, pick in steps:
+            plaintext = (bytes(range(256)) * 21)[pick % 256 : pick % 256 + length]
+            frame = crypto.seal(keys, sequence, plaintext)
+            assert frame == reference_frame(keys, sequence, plaintext)
+            if failure == "flip":
+                mutant = bytearray(frame)
+                mutant[pick % len(frame)] ^= 1 << (pick % 8)
+                with pytest.raises(AuthFailure):
+                    crypto.open_frame(keys, sequence, bytes(mutant))
+            elif failure == "replay":
+                assert crypto.open_frame(keys, sequence, frame) == plaintext
+                with pytest.raises(ReplayOrReorder):
+                    crypto.open_frame(keys, sequence + 1, frame)
+            elif failure == "truncate":
+                with pytest.raises((AuthFailure, MalformedFrame)):
+                    crypto.open_frame(keys, sequence, frame[: pick % len(frame)])
+            assert crypto.open_frame(keys, sequence, frame) == plaintext
 
 
 def channel_ends(master: bytes = b"\x07" * 32) -> tuple[crypto.Channel, crypto.Channel]:

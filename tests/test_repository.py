@@ -1,5 +1,6 @@
 """Repository state transitions, the tamper layer, and the on-disk layout."""
 
+import hashlib
 import os
 import tempfile
 from dataclasses import replace
@@ -135,6 +136,24 @@ def test_saved_repository_keeps_every_envelope(tmp_path, fresh_repo, envelope):
     assert loaded.envelopes == state.envelopes
     for name in names:
         assert fetch_envelope(loaded, name) == envelope
+
+
+def test_saved_repository_bytes_are_pinned(tmp_path, fresh_repo, envelope):
+    # signatures come from each key pair's once-loaded private key; Ed25519 is
+    # deterministic, so the files are exactly those of a key loaded per signature
+    save_repository(publish(fresh_repo, "fw", envelope), str(tmp_path))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in os.listdir(tmp_path)
+        if name.endswith(".meta") or name == "private.bin"
+    }
+    assert digests == {
+        "private.bin": "b83c83839beff6c70c5c70adb1b7a1f63a1890dcd18227d54b4368f11316f4a3",
+        "root.1.meta": "1a241f34503b0b6662ec633a4b9b6a5cea143610093fef0acc4effe7a6db4552",
+        "snapshot.meta": "41e800cb4124a7f1096b804043686e21fd4494c283da4b3575399adcedc43c87",
+        "targets.2.meta": "e7ea2ff5712aa51c876ee0f6458d745ccb9e6ff5ec96323688d8db01c2b611f3",
+        "timestamp.meta": "446991fac7fd474c74e72e107a5266d05f28eeb232c7874ba2d9cbd96466f5c6",
+    }
 
 
 def test_publish_inconsistent_token_rejected(fresh_repo, oem_key):
