@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .codec import Reader
-from .errors import ConstraintViolation, ParseError, TokenRejected
+from .errors import ConstraintViolation, InvalidConstraints, ParseError, TokenRejected
 
 TOKEN_LEN = 136
 CONSTRAINTS_LEN = 32
@@ -55,11 +55,11 @@ class Constraints:
         for name in ("device_model", "device_id", "required_prev_version", "new_version"):
             value = getattr(self, name)
             if not 0 <= value <= _U64_MAX:
-                raise ValueError(f"{name} out of u64 range: {value}")
+                raise InvalidConstraints(f"{name} out of u64 range: {value}")
         if self.new_version < 1:
-            raise ValueError("new_version must be >= 1")
+            raise InvalidConstraints("new_version must be >= 1")
         if self.required_prev_version and self.new_version <= self.required_prev_version:
-            raise ValueError("new_version must exceed required_prev_version")
+            raise InvalidConstraints("new_version must exceed required_prev_version")
 
     def encode(self) -> bytes:
         return struct.pack(

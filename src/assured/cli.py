@@ -34,7 +34,7 @@ from .authorization import (
 from .codec import read_file
 from .controller import Controller, LocalPolicy, load_controller, save_controller
 from .device import Device, InstallMode, load_flash, save_flash
-from .errors import AssuredError, ParseError
+from .errors import AssuredError, NotFound, ParseError
 from .harness import (
     BUILTIN_SCENARIOS,
     adversary_table,
@@ -66,12 +66,25 @@ def _rng(seed: int | None) -> random.Random:
 
 def _load_controller(args) -> Controller:
     """Load the controller state file. A seeded rng is derived from the seed
-    and the length of the nonce log, so repeated runs with one seed stay
-    deterministic but never draw a nonce again."""
+    and the count of nonces drawn, so repeated runs with one seed stay
+    deterministic but never draw a handshake or attestation nonce again."""
     ctrl = load_controller(args.state)
     if args.seed is not None:
-        ctrl.rng = random.Random(f"{args.seed}:{len(ctrl.nonce_log)}")
+        ctrl.rng = random.Random(f"{args.seed}:{ctrl.nonces_drawn}")
     return ctrl
+
+
+# --- option converters: a malformed value is a usage error naming its option ------------
+
+def maintenance_window(text: str) -> tuple[int, int]:
+    """``start:end`` in ticks, checked by LocalPolicy."""
+    start, _, end = text.partition(":")
+    return LocalPolicy(window=(int(start), int(end))).window
+
+
+def model_list(text: str) -> frozenset[int]:
+    """Comma-separated models, checked by LocalPolicy."""
+    return LocalPolicy(allowed_models=frozenset(int(model) for model in text.split(","))).allowed_models
 
 
 def _write(path: str, data: bytes) -> None:
@@ -238,15 +251,10 @@ def cmd_controller_init(args) -> int:
     with _repo_port(args.repo) as repo:
         mode = repo.mode()
         trusted_root = parse(repo.trusted_root_bytes(), mode)
-    window = None
-    if args.window:
-        start, _, end = args.window.partition(":")
-        window = (int(start), int(end))
-    models = frozenset(int(m) for m in args.models.split(",")) if args.models else None
     ctrl = Controller(
         trusted_root=trusted_root,
         mode=mode,
-        policy=LocalPolicy(window=window, allowed_models=models),
+        policy=LocalPolicy(window=args.window, allowed_models=args.models),
         rng=_rng(args.seed),
     )
     save_controller(ctrl, args.state)
@@ -259,9 +267,9 @@ def cmd_controller_enroll(args) -> int:
     ctrl.enroll(
         device_id=args.device,
         device_model=args.model,
-        attestation_key=bytes.fromhex(args.attestation_key),
+        attestation_key=args.attestation_key,
         installed_version=args.version,
-        installed_digest=bytes.fromhex(args.digest) if args.digest else crypto.hash_data(b""),
+        installed_digest=args.digest or crypto.hash_data(b""),
     )
     save_controller(ctrl, args.state)
     print(f"enrolled device {args.device} (model {args.model})")
@@ -271,11 +279,7 @@ def cmd_controller_enroll(args) -> int:
 def cmd_controller_sync(args) -> int:
     ctrl = _load_controller(args)
     with _repo_port(args.repo) as repo:
-        try:
-            batch = ctrl.sync(repo)
-        except AssuredError as exc:
-            print(f"sync failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
+        batch = ctrl.sync(repo)
     save_controller(ctrl, args.state)
     for item in batch:
         print(f"verified {item.name}: artifact {len(item.envelope.artifact)} B")
@@ -287,21 +291,13 @@ def cmd_controller_deliver(args) -> int:
     ctrl = _load_controller(args)
     with _repo_port(args.repo) as repo, _device_port(args) as (port, device):
         ctrl.seen_targets.pop(args.name, None)  # re-verify and re-deliver idempotently
-        try:
-            batch = ctrl.sync(repo)
-        except AssuredError as exc:
-            print(f"sync failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
+        batch = ctrl.sync(repo)
         wanted = [item for item in batch if item.name == args.name]
         if not wanted:
-            print(f"no verified envelope named {args.name!r}", file=sys.stderr)
-            return 1
+            raise NotFound(f"no verified envelope named {args.name!r}")
         try:
             session = ctrl.open_channel(port, args.device)
             outcome = ctrl.deliver(session, wanted[0])
-        except AssuredError as exc:
-            print(f"delivery failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
         finally:
             save_controller(ctrl, args.state)
             if device is not None and args.flash:
@@ -312,9 +308,8 @@ def cmd_controller_deliver(args) -> int:
 
 def cmd_controller_attest(args) -> int:
     ctrl = _load_controller(args)
-    expected = bytes.fromhex(args.expected) if args.expected else None
     with _device_port(args) as (port, device):
-        result = ctrl.request_attestation(port, args.device, expected_digest=expected)
+        result = ctrl.request_attestation(port, args.device, expected_digest=args.expected or None)
     save_controller(ctrl, args.state)
     if device is not None and args.flash:
         save_flash(device, args.flash)
@@ -331,7 +326,7 @@ def _new_device(args, attestation_key: bytes, rng: random.Random) -> Device:
     return Device(
         device_model=args.model,
         device_id=args.id,
-        oem_public=bytes.fromhex(args.oem_public),
+        oem_public=args.oem_public,
         attestation_key=attestation_key,
         install_mode=InstallMode(args.install_mode),
         rng=rng,
@@ -340,7 +335,7 @@ def _new_device(args, attestation_key: bytes, rng: random.Random) -> Device:
 
 def cmd_device_init(args) -> int:
     rng = _rng(args.seed)
-    attestation_key = bytes.fromhex(args.attestation_key) if args.attestation_key else rng.randbytes(32)
+    attestation_key = args.attestation_key or rng.randbytes(32)
     device = _new_device(args, attestation_key, rng)
     if args.envelope:
         envelope = parse_envelope(read_file(args.envelope))
@@ -357,7 +352,7 @@ def cmd_device_run(args) -> int:
         for required in ("model", "id", "oem_public", "attestation_key"):
             if getattr(args, required) is None:
                 raise SystemExit(f"--{required.replace('_', '-')} is required without --flash")
-        device = _new_device(args, bytes.fromhex(args.attestation_key), _rng(args.rng_seed))
+        device = _new_device(args, args.attestation_key, _rng(args.rng_seed))
     server = make_device_server(device, args.listen)
     if args.flash:
         server.after_op = lambda: save_flash(device, args.flash)
@@ -488,17 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
     cinit = controller.add_parser("init")
     cinit.add_argument("--state", required=True)
     cinit.add_argument("--repo", required=True, help="repository dir or host:port")
-    cinit.add_argument("--window", help="maintenance window start:end in ticks")
-    cinit.add_argument("--models", help="comma-separated allowed models")
+    cinit.add_argument("--window", type=maintenance_window, help="maintenance window start:end in ticks")
+    cinit.add_argument("--models", type=model_list, help="comma-separated allowed models")
     cinit.add_argument("--seed", type=int)
     cinit.set_defaults(func=cmd_controller_init)
     enroll = controller.add_parser("enroll")
     enroll.add_argument("--state", required=True)
     enroll.add_argument("--device", type=int, required=True)
     enroll.add_argument("--model", type=int, required=True)
-    enroll.add_argument("--attestation-key", required=True, help="hex pre-shared master key")
+    enroll.add_argument("--attestation-key", type=bytes.fromhex, required=True, help="hex pre-shared master key")
     enroll.add_argument("--version", type=int, default=0)
-    enroll.add_argument("--digest", help="hex digest of the installed artifact")
+    enroll.add_argument("--digest", type=bytes.fromhex, help="hex digest of the installed artifact")
     enroll.add_argument("--seed", type=int)
     enroll.set_defaults(func=cmd_controller_enroll)
     csync = controller.add_parser("sync")
@@ -520,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     attest.add_argument("--device", type=int, required=True)
     attest.add_argument("--device-addr")
     attest.add_argument("--flash")
-    attest.add_argument("--expected", help="hex expected measurement (default: registry)")
+    attest.add_argument("--expected", type=bytes.fromhex, help="hex expected measurement (default: registry)")
     attest.add_argument("--seed", type=int)
     attest.set_defaults(func=cmd_controller_attest)
 
@@ -529,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     dinit.add_argument("--flash", required=True)
     dinit.add_argument("--model", type=int, required=True)
     dinit.add_argument("--id", type=int, required=True)
-    dinit.add_argument("--oem-public", required=True, help="hex OEM public key")
-    dinit.add_argument("--attestation-key", help="hex master key (generated if omitted)")
+    dinit.add_argument("--oem-public", type=bytes.fromhex, required=True, help="hex OEM public key")
+    dinit.add_argument("--attestation-key", type=bytes.fromhex, help="hex master key (generated if omitted)")
     dinit.add_argument("--envelope", help="factory firmware envelope")
     dinit.add_argument("--install-mode", choices=["dual", "single"], default="dual")
     dinit.add_argument("--seed", type=int)
@@ -542,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     drun.add_argument("--flash")
     drun.add_argument("--model", type=int)
     drun.add_argument("--id", type=int)
-    drun.add_argument("--oem-public")
-    drun.add_argument("--attestation-key")
+    drun.add_argument("--oem-public", type=bytes.fromhex)
+    drun.add_argument("--attestation-key", type=bytes.fromhex)
     drun.add_argument("--install-mode", choices=["dual", "single"], default="dual")
     drun.add_argument("--rng-seed", type=int)
     drun.set_defaults(func=cmd_device_run)

@@ -26,7 +26,6 @@ from .errors import (
     NotVerifiedBySync,
     ParseError,
     PolicyDeferred,
-    channel_reason,
 )
 from .metadata import (
     ROLE_TAGS,
@@ -53,9 +52,11 @@ class LocalPolicy:
     window: tuple[int, int] | None = None
     allowed_models: frozenset[int] | None = None
 
-    def __post_init__(self) -> None:
-        if self.window is not None and self.window[0] > self.window[1]:
-            raise ValueError("maintenance window start must not exceed end")
+    def __post_init__(self) -> None:  # the state file stores each bound and model as a u64
+        if self.window is not None and not 0 <= self.window[0] <= self.window[1] < 2**64:
+            raise ValueError(f"maintenance window {self.window} is not 0 <= start <= end < 2**64")
+        if self.allowed_models is not None and not all(0 <= model < 2**64 for model in self.allowed_models):
+            raise ValueError("allowed models must each be a u64")
 
 
 @dataclass
@@ -112,7 +113,8 @@ class Controller:
         self.last_seen: dict[RoleKind, int] = {}
         self.registry: dict[int, DeviceRecord] = {}
         self.seen_targets: dict[str, bytes] = {}
-        self.nonce_log: list[bytes] = []
+        self.nonces_drawn = 0  # handshake and attestation nonces alike; a seeded rng restarts from it
+        self.nonce_log: list[bytes] = []  # the attestation nonces
         self._nonces_used: set[bytes] = set()  # nonce_log as a set, for the reuse check
         # the metadata set the last full sync committed; in memory only, so a
         # loaded controller's first sync takes the full path
@@ -213,10 +215,14 @@ class Controller:
 
     # --- authenticated channel ---------------------------------------------------------------
 
+    def _draw_nonce(self) -> bytes:
+        self.nonces_drawn += 1
+        return self.rng.randbytes(crypto.NONCE_LEN)
+
     def open_channel(self, device_port, device_id: int) -> ChannelSession:
         """Two-message nonce exchange, then mutual transcript confirmation."""
         record = self.registry[device_id]
-        controller_nonce = self.rng.randbytes(crypto.NONCE_LEN)
+        controller_nonce = self._draw_nonce()
         channel = crypto.Channel(
             record.attestation_key, device_id, controller_nonce, device_port.hello(controller_nonce), controller=True
         )
@@ -246,7 +252,7 @@ class Controller:
                 raise DeliveryFailed(AttestOutcome.MISSING)
             kind, status = session.channel.open(replies[-1])
         except ChannelError as exc:
-            raise DeliveryFailed(channel_reason(exc)) from exc
+            raise DeliveryFailed(exc.reason) from exc
         if kind != crypto.MSG_STATUS:
             raise DeliveryFailed("device reply is not a status frame")
         outcome = InstallOutcome.decode(status)
@@ -266,7 +272,7 @@ class Controller:
         against the expected measurement. Nonces are never reused."""
         record = self.registry[device_id]
         expected = record.expected_digest if expected_digest is None else expected_digest
-        nonce = self.rng.randbytes(crypto.NONCE_LEN)
+        nonce = self._draw_nonce()
         if nonce in self._nonces_used:
             raise NonceCollision(f"attestation nonce {nonce.hex()} drawn twice")
         self._nonces_used.add(nonce)
@@ -291,7 +297,8 @@ _STATE_MAGIC = b"ASCS"
 
 def save_controller(ctrl: Controller, path: str) -> None:
     """Fixed-width binary persistence of trusted root, version floors,
-    device registry, policy, and the attestation nonce log."""
+    device registry, policy, the count of nonces drawn and, last, the
+    attestation nonce log."""
     out = bytearray(_STATE_MAGIC)
     out += struct.pack(">QB", ctrl.clock, 0 if ctrl.mode is Mode.JSON else 1)
     root_blob = serialize_canonical(ctrl.trusted_root, Mode.FIXED_BINARY)
@@ -320,7 +327,7 @@ def save_controller(ctrl: Controller, path: str) -> None:
         out += b"\x01" + struct.pack(">I", len(ctrl.policy.allowed_models))
         for model in sorted(ctrl.policy.allowed_models):
             out += struct.pack(">Q", model)
-    out += struct.pack(">I", len(ctrl.nonce_log))
+    out += struct.pack(">QI", ctrl.nonces_drawn, len(ctrl.nonce_log))
     for nonce in ctrl.nonce_log:
         out += nonce
     with open(path, "wb") as fh:
@@ -355,9 +362,12 @@ def load_controller(path: str, rng: random.Random | None = None) -> Controller:
     allowed = None
     if reader.flag("allow-list flag"):
         allowed = frozenset(reader.increasing(reader.u32("allow-list count"), reader.u64, "model"))
+    nonces_drawn = reader.u64("nonces drawn")
     nonces_at = reader.offset
     nonce_log = [reader.take(16, "nonce") for _ in range(reader.u32("nonce count"))]
     reader.end("controller state")
+    if nonces_drawn < len(nonce_log):
+        raise ParseError(f"{len(nonce_log)} logged nonces but {nonces_drawn} drawn", position=nonces_at)
     nonces_used = set(nonce_log)
     if len(nonces_used) != len(nonce_log):
         raise ParseError("attestation nonce log repeats a nonce", position=nonces_at)
@@ -368,6 +378,7 @@ def load_controller(path: str, rng: random.Random | None = None) -> Controller:
     ctrl.last_seen = last_seen
     ctrl.registry = registry
     ctrl.seen_targets = seen
+    ctrl.nonces_drawn = nonces_drawn
     ctrl.nonce_log = nonce_log
     ctrl._nonces_used = nonces_used
     return ctrl

@@ -180,7 +180,7 @@ def derive_session_keys(master: bytes, controller_nonce: bytes, device_nonce: by
     enc_key != mac_key for all inputs.
     """
     if len(controller_nonce) != NONCE_LEN or len(device_nonce) != NONCE_LEN:
-        raise ValueError("channel nonces must be exactly 16 bytes")
+        raise ChannelError("channel nonces must be exactly 16 bytes")
     suffix = controller_nonce + device_nonce
     return SessionKeys(
         enc_key=mac(master, _ENC_LABEL + suffix),
@@ -248,8 +248,6 @@ class Channel:
     def __init__(
         self, master: bytes, device_id: int, controller_nonce: bytes, device_nonce: bytes, controller: bool
     ) -> None:
-        if len(controller_nonce) != NONCE_LEN or len(device_nonce) != NONCE_LEN:
-            raise ChannelError("channel nonces must be exactly 16 bytes")
         to_device = derive_session_keys(master, controller_nonce, device_nonce)
         to_controller = derive_session_keys(master, device_nonce, controller_nonce)
         self._send, self._receive = (to_device, to_controller) if controller else (to_controller, to_device)

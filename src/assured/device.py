@@ -291,7 +291,7 @@ class Device:
             verify_token(self.__oem_public, envelope.artifact, token)
             evaluate_constraints(token.constraints, self.device_model, self.device_id, self._installed_version)
         except (TokenRejected, ConstraintViolation) as exc:
-            return InstallOutcome(InstallOutcome.REJECTED, reason=str(exc))
+            return InstallOutcome(InstallOutcome.REJECTED, reason=exc.reason)
         staging = self._banks[1 - self._active]
         self._write(staging.clear)
         self._write_artifact(staging, envelope.artifact)
@@ -316,7 +316,7 @@ class Device:
             # image is in flash (there is no room to stage it)
             evaluate_constraints(token.constraints, self.device_model, self.device_id, self._installed_version)
         except ConstraintViolation as exc:
-            return InstallOutcome(InstallOutcome.REJECTED, reason=str(exc))
+            return InstallOutcome(InstallOutcome.REJECTED, reason=exc.reason)
         bank = self._banks[self._active]
         previous_version = self._installed_version
         self._write(bank.clear)

@@ -12,18 +12,32 @@ class AssuredError(Exception):
     """Base class for every protocol-level rejection."""
 
 
+class Rejection(AssuredError):
+    """A rejection whose message is the ``reason`` token it is raised with."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
 # --- authenticated channel -------------------------------------------------
 
 class ChannelError(AssuredError):
-    pass
+    """A channel failure; its reason token is its class's ``reason``."""
+
+    reason = "channel_error"
 
 
 class AuthFailure(ChannelError):
     """Frame tag did not verify (corruption or wrong session keys)."""
 
+    reason = "auth_failure"
+
 
 class ReplayOrReorder(ChannelError):
     """Frame sequence number differs from the expected counter."""
+
+    reason = "replay_or_reorder"
 
     def __init__(self, expected: int, got: int) -> None:
         super().__init__(f"expected sequence {expected}, got {got}")
@@ -33,6 +47,8 @@ class ReplayOrReorder(ChannelError):
 
 class MalformedFrame(ChannelError):
     """Frame too short or internally inconsistent lengths."""
+
+    reason = "malformed_frame"
 
 
 # --- serialization ----------------------------------------------------------
@@ -74,7 +90,7 @@ class BindingMismatch(MetadataError):
 
 # --- authorization tokens / constraints --------------------------------------
 
-class TokenRejected(AssuredError):
+class TokenRejected(Rejection):
     """Token failed verification against an artifact.
 
     ``reason`` is one of HASH_MISMATCH / SIZE_MISMATCH / BAD_SIGNATURE.
@@ -84,22 +100,18 @@ class TokenRejected(AssuredError):
     SIZE_MISMATCH = "size_mismatch"
     BAD_SIGNATURE = "bad_signature"
 
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+
+class InvalidConstraints(AssuredError):
+    """Constraints no token may carry, refused before signing."""
 
 
-class ConstraintViolation(AssuredError):
+class ConstraintViolation(Rejection):
     """Constraints did not admit this device/version combination."""
 
     WRONG_MODEL = "wrong_model"
     WRONG_DEVICE = "wrong_device"
     VERSION_NOT_MONOTONIC = "version_not_monotonic"
     PATCH_ORDER_VIOLATION = "patch_order_violation"
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 # --- repository / controller -------------------------------------------------
@@ -116,19 +128,13 @@ class EnvelopeMismatch(AssuredError):
     """Fetched envelope disagrees with its signed targets record."""
 
 
-class PolicyDeferred(AssuredError):
+class PolicyDeferred(Rejection):
     OUTSIDE_WINDOW = "outside_window"
     MODEL_BLOCKED = "model_blocked"
 
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
-
-class DeliveryFailed(AssuredError):
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+class DeliveryFailed(Rejection):
+    pass
 
 
 class NotVerifiedBySync(AssuredError):
@@ -141,19 +147,3 @@ class NonceCollision(AssuredError):
 
 class AttestationRefused(AssuredError):
     """Device refused to serve an attestation nonce (replay)."""
-
-
-_CHANNEL_REASON_TOKENS = {
-    AuthFailure: "auth_failure",
-    ReplayOrReorder: "replay_or_reorder",
-    MalformedFrame: "malformed_frame",
-    ChannelError: "channel_error",
-}
-
-
-def channel_reason(exc: ChannelError) -> str:
-    """Stable short token for a channel failure, for transcripts and acks."""
-    for cls in type(exc).__mro__:
-        if cls in _CHANNEL_REASON_TOKENS:
-            return _CHANNEL_REASON_TOKENS[cls]
-    return "channel_error"

@@ -58,7 +58,6 @@ from .errors import (
     ChannelError,
     DeliveryFailed,
     PolicyDeferred,
-    channel_reason,
 )
 from .metadata import Mode, RoleKind, parse, serialize_canonical
 from .repository import (
@@ -80,7 +79,7 @@ DEFAULT_ARTIFACT_SIZE = 256
 HANDSHAKE_AMORTIZED_BYTES = 8  # modeled per-envelope share of the nonce exchange
 
 
-class ScenarioError(Exception):
+class ScenarioError(AssuredError):
     """Script-level error (bad step, unknown entity); aborts with the step index."""
 
     def __init__(self, index: int, message: str) -> None:
@@ -412,8 +411,8 @@ class World:
                     new_version=version,
                 ),
             )
-        except ValueError as exc:
-            return "error:InvalidConstraints", str(exc)
+        except AssuredError as exc:
+            return f"error:{type(exc).__name__}", str(exc)
         envelope_bytes = serialize_envelope(build_envelope(token, artifact))
         self.envelopes[name] = envelope_bytes
         self.artifacts[name] = artifact
@@ -483,7 +482,7 @@ class World:
         try:
             session = self.controller.open_channel(port, device.device_id)
         except ChannelError as exc:
-            return f"delivery-failed:{channel_reason(exc)}", "handshake"
+            return f"delivery-failed:{exc.reason}", "handshake"
         recorder = _RecordingPort(port)
         session.port = self._through_armed(recorder)
 

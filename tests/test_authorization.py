@@ -24,7 +24,7 @@ from assured.authorization import (
     serialize_envelope,
     verify_token,
 )
-from assured.errors import ConstraintViolation, ParseError, TokenRejected
+from assured.errors import ConstraintViolation, InvalidConstraints, ParseError, TokenRejected
 
 ARTIFACT = bytes(range(256))
 
@@ -181,9 +181,9 @@ class TestConstraints:
             assert accepted == expected, (c, model, dev, installed)
 
     def test_issue_rejects_invalid_constraints(self, oem_key):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConstraints):
             issue_token(oem_key, b"x", Constraints(new_version=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConstraints):
             issue_token(oem_key, b"x", Constraints(required_prev_version=5, new_version=5))
 
 

@@ -11,7 +11,9 @@ import pytest
 
 from assured import cli
 from assured.cli import main
+from assured.controller import load_controller
 from assured.harness import AdversaryRow
+from assured.transport import LocalDevicePort
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -356,3 +358,132 @@ def test_remote_controller_commands_close_their_connections(workspace, capsys):
             server.terminate()
             server.wait(timeout=10)
             server.stdout.close()
+
+
+# --- the error model: one usage error or one error line, never a traceback -------------
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["controller", "enroll", "--state", "s", "--device", "1", "--model", "1", "--attestation-key", "zz"],
+         "--attestation-key"),
+        (["controller", "enroll", "--state", "s", "--device", "1", "--model", "1", "--attestation-key", "ab",
+          "--digest", "zz"], "--digest"),
+        (["controller", "attest", "--state", "s", "--device", "1", "--expected", "zz"], "--expected"),
+        (["controller", "init", "--state", "s", "--repo", "repo", "--window", "a:b"], "--window"),
+        (["controller", "init", "--state", "s", "--repo", "repo", "--window", "9:1"], "--window"),
+        (["controller", "init", "--state", "s", "--repo", "repo", "--window=-1:4"], "--window"),
+        (["controller", "init", "--state", "s", "--repo", "repo", "--models", "x"], "--models"),
+        (["controller", "init", "--state", "s", "--repo", "repo", "--models", f"1,{2**64}"], "--models"),
+        (["device", "init", "--flash", "f", "--model", "1", "--id", "1", "--oem-public", "zz"], "--oem-public"),
+        (["device", "init", "--flash", "f", "--model", "1", "--id", "1", "--oem-public", "ab",
+          "--attestation-key", "zz"], "--attestation-key"),
+        (["device", "run", "--oem-public", "zz"], "--oem-public"),
+        (["device", "run", "--attestation-key", "zz"], "--attestation-key"),
+    ],
+    ids=["enroll-key", "enroll-digest", "attest-expected", "window-text", "window-inverted", "window-negative",
+         "models-text", "models-above-u64", "device-init-oem", "device-init-key", "device-run-oem", "device-run-key"],
+)
+def test_a_malformed_option_is_a_usage_error(workspace, capsys, argv, option):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert f"error: argument {option}: invalid" in err
+    assert "Traceback" not in err
+    assert os.listdir(workspace) == []
+
+
+def _fleet(workspace, capsys, *published: int) -> None:
+    """An OEM key, a repository holding fw<v> for each published version, a
+    device at fw1 and a controller enrolling it, all in ``workspace``."""
+    _, out = run(capsys, "oem", "keygen", "--out", "oem.key", "--seed", "1")
+    oem_public = out.strip().rsplit(" ", 1)[-1]
+    run(capsys, "repo", "init", "--dir", "repo", "--seed", "2")
+    for version in (1, *published):
+        (workspace / f"fw{version}.bin").write_bytes(bytes([version]) * 100)
+        code, out = run(
+            capsys, "oem", "issue", "--key", "oem.key", "--artifact", f"fw{version}.bin",
+            "--new-version", str(version), "--model", "5", "--out", f"fw{version}.env",
+        )
+        assert code == 0, out
+    for version in published:
+        run(capsys, "repo", "publish", "--dir", "repo", "--name", f"fw{version}", "--envelope", f"fw{version}.env")
+    attestation_key = "ab" * 32
+    run(
+        capsys, "device", "init", "--flash", "dev.flash", "--model", "5", "--id", "9",
+        "--oem-public", oem_public, "--attestation-key", attestation_key, "--envelope", "fw1.env", "--seed", "3",
+    )
+    run(capsys, "controller", "init", "--state", "ctrl.bin", "--repo", "repo", "--seed", "4")
+    code, out = run(
+        capsys, "controller", "enroll", "--state", "ctrl.bin", "--device", "9", "--model", "5",
+        "--attestation-key", attestation_key, "--version", "1",
+        "--digest", hashlib.sha256(bytes([1]) * 100).hexdigest(),
+    )
+    assert code == 0, out
+
+
+def _one_error_line(out: str, error: str) -> None:
+    assert out.startswith(f"error: {error}: ") and out.count("\n") == 1, out
+    assert "Traceback" not in out
+
+
+@pytest.mark.parametrize(
+    "versions", [["--new-version", "0"], ["--new-version", "3", "--prev", "5"]], ids=["version-0", "prev-above"]
+)
+def test_oem_issue_rejects_invalid_constraints(workspace, capsys, versions):
+    run(capsys, "oem", "keygen", "--out", "oem.key", "--seed", "1")
+    (workspace / "fw.bin").write_bytes(b"\x01" * 10)
+    code, out = run(capsys, "oem", "issue", "--key", "oem.key", "--artifact", "fw.bin", *versions, "--out", "fw.env")
+    assert code == 1
+    _one_error_line(out, "InvalidConstraints")
+    assert not os.path.exists("fw.env")
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["enroll d model=x id=1\n", "frobnicate d\n", "enroll d model=1 id=1\nboot nobody\n"],
+    ids=["bad-integer", "unknown-step", "unknown-device"],
+)
+def test_a_bad_scenario_script_is_one_error_line(workspace, capsys, script):
+    (workspace / "s.scn").write_text(script)
+    code, out = run(capsys, "scenario", "run", "s.scn")
+    assert code == 1
+    _one_error_line(out, "ScenarioError")
+
+
+def test_controller_sync_reports_a_dropped_envelope_as_one_error_line(workspace, capsys):
+    _fleet(workspace, capsys, 2)
+    run(capsys, "repo", "tamper", "--dir", "repo", "drop")
+    before = (workspace / "ctrl.bin").read_bytes()
+    code, out = run(capsys, "controller", "sync", "--state", "ctrl.bin", "--repo", "repo")
+    assert code == 1
+    _one_error_line(out, "NotFound")
+    assert (workspace / "ctrl.bin").read_bytes() == before
+
+
+def test_controller_deliver_reports_an_unknown_name_as_one_error_line(workspace, capsys):
+    _fleet(workspace, capsys, 2)
+    code, out = run(
+        capsys, "controller", "deliver", "--state", "ctrl.bin", "--repo", "repo",
+        "--device", "9", "--name", "nope", "--flash", "dev.flash",
+    )
+    assert code == 1
+    _one_error_line(out, "NotFound")
+
+
+def test_seeded_deliveries_draw_different_controller_nonces(workspace, capsys, monkeypatch):
+    """Two runs with one --seed must not key two channels alike: the
+    controller reseeds from the count of nonces it has drawn."""
+    _fleet(workspace, capsys, 2, 3)
+    nonces = []
+    hello = LocalDevicePort.hello
+    monkeypatch.setattr(LocalDevicePort, "hello", lambda port, nonce: nonces.append(nonce) or hello(port, nonce))
+    for name in ("fw2", "fw3"):
+        code, out = run(
+            capsys, "controller", "deliver", "--state", "ctrl.bin", "--repo", "repo",
+            "--device", "9", "--name", name, "--flash", "dev.flash", "--seed", "5",
+        )
+        assert code == 0 and "installed" in out, out
+    assert len(nonces) == 2 and nonces[0] != nonces[1]
+    assert load_controller("ctrl.bin").nonces_drawn == 2

@@ -171,6 +171,7 @@ def _controller_case(tmp_path):
     for device_id in (1, 2):
         ctrl.enroll(device_id, 3, bytes([device_id]) * 32, device_id, bytes(32))
     ctrl.seen_targets = {"fw-a": bytes(32), "fw-b": b"\x01" * 32}
+    ctrl.nonces_drawn = 5
     ctrl.nonce_log = [b"\x09" * 16, b"\x02" * 16]
     save_controller(ctrl, str(tmp_path / "sample"))
     return [(tmp_path / "sample").read_bytes()], _file_round_trip(tmp_path, load_controller, save_controller)

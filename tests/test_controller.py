@@ -553,6 +553,18 @@ def test_load_rejects_duplicate_nonces(tmp_path, controller, repo_port, device_p
         load_controller(str(path))
 
 
+def test_load_rejects_fewer_nonces_drawn_than_logged(tmp_path, controller, repo_port, device_port, oem_key):
+    data = bytearray(saved_state(tmp_path, controller, repo_port, device_port, oem_key))
+    count_at = len(data) - 2 * 16 - 4  # nonces drawn(8) precedes the nonce count(4)
+    assert struct.unpack(">Q", data[count_at - 8 : count_at]) == (3,)  # one handshake, two attestations
+    data[count_at - 8 : count_at] = struct.pack(">Q", 1)
+    path = tmp_path / "bad.state"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="2 logged nonces but 1 drawn") as excinfo:
+        load_controller(str(path))
+    assert excinfo.value.position == count_at
+
+
 def test_loaded_nonce_log_still_refuses_reuse(tmp_path, controller, repo_port, device_port, oem_key):
     saved_state(tmp_path, controller, repo_port, device_port, oem_key)
     loaded = load_controller(str(tmp_path / "controller.state"), rng=RepeatingRng(controller.nonce_log[-1]))
@@ -627,8 +639,8 @@ def test_load_rejects_a_flag_byte_other_than_zero_or_one(tmp_path, controller, r
     data = bytearray(saved_state(tmp_path, controller, repo_port, device_port, oem_key))
     # the mode flag follows the magic and the clock; saved_state's file ends with
     # window flag(1) start(8) end(8), allow-list flag(1) count(4) one model(8),
-    # nonce count(4) and two 16-byte nonces
-    offset = {"mode": 4 + 8, "window": len(data) - 66, "allow-list": len(data) - 49}[flag]
+    # nonces drawn(8), nonce count(4) and two 16-byte nonces
+    offset = {"mode": 4 + 8, "window": len(data) - 74, "allow-list": len(data) - 57}[flag]
     assert data[offset] == (0 if flag == "mode" else 1)
     data[offset] = value
     path = tmp_path / "bad.state"

@@ -199,7 +199,7 @@ class TestSessionKeys:
 
     @pytest.mark.parametrize("controller,device", [(b"", bytes(16)), (bytes(16), bytes(15)), (bytes(17), bytes(16))])
     def test_wrong_nonce_length(self, controller, device):
-        with pytest.raises(ValueError):
+        with pytest.raises(ChannelError, match="16 bytes"):
             crypto.derive_session_keys(bytes(32), controller, device)
 
 

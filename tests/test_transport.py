@@ -243,6 +243,28 @@ def test_every_error_class_round_trips_through_the_codec(cls):
     assert str(decoded) == str(error)
     assert decoded.args == error.args
     assert vars(decoded) == vars(error)
+    assert getattr(decoded, "reason", None) == getattr(error, "reason", None)
+
+
+@pytest.mark.parametrize(
+    "cls, token",
+    [
+        (errors.ChannelError, "channel_error"),
+        (errors.AuthFailure, "auth_failure"),
+        (errors.ReplayOrReorder, "replay_or_reorder"),
+        (errors.MalformedFrame, "malformed_frame"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_a_channel_error_carries_its_class_token(cls, token):
+    """The tokens that DeliveryFailed and the transcripts carry; a subclass
+    defined elsewhere inherits its base's."""
+
+    class LocalChannelError(cls):
+        pass
+
+    assert sample_error(cls).reason == sample_error(LocalChannelError).reason == token
+    assert "reason" not in vars(sample_error(cls))  # so error frames stay as they are
 
 
 def test_error_classes_cover_errors_module():
