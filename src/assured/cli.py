@@ -34,7 +34,7 @@ from .authorization import (
 from .codec import read_file
 from .controller import Controller, LocalPolicy, load_controller, save_controller
 from .device import Device, InstallMode, load_flash, save_flash
-from .errors import AssuredError, NotFound, ParseError
+from .errors import AssuredError, NotFound
 from .harness import (
     BUILTIN_SCENARIOS,
     adversary_table,
@@ -75,6 +75,22 @@ def _load_controller(args) -> Controller:
 
 
 # --- option converters: a malformed value is a usage error naming its option ------------
+
+def u64(text: str) -> int:
+    """An integer the state files and tokens store in 8 bytes."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{value} is outside 0..2**64-1")
+    return value
+
+
+def hex32(text: str) -> bytes:
+    """A 32-byte key or digest as 64 hex digits."""
+    value = bytes.fromhex(text)
+    if len(value) != 32:
+        raise ValueError(f"{len(value)} bytes, not 32")
+    return value
+
 
 def maintenance_window(text: str) -> tuple[int, int]:
     """``start:end`` in ticks, checked by LocalPolicy."""
@@ -214,8 +230,6 @@ def cmd_repo_refresh(args) -> int:
 
 
 def cmd_repo_tamper(args) -> int:
-    if not 0 <= args.offset < 2**64:  # private.bin stores it as a u64
-        raise ParseError(f"tamper bit offset {args.offset} is not a u64", position="--offset")
     policy = TamperPolicy(kind=TamperKind(args.policy), bit_offset=args.offset)
     return _with_repo(args, lambda state: repository.set_tamper(state, policy))
 
@@ -439,10 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     issue = oem.add_parser("issue", help="issue a token and envelope for an artifact")
     issue.add_argument("--key", required=True)
     issue.add_argument("--artifact", required=True)
-    issue.add_argument("--new-version", type=int, required=True)
-    issue.add_argument("--model", type=int, default=0)
-    issue.add_argument("--device", type=int, default=0)
-    issue.add_argument("--prev", type=int, default=0)
+    issue.add_argument("--new-version", type=u64, required=True)
+    issue.add_argument("--model", type=u64, default=0)
+    issue.add_argument("--device", type=u64, default=0)
+    issue.add_argument("--prev", type=u64, default=0)
     issue.add_argument("--out", required=True)
     issue.set_defaults(func=cmd_oem_issue)
 
@@ -468,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     tamper = repo.add_parser("tamper")
     tamper.add_argument("--dir", required=True)
     tamper.add_argument("policy", choices=[k.value for k in TamperKind])
-    tamper.add_argument("--offset", type=int, default=0)
+    tamper.add_argument("--offset", type=u64, default=0)
     tamper.set_defaults(func=cmd_repo_tamper)
     advance = repo.add_parser("advance")
     advance.add_argument("--dir", required=True)
@@ -489,11 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     cinit.set_defaults(func=cmd_controller_init)
     enroll = controller.add_parser("enroll")
     enroll.add_argument("--state", required=True)
-    enroll.add_argument("--device", type=int, required=True)
-    enroll.add_argument("--model", type=int, required=True)
-    enroll.add_argument("--attestation-key", type=bytes.fromhex, required=True, help="hex pre-shared master key")
-    enroll.add_argument("--version", type=int, default=0)
-    enroll.add_argument("--digest", type=bytes.fromhex, help="hex digest of the installed artifact")
+    enroll.add_argument("--device", type=u64, required=True)
+    enroll.add_argument("--model", type=u64, required=True)
+    enroll.add_argument("--attestation-key", type=hex32, required=True, help="hex pre-shared master key")
+    enroll.add_argument("--version", type=u64, default=0)
+    enroll.add_argument("--digest", type=hex32, help="hex digest of the installed artifact")
     enroll.add_argument("--seed", type=int)
     enroll.set_defaults(func=cmd_controller_enroll)
     csync = controller.add_parser("sync")
@@ -504,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     deliver = controller.add_parser("deliver")
     deliver.add_argument("--state", required=True)
     deliver.add_argument("--repo", required=True)
-    deliver.add_argument("--device", type=int, required=True)
+    deliver.add_argument("--device", type=u64, required=True)
     deliver.add_argument("--name", required=True)
     deliver.add_argument("--device-addr")
     deliver.add_argument("--flash")
@@ -512,20 +526,20 @@ def build_parser() -> argparse.ArgumentParser:
     deliver.set_defaults(func=cmd_controller_deliver)
     attest = controller.add_parser("attest")
     attest.add_argument("--state", required=True)
-    attest.add_argument("--device", type=int, required=True)
+    attest.add_argument("--device", type=u64, required=True)
     attest.add_argument("--device-addr")
     attest.add_argument("--flash")
-    attest.add_argument("--expected", type=bytes.fromhex, help="hex expected measurement (default: registry)")
+    attest.add_argument("--expected", type=hex32, help="hex expected measurement (default: registry)")
     attest.add_argument("--seed", type=int)
     attest.set_defaults(func=cmd_controller_attest)
 
     device = sub.add_parser("device", help="simulated device").add_subparsers(dest="sub", required=True)
     dinit = device.add_parser("init")
     dinit.add_argument("--flash", required=True)
-    dinit.add_argument("--model", type=int, required=True)
-    dinit.add_argument("--id", type=int, required=True)
-    dinit.add_argument("--oem-public", type=bytes.fromhex, required=True, help="hex OEM public key")
-    dinit.add_argument("--attestation-key", type=bytes.fromhex, help="hex master key (generated if omitted)")
+    dinit.add_argument("--model", type=u64, required=True)
+    dinit.add_argument("--id", type=u64, required=True)
+    dinit.add_argument("--oem-public", type=hex32, required=True, help="hex OEM public key")
+    dinit.add_argument("--attestation-key", type=hex32, help="hex master key (generated if omitted)")
     dinit.add_argument("--envelope", help="factory firmware envelope")
     dinit.add_argument("--install-mode", choices=["dual", "single"], default="dual")
     dinit.add_argument("--seed", type=int)
@@ -535,10 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--listen", default="127.0.0.1:0", help="host:port (0 = ephemeral) or a unix-socket path"
     )
     drun.add_argument("--flash")
-    drun.add_argument("--model", type=int)
-    drun.add_argument("--id", type=int)
-    drun.add_argument("--oem-public", type=bytes.fromhex)
-    drun.add_argument("--attestation-key", type=bytes.fromhex)
+    drun.add_argument("--model", type=u64)
+    drun.add_argument("--id", type=u64)
+    drun.add_argument("--oem-public", type=hex32)
+    drun.add_argument("--attestation-key", type=hex32)
     drun.add_argument("--install-mode", choices=["dual", "single"], default="dual")
     drun.add_argument("--rng-seed", type=int)
     drun.set_defaults(func=cmd_device_run)

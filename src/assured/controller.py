@@ -161,7 +161,7 @@ class Controller:
             return []
         metadata_set = MetadataSet(
             root=parse(repo.fetch_metadata(RoleKind.ROOT), self.mode),
-            # the held records lend their objects to the unchanged ones
+            # a held record whose exact text the blob repeats is lent, not decoded
             targets=parse(
                 repo.fetch_metadata(RoleKind.TARGETS),
                 self.mode,

@@ -88,9 +88,10 @@ class TargetRecord:
     OEM authorization token (None for plain-TUF comparison records).
 
     A record encodes itself once, on first use, in each form. The
-    repository keeps unchanged record objects across publishes and a JSON
-    parse reuses a known record whose value the input repeats, so signing,
-    serving and parsing a targets list encode only the records that changed.
+    repository keeps unchanged record objects across publishes, and a JSON
+    parse given a known body reuses each known record whose exact canonical
+    text the input repeats, so signing, serving and parsing a targets list
+    encode and decode only the records that changed.
     """
 
     name: str
@@ -379,7 +380,73 @@ def _json_bytes(value, length: int, path: str) -> bytes:
     return raw
 
 
-def _parse_json_body(role: RoleKind, raw, path: str, known: TargetsBody | None) -> RoleBody:
+_DECODER = json.JSONDecoder()
+_LIST_BODY = '{"body":['
+_ITEM_ENDS = (",", "]")
+_NO_RECORDS = TargetsBody()
+
+
+def _read_json(text: str, at: int = 0, shift: int = 0) -> tuple[object, int]:
+    """The JSON value that starts at text[at] and the offset just past it;
+    ``shift`` moves a ParseError's position, for text cut from a document."""
+    try:
+        return _DECODER.raw_decode(text, at)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad json: {exc.msg}", position=exc.pos + shift) from exc
+
+
+def _read_document(text: str, shift: int = 0):
+    """The JSON value that is the whole of ``text``."""
+    value, end = _read_json(text, 0, shift)
+    if end != len(text):
+        raise ParseError("bad json: Extra data", position=end + shift)
+    return value
+
+
+def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, int]:
+    """The items of the JSON list that opens at text[at], and the offset just
+    past its "]". An item whose text is exactly a known record's canonical
+    text is that record object, lent; every other item is decoded.
+
+    A cursor walks the known records in order, so an unchanged record costs
+    one text comparison. A decoded item named like the record at the cursor
+    (a replaced record) moves the cursor past it; any other (an inserted
+    record) leaves it in place. A decoded item whose text is the known text
+    of its name (a record moved out of order) is lent too."""
+    records = known.records
+    items: list = []
+    j = 0  # the known record the next item is compared with
+    end = at + 1
+    if text.startswith("]", end):
+        return items, end + 1
+    while True:
+        start = end
+        if j < len(records):
+            item = records[j]
+            known_text = item.json_text
+            end = start + len(known_text)
+            lent = text.startswith(known_text, start) and text[end : end + 1] in _ITEM_ENDS
+        else:
+            lent = False
+        if lent:
+            j += 1
+        else:
+            item, end = _read_json(text, start)
+            prior = known.find(item[0]) if type(item) is list and item and type(item[0]) is str else None
+            if prior is not None:
+                if j < len(records) and prior is records[j]:
+                    j += 1
+                if text.startswith(prior.json_text, start):
+                    item = prior
+            if text[end : end + 1] not in _ITEM_ENDS:
+                raise ParseError("bad json: Expecting ',' or ']'", position=end)
+        items.append(item)
+        if text[end] == "]":
+            return items, end + 1
+        end += 1
+
+
+def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
     if role is RoleKind.ROOT:
         if not isinstance(raw, dict):
             raise ParseError("root body must be an object", position=path)
@@ -404,15 +471,12 @@ def _parse_json_body(role: RoleKind, raw, path: str, known: TargetsBody | None) 
             raise ParseError("targets body must be a list", position=path)
         records = []
         for i, item in enumerate(_json_count(raw, path)):
+            if isinstance(item, TargetRecord):  # lent by _read_list
+                records.append(item)
+                continue
             item_path = f"{path}[{i}]"
             if not (isinstance(item, list) and len(item) == 4 and isinstance(item[0], str)):
                 raise ParseError("record must be [name, hash, size, token]", position=item_path)
-            # equal by Python's ==, not yet by text (true == 1 == 1.0): the
-            # canonical comparison in parse settles that
-            prior = known.find(item[0]) if known is not None else None
-            if prior is not None and item == prior.json_value:
-                records.append(prior)
-                continue
             name, digest_b64, size, token_b64 = item
             token = None
             if token_b64 is not None:
@@ -452,10 +516,12 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
     the wrong shape or width, its JSON path.
 
     ``known`` (a verified targets body, such as the last one synced) lends
-    its record objects to a JSON parse: a record whose decoded value equals
-    the known record's of the same name is that object. The verdict and the
-    value are those of a full decode, because the whole-blob canonical
-    comparison still checks every byte. A fixed-binary parse ignores it."""
+    its record objects to a JSON parse by their exact text: a list item that
+    is character for character a known record's canonical text, followed by
+    "," or "]", is that object and is not decoded (see _read_list). With or
+    without ``known`` every blob gets the same value or the same verdict, and
+    the whole-blob canonical comparison still checks every byte. A
+    fixed-binary parse ignores it."""
     if mode is Mode.FIXED_BINARY:
         reader = Reader(data)
         role = read_role(reader)
@@ -471,11 +537,19 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
             raise ParseError(str(exc), position=reader.offset) from exc
 
     try:
-        obj = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("metadata is not utf-8", position=exc.start) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad json: {exc.msg}", position=exc.pos) from exc
+    if text.startswith(_LIST_BODY):
+        # the canonical document opens with its body: a list body is read
+        # item by item, the other fields as the object they make on their own
+        items, end = _read_list(text, len(_LIST_BODY) - 1, known if known is not None else _NO_RECORDS)
+        if not text.startswith(",", end):
+            raise ParseError("bad json: Expecting ','", position=end)
+        obj = _read_document("{" + text[end + 1 :], shift=end)
+        obj["body"] = items  # over a second "body", which the canonical comparison rejects
+    else:
+        obj = _read_document(text)
     role_name = _need(obj, "role", str, "$")
     try:
         role = RoleKind(role_name)
@@ -483,7 +557,7 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
         raise ParseError(f"unknown role {role_name!r}", position="$.role") from exc
     version = _json_uint(_need(obj, "version", object, "$"), _U64_MAX, "$.version")
     expires = _json_uint(_need(obj, "expires", object, "$"), _U64_MAX, "$.expires")
-    body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body", known)
+    body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body")
     signatures = []
     for i, entry in enumerate(_json_count(_need(obj, "signatures", list, "$"), "$.signatures")):
         sig_path = f"$.signatures[{i}]"

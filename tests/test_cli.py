@@ -230,8 +230,9 @@ def test_repo_tamper_rejects_an_offset_outside_u64(workspace, capsys):
     assert run(capsys, "repo", "init", "--dir", "repo", "--seed", "1")[0] == 0
     before = (workspace / "repo" / "private.bin").read_bytes()
     for offset in ("-1", str(2**64)):
-        code, out = run(capsys, "repo", "tamper", "--dir", "repo", "flip-bit", "--offset", offset)
-        assert code == 1 and "ParseError" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["repo", "tamper", "--dir", "repo", "flip-bit", "--offset", offset])
+        assert excinfo.value.code == 2 and "error: argument --offset: invalid u64 value" in capsys.readouterr().err
     assert (workspace / "repo" / "private.bin").read_bytes() == before
 
 
@@ -362,12 +363,15 @@ def test_remote_controller_commands_close_their_connections(workspace, capsys):
 
 # --- the error model: one usage error or one error line, never a traceback -------------
 
+KEY = "ab" * 32  # a well-formed 32-byte hex option
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [
         (["controller", "enroll", "--state", "s", "--device", "1", "--model", "1", "--attestation-key", "zz"],
          "--attestation-key"),
-        (["controller", "enroll", "--state", "s", "--device", "1", "--model", "1", "--attestation-key", "ab",
+        (["controller", "enroll", "--state", "s", "--device", "1", "--model", "1", "--attestation-key", KEY,
           "--digest", "zz"], "--digest"),
         (["controller", "attest", "--state", "s", "--device", "1", "--expected", "zz"], "--expected"),
         (["controller", "init", "--state", "s", "--repo", "repo", "--window", "a:b"], "--window"),
@@ -376,13 +380,39 @@ def test_remote_controller_commands_close_their_connections(workspace, capsys):
         (["controller", "init", "--state", "s", "--repo", "repo", "--models", "x"], "--models"),
         (["controller", "init", "--state", "s", "--repo", "repo", "--models", f"1,{2**64}"], "--models"),
         (["device", "init", "--flash", "f", "--model", "1", "--id", "1", "--oem-public", "zz"], "--oem-public"),
-        (["device", "init", "--flash", "f", "--model", "1", "--id", "1", "--oem-public", "ab",
+        (["device", "init", "--flash", "f", "--model", "1", "--id", "1", "--oem-public", KEY,
           "--attestation-key", "zz"], "--attestation-key"),
         (["device", "run", "--oem-public", "zz"], "--oem-public"),
         (["device", "run", "--attestation-key", "zz"], "--attestation-key"),
+        # hex of another length than 32 bytes
+        (["controller", "enroll", "--state", "s", "--device", "1", "--model", "1", "--attestation-key", "ab"],
+         "--attestation-key"),
+        (["controller", "enroll", "--state", "s", "--device", "1", "--model", "1", "--attestation-key", KEY,
+          "--digest", KEY + "00"], "--digest"),
+        (["controller", "attest", "--state", "s", "--device", "1", "--expected", ""], "--expected"),
+        (["device", "init", "--flash", "f", "--model", "1", "--id", "1", "--oem-public", "ab"], "--oem-public"),
+        (["device", "run", "--attestation-key", KEY[:-2]], "--attestation-key"),
+        # integers stored as a u64
+        (["controller", "enroll", "--state", "s", "--device", "-1", "--model", "1", "--attestation-key", KEY],
+         "--device"),
+        (["controller", "enroll", "--state", "s", "--device", "1", "--model", str(2**64), "--attestation-key", KEY],
+         "--model"),
+        (["controller", "enroll", "--state", "s", "--device", "1", "--model", "1", "--attestation-key", KEY,
+          "--version", "-1"], "--version"),
+        (["controller", "deliver", "--state", "s", "--repo", "repo", "--device", "x", "--name", "fw"], "--device"),
+        (["device", "init", "--flash", "f", "--model", "-1", "--id", "1", "--oem-public", KEY], "--model"),
+        (["device", "init", "--flash", "f", "--model", "1", "--id", str(2**64), "--oem-public", KEY], "--id"),
+        (["device", "run", "--model", "-1"], "--model"),
+        (["device", "run", "--id", str(2**64)], "--id"),
+        (["oem", "issue", "--key", "k", "--artifact", "a", "--new-version", str(2**64), "--out", "o"],
+         "--new-version"),
     ],
     ids=["enroll-key", "enroll-digest", "attest-expected", "window-text", "window-inverted", "window-negative",
-         "models-text", "models-above-u64", "device-init-oem", "device-init-key", "device-run-oem", "device-run-key"],
+         "models-text", "models-above-u64", "device-init-oem", "device-init-key", "device-run-oem", "device-run-key",
+         "enroll-key-1-byte", "enroll-digest-33-bytes", "attest-expected-empty", "device-init-oem-1-byte",
+         "device-run-key-31-bytes", "enroll-device-negative", "enroll-model-above-u64", "enroll-version-negative",
+         "deliver-device-text", "device-init-model-negative", "device-init-id-above-u64", "device-run-model-negative",
+         "device-run-id-above-u64", "issue-version-above-u64"],
 )
 def test_a_malformed_option_is_a_usage_error(workspace, capsys, argv, option):
     with pytest.raises(SystemExit) as excinfo:

@@ -26,6 +26,7 @@ from assured.controller import (
 from assured.device import Device, InstallMode, InstallOutcome
 from assured.errors import (
     AuthFailure,
+    BindingMismatch,
     DeliveryFailed,
     EnvelopeMismatch,
     Expired,
@@ -141,6 +142,16 @@ class TestSync:
         after = controller._held.targets.body
         shared = [r.name for r in after.records if r is before.find(r.name)]
         assert shared == ["fw0", "fw2", "fw3"]
+
+    @pytest.mark.parametrize("served", [RoleKind.SNAPSHOT, RoleKind.TIMESTAMP], ids=lambda r: r.value)
+    def test_another_role_in_the_targets_slot_is_a_binding_mismatch(self, controller, repo_port, oem_key, served):
+        publish_update(repo_port, oem_key)
+        controller.sync(repo_port)  # the held targets are now lent to the next parse
+        publish_update(repo_port, oem_key, name="fw3", version=3)
+        fetch = repo_port.fetch_metadata
+        repo_port.fetch_metadata = lambda role: fetch(served if role is RoleKind.TARGETS else role)
+        with pytest.raises(BindingMismatch, match="targets: metadata is for role"):
+            controller.sync(repo_port)
 
     def test_tampered_envelope_byte(self, controller, repo_port, oem_key):
         publish_update(repo_port, oem_key)

@@ -3,12 +3,13 @@ exact signature-verification count, expiry/rollback/binding failures, and
 the size budgets of the two encodings."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assured import crypto
+from assured import crypto, metadata
 from assured.authorization import Constraints, build_envelope, issue_token, serialize_envelope
 from assured.codec import flip_bit
 from assured.errors import (
@@ -516,3 +517,159 @@ def test_json_size_equal_to_a_known_one_only_by_python_equality_is_rejected(role
     for lent in (None, known):
         with pytest.raises(ParseError):
             parse(forged, Mode.JSON, known=lent)
+
+
+# --- lending by exact text: with or without known, the same value or the same error ---
+
+
+def _outcome(blob, known=None):
+    """The parsed value, or the ParseError's message with its position."""
+    try:
+        return parse(blob, Mode.JSON, known=known)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _record(name: str, tag: int) -> TargetRecord:
+    """A record with a token for an even tag, a plain one for an odd tag."""
+    if tag % 2:
+        return TargetRecord(name=name, hash=bytes([tag]) * 32, size=tag)
+    token = issue_token(crypto.signing_key_from_seed(bytes(range(32))), bytes([tag]) * 20, Constraints(new_version=tag + 1))
+    return TargetRecord(name=name, hash=token.artifact_hash, size=token.artifact_size, token=token)
+
+
+@pytest.fixture(scope="module")
+def lending_catalog(role_keys):
+    """A held targets body of six records, its blob cut into the text before
+    the records, the records and the text after them, records for edits
+    (new names, and each name with another value), and a snapshot and a
+    timestamp blob."""
+    held = TargetsBody(records=[_record(name, tag) for tag, name in enumerate(["b", "d/x", "f", "h", "ü", "z"])])
+    blob = serialize_canonical(build_and_sign(held, 3, 1000, role_keys[RoleKind.TARGETS]), Mode.JSON).decode()
+    head = '{"body":['
+    joined = ",".join(r.json_text for r in held.records)
+    assert blob.startswith(head + joined + "]")
+    inserts = [_record(name, 20 + i) for i, name in enumerate(["a", "c", "e", "y", "zz"])]
+    names = [r.name for r in (*held.records, *inserts)]
+    others = [
+        serialize_canonical(build_and_sign(body, 2, 1000, role_keys[role]), Mode.JSON)
+        for role, body in [(RoleKind.SNAPSHOT, SnapshotBody(1, 3)), (RoleKind.TIMESTAMP, TimestampBody(2, bytes(32)))]
+    ]
+    return SimpleNamespace(
+        held=held,
+        head=head,
+        tail=blob[len(head) + len(joined) :],
+        inserts=inserts,
+        replacements={name: _record(name, 40 + i) for i, name in enumerate(names)},
+        others=others,
+    )
+
+
+EDITS = ["none", "insert", "replace", "drop", "swap", "duplicate", "variant", "delimiter", "other-role"]
+
+
+def _edited_blob(catalog, data) -> bytes:
+    """The held blob after one or two drawn edits of its list of records."""
+    items = [(r.name, r.json_text) for r in catalog.held.records]  # (name, text)
+    ends = None  # the text after each item, once an edit changes one
+    for edit in data.draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=2), label="edits"):
+        if edit == "other-role":
+            return data.draw(st.sampled_from(catalog.others))
+        if edit == "insert":
+            record = data.draw(st.sampled_from(catalog.inserts))
+            items.insert(data.draw(st.integers(0, len(items))), (record.name, record.json_text))
+        if edit in ("insert", "none") or not items:
+            ends = None
+            continue
+        at = data.draw(st.integers(0, len(items) - 1), label="at")
+        name, text = items[at]
+        if edit == "replace":
+            items[at] = (name, catalog.replacements[name].json_text)
+        elif edit == "drop":
+            del items[at]
+        elif edit == "swap":
+            other = data.draw(st.integers(0, len(items) - 1))
+            items[at], items[other] = items[other], items[at]
+        elif edit == "duplicate":
+            copy = data.draw(st.sampled_from([text, catalog.replacements[name].json_text]))
+            items.insert(data.draw(st.integers(0, len(items))), (name, copy))
+        elif edit == "variant":
+            where = data.draw(st.integers(0, len(text)))
+            quoted = json.dumps(name)
+            items[at] = (name, data.draw(st.sampled_from([
+                text[:where] + data.draw(st.sampled_from([" ", "\n", "\t"])) + text[where:],
+                text.replace(quoted, quoted.replace(name[0], f"\\u{ord(name[0]):04x}", 1), 1),
+                text.replace("/", "\\/", 1),
+            ])))
+        elif edit == "delimiter":
+            ends = [","] * (len(items) - 1) + ["]"]
+            bad = data.draw(st.sampled_from(["", " ", "x", "[", "}", '"', "0", ":", "\n", ";"]))
+            ends[at] = data.draw(st.sampled_from([bad, bad + ends[at]]))
+            continue
+        ends = None  # an edit after a delimiter edit writes the list anew
+    ends = ends or [","] * (len(items) - 1) + ["]"]
+    body = "".join(text + end for (_, text), end in zip(items, ends)) if items else "]"
+    return (catalog.head + body + catalog.tail[1:]).encode("utf-8")
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lending_by_text_keeps_every_value_and_every_error(lending_catalog, data):
+    known = lending_catalog.held
+    blob = _edited_blob(lending_catalog, data)
+    outcome = _outcome(blob, known)
+    assert outcome == _outcome(blob)
+    if isinstance(outcome, RoleMetadata) and outcome.role is RoleKind.TARGETS:
+        for record in outcome.body.records:
+            prior = known.find(record.name)
+            assert (record is prior) == (prior is not None and prior.json_text == record.json_text), record.name
+
+
+def test_the_edits_reach_both_verdicts(lending_catalog):
+    """The property's edits are not all rejected: inserted, replaced and
+    swapped records parse and lend exactly the records whose text is
+    unchanged, the two other roles parse as themselves, and a space after
+    a known record's text is the error a full decode reports."""
+    catalog = lending_catalog
+    known = catalog.held
+    texts = [r.json_text for r in known.records]
+
+    def blob(items):
+        return (catalog.head + ",".join(items) + catalog.tail).encode("utf-8")
+
+    edited = [catalog.inserts[0].json_text, *texts[:3], catalog.replacements["h"].json_text, *texts[5:]]
+    meta = parse(blob(edited), Mode.JSON, known=known)
+    assert [r.name for r in meta.body.records if r is known.find(r.name)] == ["b", "d/x", "f", "z"]
+    meta = parse(blob([texts[1], texts[0], *texts[2:]]), Mode.JSON, known=known)
+    assert all(r is known.find(r.name) for r in meta.body.records)
+    for other, role in zip(catalog.others, [RoleKind.SNAPSHOT, RoleKind.TIMESTAMP]):
+        assert parse(other, Mode.JSON, known=known).role is role
+    spaced = blob([texts[0] + " ", *texts[1:]])
+    with pytest.raises(ParseError, match="Expecting ',' or ']'") as excinfo:
+        parse(spaced, Mode.JSON, known=known)
+    assert excinfo.value.position == len(catalog.head) + len(texts[0])
+
+
+def test_a_sync_decodes_only_the_replaced_record(role_keys, monkeypatch):
+    """1000 unchanged records are the known objects; one record, the replaced
+    one, and the fields outside the body are all that is decoded."""
+    keys = role_keys[RoleKind.TARGETS]
+    held = [TargetRecord(name=f"r{i:04d}", hash=crypto.hash_data(b"%d" % i), size=i) for i in range(1001)]
+    known = parse(serialize_canonical(build_and_sign(TargetsBody(held), 2, 1000, keys), Mode.JSON), Mode.JSON).body
+    replaced = TargetRecord(name="r0500", hash=bytes(32), size=7)
+    blob = serialize_canonical(
+        build_and_sign(TargetsBody(held[:500] + [replaced] + held[501:]), 3, 1000, keys), Mode.JSON
+    )
+    decoded = []
+
+    class CountingDecoder:
+        def raw_decode(self, text, at=0):
+            value, end = json.JSONDecoder().raw_decode(text, at)
+            decoded.append(value if isinstance(value, list) else sorted(value))
+            return value, end
+
+    monkeypatch.setattr(metadata, "_DECODER", CountingDecoder())
+    meta = parse(blob, Mode.JSON, known=known)
+    assert sum(r is known.find(r.name) for r in meta.body.records) == 1000
+    assert decoded == [json.loads(replaced.json_text), ["expires", "role", "signatures", "version"]]
+    assert meta.body.records[500] == replaced
