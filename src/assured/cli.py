@@ -51,13 +51,16 @@ from .repository import (
     save_repository,
 )
 from .transport import (
+    DeviceServer,
     LocalDevicePort,
     LocalRepoPort,
     RemoteDevicePort,
     RemoteRepoPort,
-    make_device_server,
-    make_repo_server,
+    RepoServer,
 )
+
+# the name perfbench/serve.py replaces to reach the server `repo serve` starts
+make_repo_server = RepoServer
 
 
 def _rng(seed: int | None) -> random.Random:
@@ -367,7 +370,7 @@ def cmd_device_run(args) -> int:
             if getattr(args, required) is None:
                 raise SystemExit(f"--{required.replace('_', '-')} is required without --flash")
         device = _new_device(args, args.attestation_key, _rng(args.rng_seed))
-    server = make_device_server(device, args.listen)
+    server = DeviceServer(device, args.listen)
     if args.flash:
         server.after_op = lambda: save_flash(device, args.flash)
     return _serve(server)

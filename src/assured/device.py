@@ -262,6 +262,20 @@ class Device:
         if allowed < chunks:
             raise SimulatedPowerLoss(f"power loss after {self._writes_done} writes")
 
+    def _stage(self, bank: Bank, artifact: bytes, token: AuthorizationToken | None, version: int) -> None:
+        """Write an image into ``bank``: clear it, the image, the token and the
+        version, each a write step."""
+        self._write(bank.clear)
+        self._write_artifact(bank, artifact)
+        self._write(lambda: setattr(bank, "token", token))
+        self._write(lambda: setattr(bank, "version", version))
+
+    def _flip(self) -> None:
+        """The dual-bank pointer flip (a write step): the staged bank becomes
+        the active one and its version the installed one."""
+        self._active = 1 - self._active
+        self._installed_version = self._banks[self._active].version
+
     def _bank_consistent(self, bank: Bank) -> bool:
         """Write-integrity recheck of a staged bank against its token:
         hash and size only, no public-key work."""
@@ -293,19 +307,11 @@ class Device:
         except (TokenRejected, ConstraintViolation) as exc:
             return InstallOutcome(InstallOutcome.REJECTED, reason=exc.reason)
         staging = self._banks[1 - self._active]
-        self._write(staging.clear)
-        self._write_artifact(staging, envelope.artifact)
-        self._write(lambda: setattr(staging, "token", token))
-        self._write(lambda: setattr(staging, "version", token.constraints.new_version))
+        self._stage(staging, envelope.artifact, token, token.constraints.new_version)
         if not self._bank_consistent(staging):
             staging.clear()
             return InstallOutcome(InstallOutcome.REJECTED, reason="bank_revalidation_failed")
-
-        def flip() -> None:
-            self._active = 1 - self._active
-            self._installed_version = token.constraints.new_version
-
-        self._write(flip)
+        self._write(self._flip)
         return InstallOutcome(InstallOutcome.INSTALLED, version=self._installed_version)
 
     def _install_single_bank(self, envelope: UpdateEnvelope) -> InstallOutcome:
@@ -319,10 +325,7 @@ class Device:
             return InstallOutcome(InstallOutcome.REJECTED, reason=exc.reason)
         bank = self._banks[self._active]
         previous_version = self._installed_version
-        self._write(bank.clear)
-        self._write_artifact(bank, envelope.artifact)
-        self._write(lambda: setattr(bank, "token", token))
-        self._write(lambda: setattr(bank, "version", token.constraints.new_version))
+        self._stage(bank, envelope.artifact, token, token.constraints.new_version)
         try:
             verify_token(self.__oem_public, bank.artifact or b"", token)
         except TokenRejected as exc:
@@ -358,12 +361,8 @@ class Device:
         new_version = metadata_set.targets.version
         if new_version <= self._installed_version:
             return InstallOutcome(InstallOutcome.REJECTED, reason="version_not_monotonic")
-        staging = self._banks[1 - self._active]
-        staging.clear()
-        self._write_artifact(staging, artifact)
-        staging.version = new_version
-        self._active = 1 - self._active
-        self._installed_version = new_version
+        self._stage(self._banks[1 - self._active], artifact, None, new_version)
+        self._write(self._flip)
         return InstallOutcome(InstallOutcome.INSTALLED, version=new_version)
 
     # --- boot and attestation -------------------------------------------------------------

@@ -386,20 +386,16 @@ _ITEM_ENDS = (",", "]")
 _NO_RECORDS = TargetsBody()
 
 
-def _read_json(text: str, at: int = 0, shift: int = 0) -> tuple[object, int]:
-    """The JSON value that starts at text[at] and the offset just past it;
-    ``shift`` moves a ParseError's position, for text cut from a document."""
-    try:
-        return _DECODER.raw_decode(text, at)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad json: {exc.msg}", position=exc.pos + shift) from exc
-
-
 def _read_document(text: str, shift: int = 0):
-    """The JSON value that is the whole of ``text``."""
-    value, end = _read_json(text, 0, shift)
-    if end != len(text):
-        raise ParseError("bad json: Extra data", position=end + shift)
+    """The JSON value that is the whole of ``text``; ``shift`` moves an
+    error's position, for text cut from a document."""
+    try:
+        value, end = _DECODER.raw_decode(text)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+    except json.JSONDecodeError as exc:
+        exc.pos += shift
+        raise
     return value
 
 
@@ -431,7 +427,7 @@ def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, int]:
         if lent:
             j += 1
         else:
-            item, end = _read_json(text, start)
+            item, end = _DECODER.raw_decode(text, start)
             prior = known.find(item[0]) if type(item) is list and item and type(item[0]) is str else None
             if prior is not None:
                 if j < len(records) and prior is records[j]:
@@ -439,7 +435,7 @@ def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, int]:
                 if text.startswith(prior.json_text, start):
                     item = prior
             if text[end : end + 1] not in _ITEM_ENDS:
-                raise ParseError("bad json: Expecting ',' or ']'", position=end)
+                raise json.JSONDecodeError("Expecting ',' or ']'", text, end)
         items.append(item)
         if text[end] == "]":
             return items, end + 1
@@ -540,16 +536,19 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("metadata is not utf-8", position=exc.start) from exc
-    if text.startswith(_LIST_BODY):
-        # the canonical document opens with its body: a list body is read
-        # item by item, the other fields as the object they make on their own
-        items, end = _read_list(text, len(_LIST_BODY) - 1, known if known is not None else _NO_RECORDS)
-        if not text.startswith(",", end):
-            raise ParseError("bad json: Expecting ','", position=end)
-        obj = _read_document("{" + text[end + 1 :], shift=end)
-        obj["body"] = items  # over a second "body", which the canonical comparison rejects
-    else:
-        obj = _read_document(text)
+    try:
+        if text.startswith(_LIST_BODY):
+            # the canonical document opens with its body: a list body is read
+            # item by item, the other fields as the object they make on their own
+            items, end = _read_list(text, len(_LIST_BODY) - 1, known if known is not None else _NO_RECORDS)
+            if not text.startswith(",", end):
+                raise json.JSONDecodeError("Expecting ','", text, end)
+            obj = _read_document("{" + text[end + 1 :], shift=end)
+            obj["body"] = items  # over a second "body", which the canonical comparison rejects
+        else:
+            obj = _read_document(text)
+    except json.JSONDecodeError as exc:  # at a character offset into text
+        raise ParseError(f"bad json: {exc.msg}", position=len(text[: exc.pos].encode("utf-8"))) from exc
     role_name = _need(obj, "role", str, "$")
     try:
         role = RoleKind(role_name)

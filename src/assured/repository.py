@@ -5,9 +5,9 @@ metadata/envelopes, and the mirror's entire threat contribution is a
 transformation applied on fetch. State transitions return new state values;
 readers see immutable snapshots.
 
-Role signing keys for targets/snapshot/timestamp are held online; root keys
-are offline — the publish path cannot touch them, only the explicit
-rotate_root operation uses them.
+Every role's signing keys sit in one table, and every signature goes through
+``_sign``. The targets, snapshot and timestamp keys sign on every publish; the
+root keys stay offline by use: only new_repository and rotate_root sign as root.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import NotFound, ParseError, PublishRejected
 from .metadata import (
     MetadataSet,
     Mode,
+    RoleBody,
     RoleKind,
     RoleKeys,
     RoleMetadata,
@@ -78,8 +79,7 @@ class TamperPolicy:
 
 @dataclass(frozen=True)
 class RepositoryState:
-    online_keys: dict[RoleKind, tuple[crypto.SigningKeyPair, ...]]
-    root_keys: tuple[crypto.SigningKeyPair, ...]
+    keys: dict[RoleKind, tuple[crypto.SigningKeyPair, ...]]
     metadata: MetadataSet
     envelopes: dict[str, bytes]
     clock: int
@@ -94,12 +94,17 @@ def _serialized_set(state: RepositoryState) -> dict[RoleKind, bytes]:
     return {role: state.metadata.by_role(role).canonical(state.mode) for role in RoleKind}
 
 
-def _sign_timestamp(
-    snapshot: RoleMetadata, version: int, clock: int, keys: list[crypto.SigningKeyPair]
+def _sign(
+    keys: dict[RoleKind, tuple[crypto.SigningKeyPair, ...]], role: RoleKind, body: RoleBody, version: int, clock: int
 ) -> RoleMetadata:
-    """A timestamp pinning ``snapshot`` (its version and the hash of its signed region)."""
-    body = TimestampBody(snapshot_version=snapshot.version, snapshot_hash=crypto.hash_data(signed_region_of(snapshot)))
-    return build_and_sign(body, version, clock + LIFETIMES[RoleKind.TIMESTAMP], keys)
+    """Every signature the repository makes: ``body`` as ``role`` metadata
+    expiring the role's lifetime after ``clock``, signed by ``keys[role]``."""
+    return build_and_sign(body, version, clock + LIFETIMES[role], list(keys[role]))
+
+
+def _timestamp_body(snapshot: RoleMetadata) -> TimestampBody:
+    """A timestamp body pinning ``snapshot`` (its version and the hash of its signed region)."""
+    return TimestampBody(snapshot_version=snapshot.version, snapshot_hash=crypto.hash_data(signed_region_of(snapshot)))
 
 
 def new_repository(
@@ -113,30 +118,24 @@ def new_repository(
 ) -> RepositoryState:
     """Fresh repository with every role at version 1 and an empty targets list."""
     thresholds = thresholds or DEFAULT_THRESHOLDS
-    keysets = {
-        RoleKind.ROOT: root_keys,
-        RoleKind.TARGETS: targets_keys,
-        RoleKind.SNAPSHOT: snapshot_keys,
-        RoleKind.TIMESTAMP: timestamp_keys,
+    keys = {
+        RoleKind.ROOT: tuple(root_keys),
+        RoleKind.TARGETS: tuple(targets_keys),
+        RoleKind.SNAPSHOT: tuple(snapshot_keys),
+        RoleKind.TIMESTAMP: tuple(timestamp_keys),
     }
     root_body = RootBody(
         roles={
-            role: RoleKeys(threshold=thresholds[role], keys=tuple(k.public for k in keys))
-            for role, keys in keysets.items()
+            role: RoleKeys(threshold=thresholds[role], keys=tuple(k.public for k in signers))
+            for role, signers in keys.items()
         }
     )
-    root = build_and_sign(root_body, 1, clock + LIFETIMES[RoleKind.ROOT], root_keys)
-    targets = build_and_sign(TargetsBody(), 1, clock + LIFETIMES[RoleKind.TARGETS], targets_keys)
-    snapshot = build_and_sign(
-        SnapshotBody(root_version=1, targets_version=1),
-        1,
-        clock + LIFETIMES[RoleKind.SNAPSHOT],
-        snapshot_keys,
-    )
-    timestamp = _sign_timestamp(snapshot, 1, clock, timestamp_keys)
+    root = _sign(keys, RoleKind.ROOT, root_body, 1, clock)
+    targets = _sign(keys, RoleKind.TARGETS, TargetsBody(), 1, clock)
+    snapshot = _sign(keys, RoleKind.SNAPSHOT, SnapshotBody(root_version=1, targets_version=1), 1, clock)
+    timestamp = _sign(keys, RoleKind.TIMESTAMP, _timestamp_body(snapshot), 1, clock)
     return RepositoryState(
-        online_keys={role: tuple(keys) for role, keys in keysets.items() if role is not RoleKind.ROOT},
-        root_keys=tuple(root_keys),
+        keys=keys,
         metadata=MetadataSet(root=root, targets=targets, snapshot=snapshot, timestamp=timestamp),
         envelopes={},
         clock=clock,
@@ -148,14 +147,15 @@ def _resign_chain(state: RepositoryState, targets: RoleMetadata | None, root: Ro
     """Re-sign snapshot and timestamp around new targets and/or root metadata."""
     root = root or state.metadata.root
     targets = targets or state.metadata.targets
-    snapshot = build_and_sign(
+    snapshot = _sign(
+        state.keys,
+        RoleKind.SNAPSHOT,
         SnapshotBody(root_version=root.version, targets_version=targets.version),
         state.metadata.snapshot.version + 1,
-        state.clock + LIFETIMES[RoleKind.SNAPSHOT],
-        list(state.online_keys[RoleKind.SNAPSHOT]),
+        state.clock,
     )
-    timestamp = _sign_timestamp(
-        snapshot, state.metadata.timestamp.version + 1, state.clock, list(state.online_keys[RoleKind.TIMESTAMP])
+    timestamp = _sign(
+        state.keys, RoleKind.TIMESTAMP, _timestamp_body(snapshot), state.metadata.timestamp.version + 1, state.clock
     )
     return MetadataSet(root=root, targets=targets, snapshot=snapshot, timestamp=timestamp)
 
@@ -181,11 +181,8 @@ def _publish_record(state: RepositoryState, record: TargetRecord, envelope_bytes
         records.insert(at, record)
     if len(records) > _U16_MAX:
         raise PublishRejected(f"targets list longer than {_U16_MAX} records")
-    targets = build_and_sign(
-        TargetsBody(records=records),
-        state.metadata.targets.version + 1,
-        state.clock + LIFETIMES[RoleKind.TARGETS],
-        list(state.online_keys[RoleKind.TARGETS]),
+    targets = _sign(
+        state.keys, RoleKind.TARGETS, TargetsBody(records=records), state.metadata.targets.version + 1, state.clock
     )
     envelopes = dict(state.envelopes)
     if envelope_bytes is not None:
@@ -227,11 +224,12 @@ def publish_vanilla(state: RepositoryState, name: str, artifact: bytes) -> Repos
 
 def refresh_timestamp(state: RepositoryState) -> RepositoryState:
     """Re-sign the freshness heartbeat with no content change."""
-    timestamp = _sign_timestamp(
-        state.metadata.snapshot,
+    timestamp = _sign(
+        state.keys,
+        RoleKind.TIMESTAMP,
+        _timestamp_body(state.metadata.snapshot),
         state.metadata.timestamp.version + 1,
         state.clock,
-        list(state.online_keys[RoleKind.TIMESTAMP]),
     )
     return replace(
         state,
@@ -241,7 +239,8 @@ def refresh_timestamp(state: RepositoryState) -> RepositoryState:
 
 
 def rotate_root(state: RepositoryState, new_root_keys: list[crypto.SigningKeyPair], threshold: int | None = None) -> RepositoryState:
-    """Publish a new root version; the only operation touching offline keys.
+    """Publish a new root version; besides new_repository, the only signing
+    with the offline root keys.
 
     The new root is signed by both the outgoing and incoming key sets so
     clients anchored on the old root can adopt it.
@@ -251,16 +250,12 @@ def rotate_root(state: RepositoryState, new_root_keys: list[crypto.SigningKeyPai
         threshold=threshold or roles[RoleKind.ROOT].threshold,
         keys=tuple(k.public for k in new_root_keys),
     )
-    signers = list(state.root_keys) + [k for k in new_root_keys if k not in state.root_keys]
-    root = build_and_sign(
-        RootBody(roles=roles),
-        state.metadata.root.version + 1,
-        state.clock + LIFETIMES[RoleKind.ROOT],
-        signers,
-    )
+    old_keys = state.keys[RoleKind.ROOT]
+    signers = {RoleKind.ROOT: old_keys + tuple(k for k in new_root_keys if k not in old_keys)}
+    root = _sign(signers, RoleKind.ROOT, RootBody(roles=roles), state.metadata.root.version + 1, state.clock)
     return replace(
         state,
-        root_keys=tuple(new_root_keys),
+        keys={**state.keys, RoleKind.ROOT: tuple(new_root_keys)},
         metadata=_resign_chain(state, None, root=root),
         archive=_archived(state),
     )
@@ -334,7 +329,7 @@ def save_repository(state: RepositoryState, directory: str) -> None:
     private = bytearray(_PRIVATE_MAGIC)
     private += struct.pack(">BQBQ", mode_flag, state.clock, _TAMPER_KINDS.index(tamper.kind), tamper.bit_offset)
     for role in RoleKind:
-        keys = state.root_keys if role is RoleKind.ROOT else state.online_keys[role]
+        keys = state.keys[role]
         private += struct.pack(">H", len(keys)) + b"".join(k.private for k in keys)
     private += struct.pack(">B", len(state.archive))
     for entry in state.archive:
@@ -412,10 +407,8 @@ def load_repository(directory: str) -> RepositoryState:
     envelopes = {
         name[: -len(".env")]: _read_file(directory, "envelopes", name) for name in filenames if name.endswith(".env")
     }
-    root_keys = keys.pop(RoleKind.ROOT)
     return RepositoryState(
-        online_keys=keys,
-        root_keys=root_keys,
+        keys=keys,
         metadata=metadata,
         envelopes=envelopes,
         clock=clock,

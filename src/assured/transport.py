@@ -408,14 +408,6 @@ class DeviceServer(_Server):
 _RepoDispatch, _DeviceDispatch = RepoServer, DeviceServer
 
 
-def make_repo_server(state: RepositoryState, listen: str) -> RepoServer:
-    return RepoServer(state, listen)
-
-
-def make_device_server(device: Device, listen: str) -> DeviceServer:
-    return DeviceServer(device, listen)
-
-
 def serve_in_thread(server) -> str:
     """Start a port server on a daemon thread; returns its display address.
 

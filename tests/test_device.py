@@ -380,6 +380,33 @@ class TestTufComparisonMode:
         outcome = device.receive_update_tuf(blobs, "fw", artifact + b"x", state.mode)
         assert outcome.status == InstallOutcome.REJECTED
 
+    def test_install_takes_the_dual_bank_write_steps(self, oem_key):
+        """clear, start, one step per chunk, token, version, flip: the same
+        steps as a dual-bank install of an image of the same size, and power
+        lost before the flip leaves the installed version where it was."""
+        state, artifact = self.make_vanilla_world(oem_key)
+        blobs = {role: fetch_metadata(state, role) for role in RoleKind}
+        dual = make_device(oem_key)
+        dual.reset_write_counter()
+        assert Channel(dual).deliver(make_envelope(oem_key, size=len(artifact))[0]).status == InstallOutcome.INSTALLED
+        steps = 5 + -(-len(artifact) // BANK_WRITE_CHUNK)
+        assert dual._writes_done == steps
+
+        def tuf_device(budget):
+            device = make_device(oem_key)
+            device.provision_trusted_root(state.metadata.root)
+            device.reset_write_counter()
+            device.faults.fail_after_writes = budget
+            return device
+
+        device = tuf_device(None)
+        outcome = device.receive_update_tuf(blobs, "fw", artifact, state.mode, now=state.clock)
+        assert (outcome.status, device._writes_done) == (InstallOutcome.INSTALLED, steps)
+        device = tuf_device(steps - 1)
+        with pytest.raises(SimulatedPowerLoss):
+            device.receive_update_tuf(blobs, "fw", artifact, state.mode, now=state.clock)
+        assert device.installed_version == 1
+
 
 class TestSecretConfinement:
     SIMULATION_HOOKS = {

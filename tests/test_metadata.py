@@ -398,6 +398,23 @@ def test_json_integer_outside_its_binary_width_is_parse_error(json_skeletons, ro
     assert excinfo.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"body":[["üüüü",x',
+        '{"body":[["☃☃"],["é"]x',
+        '{"body":[["üü"]],"role":"☃",x',
+        '{"body":{"root":[2,["ü☃"]]x',
+    ],
+    ids=["list-item", "after-list-item", "fields-after-body", "root-document"],
+)
+def test_json_syntax_error_position_is_a_byte_offset(text):
+    blob = text.encode("utf-8")
+    with pytest.raises(ParseError, match="bad json") as excinfo:
+        parse(blob, Mode.JSON)
+    assert excinfo.value.position == blob.index(b"x")
+
+
 def _paths(value, prefix=()):
     """Every position in a JSON value, containers and leaves alike."""
     yield prefix

@@ -321,6 +321,53 @@ def test_rotate_root_re_anchors(fresh_repo, envelope):
     verify_full_chain(state.metadata.root, rotated.metadata, now=0)
 
 
+def test_root_keys_sign_only_new_roots(tmp_path, fresh_repo, envelope):
+    """Root keys stay offline: every targets, snapshot and timestamp signature
+    made after the first is by that role's own keys; only rotate_root signs
+    as root, with the outgoing root keys and then the incoming ones. A saved
+    and loaded state signs the same way."""
+
+    def kids(keys):
+        return [crypto.key_id(k.public) for k in keys]
+
+    def signers(meta):
+        return [kid for kid, _ in meta.signatures]
+
+    own = {
+        RoleKind.TARGETS: kids(seeded_keys(b"t", 2)),
+        RoleKind.SNAPSHOT: kids(seeded_keys(b"s", 1)),
+        RoleKind.TIMESTAMP: kids(seeded_keys(b"w", 1)),
+    }
+    steps = [
+        lambda s: publish(s, "fw", envelope),
+        lambda s: publish_vanilla(s, "plain", b"plain"),
+        refresh_timestamp,
+        lambda s: refresh_timestamp(advance_clock(s, 5)),
+    ]
+
+    def run(state):
+        for step in steps:
+            after = step(state)
+            assert after.metadata.root is state.metadata.root
+            for role, expected in own.items():
+                if after.metadata.by_role(role) is not state.metadata.by_role(role):
+                    assert signers(after.metadata.by_role(role)) == expected, role
+            state = after
+        return state
+
+    def rotate(state, old, new):
+        rotated = rotate_root(state, new)
+        assert signers(rotated.metadata.root) == kids(old) + kids(new)
+        for role in (RoleKind.SNAPSHOT, RoleKind.TIMESTAMP):
+            assert signers(rotated.metadata.by_role(role)) == own[role], role
+        return rotated
+
+    rotated = rotate(run(fresh_repo), seeded_keys(b"r", 2), seeded_keys(b"R", 2))
+    directory = str(tmp_path / "repo")
+    save_repository(rotated, directory)
+    rotate(run(load_repository(directory)), seeded_keys(b"R", 2), seeded_keys(b"Q", 2))
+
+
 def test_save_load_round_trip(tmp_path, fresh_repo, envelope):
     state = publish(fresh_repo, "fw", envelope)
     state = set_tamper(state, TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=9))

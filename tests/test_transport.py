@@ -41,7 +41,6 @@ from assured.transport import (
     _line_reader,
     _LineClient,
     is_unix_address,
-    make_device_server,
     parse_listen_address,
     serve_in_thread,
 )
@@ -109,7 +108,7 @@ def test_unix_address_detection():
 
 def test_device_over_unix_socket(tmp_path, oem_key):
     path = str(tmp_path / "device.sock")
-    server = make_device_server(fresh_device(oem_key), path)
+    server = DeviceServer(fresh_device(oem_key), path)
     remote = RemoteDevicePort(serve_in_thread(server))
     try:
         assert remote.info()["id"] == 2
