@@ -16,14 +16,23 @@ Groups (all in-process, seed 7):
                rotation, saved twice into one directory;
   state        a saved controller state file and two flash images, one
                after a delivered update and one after a full-verification
-               (plain TUF) install.
+               (plain TUF) install;
+  cli          every file, and each command's exit code, that one seeded
+               file-based flow through `assured.cli.main` leaves in an empty
+               directory: `oem keygen`/`issue`, `repo init`/`publish`,
+               `controller init`/`enroll`/`sync`/`deliver --flash`/`attest`,
+               `device init`/`boot`, `scenario run --out`, `bench --records`
+               and `adversary-suite --records`. A stray temporary file changes
+               this digest too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import glob
 import hashlib
+import io
 import json
 import os
 import random
@@ -32,6 +41,7 @@ import tempfile
 
 from assured import crypto
 from assured.authorization import Constraints, build_envelope, issue_token, serialize_envelope
+from assured.cli import main as cli_main
 from assured.controller import save_controller
 from assured.device import Device, save_flash
 from assured.harness import BUILTIN_SCENARIOS, World, run_adversary_suite, run_bench, run_scenario
@@ -137,6 +147,47 @@ def state() -> dict[str, bytes]:
         return _files(directory)
 
 
+def cli_flow() -> dict[str, bytes]:
+    oem_key = crypto.signing_key_from_seed(random.Random(1).randbytes(32))  # what `oem keygen --seed 1` writes
+    key = "ab" * 32
+    flash = ["--device", "9", "--flash", "dev.flash"]
+    flow = [
+        ["oem", "keygen", "--out", "oem.key", "--seed", "1"],
+        ["oem", "issue", "--key", "oem.key", "--artifact", "fw1.bin", "--new-version", "1", "--model", "5",
+         "--out", "fw1.env"],
+        ["oem", "issue", "--key", "oem.key", "--artifact", "fw2.bin", "--new-version", "2", "--model", "5",
+         "--out", "fw2.env"],
+        ["repo", "init", "--dir", "repo", "--seed", "2"],
+        ["repo", "publish", "--dir", "repo", "--name", "fw2", "--envelope", "fw2.env"],
+        ["device", "init", "--flash", "dev.flash", "--model", "5", "--id", "9", "--oem-public", oem_key.public.hex(),
+         "--attestation-key", key, "--envelope", "fw1.env", "--seed", "3"],
+        ["controller", "init", "--state", "ctrl.bin", "--repo", "repo", "--seed", "4"],
+        ["controller", "enroll", "--state", "ctrl.bin", "--device", "9", "--model", "5", "--attestation-key", key,
+         "--version", "1", "--digest", hashlib.sha256(b"\x01" * 200).hexdigest()],
+        ["controller", "sync", "--state", "ctrl.bin", "--repo", "repo", "--seed", "5"],
+        ["controller", "deliver", "--state", "ctrl.bin", "--repo", "repo", "--name", "fw2", *flash, "--seed", "5"],
+        ["controller", "attest", "--state", "ctrl.bin", *flash, "--seed", "5"],
+        ["device", "boot", "--flash", "dev.flash", "--seed", "6"],
+        ["scenario", "run", "happy-path", "--seed", str(SEED), "--out", "happy-path.txt"],
+        ["bench", "--seed", str(SEED), "--records", "bench.jsonl"],
+        ["adversary-suite", "--seed", str(SEED), "--records", "attacks.jsonl"],
+    ]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="fingerprint-cli-") as directory:
+        os.chdir(directory)
+        try:
+            for name, artifact in (("fw1.bin", b"\x01" * 200), ("fw2.bin", b"\x02" * 300)):
+                with open(name, "wb") as fh:
+                    fh.write(artifact)
+            codes = []
+            for argv in flow:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(cli_main(argv))
+        finally:
+            os.chdir(here)
+        return {"exit codes": " ".join(map(str, codes)).encode(), **_files(directory)}
+
+
 def digest(entries: dict[str, bytes]) -> str:
     """SHA-256 over the entries in name order, each framed by its name and length."""
     h = hashlib.sha256()
@@ -147,7 +198,7 @@ def digest(entries: dict[str, bytes]) -> str:
 
 
 def main() -> int:
-    groups = {"transcripts": transcripts, "bench": bench, "repository": repository, "state": state}
+    groups = {"transcripts": transcripts, "bench": bench, "repository": repository, "state": state, "cli": cli_flow}
     digests = {}
     for name, group in groups.items():
         digests[name] = digest(group())

@@ -31,10 +31,10 @@ from .authorization import (
     parse_envelope,
     serialize_envelope,
 )
-from .codec import read_file
+from .codec import read_file, write_file
 from .controller import Controller, LocalPolicy, load_controller, save_controller
 from .device import Device, InstallMode, load_flash, save_flash
-from .errors import AssuredError, NotFound
+from .errors import AssuredError, NotFound, ParseError
 from .harness import (
     BUILTIN_SCENARIOS,
     adversary_table,
@@ -61,20 +61,6 @@ from .transport import (
 
 # the name perfbench/serve.py replaces to reach the server `repo serve` starts
 make_repo_server = RepoServer
-
-
-def _rng(seed: int | None) -> random.Random:
-    return random.Random(seed) if seed is not None else random.Random()
-
-
-def _load_controller(args) -> Controller:
-    """Load the controller state file. A seeded rng is derived from the seed
-    and the count of nonces drawn, so repeated runs with one seed stay
-    deterministic but never draw a handshake or attestation nonce again."""
-    ctrl = load_controller(args.state)
-    if args.seed is not None:
-        ctrl.rng = random.Random(f"{args.seed}:{ctrl.nonces_drawn}")
-    return ctrl
 
 
 # --- option converters: a malformed value is a usage error naming its option ------------
@@ -106,11 +92,6 @@ def model_list(text: str) -> frozenset[int]:
     return LocalPolicy(allowed_models=frozenset(int(model) for model in text.split(","))).allowed_models
 
 
-def _write(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def _load_oem_key(path: str) -> crypto.SigningKeyPair:
     seed = read_file(path)
     if len(seed) != 32:
@@ -130,15 +111,35 @@ def _repo_port(spec: str):
 
 
 @contextlib.contextmanager
+def _controller(args):
+    """The controller in the state file, written back when the block exits,
+    however it exits, so a nonce drawn by a failed command still counts. A
+    seeded rng is derived from the seed and the count of nonces drawn, so
+    repeated runs with one seed stay deterministic but never draw a
+    handshake or attestation nonce again."""
+    ctrl = load_controller(args.state)
+    if args.seed is not None:
+        ctrl.rng = random.Random(f"{args.seed}:{ctrl.nonces_drawn}")
+    try:
+        yield ctrl
+    finally:
+        save_controller(ctrl, args.state)
+
+
+@contextlib.contextmanager
 def _device_port(args):
-    """(port, device): a served device (device None, closed on exit) or
-    one loaded from its flash file."""
+    """(port, device): a served device (device None, closed on exit) or one
+    loaded from its flash file, written back when the block exits, however
+    it exits."""
     if getattr(args, "device_addr", None):
         with contextlib.closing(RemoteDevicePort(args.device_addr)) as port:
             yield port, None
-    elif getattr(args, "flash", None):
-        device = load_flash(args.flash, rng=_rng(getattr(args, "seed", None)))
-        yield LocalDevicePort(device), device
+    elif args.flash:
+        device = load_flash(args.flash, rng=random.Random(args.seed))
+        try:
+            yield LocalDevicePort(device), device
+        finally:
+            save_flash(device, args.flash)
     else:
         raise SystemExit("need --device-addr (host:port or socket path) or --flash file")
 
@@ -146,8 +147,8 @@ def _device_port(args):
 # --- oem -----------------------------------------------------------------------------
 
 def cmd_oem_keygen(args) -> int:
-    seed = _rng(args.seed).randbytes(32)
-    _write(args.out, seed)
+    seed = random.Random(args.seed).randbytes(32)
+    write_file(args.out, seed)
     key = crypto.signing_key_from_seed(seed)
     print(f"wrote {args.out}; public key {key.public.hex()}")
     return 0
@@ -164,7 +165,7 @@ def cmd_oem_issue(args) -> int:
     )
     token = issue_token(key, artifact, constraints)
     envelope = serialize_envelope(build_envelope(token, artifact))
-    _write(args.out, envelope)
+    write_file(args.out, envelope)
     print(f"wrote {args.out}: token {len(token.raw)} B, artifact {len(artifact)} B")
     return 0
 
@@ -198,7 +199,7 @@ def cmd_token_dump(args) -> int:
 # --- repo ----------------------------------------------------------------------------
 
 def cmd_repo_init(args) -> int:
-    rng = _rng(args.seed)
+    rng = random.Random(args.seed)
 
     def keys(count: int):
         return [crypto.signing_key_from_seed(rng.randbytes(32)) for _ in range(count)]
@@ -210,7 +211,6 @@ def cmd_repo_init(args) -> int:
         timestamp_keys=keys(1),
         mode=Mode(args.mode),
     )
-    os.makedirs(args.dir, exist_ok=True)
     save_repository(state, args.dir)
     print(f"initialized repository in {args.dir} (mode={args.mode})")
     return 0
@@ -272,7 +272,7 @@ def cmd_controller_init(args) -> int:
         trusted_root=trusted_root,
         mode=mode,
         policy=LocalPolicy(window=args.window, allowed_models=args.models),
-        rng=_rng(args.seed),
+        rng=random.Random(args.seed),
     )
     save_controller(ctrl, args.state)
     print(f"wrote {args.state} (trust anchor: root v{trusted_root.version})")
@@ -280,24 +280,21 @@ def cmd_controller_init(args) -> int:
 
 
 def cmd_controller_enroll(args) -> int:
-    ctrl = _load_controller(args)
-    ctrl.enroll(
-        device_id=args.device,
-        device_model=args.model,
-        attestation_key=args.attestation_key,
-        installed_version=args.version,
-        installed_digest=args.digest or crypto.hash_data(b""),
-    )
-    save_controller(ctrl, args.state)
+    with _controller(args) as ctrl:
+        ctrl.enroll(
+            device_id=args.device,
+            device_model=args.model,
+            attestation_key=args.attestation_key,
+            installed_version=args.version,
+            installed_digest=args.digest or crypto.hash_data(b""),
+        )
     print(f"enrolled device {args.device} (model {args.model})")
     return 0
 
 
 def cmd_controller_sync(args) -> int:
-    ctrl = _load_controller(args)
-    with _repo_port(args.repo) as repo:
+    with _controller(args) as ctrl, _repo_port(args.repo) as repo:
         batch = ctrl.sync(repo)
-    save_controller(ctrl, args.state)
     for item in batch:
         print(f"verified {item.name}: artifact {len(item.envelope.artifact)} B")
     print(f"sync ok: {len(batch)} new envelope(s)")
@@ -305,31 +302,21 @@ def cmd_controller_sync(args) -> int:
 
 
 def cmd_controller_deliver(args) -> int:
-    ctrl = _load_controller(args)
-    with _repo_port(args.repo) as repo, _device_port(args) as (port, device):
+    with _controller(args) as ctrl, _repo_port(args.repo) as repo, _device_port(args) as (port, _):
         ctrl.seen_targets.pop(args.name, None)  # re-verify and re-deliver idempotently
         batch = ctrl.sync(repo)
         wanted = [item for item in batch if item.name == args.name]
         if not wanted:
             raise NotFound(f"no verified envelope named {args.name!r}")
-        try:
-            session = ctrl.open_channel(port, args.device)
-            outcome = ctrl.deliver(session, wanted[0])
-        finally:
-            save_controller(ctrl, args.state)
-            if device is not None and args.flash:
-                save_flash(device, args.flash)
+        session = ctrl.open_channel(port, args.device)
+        outcome = ctrl.deliver(session, wanted[0])
     print(f"device reports {outcome.status} (version {outcome.version}) {outcome.reason}")
     return 0 if outcome.status == "installed" else 1
 
 
 def cmd_controller_attest(args) -> int:
-    ctrl = _load_controller(args)
-    with _device_port(args) as (port, device):
+    with _controller(args) as ctrl, _device_port(args) as (port, _):
         result = ctrl.request_attestation(port, args.device, expected_digest=args.expected or None)
-    save_controller(ctrl, args.state)
-    if device is not None and args.flash:
-        save_flash(device, args.flash)
     if result.verified:
         print("attestation verified")
         return 0
@@ -351,7 +338,7 @@ def _new_device(args, attestation_key: bytes, rng: random.Random) -> Device:
 
 
 def cmd_device_init(args) -> int:
-    rng = _rng(args.seed)
+    rng = random.Random(args.seed)
     attestation_key = args.attestation_key or rng.randbytes(32)
     device = _new_device(args, attestation_key, rng)
     if args.envelope:
@@ -364,12 +351,12 @@ def cmd_device_init(args) -> int:
 
 def cmd_device_run(args) -> int:
     if args.flash:
-        device = load_flash(args.flash, rng=_rng(args.rng_seed))
+        device = load_flash(args.flash, rng=random.Random(args.rng_seed))
     else:
         for required in ("model", "id", "oem_public", "attestation_key"):
             if getattr(args, required) is None:
                 raise SystemExit(f"--{required.replace('_', '-')} is required without --flash")
-        device = _new_device(args, args.attestation_key, _rng(args.rng_seed))
+        device = _new_device(args, args.attestation_key, random.Random(args.rng_seed))
     server = DeviceServer(device, args.listen)
     if args.flash:
         server.after_op = lambda: save_flash(device, args.flash)
@@ -377,9 +364,8 @@ def cmd_device_run(args) -> int:
 
 
 def cmd_device_boot(args) -> int:
-    device = load_flash(args.flash, rng=_rng(args.seed))
-    result = device.boot()
-    save_flash(device, args.flash)
+    with _device_port(args) as (_, device):
+        result = device.boot()
     if result.running:
         print(f"running version {result.version}" + (f" ({result.reason})" if result.reason else ""))
         return 0
@@ -391,8 +377,11 @@ def cmd_device_boot(args) -> int:
 
 def cmd_scenario_run(args) -> int:
     if os.path.exists(args.file):
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        script = read_file(args.file)
+        try:
+            text = script.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.file} is not utf-8", position=exc.start) from exc
     elif args.file in BUILTIN_SCENARIOS:
         text = BUILTIN_SCENARIOS[args.file]
     else:
@@ -401,17 +390,14 @@ def cmd_scenario_run(args) -> int:
     transcript = run_scenario(text, seed=args.seed, multiprocess=args.multiprocess)
     output = transcript.text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        write_file(args.out, output.encode())
     print(output, end="")
     return 0 if transcript.ok else 1
 
 
 def _write_records(path: str, records: list[dict]) -> None:
     """One JSON object per line, keys sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_file(path, "".join(json.dumps(record, sort_keys=True) + "\n" for record in records).encode())
 
 
 def cmd_bench(args) -> int:
@@ -445,15 +431,30 @@ def cmd_adversary_suite(args) -> int:
 # --- parser ------------------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # options that several commands take, each declared once in a parent parser
+    seed, run_seed, repo_dir, state, target, records = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    seed.add_argument("--seed", type=int)
+    run_seed.add_argument("--seed", type=int, default=0)
+    repo_dir.add_argument("--dir", required=True)
+    state.add_argument("--state", required=True)
+    target.add_argument("--device", type=u64, required=True)
+    target.add_argument("--device-addr")
+    target.add_argument("--flash")
+    records.add_argument("--records", help="write machine-readable JSONL records here")
+
     parser = argparse.ArgumentParser(prog="assured", description="secure firmware update toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(subparsers, name: str, func, *parents, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand that runs ``func``, taking the options of ``parents``."""
+        parsed = subparsers.add_parser(name, parents=list(parents), **kwargs)
+        parsed.set_defaults(func=func)
+        return parsed
+
     oem = sub.add_parser("oem", help="OEM key and token operations").add_subparsers(dest="sub", required=True)
-    keygen = oem.add_parser("keygen", help="generate an OEM signing key")
+    keygen = command(oem, "keygen", cmd_oem_keygen, seed, help="generate an OEM signing key")
     keygen.add_argument("--out", required=True)
-    keygen.add_argument("--seed", type=int)
-    keygen.set_defaults(func=cmd_oem_keygen)
-    issue = oem.add_parser("issue", help="issue a token and envelope for an artifact")
+    issue = command(oem, "issue", cmd_oem_issue, help="issue a token and envelope for an artifact")
     issue.add_argument("--key", required=True)
     issue.add_argument("--artifact", required=True)
     issue.add_argument("--new-version", type=u64, required=True)
@@ -461,83 +462,47 @@ def build_parser() -> argparse.ArgumentParser:
     issue.add_argument("--device", type=u64, default=0)
     issue.add_argument("--prev", type=u64, default=0)
     issue.add_argument("--out", required=True)
-    issue.set_defaults(func=cmd_oem_issue)
 
     token = sub.add_parser("token", help="token utilities").add_subparsers(dest="sub", required=True)
-    dump = token.add_parser("dump", help="hex-dump a token or envelope")
+    dump = command(token, "dump", cmd_token_dump, help="hex-dump a token or envelope")
     dump.add_argument("file")
-    dump.set_defaults(func=cmd_token_dump)
 
     repo = sub.add_parser("repo", help="repository operations").add_subparsers(dest="sub", required=True)
-    init = repo.add_parser("init")
-    init.add_argument("--dir", required=True)
+    init = command(repo, "init", cmd_repo_init, repo_dir, seed)
     init.add_argument("--mode", choices=["json", "binary"], default="json")
-    init.add_argument("--seed", type=int)
-    init.set_defaults(func=cmd_repo_init)
-    publish = repo.add_parser("publish")
-    publish.add_argument("--dir", required=True)
+    publish = command(repo, "publish", cmd_repo_publish, repo_dir)
     publish.add_argument("--name", required=True)
     publish.add_argument("--envelope", required=True)
-    publish.set_defaults(func=cmd_repo_publish)
-    refresh = repo.add_parser("refresh")
-    refresh.add_argument("--dir", required=True)
-    refresh.set_defaults(func=cmd_repo_refresh)
-    tamper = repo.add_parser("tamper")
-    tamper.add_argument("--dir", required=True)
+    command(repo, "refresh", cmd_repo_refresh, repo_dir)
+    tamper = command(repo, "tamper", cmd_repo_tamper, repo_dir)
     tamper.add_argument("policy", choices=[k.value for k in TamperKind])
     tamper.add_argument("--offset", type=u64, default=0)
-    tamper.set_defaults(func=cmd_repo_tamper)
-    advance = repo.add_parser("advance")
-    advance.add_argument("--dir", required=True)
+    advance = command(repo, "advance", cmd_repo_advance, repo_dir)
     advance.add_argument("--ticks", type=int, required=True)
-    advance.set_defaults(func=cmd_repo_advance)
-    serve = repo.add_parser("serve")
-    serve.add_argument("--dir", required=True)
+    serve = command(repo, "serve", cmd_repo_serve, repo_dir)
     serve.add_argument("--listen", default="127.0.0.1:0")
-    serve.set_defaults(func=cmd_repo_serve)
 
     controller = sub.add_parser("controller", help="controller operations").add_subparsers(dest="sub", required=True)
-    cinit = controller.add_parser("init")
-    cinit.add_argument("--state", required=True)
+    cinit = command(controller, "init", cmd_controller_init, state, seed)
     cinit.add_argument("--repo", required=True, help="repository dir or host:port")
     cinit.add_argument("--window", type=maintenance_window, help="maintenance window start:end in ticks")
     cinit.add_argument("--models", type=model_list, help="comma-separated allowed models")
-    cinit.add_argument("--seed", type=int)
-    cinit.set_defaults(func=cmd_controller_init)
-    enroll = controller.add_parser("enroll")
-    enroll.add_argument("--state", required=True)
+    enroll = command(controller, "enroll", cmd_controller_enroll, state, seed)
     enroll.add_argument("--device", type=u64, required=True)
     enroll.add_argument("--model", type=u64, required=True)
     enroll.add_argument("--attestation-key", type=hex32, required=True, help="hex pre-shared master key")
     enroll.add_argument("--version", type=u64, default=0)
     enroll.add_argument("--digest", type=hex32, help="hex digest of the installed artifact")
-    enroll.add_argument("--seed", type=int)
-    enroll.set_defaults(func=cmd_controller_enroll)
-    csync = controller.add_parser("sync")
-    csync.add_argument("--state", required=True)
+    csync = command(controller, "sync", cmd_controller_sync, state, seed)
     csync.add_argument("--repo", required=True)
-    csync.add_argument("--seed", type=int)
-    csync.set_defaults(func=cmd_controller_sync)
-    deliver = controller.add_parser("deliver")
-    deliver.add_argument("--state", required=True)
+    deliver = command(controller, "deliver", cmd_controller_deliver, state, target, seed)
     deliver.add_argument("--repo", required=True)
-    deliver.add_argument("--device", type=u64, required=True)
     deliver.add_argument("--name", required=True)
-    deliver.add_argument("--device-addr")
-    deliver.add_argument("--flash")
-    deliver.add_argument("--seed", type=int)
-    deliver.set_defaults(func=cmd_controller_deliver)
-    attest = controller.add_parser("attest")
-    attest.add_argument("--state", required=True)
-    attest.add_argument("--device", type=u64, required=True)
-    attest.add_argument("--device-addr")
-    attest.add_argument("--flash")
+    attest = command(controller, "attest", cmd_controller_attest, state, target, seed)
     attest.add_argument("--expected", type=hex32, help="hex expected measurement (default: registry)")
-    attest.add_argument("--seed", type=int)
-    attest.set_defaults(func=cmd_controller_attest)
 
     device = sub.add_parser("device", help="simulated device").add_subparsers(dest="sub", required=True)
-    dinit = device.add_parser("init")
+    dinit = command(device, "init", cmd_device_init, seed)
     dinit.add_argument("--flash", required=True)
     dinit.add_argument("--model", type=u64, required=True)
     dinit.add_argument("--id", type=u64, required=True)
@@ -545,9 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     dinit.add_argument("--attestation-key", type=hex32, help="hex master key (generated if omitted)")
     dinit.add_argument("--envelope", help="factory firmware envelope")
     dinit.add_argument("--install-mode", choices=["dual", "single"], default="dual")
-    dinit.add_argument("--seed", type=int)
-    dinit.set_defaults(func=cmd_device_init)
-    drun = device.add_parser("run")
+    drun = command(device, "run", cmd_device_run)
     drun.add_argument(
         "--listen", default="127.0.0.1:0", help="host:port (0 = ephemeral) or a unix-socket path"
     )
@@ -558,30 +521,18 @@ def build_parser() -> argparse.ArgumentParser:
     drun.add_argument("--attestation-key", type=hex32)
     drun.add_argument("--install-mode", choices=["dual", "single"], default="dual")
     drun.add_argument("--rng-seed", type=int)
-    drun.set_defaults(func=cmd_device_run)
-    dboot = device.add_parser("boot")
+    dboot = command(device, "boot", cmd_device_boot, seed)
     dboot.add_argument("--flash", required=True)
-    dboot.add_argument("--seed", type=int)
-    dboot.set_defaults(func=cmd_device_boot)
 
     scenario = sub.add_parser("scenario", help="run scenario scripts").add_subparsers(dest="sub", required=True)
-    srun = scenario.add_parser("run")
+    srun = command(scenario, "run", cmd_scenario_run, run_seed)
     srun.add_argument("file", help="scenario file or builtin name")
-    srun.add_argument("--seed", type=int, default=0)
     srun.add_argument("--multiprocess", action="store_true")
     srun.add_argument("--out", help="also write the transcript here")
-    srun.set_defaults(func=cmd_scenario_run)
 
-    bench = sub.add_parser("bench", help="size/operation-count comparison")
+    bench = command(sub, "bench", cmd_bench, run_seed, records, help="size/operation-count comparison")
     bench.add_argument("--mode", choices=["assured", "tuf", "both"], default="both")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--records", help="write machine-readable JSONL records here")
-    bench.set_defaults(func=cmd_bench)
-
-    suite = sub.add_parser("adversary-suite", help="run all modeled attacks")
-    suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--records", help="write machine-readable JSONL records here")
-    suite.set_defaults(func=cmd_adversary_suite)
+    command(sub, "adversary-suite", cmd_adversary_suite, run_seed, records, help="run all modeled attacks")
 
     return parser
 

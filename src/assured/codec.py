@@ -1,8 +1,9 @@
 """The one reader for the binary formats: fixed-binary metadata, update
 envelopes, the device's install status, the controller state file, the flash
 image and the repository's private state. (The 136-byte token has no variable part: it is kept as its
-bytes and read through one ``struct`` layout.) ``read_file`` opens a state
-file, turning a missing one into a ParseError.
+bytes and read through one ``struct`` layout.) It is also the one place the
+program opens a file: ``read_file`` reads one, turning any failure into a
+ParseError, and ``write_file`` replaces one whole.
 
 Decoders accept exactly what the encoders write: a flag byte is 0 or 1, a
 string is a u16 length followed by that many bytes of UTF-8, a keyed list is
@@ -12,9 +13,12 @@ byte offset. Encoders stay plain ``struct.pack`` calls.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
 import struct
 
-from .errors import ParseError
+from .errors import ParseError, WriteFailed
 
 
 class Reader:
@@ -78,13 +82,40 @@ class Reader:
 
 
 def read_file(path: str, name: str | None = None) -> bytes:
-    """A state file's bytes; a missing file is a ParseError whose position
-    is ``name`` (default: the path)."""
+    """A file's bytes; a file that cannot be read is a ParseError whose
+    position is ``name`` (default: the path), "missing file" if it does not exist."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
-    except FileNotFoundError as exc:
-        raise ParseError("missing file", position=path if name is None else name) from exc
+    except OSError as exc:
+        message = "missing file" if isinstance(exc, FileNotFoundError) else f"cannot read file: {type(exc).__name__}"
+        raise ParseError(message, position=path if name is None else name) from exc
+
+
+def write_file(path: str, data: bytes) -> None:
+    """Replace the file at ``path`` whole with ``data``: the bytes go to a
+    temporary file beside it, which is synced to disk and then renamed over
+    ``path``, so a write that fails leaves the previous file as it was. The
+    new file keeps the mode of the one it replaces; a new path gets the mode
+    ``open`` gives. The temporary name is short, so any target name that fits
+    the file system has one. A failure is a WriteFailed naming ``path``."""
+    temporary = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temporary, "xb") as fh:
+            try:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+                fh.close()
+                os.replace(temporary, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.remove(temporary)
+                raise
+    except OSError as exc:
+        raise WriteFailed(f"cannot write {path}: {type(exc).__name__}") from exc
 
 
 def flip_bit(data: bytes, bit_offset: int) -> bytes:

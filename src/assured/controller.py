@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .authorization import UpdateEnvelope, parse_envelope, serialize_envelope
-from .codec import Reader, read_file
+from .codec import Reader, read_file, write_file
 from .device import InstallOutcome
 from .errors import (
     ChannelError,
@@ -330,8 +330,7 @@ def save_controller(ctrl: Controller, path: str) -> None:
     out += struct.pack(">QI", ctrl.nonces_drawn, len(ctrl.nonce_log))
     for nonce in ctrl.nonce_log:
         out += nonce
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    write_file(path, bytes(out))
 
 
 def load_controller(path: str, rng: random.Random | None = None) -> Controller:

@@ -37,7 +37,7 @@ from .authorization import (
     parse_envelope,
     verify_token,
 )
-from .codec import Reader, flip_bit, read_file
+from .codec import Reader, flip_bit, read_file, write_file
 from .errors import (
     AssuredError,
     AttestationRefused,
@@ -482,8 +482,7 @@ def save_flash(device: Device, path: str) -> None:
     out += struct.pack(">I", len(nonces))
     for nonce in nonces:
         out += nonce
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    write_file(path, bytes(out))
 
 
 def load_flash(path: str, rng: random.Random | None = None) -> Device:

@@ -51,7 +51,7 @@ class MalformedFrame(ChannelError):
     reason = "malformed_frame"
 
 
-# --- serialization ----------------------------------------------------------
+# --- serialization and files ------------------------------------------------
 
 class ParseError(AssuredError):
     """Malformed metadata/token/envelope input.
@@ -62,6 +62,10 @@ class ParseError(AssuredError):
     def __init__(self, message: str, position: int | str = 0) -> None:
         super().__init__(f"{message} (at {position})")
         self.position = position
+
+
+class WriteFailed(AssuredError):
+    """A file could not be replaced; the file at its path is left as it was."""
 
 
 # --- role-metadata verification ---------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 from . import crypto
 from .authorization import parse_envelope, serialize_envelope
-from .codec import Reader, flip_bit, read_file
-from .errors import NotFound, ParseError, PublishRejected
+from .codec import Reader, flip_bit, read_file, write_file
+from .errors import NotFound, ParseError, PublishRejected, WriteFailed
 from .metadata import (
     MetadataSet,
     Mode,
@@ -322,7 +322,8 @@ def save_repository(state: RepositoryState, directory: str) -> None:
 
     Public files: root.N.meta / targets.N.meta (versioned), snapshot.meta,
     timestamp.meta, and envelopes/<name>.env. A targets.N.meta of another
-    version than the one written is removed.
+    version than the one written is removed. Each file is replaced whole
+    (``write_file``); a directory or file that cannot be written is a WriteFailed.
     """
     mode_flag = 0 if state.mode is Mode.JSON else 1
     tamper = state.tamper
@@ -335,15 +336,15 @@ def save_repository(state: RepositoryState, directory: str) -> None:
     for entry in state.archive:
         for role in RoleKind:
             private += struct.pack(">I", len(entry[role])) + entry[role]
-    os.makedirs(os.path.join(directory, "envelopes"), exist_ok=True)
+    try:
+        os.makedirs(os.path.join(directory, "envelopes"), exist_ok=True)
+    except OSError as exc:
+        raise WriteFailed(f"cannot write {directory}: {type(exc).__name__}") from exc
     for role, blob in _serialized_set(state).items():
-        with open(os.path.join(directory, _filename(role, state.metadata.by_role(role).version)), "wb") as fh:
-            fh.write(blob)
+        write_file(os.path.join(directory, _filename(role, state.metadata.by_role(role).version)), blob)
     for name, data in state.envelopes.items():
-        with open(os.path.join(directory, "envelopes", f"{name}.env"), "wb") as fh:
-            fh.write(data)
-    with open(os.path.join(directory, _PRIVATE_FILE), "wb") as fh:
-        fh.write(private)
+        write_file(os.path.join(directory, "envelopes", f"{name}.env"), data)
+    write_file(os.path.join(directory, _PRIVATE_FILE), private)
     # only the targets version snapshot.meta pins is ever read; every
     # root.N.meta stays, for a client that walks the root chain
     pinned = _filename(RoleKind.TARGETS, state.metadata.targets.version)
@@ -402,7 +403,7 @@ def load_repository(directory: str) -> RepositoryState:
         raise ParseError("target names are not in sorted order", position=filename)
     try:
         filenames = sorted(os.listdir(os.path.join(directory, "envelopes")))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ParseError("missing directory", position="envelopes") from exc
     envelopes = {
         name[: -len(".env")]: _read_file(directory, "envelopes", name) for name in filenames if name.endswith(".env")

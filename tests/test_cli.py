@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from assured import cli
 from assured.cli import main
 from assured.controller import load_controller
+from assured.device import load_flash, save_flash
 from assured.harness import AdversaryRow
 from assured.transport import LocalDevicePort
 
@@ -138,6 +140,22 @@ def test_attest_twice_with_one_seed(workspace, capsys):
         )
         assert code == 0, out
         assert "attestation verified" in out
+
+
+def test_a_seeded_attestation_recovers_after_a_refusal(workspace, capsys):
+    """A refused attestation still counts the nonce it drew, so the next run
+    with the same seed draws a fresh nonce and verifies."""
+    _fleet(workspace, capsys)
+    device = load_flash("dev.flash")
+    device.attest(random.Random(f"6:{load_controller('ctrl.bin').nonces_drawn}").randbytes(16))
+    save_flash(device, "dev.flash")
+    argv = ["controller", "attest", "--state", "ctrl.bin", "--device", "9", "--flash", "dev.flash", "--seed", "6"]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    _one_error_line(out, "AttestationRefused")
+    assert load_controller("ctrl.bin").nonces_drawn == 1
+    code, out = run(capsys, *argv)
+    assert code == 0 and "attestation verified" in out, out
 
 
 def test_repo_refresh_and_advance(workspace, capsys):
@@ -480,6 +498,34 @@ def test_a_bad_scenario_script_is_one_error_line(workspace, capsys, script):
     code, out = run(capsys, "scenario", "run", "s.scn")
     assert code == 1
     _one_error_line(out, "ScenarioError")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["scenario", "run", "adir"], "ParseError"),
+        (["scenario", "run", "latin1.scn"], "ParseError"),
+        (["controller", "sync", "--state", "adir", "--repo", "repo"], "ParseError"),
+        (["token", "dump", "adir"], "ParseError"),
+        (["scenario", "run", "happy-path", "--out", "missing/t.txt"], "WriteFailed"),
+        (["bench", "--mode", "assured", "--records", "missing/b.jsonl"], "WriteFailed"),
+        (["oem", "keygen", "--out", "missing/oem.key"], "WriteFailed"),
+        (["controller", "init", "--state", "ctrl.bin", "--repo", "repo"], "ParseError"),
+        (["repo", "init", "--dir", "latin1.scn"], "WriteFailed"),
+    ],
+    ids=["scenario-directory", "scenario-not-utf8", "state-directory", "token-dump-directory", "scenario-out",
+         "bench-records", "keygen-out", "envelopes-a-file", "repo-dir-a-file"],
+)
+def test_a_file_that_cannot_be_read_or_written_is_one_error_line(workspace, capsys, argv, error):
+    (workspace / "adir").mkdir()
+    (workspace / "latin1.scn").write_bytes("# café\nenroll d model=1 id=1\n".encode("latin-1"))
+    run(capsys, "repo", "init", "--dir", "repo", "--seed", "2")
+    (workspace / "repo" / "envelopes").rmdir()
+    (workspace / "repo" / "envelopes").write_bytes(b"")
+    code, out = run(capsys, *argv)
+    assert code == 1
+    _one_error_line(out.splitlines(keepends=True)[-1], error)  # bench prints its tables before it writes
+    assert sorted(os.listdir(workspace)) == ["adir", "latin1.scn", "repo"]
 
 
 def test_controller_sync_reports_a_dropped_envelope_as_one_error_line(workspace, capsys):

@@ -1,7 +1,11 @@
 """The shared binary reader, the bit-flip helper, and the decode→re-encode
 property every binary decoder (and the JSON metadata and wire frame decoders) keeps."""
 
+import builtins
+import errno
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +21,15 @@ from assured.authorization import (
     parse_envelope,
     serialize_envelope,
 )
-from assured.codec import Reader, flip_bit
+from assured.codec import Reader, flip_bit, write_file
 from assured.controller import Controller, LocalPolicy, load_controller, save_controller
 from assured.device import AttestationReport, Bank, Device, InstallOutcome, load_flash, save_flash
-from assured.errors import ParseError, ReplayOrReorder
+from assured.errors import ParseError, ReplayOrReorder, WriteFailed
 from assured.metadata import Mode, RoleKind, parse, serialize_canonical
 from assured.repository import (
     TamperKind,
     TamperPolicy,
+    advance_clock,
     fetch_metadata,
     load_repository,
     new_repository,
@@ -235,3 +240,97 @@ def test_accepted_single_byte_mutants_reencode_to_themselves(tmp_path, case):
                 except ParseError:
                     continue
                 assert reencoded == mutant, (position, value)
+
+
+# --- every saver replaces its files whole ------------------------------------------------
+
+class _HalfWrite:
+    """A file object that writes half of the bytes it is given and then fails."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+
+    def write(self, data) -> int:
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _files(directory) -> dict[str, tuple[bytes, int]]:
+    """(bytes, permission bits) of every file under ``directory``, by relative path."""
+    found = {}
+    for parent, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, directory)] = (fh.read(), stat.S_IMODE(os.stat(path).st_mode))
+    return found
+
+
+def _controller_saves():
+    ctrl = Controller(trusted_root=_fresh_repository().metadata.root, mode=Mode.FIXED_BINARY, policy=LocalPolicy())
+
+    def save(path: str, clock: int) -> None:
+        ctrl.clock = clock
+        save_controller(ctrl, path)
+
+    return save, load_controller
+
+
+def _flash_saves():
+    device = Device(3, 1, bytes(32), b"\x07" * 32, rng=random.Random(0))
+
+    def save(path: str, clock: int) -> None:
+        device.attest(bytes([clock]) * 16)
+        save_flash(device, path)
+
+    return save, load_flash
+
+
+def _repository_saves():
+    state = _sample_repository()[0]
+    return (lambda path, clock: save_repository(advance_clock(state, clock), path)), load_repository
+
+
+@pytest.mark.parametrize("case", [_controller_saves, _flash_saves, _repository_saves], ids=["controller", "flash", "repository"])
+def test_a_failed_save_leaves_the_previous_files(tmp_path, monkeypatch, case):
+    """A save that fails part-way through a write leaves every file it would
+    replace loading as before, and no temporary file; a file a save creates
+    has the mode bits ``open`` gives a new file."""
+    save, load = case()
+    with open(tmp_path / "plain", "wb"):
+        pass
+    new_file_mode = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    target = str(tmp_path / "saved")
+    save(target, 1)
+    before = _files(tmp_path)
+    assert {mode for _, mode in before.values()} == {new_file_mode}
+    real_open = builtins.open
+
+    def half_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _HalfWrite(fh) if "w" in mode or "x" in mode else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", half_open)
+        with pytest.raises(WriteFailed, match="cannot write .*: OSError"):
+            save(target, 2)
+    assert _files(tmp_path) == before
+    load(target)
+
+
+def test_write_file_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    path = tmp_path / "key"
+    path.write_bytes(b"old")
+    path.chmod(0o600)
+    write_file(str(path), b"new")
+    assert path.read_bytes() == b"new" and stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert os.listdir(tmp_path) == ["key"]
