@@ -296,6 +296,14 @@ _STATE_MAGIC = b"ASCS"
 
 
 def save_controller(ctrl: Controller, path: str) -> None:
+    write_file(path, encode_controller(ctrl))
+
+
+def load_controller(path: str, rng: random.Random | None = None) -> Controller:
+    return decode_controller(read_file(path), rng)
+
+
+def encode_controller(ctrl: Controller) -> bytes:
     """Fixed-width binary persistence of trusted root, version floors,
     device registry, policy, the count of nonces drawn and, last, the
     attestation nonce log."""
@@ -330,11 +338,11 @@ def save_controller(ctrl: Controller, path: str) -> None:
     out += struct.pack(">QI", ctrl.nonces_drawn, len(ctrl.nonce_log))
     for nonce in ctrl.nonce_log:
         out += nonce
-    write_file(path, bytes(out))
+    return bytes(out)
 
 
-def load_controller(path: str, rng: random.Random | None = None) -> Controller:
-    data = read_file(path)
+def decode_controller(data: bytes, rng: random.Random | None = None) -> Controller:
+    """Inverse of encode_controller; anything else is a ParseError."""
     if data[:4] != _STATE_MAGIC:
         raise ParseError("bad controller state magic", position=0)
     reader = Reader(data, offset=4)

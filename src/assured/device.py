@@ -463,6 +463,15 @@ def _unpack_bank(reader: Reader) -> Bank:
 
 def save_flash(device: Device, path: str) -> None:
     """Persist device state as one flat binary file (simulated flash)."""
+    write_file(path, encode_flash(device))
+
+
+def load_flash(path: str, rng: random.Random | None = None) -> Device:
+    return decode_flash(read_file(path), rng)
+
+
+def encode_flash(device: Device) -> bytes:
+    """The flash image of ``device``, as save_flash writes it."""
     out = bytearray(_FLASH_MAGIC)
     out += struct.pack(
         ">QQBQBB",
@@ -482,11 +491,11 @@ def save_flash(device: Device, path: str) -> None:
     out += struct.pack(">I", len(nonces))
     for nonce in nonces:
         out += nonce
-    write_file(path, bytes(out))
+    return bytes(out)
 
 
-def load_flash(path: str, rng: random.Random | None = None) -> Device:
-    data = read_file(path)
+def decode_flash(data: bytes, rng: random.Random | None = None) -> Device:
+    """Inverse of encode_flash; anything else is a ParseError."""
     if data[:4] != _FLASH_MAGIC:
         raise ParseError("bad flash magic", position=0)
     reader = Reader(data, offset=4)

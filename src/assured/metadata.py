@@ -24,6 +24,7 @@ import binascii
 import enum
 import functools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -137,6 +138,15 @@ class TargetsBody:
 
     def find(self, name: str) -> TargetRecord | None:
         return self._by_name.get(name)
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[int, tuple[str, ...]]:
+        """b = isqrt(n), and the canonical texts of each b consecutive records
+        joined by "," (the last block holds the n % b left over, if any): a
+        parse that knows this body lends a whole block with one comparison."""
+        size = math.isqrt(len(self.records))
+        texts = [r.json_text for r in self.records]
+        return size, tuple([",".join(texts[i : i + size]) for i in range(0, len(texts), size or 1)])
 
 
 @dataclass(frozen=True)
@@ -308,25 +318,31 @@ def serialize_canonical(meta: RoleMetadata, mode: Mode) -> bytes:
         for kid, sig in meta.signatures:
             out += kid + sig
         return bytes(out)
-    return _canonical_json(meta)
+    return _canonical_json(meta).encode("ascii")
 
 
 # built once: json.dumps builds an encoder per call when given options
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+# a canonical document opens with its body, which for targets is a list
+_LIST_BODY = '{"body":['
 
 
-def _canonical_json(meta: RoleMetadata) -> bytes:
+def _canonical_json(meta: RoleMetadata) -> str:
     """The canonical document, keys in sorted order; base64 and the role
-    name need no escaping, and a targets body joins its records' texts."""
-    if isinstance(meta.body, TargetsBody):
-        body = "[" + ",".join([r.json_text for r in meta.body.records]) + "]"
-    else:
-        body = _CANONICAL_JSON.encode(_json_body(meta.body))
+    name need no escaping, and the text is ASCII. A targets body joins its
+    records' texts, with the document's head and tail carried on the first
+    and last, so the document is built in one copy."""
     signatures = ",".join([f'{{"kid":"{_b64(kid)}","sig":"{_b64(sig)}"}}' for kid, sig in meta.signatures])
-    return (
-        f'{{"body":{body},"expires":{meta.expires},"role":"{meta.role.value}",'
+    tail = (
+        f'"expires":{meta.expires},"role":"{meta.role.value}",'
         f'"signatures":[{signatures}],"version":{meta.version}}}'
-    ).encode("ascii")
+    )
+    if not isinstance(meta.body, TargetsBody):
+        return f'{{"body":{_CANONICAL_JSON.encode(_json_body(meta.body))},{tail}'
+    texts = [r.json_text for r in meta.body.records] or [""]
+    texts[0] = _LIST_BODY + texts[0]
+    texts[-1] += "]," + tail
+    return ",".join(texts)
 
 
 # widths of the fixed-binary fields a JSON value must fit
@@ -381,7 +397,6 @@ def _json_bytes(value, length: int, path: str) -> bytes:
 
 
 _DECODER = json.JSONDecoder()
-_LIST_BODY = '{"body":['
 _ITEM_ENDS = (",", "]")
 _NO_RECORDS = TargetsBody()
 
@@ -399,50 +414,67 @@ def _read_document(text: str, shift: int = 0):
     return value
 
 
-def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, int]:
-    """The items of the JSON list that opens at text[at], and the offset just
-    past its "]". An item whose text is exactly a known record's canonical
-    text is that record object, lent; every other item is decoded.
+def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, list[int], int]:
+    """The items of the JSON list that opens at text[at], the indices of the
+    items that were decoded, and the offset just past its "]". An item whose
+    text is exactly a known record's canonical text is that record object,
+    lent; every other item is decoded.
 
-    A cursor walks the known records in order, so an unchanged record costs
-    one text comparison. A decoded item named like the record at the cursor
-    (a replaced record) moves the cursor past it; any other (an inserted
-    record) leaves it in place. A decoded item whose text is the known text
-    of its name (a record moved out of order) is lent too."""
+    A cursor walks the known records in order. On a block boundary (see
+    TargetsBody._blocks) one text comparison lends the whole block;
+    otherwise, or when the block's text differs, the cursor steps one
+    record, and an unchanged record costs one text comparison. A decoded
+    item named like the record at the cursor (a replaced record) moves the
+    cursor past it; any other (an inserted record) leaves it in place. A
+    decoded item whose text is the known text of its name (a record moved
+    out of order) is lent too. A block lends the records its single steps
+    would, so the lent items are the same with or without blocks."""
     records = known.records
+    size, blocks = known._blocks
     items: list = []
+    decoded: list[int] = []
     j = 0  # the known record the next item is compared with
     end = at + 1
     if text.startswith("]", end):
-        return items, end + 1
+        return items, decoded, end + 1
     while True:
         start = end
+        lent = ()
         if j < len(records):
-            item = records[j]
-            known_text = item.json_text
-            end = start + len(known_text)
-            lent = text.startswith(known_text, start) and text[end : end + 1] in _ITEM_ENDS
-        else:
-            lent = False
+            if not j % size:
+                block = blocks[j // size]
+                end = start + len(block)
+                if text.startswith(block, start) and text[end : end + 1] in _ITEM_ENDS:
+                    lent = records[j : j + size]
+            if not lent:
+                known_text = records[j].json_text
+                end = start + len(known_text)
+                if text.startswith(known_text, start) and text[end : end + 1] in _ITEM_ENDS:
+                    lent = records[j : j + 1]
         if lent:
-            j += 1
+            items += lent
+            j += len(lent)
         else:
             item, end = _DECODER.raw_decode(text, start)
             prior = known.find(item[0]) if type(item) is list and item and type(item[0]) is str else None
-            if prior is not None:
-                if j < len(records) and prior is records[j]:
-                    j += 1
-                if text.startswith(prior.json_text, start):
-                    item = prior
+            if prior is not None and j < len(records) and prior is records[j]:
+                j += 1
+            if prior is not None and text.startswith(prior.json_text, start):
+                item = prior
+            else:
+                decoded.append(len(items))
             if text[end : end + 1] not in _ITEM_ENDS:
                 raise json.JSONDecodeError("Expecting ',' or ']'", text, end)
-        items.append(item)
+            items.append(item)
         if text[end] == "]":
-            return items, end + 1
+            return items, decoded, end + 1
         end += 1
 
 
-def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
+def _parse_json_body(role: RoleKind, raw, path: str, decoded: list[int] | None) -> RoleBody:
+    """The body ``raw`` stands for. Of a targets list, only the items at the
+    indices ``decoded`` (None: all) are checked and built; the others are
+    records _read_list lent."""
     if role is RoleKind.ROOT:
         if not isinstance(raw, dict):
             raise ParseError("root body must be an object", position=path)
@@ -454,9 +486,9 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
                 raise ParseError("role entry must be [threshold, [keys]]", position=entry_path)
             threshold = _json_uint(entry[0], _U32_MAX, f"{entry_path}[0]")
             keys = _json_count(entry[1], f"{entry_path}[1]")
-            decoded = tuple(_json_bytes(k, 32, f"{entry_path}[1][{i}]") for i, k in enumerate(keys))
+            public_keys = tuple(_json_bytes(k, 32, f"{entry_path}[1][{i}]") for i, k in enumerate(keys))
             try:
-                roles[entry_role] = RoleKeys(threshold=threshold, keys=decoded)
+                roles[entry_role] = RoleKeys(threshold=threshold, keys=public_keys)
             except ValueError as exc:
                 raise ParseError(str(exc), position=entry_path) from exc
         if set(raw) != {r.value for r in RoleKind}:
@@ -465,11 +497,9 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
     if role is RoleKind.TARGETS:
         if not isinstance(raw, list):
             raise ParseError("targets body must be a list", position=path)
-        records = []
-        for i, item in enumerate(_json_count(raw, path)):
-            if isinstance(item, TargetRecord):  # lent by _read_list
-                records.append(item)
-                continue
+        records = _json_count(raw, path)
+        for i in range(len(records)) if decoded is None else decoded:
+            item = records[i]
             item_path = f"{path}[{i}]"
             if not (isinstance(item, list) and len(item) == 4 and isinstance(item[0], str)):
                 raise ParseError("record must be [name, hash, size, token]", position=item_path)
@@ -478,13 +508,11 @@ def _parse_json_body(role: RoleKind, raw, path: str) -> RoleBody:
             if token_b64 is not None:
                 token = decode_token(_json_bytes(token_b64, TOKEN_LEN, f"{item_path}[3]"))
             try:
-                records.append(
-                    TargetRecord(
-                        name=_json_name(name, f"{item_path}[0]"),
-                        hash=_json_bytes(digest_b64, 32, f"{item_path}[1]"),
-                        size=_json_uint(size, _U64_MAX, f"{item_path}[2]"),
-                        token=token,
-                    )
+                records[i] = TargetRecord(
+                    name=_json_name(name, f"{item_path}[0]"),
+                    hash=_json_bytes(digest_b64, 32, f"{item_path}[1]"),
+                    size=_json_uint(size, _U64_MAX, f"{item_path}[2]"),
+                    token=token,
                 )
             except ValueError as exc:
                 raise ParseError(str(exc), position=item_path) from exc
@@ -540,13 +568,13 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
         if text.startswith(_LIST_BODY):
             # the canonical document opens with its body: a list body is read
             # item by item, the other fields as the object they make on their own
-            items, end = _read_list(text, len(_LIST_BODY) - 1, known if known is not None else _NO_RECORDS)
+            items, decoded, end = _read_list(text, len(_LIST_BODY) - 1, known if known is not None else _NO_RECORDS)
             if not text.startswith(",", end):
                 raise json.JSONDecodeError("Expecting ','", text, end)
             obj = _read_document("{" + text[end + 1 :], shift=end)
             obj["body"] = items  # over a second "body", which the canonical comparison rejects
         else:
-            obj = _read_document(text)
+            obj, decoded = _read_document(text), None
     except json.JSONDecodeError as exc:  # at a character offset into text
         raise ParseError(f"bad json: {exc.msg}", position=len(text[: exc.pos].encode("utf-8"))) from exc
     role_name = _need(obj, "role", str, "$")
@@ -556,7 +584,7 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
         raise ParseError(f"unknown role {role_name!r}", position="$.role") from exc
     version = _json_uint(_need(obj, "version", object, "$"), _U64_MAX, "$.version")
     expires = _json_uint(_need(obj, "expires", object, "$"), _U64_MAX, "$.expires")
-    body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body")
+    body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body", decoded)
     signatures = []
     for i, entry in enumerate(_json_count(_need(obj, "signatures", list, "$"), "$.signatures")):
         sig_path = f"$.signatures[{i}]"
@@ -573,9 +601,11 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
     except ValueError as exc:
         raise ParseError(str(exc), position="$") from exc
     # one encoding per value: key order, whitespace, escapes, extra keys and
-    # base64 padding bits all show up as a difference from the canonical bytes
+    # base64 padding bits all show up as a difference from the canonical
+    # text, compared with the decoded blob (same text, same bytes)
     canonical = _canonical_json(meta)
-    if canonical != data:
+    if canonical != text:
+        canonical = canonical.encode("ascii")
         at = next((i for i, (a, b) in enumerate(zip(canonical, data)) if a != b), min(len(canonical), len(data)))
         raise ParseError("metadata is not canonical JSON", position=at)
     return meta

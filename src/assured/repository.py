@@ -310,6 +310,48 @@ _PRIVATE_MAGIC = b"ASRS"
 _TAMPER_KINDS = tuple(TamperKind)
 
 
+def _encode_private(state: RepositoryState) -> bytes:
+    """private.bin's bytes: the state's mode, clock, tamper, keys and archive."""
+    mode_flag = 0 if state.mode is Mode.JSON else 1
+    out = bytearray(_PRIVATE_MAGIC)
+    tamper = state.tamper
+    out += struct.pack(">BQBQ", mode_flag, state.clock, _TAMPER_KINDS.index(tamper.kind), tamper.bit_offset)
+    for role in RoleKind:
+        out += struct.pack(">H", len(state.keys[role])) + b"".join(k.private for k in state.keys[role])
+    out += struct.pack(">B", len(state.archive))
+    for entry in state.archive:
+        for role in RoleKind:
+            out += struct.pack(">I", len(entry[role])) + entry[role]
+    return bytes(out)
+
+
+def _decode_private(data: bytes) -> dict:
+    """Inverse of _encode_private: RepositoryState's private fields by name.
+    Anything else is a ParseError at a byte offset."""
+    reader = Reader(data)
+    if reader.take(len(_PRIVATE_MAGIC), "magic") != _PRIVATE_MAGIC:
+        raise ParseError("bad repository state magic", position=0)
+    mode = Mode.FIXED_BINARY if reader.flag("mode flag") else Mode.JSON
+    clock = reader.u64("clock")
+    kind = reader.u8("tamper kind")
+    if kind >= len(_TAMPER_KINDS):
+        raise ParseError(f"unknown tamper kind {kind}", position=reader.offset - 1)
+    tamper = TamperPolicy(kind=_TAMPER_KINDS[kind], bit_offset=reader.u64("tamper bit offset"))
+    keys = {}
+    for role in RoleKind:
+        count = reader.u16(f"{role.value} key count")
+        if not count:
+            raise ParseError(f"no {role.value} keys", position=reader.offset - 2)
+        keys[role] = tuple(crypto.signing_key_from_seed(reader.take(crypto.KEY_LEN, "key seed")) for _ in range(count))
+    archived = reader.flag("archive count")  # the archive holds at most one set
+    archive = tuple(
+        {role: reader.take(reader.u32("archived length"), "archived metadata") for role in RoleKind}
+        for _ in range(archived)
+    )
+    reader.end("repository state")
+    return {"mode": mode, "clock": clock, "tamper": tamper, "keys": keys, "archive": archive}
+
+
 def _filename(role: RoleKind, version: int) -> str:
     """Root and targets files are kept per version; snapshot and timestamp are not."""
     if role in (RoleKind.ROOT, RoleKind.TARGETS):
@@ -325,17 +367,7 @@ def save_repository(state: RepositoryState, directory: str) -> None:
     version than the one written is removed. Each file is replaced whole
     (``write_file``); a directory or file that cannot be written is a WriteFailed.
     """
-    mode_flag = 0 if state.mode is Mode.JSON else 1
-    tamper = state.tamper
-    private = bytearray(_PRIVATE_MAGIC)
-    private += struct.pack(">BQBQ", mode_flag, state.clock, _TAMPER_KINDS.index(tamper.kind), tamper.bit_offset)
-    for role in RoleKind:
-        keys = state.keys[role]
-        private += struct.pack(">H", len(keys)) + b"".join(k.private for k in keys)
-    private += struct.pack(">B", len(state.archive))
-    for entry in state.archive:
-        for role in RoleKind:
-            private += struct.pack(">I", len(entry[role])) + entry[role]
+    private = _encode_private(state)
     try:
         os.makedirs(os.path.join(directory, "envelopes"), exist_ok=True)
     except OSError as exc:
@@ -368,27 +400,8 @@ def _load_role(directory: str, role: RoleKind, version: int, mode: Mode) -> Role
 def load_repository(directory: str) -> RepositoryState:
     """Inverse of save_repository; a malformed or incomplete directory raises
     ParseError (``position`` is a byte offset in private.bin or a file name)."""
-    reader = Reader(_read_file(directory, _PRIVATE_FILE))
-    if reader.take(len(_PRIVATE_MAGIC), "magic") != _PRIVATE_MAGIC:
-        raise ParseError("bad repository state magic", position=0)
-    mode = Mode.FIXED_BINARY if reader.flag("mode flag") else Mode.JSON
-    clock = reader.u64("clock")
-    kind = reader.u8("tamper kind")
-    if kind >= len(_TAMPER_KINDS):
-        raise ParseError(f"unknown tamper kind {kind}", position=reader.offset - 1)
-    tamper = TamperPolicy(kind=_TAMPER_KINDS[kind], bit_offset=reader.u64("tamper bit offset"))
-    keys = {}
-    for role in RoleKind:
-        count = reader.u16(f"{role.value} key count")
-        if not count:
-            raise ParseError(f"no {role.value} keys", position=reader.offset - 2)
-        keys[role] = tuple(crypto.signing_key_from_seed(reader.take(crypto.KEY_LEN, "key seed")) for _ in range(count))
-    archived = reader.flag("archive count")  # the archive holds at most one set
-    archive = tuple(
-        {role: reader.take(reader.u32("archived length"), "archived metadata") for role in RoleKind}
-        for _ in range(archived)
-    )
-    reader.end("repository state")
+    private = _decode_private(_read_file(directory, _PRIVATE_FILE))
+    mode = private["mode"]
     snapshot = _load_role(directory, RoleKind.SNAPSHOT, 0, mode)
     metadata = MetadataSet(
         root=_load_role(directory, RoleKind.ROOT, snapshot.body.root_version, mode),
@@ -408,12 +421,4 @@ def load_repository(directory: str) -> RepositoryState:
     envelopes = {
         name[: -len(".env")]: _read_file(directory, "envelopes", name) for name in filenames if name.endswith(".env")
     }
-    return RepositoryState(
-        keys=keys,
-        metadata=metadata,
-        envelopes=envelopes,
-        clock=clock,
-        mode=mode,
-        tamper=tamper,
-        archive=archive,
-    )
+    return RepositoryState(metadata=metadata, envelopes=envelopes, **private)

@@ -6,6 +6,7 @@ import errno
 import os
 import random
 import stat
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,31 @@ from assured.authorization import (
     serialize_envelope,
 )
 from assured.codec import Reader, flip_bit, write_file
-from assured.controller import Controller, LocalPolicy, load_controller, save_controller
-from assured.device import AttestationReport, Bank, Device, InstallOutcome, load_flash, save_flash
+from assured.controller import (
+    Controller,
+    LocalPolicy,
+    decode_controller,
+    encode_controller,
+    load_controller,
+    save_controller,
+)
+from assured.device import (
+    AttestationReport,
+    Bank,
+    Device,
+    InstallOutcome,
+    decode_flash,
+    encode_flash,
+    load_flash,
+    save_flash,
+)
 from assured.errors import ParseError, ReplayOrReorder, WriteFailed
 from assured.metadata import Mode, RoleKind, parse, serialize_canonical
 from assured.repository import (
     TamperKind,
     TamperPolicy,
+    _decode_private,
+    _encode_private,
     advance_clock,
     fetch_metadata,
     load_repository,
@@ -130,15 +149,11 @@ def _sample_repository():
     return publish_vanilla(state, "zz", b"plain"), token
 
 
-def _file_round_trip(tmp_path, load, save):
+def _file_round_trip(tmp_path, load, save, data: bytes) -> bytes:
     """decode→re-encode through a loader and saver that take a file path."""
-
-    def round_trip(data: bytes) -> bytes:
-        (tmp_path / "in").write_bytes(data)
-        save(load(str(tmp_path / "in")), str(tmp_path / "out"))
-        return (tmp_path / "out").read_bytes()
-
-    return round_trip
+    (tmp_path / "in").write_bytes(data)
+    save(load(str(tmp_path / "in")), str(tmp_path / "out"))
+    return (tmp_path / "out").read_bytes()
 
 
 def _metadata_case(tmp_path):
@@ -178,8 +193,10 @@ def _controller_case(tmp_path):
     ctrl.seen_targets = {"fw-a": bytes(32), "fw-b": b"\x01" * 32}
     ctrl.nonces_drawn = 5
     ctrl.nonce_log = [b"\x09" * 16, b"\x02" * 16]
-    save_controller(ctrl, str(tmp_path / "sample"))
-    return [(tmp_path / "sample").read_bytes()], _file_round_trip(tmp_path, load_controller, save_controller)
+    # one file round trip; the mutants go through the bytes the files hold
+    sample = encode_controller(ctrl)
+    assert _file_round_trip(tmp_path, load_controller, save_controller, sample) == sample
+    return [sample], lambda data: encode_controller(decode_controller(data))
 
 
 def _flash_case(tmp_path):
@@ -189,8 +206,9 @@ def _flash_case(tmp_path):
     device._banks[1] = Bank(artifact=b"plain", version=3)
     device.attest(b"\x01" * 16)
     device.attest(b"\x02" * 16)
-    save_flash(device, str(tmp_path / "sample"))
-    return [(tmp_path / "sample").read_bytes()], _file_round_trip(tmp_path, load_flash, save_flash)
+    sample = encode_flash(device)
+    assert _file_round_trip(tmp_path, load_flash, save_flash, sample) == sample
+    return [sample], lambda data: encode_flash(decode_flash(data))
 
 
 def _install_status_case(tmp_path):
@@ -200,16 +218,13 @@ def _install_status_case(tmp_path):
 
 def _repository_case(tmp_path):
     # unpublished, so the archive is empty: an archived set is ~700 bytes the
-    # loader takes as they are, which would multiply this case's file round
-    # trips for no decoding; test_repository covers its exact round trip
+    # loader takes as they are, which would multiply this case's round trips
+    # for no decoding; test_repository covers its exact round trip
     save_repository(_fresh_repository(), str(tmp_path / "in"))
-
-    def round_trip(data: bytes) -> bytes:
-        (tmp_path / "in" / "private.bin").write_bytes(data)
-        save_repository(load_repository(str(tmp_path / "in")), str(tmp_path / "out"))
-        return (tmp_path / "out" / "private.bin").read_bytes()
-
-    return [(tmp_path / "in" / "private.bin").read_bytes()], round_trip
+    sample = (tmp_path / "in" / "private.bin").read_bytes()
+    save_repository(load_repository(str(tmp_path / "in")), str(tmp_path / "out"))
+    assert (tmp_path / "out" / "private.bin").read_bytes() == sample
+    return [sample], lambda data: _encode_private(SimpleNamespace(**_decode_private(data)))
 
 
 def _wire_frame_case(tmp_path):

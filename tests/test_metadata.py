@@ -555,18 +555,17 @@ def _record(name: str, tag: int) -> TargetRecord:
     return TargetRecord(name=name, hash=token.artifact_hash, size=token.artifact_size, token=token)
 
 
-@pytest.fixture(scope="module")
-def lending_catalog(role_keys):
-    """A held targets body of six records, its blob cut into the text before
-    the records, the records and the text after them, records for edits
-    (new names, and each name with another value), and a snapshot and a
-    timestamp blob."""
-    held = TargetsBody(records=[_record(name, tag) for tag, name in enumerate(["b", "d/x", "f", "h", "ü", "z"])])
+def _catalog(role_keys, held_names, insert_names):
+    """A held targets body of records with ``held_names``, its blob cut into
+    the text before the records, the records and the text after them,
+    records for edits (``insert_names``, and each name with another value),
+    and a snapshot and a timestamp blob."""
+    held = TargetsBody(records=[_record(name, tag) for tag, name in enumerate(held_names)])
     blob = serialize_canonical(build_and_sign(held, 3, 1000, role_keys[RoleKind.TARGETS]), Mode.JSON).decode()
     head = '{"body":['
     joined = ",".join(r.json_text for r in held.records)
     assert blob.startswith(head + joined + "]")
-    inserts = [_record(name, 20 + i) for i, name in enumerate(["a", "c", "e", "y", "zz"])]
+    inserts = [_record(name, 20 + i) for i, name in enumerate(insert_names)]
     names = [r.name for r in (*held.records, *inserts)]
     others = [
         serialize_canonical(build_and_sign(body, 2, 1000, role_keys[role]), Mode.JSON)
@@ -582,11 +581,38 @@ def lending_catalog(role_keys):
     )
 
 
+@pytest.fixture(scope="module")
+def lending_catalog(role_keys):
+    """Six held records (three blocks of isqrt(6) = 2) and five names to insert."""
+    return _catalog(role_keys, ["b", "d/x", "f", "h", "ü", "z"], ["a", "c", "e", "y", "zz"])
+
+
+BLOCK = 6  # isqrt(40)
+
+
+@pytest.fixture(scope="module")
+def block_catalog(role_keys):
+    """40 held records: six full blocks of BLOCK and a partial one of four."""
+    names = [f"n{i:02d}" for i in range(40)]
+    assert len(names) // BLOCK == 6 and len(names) % BLOCK == 4
+    return _catalog(role_keys, names, ["a", "n05x", "n06a", "zz"])
+
+
 EDITS = ["none", "insert", "replace", "drop", "swap", "duplicate", "variant", "delimiter", "other-role"]
 
 
-def _edited_blob(catalog, data) -> bytes:
-    """The held blob after one or two drawn edits of its list of records."""
+def _anywhere(n: int):
+    return st.integers(0, n - 1)
+
+
+def _block_edges(n: int):
+    """The first and last index of each block of BLOCK, and the last index."""
+    return st.sampled_from(sorted({n - 1} | {i for k in range(0, n, BLOCK) for i in (k, k + BLOCK - 1) if i < n}))
+
+
+def _edited_blob(catalog, data, spots=_anywhere) -> bytes:
+    """The held blob after one or two drawn edits of its list of records, at
+    indices drawn from ``spots(n)`` for a list of n (n + 1 for an insert)."""
     items = [(r.name, r.json_text) for r in catalog.held.records]  # (name, text)
     ends = None  # the text after each item, once an edit changes one
     for edit in data.draw(st.lists(st.sampled_from(EDITS), min_size=1, max_size=2), label="edits"):
@@ -594,11 +620,11 @@ def _edited_blob(catalog, data) -> bytes:
             return data.draw(st.sampled_from(catalog.others))
         if edit == "insert":
             record = data.draw(st.sampled_from(catalog.inserts))
-            items.insert(data.draw(st.integers(0, len(items))), (record.name, record.json_text))
+            items.insert(data.draw(spots(len(items) + 1), label="insert at"), (record.name, record.json_text))
         if edit in ("insert", "none") or not items:
             ends = None
             continue
-        at = data.draw(st.integers(0, len(items) - 1), label="at")
+        at = data.draw(spots(len(items)), label="at")
         name, text = items[at]
         if edit == "replace":
             items[at] = (name, catalog.replacements[name].json_text)
@@ -629,17 +655,30 @@ def _edited_blob(catalog, data) -> bytes:
     return (catalog.head + body + catalog.tail[1:]).encode("utf-8")
 
 
-@given(data=st.data())
-@settings(max_examples=400, deadline=None, derandomize=True)
-def test_lending_by_text_keeps_every_value_and_every_error(lending_catalog, data):
-    known = lending_catalog.held
-    blob = _edited_blob(lending_catalog, data)
+def _assert_lends_exactly_the_unchanged(known, blob):
+    """The same value or error as a parse without ``known``, and the lent
+    records are exactly those whose text is the known text of their name."""
     outcome = _outcome(blob, known)
     assert outcome == _outcome(blob)
     if isinstance(outcome, RoleMetadata) and outcome.role is RoleKind.TARGETS:
         for record in outcome.body.records:
             prior = known.find(record.name)
             assert (record is prior) == (prior is not None and prior.json_text == record.json_text), record.name
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lending_by_text_keeps_every_value_and_every_error(lending_catalog, data):
+    _assert_lends_exactly_the_unchanged(lending_catalog.held, _edited_blob(lending_catalog, data))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_lending_by_blocks_keeps_every_value_and_every_error(block_catalog, data):
+    """Edits at the edges of the blocks a whole-block comparison lends: the
+    first or last record of a block, the partial tail, and inserts before
+    the first record and after the last."""
+    _assert_lends_exactly_the_unchanged(block_catalog.held, _edited_blob(block_catalog, data, _block_edges))
 
 
 def test_the_edits_reach_both_verdicts(lending_catalog):
@@ -690,3 +729,41 @@ def test_a_sync_decodes_only_the_replaced_record(role_keys, monkeypatch):
     assert sum(r is known.find(r.name) for r in meta.body.records) == 1000
     assert decoded == [json.loads(replaced.json_text), ["expires", "role", "signatures", "version"]]
     assert meta.body.records[500] == replaced
+
+
+def _catalog_records(count: int) -> list[TargetRecord]:
+    """``count`` records named catalog-NNNN and then fw, as a large catalog
+    and its one release sort."""
+    records = [TargetRecord(name=f"catalog-{i:04d}", hash=crypto.hash_data(b"%d" % i), size=i) for i in range(count)]
+    return [*records, TargetRecord(name="fw", hash=crypto.hash_data(b"fw"), size=2)]
+
+
+@pytest.mark.parametrize(
+    "index",
+    [1000, 31 * 16, 31 * 17 - 1],  # b = isqrt(1001) = 31
+    ids=["fw-in-the-partial-tail", "first-of-a-block", "last-of-a-block"],
+)
+def test_a_large_sync_lends_every_unchanged_record_around_a_block_edge(role_keys, monkeypatch, index):
+    """1001 records, one replaced: the other 1000 are the known objects, and
+    only the replaced record and the fields outside the body are decoded."""
+    keys = role_keys[RoleKind.TARGETS]
+    held = _catalog_records(1000)
+    known = parse(serialize_canonical(build_and_sign(TargetsBody(held), 2, 1000, keys), Mode.JSON), Mode.JSON).body
+    replaced = TargetRecord(name=held[index].name, hash=bytes(32), size=7)
+    blob = serialize_canonical(
+        build_and_sign(TargetsBody([*held[:index], replaced, *held[index + 1 :]]), 3, 1000, keys), Mode.JSON
+    )
+    decoded = []
+    decoder = json.JSONDecoder()
+
+    def raw_decode(text, at=0):
+        value, end = decoder.raw_decode(text, at)
+        decoded.append(value)
+        return value, end
+
+    monkeypatch.setattr(metadata, "_DECODER", SimpleNamespace(raw_decode=raw_decode))
+    meta = parse(blob, Mode.JSON, known=known)
+    lent = [i for i, r in enumerate(meta.body.records) if r is known.find(r.name)]
+    assert lent == [i for i in range(1001) if i != index]
+    assert decoded[0] == json.loads(replaced.json_text) and len(decoded) == 2
+    assert meta.body.records[index] == replaced and meta == parse(blob, Mode.JSON)
