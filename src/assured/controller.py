@@ -1,6 +1,7 @@
-"""Domain controller: verifies repository metadata on behalf of devices,
-applies local policy, delivers approved envelopes over the authenticated
-channel, and verifies attestation of installation.
+"""Domain controller: verifies repository metadata on behalf of devices
+through TUF's client workflow (metadata.TrustedState), applies local
+policy, delivers approved envelopes over the authenticated channel, and
+verifies attestation of installation.
 
 The controller never re-verifies the OEM token signature — the device does
 that — but it does check the fetched envelope byte-for-byte against the
@@ -29,16 +30,12 @@ from .errors import (
 )
 from .metadata import (
     ROLE_TAGS,
-    MetadataSet,
     Mode,
-    RoleKind,
     RoleMetadata,
-    RootBody,
+    TrustedState,
     parse,
     read_role,
     serialize_canonical,
-    verify_full_chain,
-    verify_timestamp_pin,
 )
 
 FRAME_PAYLOAD = 4096  # envelope bytes per sealed frame
@@ -103,22 +100,16 @@ class Controller:
         clock: int = 0,
         rng: random.Random | None = None,
     ) -> None:
-        if not isinstance(trusted_root.body, RootBody):
-            raise ValueError("trusted root must carry a root body")
-        self.trusted_root = trusted_root
+        self.trust = TrustedState(trusted_root)
         self.mode = mode
         self.policy = policy or LocalPolicy()
         self.clock = clock
         self.rng = rng or random.Random()
-        self.last_seen: dict[RoleKind, int] = {}
         self.registry: dict[int, DeviceRecord] = {}
         self.seen_targets: dict[str, bytes] = {}
         self.nonces_drawn = 0  # handshake and attestation nonces alike; a seeded rng restarts from it
         self.nonce_log: list[bytes] = []  # the attestation nonces
         self._nonces_used: set[bytes] = set()  # nonce_log as a set, for the reuse check
-        # the metadata set the last full sync committed; in memory only, so a
-        # loaded controller's first sync takes the full path
-        self._held: MetadataSet | None = None
 
     # --- fleet management -----------------------------------------------------------
 
@@ -144,38 +135,20 @@ class Controller:
     # --- repository polling -----------------------------------------------------------
 
     def sync(self, repo) -> list[VerifiedEnvelope]:
-        """Fetch the timestamp first. If it pins the snapshot of the set the
-        last sync committed, verify only the timestamp, re-check that the
-        held roles have not expired and return []. Otherwise fetch and fully
-        verify the repository metadata set, then fetch and cross-check every
+        """Update the trusted state from the repository (TrustedState.update:
+        one verification if the timestamp pins the held set, which returns
+        [], else a full-chain verification), then fetch and cross-check every
         new envelope against its signed record.
 
-        Controller state (trusted root, version floor, seen targets) commits
-        only if the entire batch validates.
+        The trusted state and the seen targets commit only if the entire
+        batch validates.
         """
-        timestamp = parse(repo.fetch_metadata(RoleKind.TIMESTAMP), self.mode)
-        if self._held is not None and verify_timestamp_pin(
-            self._held, timestamp, now=self.clock, last_seen=self.last_seen
-        ):
-            self.last_seen[RoleKind.TIMESTAMP] = timestamp.version
+        metadata_set = self.trust.update(repo.fetch_metadata, self.mode, self.clock)
+        if metadata_set is None:
             return []
-        metadata_set = MetadataSet(
-            root=parse(repo.fetch_metadata(RoleKind.ROOT), self.mode),
-            # a held record whose exact text the blob repeats is lent, not decoded
-            targets=parse(
-                repo.fetch_metadata(RoleKind.TARGETS),
-                self.mode,
-                known=self._held.targets.body if self._held is not None else None,
-            ),
-            snapshot=parse(repo.fetch_metadata(RoleKind.SNAPSHOT), self.mode),
-            timestamp=timestamp,
-        )
-        targets = verify_full_chain(
-            self.trusted_root, metadata_set, now=self.clock, last_seen=self.last_seen
-        )
         verified: list[VerifiedEnvelope] = []
         seen_updates: dict[str, bytes] = {}
-        for record in targets.records:
+        for record in metadata_set.targets.body.records:
             if record.token is None:
                 continue  # plain-TUF record; nothing to deliver on this path
             if self.seen_targets.get(record.name) == record.hash:
@@ -193,11 +166,8 @@ class Controller:
                 raise EnvelopeMismatch(f"envelope {record.name!r} token != signed record token")
             seen_updates[record.name] = record.hash
             verified.append(VerifiedEnvelope(name=record.name, envelope=envelope))
-        self.trusted_root = metadata_set.root
-        for role in RoleKind:
-            self.last_seen[role] = metadata_set.by_role(role).version
+        self.trust.commit(metadata_set)
         self.seen_targets.update(seen_updates)
-        self._held = metadata_set
         return verified
 
     # --- local policy ---------------------------------------------------------------------
@@ -309,10 +279,10 @@ def encode_controller(ctrl: Controller) -> bytes:
     attestation nonce log."""
     out = bytearray(_STATE_MAGIC)
     out += struct.pack(">QB", ctrl.clock, 0 if ctrl.mode is Mode.JSON else 1)
-    root_blob = serialize_canonical(ctrl.trusted_root, Mode.FIXED_BINARY)
+    root_blob = serialize_canonical(ctrl.trust.root, Mode.FIXED_BINARY)
     out += struct.pack(">I", len(root_blob)) + root_blob
-    out += struct.pack(">B", len(ctrl.last_seen))
-    for role, version in sorted(ctrl.last_seen.items(), key=lambda kv: ROLE_TAGS[kv[0]]):
+    out += struct.pack(">B", len(ctrl.trust.last_seen))
+    for role, version in sorted(ctrl.trust.last_seen.items(), key=lambda kv: ROLE_TAGS[kv[0]]):
         out += struct.pack(">BQ", ROLE_TAGS[role], version)
     out += struct.pack(">I", len(ctrl.registry))
     for device_id in sorted(ctrl.registry):
@@ -382,7 +352,7 @@ def decode_controller(data: bytes, rng: random.Random | None = None) -> Controll
         ctrl = Controller(trusted_root=trusted_root, mode=mode, policy=LocalPolicy(window=window, allowed_models=allowed), clock=clock, rng=rng)
     except ValueError as exc:  # a non-root trusted root or an inverted window
         raise ParseError(str(exc), position=reader.offset) from exc
-    ctrl.last_seen = last_seen
+    ctrl.trust.last_seen = last_seen
     ctrl.registry = registry
     ctrl.seen_targets = seen
     ctrl.nonces_drawn = nonces_drawn

@@ -15,6 +15,10 @@ Install regimes:
   validated only afterwards; a failed validation leaves the device pending a
   replacement image.
 
+TUF comparison mode (``receive_update_tuf``): the device runs the same TUF
+client as the controller (metadata.TrustedState) on metadata blobs handed to
+it, the baseline the token path is measured against.
+
 Fault-injection hooks (power loss between writes, flash corruption, a lying
 installer) simulate hardware faults and compromised software below the
 security boundary; they are not part of the device's protocol surface.
@@ -46,7 +50,7 @@ from .errors import (
     ParseError,
     TokenRejected,
 )
-from .metadata import MetadataSet, Mode, RoleKind, RoleMetadata, parse, verify_full_chain
+from .metadata import Mode, RoleKind, RoleMetadata, TrustedState
 
 BANK_WRITE_CHUNK = 64  # granularity of simulated flash writes
 
@@ -159,8 +163,7 @@ class Device:
         self._session: _Session | None = None
         self._served_nonces: set[bytes] = set()
         self._writes_done = 0
-        self._trusted_root: RoleMetadata | None = None
-        self._last_seen: dict[RoleKind, int] = {}
+        self._trust: TrustedState | None = None  # the TUF client, in comparison mode only
 
     # --- provisioning (manufacture time) ---------------------------------------
 
@@ -175,7 +178,7 @@ class Device:
 
     def provision_trusted_root(self, root: RoleMetadata) -> None:
         """Install the repository trust anchor (TUF-comparison mode only)."""
-        self._trusted_root = root
+        self._trust = TrustedState(root)
 
     # --- introspection ------------------------------------------------------------
 
@@ -341,19 +344,21 @@ class Device:
     def receive_update_tuf(
         self, blobs: dict[RoleKind, bytes], name: str, artifact: bytes, mode: Mode, now: int = 0
     ) -> InstallOutcome:
-        """Comparison mode: the device itself runs full metadata verification
-        (six public-key operations at the standard thresholds) and installs
-        the named record's artifact."""
-        if self._trusted_root is None:
+        """Comparison mode: the device itself runs TUF's client workflow, the
+        controller's metadata.TrustedState, on ``blobs`` (six public-key
+        operations at the standard thresholds, one if the timestamp pins the
+        set it holds) and installs the named record's artifact."""
+        if self._trust is None:
             raise AssuredError("device has no trusted root installed")
         try:
-            metadata_set = MetadataSet(**{role.value: parse(blobs[role], mode) for role in RoleKind})
-            targets = verify_full_chain(self._trusted_root, metadata_set, now=now, last_seen=self._last_seen)
+            metadata_set = self._trust.update(blobs.__getitem__, mode, now)
         except AssuredError as exc:
             return InstallOutcome(InstallOutcome.REJECTED, reason=str(exc))
-        for role in RoleKind:
-            self._last_seen[role] = metadata_set.by_role(role).version
-        record = targets.find(name)
+        if metadata_set is None:
+            metadata_set = self._trust.held
+        else:
+            self._trust.commit(metadata_set)
+        record = metadata_set.targets.body.find(name)
         if record is None:
             return InstallOutcome(InstallOutcome.REJECTED, reason="unknown_target")
         if crypto.hash_data(artifact) != record.hash or len(artifact) != record.size:

@@ -1,5 +1,5 @@
-"""Repository role metadata: construction, two canonical serializations, and
-full-chain threshold verification.
+"""Repository role metadata: construction, two canonical serializations,
+full-chain threshold verification, and the client's trusted state.
 
 Four roles sign disjoint duties: root certifies the key sets and thresholds
 of every role, targets signs the artifact records, snapshot pins the current
@@ -683,8 +683,6 @@ def verify_full_chain(
     regress below ``last_seen``. With thresholds (2,2,1,1) the happy path
     performs exactly six signature verifications.
     """
-    if not isinstance(trusted_root.body, RootBody):
-        raise BindingMismatch("root", "trusted root metadata has no root body")
     _check_role(metadata_set.root, RoleKind.ROOT, trusted_root.body.roles[RoleKind.ROOT], now, last_seen)
     root_body = metadata_set.root.body
 
@@ -717,35 +715,60 @@ def verify_full_chain(
     return metadata_set.targets.body
 
 
-def verify_timestamp_pin(
-    held: MetadataSet,
-    timestamp: RoleMetadata,
-    now: int,
-    last_seen: dict[RoleKind, int],
-) -> bool:
-    """Timestamp-first check of a set that verify_full_chain already accepted.
+# --- the client ---------------------------------------------------------------------
 
-    Returns False, having verified nothing, unless ``timestamp`` pins the
-    held snapshot (same version and the hash of its signed region); the
-    caller then fetches the other roles and runs verify_full_chain. Otherwise
-    checks, in verify_full_chain's order, that the held root has not expired,
-    that the timestamp meets the held root's timestamp threshold, has not
-    expired and does not regress below ``last_seen``, and that the held
-    snapshot and targets have not expired, then returns True. With
-    thresholds (2,2,1,1) that is one signature verification.
-    """
-    ts_body = timestamp.body
-    if not (
-        isinstance(ts_body, TimestampBody)
-        and ts_body.snapshot_version == held.snapshot.version
-        and ts_body.snapshot_hash == crypto.hash_data(signed_region_of(held.snapshot))
-    ):
-        return False
-    root_body = held.root.body
-    if not isinstance(root_body, RootBody):
-        raise BindingMismatch("root", "held root metadata has no root body")
-    _check_expiry(held.root, now)
-    _check_role(timestamp, RoleKind.TIMESTAMP, root_body.roles[RoleKind.TIMESTAMP], now, last_seen)
-    _check_expiry(held.snapshot, now)
-    _check_expiry(held.targets, now)
-    return True
+class TrustedState:
+    """TUF's client workflow, the one copy of it: the controller runs it for
+    its fleet and a comparison-mode device for itself. It holds the trusted
+    root, each role's version floor (``last_seen``) and the set the last
+    commit adopted (``held``; in memory only, so a client rebuilt from a
+    saved root and floors takes the full path on its first update)."""
+
+    def __init__(self, root: RoleMetadata) -> None:
+        if root.role is not RoleKind.ROOT:
+            raise ValueError("trusted root must carry a root body")
+        self.root = root
+        self.last_seen: dict[RoleKind, int] = {}
+        self.held: MetadataSet | None = None
+
+    def update(self, fetch, mode: Mode, now: int) -> MetadataSet | None:
+        """Fetch (``fetch(role)`` returns its blob) and verify the metadata,
+        timestamp first. A timestamp that pins the held snapshot (version and
+        signed-region hash) is checked alone, in verify_full_chain's order:
+        the expiry of the trusted root, the timestamp's threshold, expiry and
+        floor, then the expiry of the held snapshot and targets (one
+        verification at thresholds 2,2,1,1); its floor is raised and None
+        returned. Otherwise the other roles are fetched, the held records
+        lent to parse, and verify_full_chain run; the new set is returned
+        uncommitted, for the caller to commit once its own checks pass."""
+        timestamp = parse(fetch(RoleKind.TIMESTAMP), mode)
+        held = self.held
+        if (
+            held is not None
+            and timestamp.role is RoleKind.TIMESTAMP
+            and timestamp.body.snapshot_version == held.snapshot.version
+            and timestamp.body.snapshot_hash == crypto.hash_data(signed_region_of(held.snapshot))
+        ):
+            _check_expiry(self.root, now)
+            _check_role(timestamp, RoleKind.TIMESTAMP, self.root.body.roles[RoleKind.TIMESTAMP], now, self.last_seen)
+            _check_expiry(held.snapshot, now)
+            _check_expiry(held.targets, now)
+            self.last_seen[RoleKind.TIMESTAMP] = timestamp.version
+            return None
+        metadata_set = MetadataSet(
+            root=parse(fetch(RoleKind.ROOT), mode),
+            # a held record whose exact text the blob repeats is lent, not decoded
+            targets=parse(fetch(RoleKind.TARGETS), mode, known=None if held is None else held.targets.body),
+            snapshot=parse(fetch(RoleKind.SNAPSHOT), mode),
+            timestamp=timestamp,
+        )
+        verify_full_chain(self.root, metadata_set, now=now, last_seen=self.last_seen)
+        return metadata_set
+
+    def commit(self, metadata_set: MetadataSet) -> None:
+        """Adopt a set update() returned: its root becomes the trusted root,
+        its versions the floors, and the set the held one."""
+        self.root = metadata_set.root
+        for role in RoleKind:
+            self.last_seen[role] = metadata_set.by_role(role).version
+        self.held = metadata_set

@@ -563,3 +563,24 @@ def test_seeded_deliveries_draw_different_controller_nonces(workspace, capsys, m
         assert code == 0 and "installed" in out, out
     assert len(nonces) == 2 and nonces[0] != nonces[1]
     assert load_controller("ctrl.bin").nonces_drawn == 2
+
+
+def test_fingerprint_script_prints_the_same_digests_twice(tmp_path):
+    """scripts/fingerprint.py is what every byte-identity claim rests on: it
+    exits 0, prints the five group digests and the overall one, and two runs
+    print the same overall digest."""
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "fingerprint.py")
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    overall = []
+    for _ in range(2):
+        result = subprocess.run(
+            [sys.executable, script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        lines = [line.split() for line in result.stdout.splitlines()]
+        assert [line[0] for line in lines] == ["transcripts", "bench", "repository", "state", "cli", "overall"]
+        assert all(len(line) == 2 and len(line[1]) == 64 for line in lines)
+        overall.append(lines[-1][1])
+    assert overall[0] == overall[1]
+    assert not os.listdir(tmp_path)

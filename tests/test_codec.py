@@ -187,7 +187,7 @@ def _controller_case(tmp_path):
         clock=4,
         rng=random.Random(0),
     )
-    ctrl.last_seen = {RoleKind.ROOT: 1, RoleKind.TARGETS: 3}
+    ctrl.trust.last_seen = {RoleKind.ROOT: 1, RoleKind.TARGETS: 3}
     for device_id in (1, 2):
         ctrl.enroll(device_id, 3, bytes([device_id]) * 32, device_id, bytes(32))
     ctrl.seen_targets = {"fw-a": bytes(32), "fw-b": b"\x01" * 32}

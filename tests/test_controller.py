@@ -125,7 +125,7 @@ class TestSync:
         batch = controller.sync(repo_port)
         assert crypto.VERIFY_COUNTER.read() - before == 6  # no extra token verification
         assert [item.name for item in batch] == ["fw2"]
-        assert controller.last_seen[RoleKind.TARGETS] == 2
+        assert controller.trust.last_seen[RoleKind.TARGETS] == 2
 
     def test_resync_no_news(self, controller, repo_port, oem_key):
         publish_update(repo_port, oem_key)
@@ -136,10 +136,10 @@ class TestSync:
         for i in range(4):
             publish_update(repo_port, oem_key, name=f"fw{i}", version=2 + i)
         controller.sync(repo_port)
-        before = controller._held.targets.body
+        before = controller.trust.held.targets.body
         publish_update(repo_port, oem_key, name="fw1", version=9)
         assert [v.name for v in controller.sync(repo_port)] == ["fw1"]
-        after = controller._held.targets.body
+        after = controller.trust.held.targets.body
         shared = [r.name for r in after.records if r is before.find(r.name)]
         assert shared == ["fw0", "fw2", "fw3"]
 
@@ -192,7 +192,7 @@ class TestSync:
         repo_port.tamper(TamperPolicy(kind=TamperKind.DROP_ENVELOPE))
         with pytest.raises(NotFound):
             controller.sync(repo_port)
-        assert controller.last_seen == {}
+        assert controller.trust.last_seen == {}
         repo_port.tamper(TamperPolicy())
         assert len(controller.sync(repo_port)) == 1
 
@@ -252,8 +252,8 @@ class TestTimestampFirstSync:
         controller.sync(repo_port)
         repo_port.refresh()
         assert verifications(lambda: controller.sync(repo_port)) == ([], 1)
-        assert controller.last_seen[RoleKind.TIMESTAMP] == 3
-        assert controller.last_seen[RoleKind.SNAPSHOT] == 2
+        assert controller.trust.last_seen[RoleKind.TIMESTAMP] == 3
+        assert controller.trust.last_seen[RoleKind.SNAPSHOT] == 2
 
     def test_expired_held_snapshot_under_fresh_timestamp(self, controller, repo_port, oem_key):
         publish_update(repo_port, oem_key)
@@ -312,7 +312,7 @@ class TestTimestampFirstSync:
         controller.sync(repo_port)
         repo_port.state = rotate_root(repo_port.state, seeded_keys(b"R", 2))
         assert verifications(lambda: controller.sync(repo_port)) == ([], 6)
-        assert controller.trusted_root.version == 2
+        assert controller.trust.root.version == 2
 
 
 class TestPolicyGate:
@@ -498,8 +498,8 @@ def test_save_load_round_trip(tmp_path, controller, repo_port, device_port, oem_
     path = str(tmp_path / "controller.state")
     save_controller(controller, path)
     loaded = load_controller(path, rng=random.Random(11))
-    assert loaded.trusted_root == controller.trusted_root
-    assert loaded.last_seen == controller.last_seen
+    assert loaded.trust.root == controller.trust.root
+    assert loaded.trust.last_seen == controller.trust.last_seen
     assert loaded.registry == controller.registry
     assert loaded.seen_targets == controller.seen_targets
     assert loaded.policy == controller.policy
@@ -665,7 +665,7 @@ def two_entry_state(tmp_path, controller) -> tuple[bytes, dict[str, tuple[int, i
     """A state file whose last-seen, registry, seen-target and allow-list
     lists hold two entries each, and per list (first key offset, second key
     offset, key length)."""
-    controller.last_seen = {RoleKind.ROOT: 1, RoleKind.TARGETS: 5}
+    controller.trust.last_seen = {RoleKind.ROOT: 1, RoleKind.TARGETS: 5}
     for device_id in (1, 2):
         controller.enroll(device_id, MODEL, bytes([device_id]) * 32, 0, bytes(32))
     controller.seen_targets = {"fw-a": bytes(32), "fw-b": bytes(32)}
