@@ -4,8 +4,9 @@ policy, delivers approved envelopes over the authenticated channel, and
 verifies attestation of installation.
 
 The controller never re-verifies the OEM token signature — the device does
-that — but it does check the fetched envelope byte-for-byte against the
-signed targets record, so nothing unvetted can be wrapped for delivery.
+that — but it does check the fetched envelope against the signed targets
+record (the artifact by its hash and size, the token by its SHA-256 digest),
+so nothing unvetted can be wrapped for delivery.
 Delivery only accepts VerifiedEnvelope values, which sync() alone produces.
 """
 
@@ -66,8 +67,8 @@ class DeviceRecord:
 
 @dataclass(frozen=True)
 class VerifiedEnvelope:
-    """An envelope that passed full-chain metadata verification plus
-    byte-equality against its signed targets record. Only sync() makes these."""
+    """An envelope that passed full-chain metadata verification plus the
+    cross-check against its signed targets record. Only sync() makes these."""
 
     name: str
     envelope: UpdateEnvelope
@@ -138,7 +139,9 @@ class Controller:
         """Update the trusted state from the repository (TrustedState.update:
         one verification if the timestamp pins the held set, which returns
         [], else a full-chain verification), then fetch and cross-check every
-        new envelope against its signed record.
+        new envelope against its signed record: the artifact has the record's
+        hash and size, the token hashes to the record's token digest, and the
+        token names the record's hash and size.
 
         The trusted state and the seen targets commit only if the entire
         batch validates.
@@ -149,7 +152,7 @@ class Controller:
         verified: list[VerifiedEnvelope] = []
         seen_updates: dict[str, bytes] = {}
         for record in metadata_set.targets.body.records:
-            if record.token is None:
+            if record.token_digest is None:
                 continue  # plain-TUF record; nothing to deliver on this path
             if self.seen_targets.get(record.name) == record.hash:
                 continue
@@ -162,8 +165,11 @@ class Controller:
                 raise EnvelopeMismatch(f"envelope {record.name!r} artifact hash != signed record")
             if len(envelope.artifact) != record.size:
                 raise EnvelopeMismatch(f"envelope {record.name!r} artifact size != signed record")
-            if envelope.token != record.token:
+            token = envelope.token
+            if crypto.hash_data(token.raw) != record.token_digest:
                 raise EnvelopeMismatch(f"envelope {record.name!r} token != signed record token")
+            if token.artifact_hash != record.hash or token.artifact_size != record.size:
+                raise EnvelopeMismatch(f"envelope {record.name!r} token artifact hash/size != signed record")
             seen_updates[record.name] = record.hash
             verified.append(VerifiedEnvelope(name=record.name, envelope=envelope))
         self.trust.commit(metadata_set)

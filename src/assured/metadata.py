@@ -29,7 +29,6 @@ import struct
 from dataclasses import dataclass, field
 
 from . import crypto
-from .authorization import TOKEN_LEN, AuthorizationToken, decode_token
 from .codec import Reader
 from .errors import (
     BindingMismatch,
@@ -86,7 +85,9 @@ class RootBody:
 @dataclass(frozen=True)
 class TargetRecord:
     """One distributable artifact: name, content hash, byte size, and the
-    OEM authorization token (None for plain-TUF comparison records).
+    SHA-256 of the OEM authorization token's 136 bytes (None for plain-TUF
+    comparison records). The token itself travels in the envelope; the
+    digest, TUF's opaque custom data, binds the signed record to it.
 
     A record encodes itself once, on first use, in each form. The
     repository keeps unchanged record objects across publishes, and a JSON
@@ -98,24 +99,20 @@ class TargetRecord:
     name: str
     hash: bytes
     size: int
-    token: AuthorizationToken | None = None
-
-    def __post_init__(self) -> None:
-        if self.token is not None:
-            if self.token.artifact_hash != self.hash or self.token.artifact_size != self.size:
-                raise ValueError("record hash/size must equal the token's artifact hash/size")
+    token_digest: bytes | None = None
 
     @functools.cached_property
     def binary(self) -> bytes:
-        """name_len(2) || name || hash(32) || size(8) || token flag(1) || token(136)?"""
+        """name_len(2) || name || hash(32) || size(8) || flag(1) || token_digest(32)?"""
         name = self.name.encode("utf-8")
-        token = b"\x00" if self.token is None else b"\x01" + self.token.raw
-        return struct.pack(">H", len(name)) + name + self.hash + struct.pack(">Q", self.size) + token
+        digest = b"\x00" if self.token_digest is None else b"\x01" + self.token_digest
+        return struct.pack(">H", len(name)) + name + self.hash + struct.pack(">Q", self.size) + digest
 
     @functools.cached_property
     def json_value(self) -> list:
-        """[name, hash, size, token], as json.loads returns the canonical text."""
-        return [self.name, _b64(self.hash), self.size, None if self.token is None else _b64(self.token.raw)]
+        """[name, hash, size, token_digest], as json.loads returns the canonical text."""
+        digest = None if self.token_digest is None else _b64(self.token_digest)
+        return [self.name, _b64(self.hash), self.size, digest]
 
     @functools.cached_property
     def json_text(self) -> str:
@@ -249,17 +246,11 @@ def _decode_body(role: RoleKind, reader: Reader) -> RoleBody:
         count = reader.u16("record count")
         records = []
         for _ in range(count):
-            name_pos = reader.offset
             name = reader.text("target name")
-            digest = reader.take(32, "record hash")
+            record_hash = reader.take(32, "record hash")
             size = reader.u64("record size")
-            token: AuthorizationToken | None = None
-            if reader.flag("token flag"):
-                token = decode_token(reader.take(TOKEN_LEN, "token"))
-            try:
-                records.append(TargetRecord(name=name, hash=digest, size=size, token=token))
-            except ValueError as exc:
-                raise ParseError(str(exc), position=name_pos) from exc
+            token_digest = reader.take(32, "token digest") if reader.flag("token flag") else None
+            records.append(TargetRecord(name=name, hash=record_hash, size=size, token_digest=token_digest))
         try:
             return TargetsBody(records=records)
         except ValueError as exc:
@@ -502,20 +493,14 @@ def _parse_json_body(role: RoleKind, raw, path: str, decoded: list[int] | None) 
             item = records[i]
             item_path = f"{path}[{i}]"
             if not (isinstance(item, list) and len(item) == 4 and isinstance(item[0], str)):
-                raise ParseError("record must be [name, hash, size, token]", position=item_path)
-            name, digest_b64, size, token_b64 = item
-            token = None
-            if token_b64 is not None:
-                token = decode_token(_json_bytes(token_b64, TOKEN_LEN, f"{item_path}[3]"))
-            try:
-                records[i] = TargetRecord(
-                    name=_json_name(name, f"{item_path}[0]"),
-                    hash=_json_bytes(digest_b64, 32, f"{item_path}[1]"),
-                    size=_json_uint(size, _U64_MAX, f"{item_path}[2]"),
-                    token=token,
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), position=item_path) from exc
+                raise ParseError("record must be [name, hash, size, token_digest]", position=item_path)
+            name, hash_b64, size, token_digest_b64 = item
+            records[i] = TargetRecord(
+                name=_json_name(name, f"{item_path}[0]"),
+                hash=_json_bytes(hash_b64, 32, f"{item_path}[1]"),
+                size=_json_uint(size, _U64_MAX, f"{item_path}[2]"),
+                token_digest=None if token_digest_b64 is None else _json_bytes(token_digest_b64, 32, f"{item_path}[3]"),
+            )
         try:
             return TargetsBody(records=records)
         except ValueError as exc:

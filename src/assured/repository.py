@@ -211,14 +211,14 @@ def publish(state: RepositoryState, name: str, envelope_bytes: bytes) -> Reposit
     if len(envelope.artifact) != token.artifact_size:
         raise PublishRejected("token size does not match artifact")
     record = TargetRecord(
-        name=name, hash=token.artifact_hash, size=token.artifact_size, token=token
+        name=name, hash=token.artifact_hash, size=token.artifact_size, token_digest=crypto.hash_data(token.raw)
     )
     return _publish_record(state, record, envelope_bytes)
 
 
 def publish_vanilla(state: RepositoryState, name: str, artifact: bytes) -> RepositoryState:
     """Record a token-free target (plain-TUF comparison repositories)."""
-    record = TargetRecord(name=name, hash=crypto.hash_data(artifact), size=len(artifact), token=None)
+    record = TargetRecord(name=name, hash=crypto.hash_data(artifact), size=len(artifact))
     return _publish_record(state, record, None)
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assured import crypto
+from assured import crypto, repository
 from assured.authorization import (
+    AuthorizationToken,
     Constraints,
     build_envelope,
     issue_token,
@@ -42,6 +43,7 @@ from assured.metadata import (
     MetadataSet,
     RoleKind,
     SnapshotBody,
+    TargetRecord,
     TimestampBody,
     build_and_sign,
     signed_region_of,
@@ -164,6 +166,43 @@ class TestSync:
         repo_port.tamper(TamperPolicy(kind=TamperKind.SUBSTITUTE_ARTIFACT))
         with pytest.raises(EnvelopeMismatch):
             controller.sync(repo_port)
+
+    def test_another_genuine_token_for_the_same_artifact_is_a_mismatch(self, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key, name="fw1")
+        controller.sync(repo_port)
+        last_seen, seen = dict(controller.trust.last_seen), dict(controller.seen_targets)
+        artifact = publish_update(repo_port, oem_key, name="fw2", version=3)
+        # the mirror serves the same artifact under a token the OEM issued
+        # with other constraints: artifact hash and size match the record
+        reissued = issue_token(oem_key, artifact, Constraints(device_model=MODEL, new_version=4))
+        substitute = serialize_envelope(build_envelope(reissued, artifact))
+        fetch = repo_port.fetch_envelope
+        repo_port.fetch_envelope = lambda name: substitute if name == "fw2" else fetch(name)
+        with pytest.raises(EnvelopeMismatch, match="token != signed record token"):
+            controller.sync(repo_port)
+        assert controller.trust.last_seen == last_seen
+        assert controller.seen_targets == seen
+
+    @pytest.mark.parametrize("differs", ["hash", "size"])
+    def test_a_record_for_another_artifact_than_its_tokens_is_a_mismatch(self, controller, repo_port, oem_key, differs):
+        # the envelope carries an artifact its token does not name, and the
+        # record holds that artifact's hash and size and the token's digest,
+        # so only the token's own hash/size can tell them apart
+        artifact = b"\x03" * 400
+        if differs == "hash":
+            token = issue_token(oem_key, b"\x02" * 400, Constraints(device_model=MODEL, new_version=2))
+        else:
+            genuine = issue_token(oem_key, artifact, Constraints(device_model=MODEL, new_version=2))
+            token = AuthorizationToken(genuine.raw[:32] + struct.pack(">Q", len(artifact) + 1) + genuine.raw[40:])
+        record = TargetRecord(
+            name="fw2", hash=crypto.hash_data(artifact), size=len(artifact), token_digest=crypto.hash_data(token.raw)
+        )
+        envelope = serialize_envelope(build_envelope(token, artifact))
+        repo_port.state = repository._publish_record(repo_port.state, record, envelope)
+        with pytest.raises(EnvelopeMismatch, match="token artifact hash/size"):
+            controller.sync(repo_port)
+        assert controller.trust.last_seen == {}
+        assert controller.seen_targets == {}
 
     def test_dropped_envelope(self, controller, repo_port, oem_key):
         publish_update(repo_port, oem_key)

@@ -2,6 +2,7 @@
 exact signature-verification count, expiry/rollback/binding failures, and
 the size budgets of the two encodings."""
 
+import base64
 import json
 from types import SimpleNamespace
 
@@ -86,9 +87,8 @@ class TestSerialization:
     def test_round_trip_with_token_record(self, oem_key, role_keys, mode):
         artifact = b"\x5a" * 64
         token = issue_token(oem_key, artifact, Constraints(new_version=4))
-        body = TargetsBody(
-            records=[TargetRecord(name="fw", hash=token.artifact_hash, size=64, token=token)]
-        )
+        record = TargetRecord(name="fw", hash=token.artifact_hash, size=64, token_digest=crypto.hash_data(token.raw))
+        body = TargetsBody(records=[record])
         meta = build_and_sign(body, 3, 500, role_keys[RoleKind.TARGETS])
         assert parse(serialize_canonical(meta, mode), mode) == meta
 
@@ -129,6 +129,7 @@ class TestSerialization:
                 st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12),
                 st.binary(min_size=32, max_size=32),
                 st.integers(min_value=0, max_value=2**40),
+                st.none() | st.binary(min_size=32, max_size=32),
             ),
             max_size=4,
             unique_by=lambda t: t[0],
@@ -136,7 +137,7 @@ class TestSerialization:
     )
     @settings(max_examples=40, deadline=None)
     def test_generated_targets_round_trip(self, mode, version, expires, raw_records):
-        records = [TargetRecord(name=n, hash=h, size=s, token=None) for n, h, s in raw_records]
+        records = [TargetRecord(name=n, hash=h, size=s, token_digest=d) for n, h, s, d in raw_records]
         meta = build_and_sign(TargetsBody(records=records), version, expires, keypairs(b"t", 2))
         assert parse(serialize_canonical(meta, mode), mode) == meta
 
@@ -153,7 +154,7 @@ class TestSerialization:
     def test_fixed_binary_targets_no_larger_than_json(self, repo, oem_key):
         artifact = b"\x11" * 256
         token = issue_token(oem_key, artifact, Constraints(new_version=2))
-        record = TargetRecord(name="fw", hash=token.artifact_hash, size=256, token=token)
+        record = TargetRecord(name="fw", hash=token.artifact_hash, size=256, token_digest=crypto.hash_data(token.raw))
         meta = build_and_sign(TargetsBody(records=[record]), 2, 1000, keypairs(b"t", 2))
         binary = serialize_canonical(meta, Mode.FIXED_BINARY)
         json_form = serialize_canonical(meta, Mode.JSON)
@@ -266,14 +267,9 @@ class TestInvariantsAtConstruction:
             RoleKeys(threshold=2, keys=(bytes(32),))
 
     def test_duplicate_target_names(self):
-        record = TargetRecord(name="a", hash=bytes(32), size=1, token=None)
+        record = TargetRecord(name="a", hash=bytes(32), size=1)
         with pytest.raises(ValueError):
             TargetsBody(records=[record, record])
-
-    def test_record_token_consistency(self, oem_key):
-        token = issue_token(oem_key, b"abc", Constraints(new_version=2))
-        with pytest.raises(ValueError):
-            TargetRecord(name="a", hash=bytes(32), size=3, token=token)
 
     def test_version_floor(self, role_keys):
         with pytest.raises(ValueError):
@@ -398,6 +394,28 @@ def test_json_integer_outside_its_binary_width_is_parse_error(json_skeletons, ro
     assert excinfo.value.position == position
 
 
+@pytest.mark.parametrize("length", [31, 33])
+def test_token_digest_of_another_length_is_parse_error_at_its_position(binary_probe_set, json_skeletons, length):
+    digest = bytes(range(length))
+    forged = _set(json_skeletons[RoleKind.TARGETS], ("body", 0, 3), base64.b64encode(digest).decode())
+    with pytest.raises(ParseError, match=f"expected 32 bytes, got {length}") as excinfo:
+        parse(canonical_dumps(forged), Mode.JSON)
+    assert excinfo.value.position == "$.body[0][3]"
+    # fixed binary has no digest length: the decoder takes exactly 32 bytes
+    # after the token flag, so the document cut after 31 ends inside the
+    # digest, and after 33 the next field starts at the 33rd byte
+    blob = fetch_metadata(binary_probe_set, RoleKind.TARGETS)
+    at = 64  # the first record's token digest, after its flag
+    assert blob[at - 1] == 1
+    spliced = blob[:at] + digest + blob[at + 32 :]
+    with pytest.raises(ParseError):
+        parse(spliced, Mode.FIXED_BINARY)
+    with pytest.raises(ParseError) as excinfo:
+        parse(spliced[: at + length], Mode.FIXED_BINARY)
+    position, field = (at, "token digest") if length == 31 else (at + 32, "target name length")
+    assert str(excinfo.value) == f"truncated {field} (at {position})"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -454,16 +472,15 @@ def test_json_values_in_a_valid_skeleton_only_parse_error(json_skeletons, data):
 # --- records encode themselves; parse reuses known records without changing a verdict ---
 
 
-_TOKEN = issue_token(crypto.signing_key_from_seed(bytes(range(32))), b"artifact", Constraints(new_version=2))
-
-
-@given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12), st.integers(0, 2**64 - 1), st.booleans())
+@given(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.binary(min_size=32, max_size=32),
+    st.integers(0, 2**64 - 1),
+    st.none() | st.binary(min_size=32, max_size=32),
+)
 @settings(max_examples=100, deadline=None)
-def test_record_encodings_round_trip_in_both_modes(name, size, with_token):
-    if with_token:
-        record = TargetRecord(name=name, hash=_TOKEN.artifact_hash, size=_TOKEN.artifact_size, token=_TOKEN)
-    else:
-        record = TargetRecord(name=name, hash=bytes(range(32)), size=size)
+def test_record_encodings_round_trip_in_both_modes(name, record_hash, size, token_digest):
+    record = TargetRecord(name=name, hash=record_hash, size=size, token_digest=token_digest)
     meta = build_and_sign(TargetsBody(records=[record]), 2, 9, keypairs(b"t", 1))
     for mode in Mode:
         assert parse(serialize_canonical(meta, mode), mode) == meta
@@ -525,7 +542,7 @@ def test_single_byte_mutants_get_the_same_verdict_with_known_records(catalog_sta
 
 @pytest.mark.parametrize("alias", [b"true", b"1.0"])
 def test_json_size_equal_to_a_known_one_only_by_python_equality_is_rejected(role_keys, alias):
-    record = TargetRecord(name="one", hash=bytes(32), size=1, token=None)
+    record = TargetRecord(name="one", hash=bytes(32), size=1)
     meta = build_and_sign(TargetsBody(records=[record]), 2, 1000, role_keys[RoleKind.TARGETS])
     blob = serialize_canonical(meta, Mode.JSON)
     known = parse(blob, Mode.JSON).body
@@ -552,7 +569,8 @@ def _record(name: str, tag: int) -> TargetRecord:
     if tag % 2:
         return TargetRecord(name=name, hash=bytes([tag]) * 32, size=tag)
     token = issue_token(crypto.signing_key_from_seed(bytes(range(32))), bytes([tag]) * 20, Constraints(new_version=tag + 1))
-    return TargetRecord(name=name, hash=token.artifact_hash, size=token.artifact_size, token=token)
+    digest = crypto.hash_data(token.raw)
+    return TargetRecord(name=name, hash=token.artifact_hash, size=token.artifact_size, token_digest=digest)
 
 
 def _catalog(role_keys, held_names, insert_names):

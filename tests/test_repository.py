@@ -86,13 +86,13 @@ def test_publish_bumps_three_roles(fresh_repo, envelope):
     assert isinstance(body, TargetsBody) and len(body.records) == 1
 
 
-def test_published_record_token_is_the_envelopes_136_bytes(fresh_repo, envelope):
+def test_published_record_digest_is_sha256_of_the_envelopes_136_token_bytes(fresh_repo, envelope):
     state = publish(fresh_repo, "fw", envelope)
+    token_bytes = envelope[4 : 4 + TOKEN_LEN]
+    assert encode_token(parse_envelope(fetch_envelope(state, "fw")).token) == token_bytes
     for mode in Mode:
         targets = parse(serialize_canonical(state.metadata.targets, mode), mode)
-        record_token = encode_token(targets.body.find("fw").token)
-        envelope_token = encode_token(parse_envelope(fetch_envelope(state, "fw")).token)
-        assert record_token == envelope_token == envelope[4 : 4 + TOKEN_LEN]
+        assert targets.body.find("fw").token_digest == hashlib.sha256(token_bytes).digest()
 
 
 def test_publish_keeps_every_unchanged_record_object(fresh_repo, oem_key):
@@ -140,7 +140,9 @@ def test_saved_repository_keeps_every_envelope(tmp_path, fresh_repo, envelope):
 
 def test_saved_repository_bytes_are_pinned(tmp_path, fresh_repo, envelope):
     # signatures come from each key pair's once-loaded private key; Ed25519 is
-    # deterministic, so the files are exactly those of a key loaded per signature
+    # deterministic, so the files are exactly those of a key loaded per signature.
+    # The snapshot pins the targets version, not its bytes, so a change of the
+    # record format moves targets.2.meta alone
     save_repository(publish(fresh_repo, "fw", envelope), str(tmp_path))
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -151,7 +153,7 @@ def test_saved_repository_bytes_are_pinned(tmp_path, fresh_repo, envelope):
         "private.bin": "b83c83839beff6c70c5c70adb1b7a1f63a1890dcd18227d54b4368f11316f4a3",
         "root.1.meta": "1a241f34503b0b6662ec633a4b9b6a5cea143610093fef0acc4effe7a6db4552",
         "snapshot.meta": "41e800cb4124a7f1096b804043686e21fd4494c283da4b3575399adcedc43c87",
-        "targets.2.meta": "e7ea2ff5712aa51c876ee0f6458d745ccb9e6ff5ec96323688d8db01c2b611f3",
+        "targets.2.meta": "cc879df237f520de6498828f621ea9071de3f3771559acf08ef05f7795e127fa",
         "timestamp.meta": "446991fac7fd474c74e72e107a5266d05f28eeb232c7874ba2d9cbd96466f5c6",
     }
 
@@ -177,7 +179,7 @@ def test_republish_same_name_single_entry(fresh_repo, oem_key):
         state = publish(state, "fw", serialize_envelope(build_envelope(token, artifact)))
     body = state.metadata.targets.body
     assert len(body.records) == 1
-    assert body.records[0].token.constraints.new_version == 3
+    assert body.records[0].token_digest == crypto.hash_data(token.raw)  # the version-3 token
     assert state.metadata.targets.version == 3
 
 
