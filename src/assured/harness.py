@@ -11,6 +11,13 @@ over local sockets.
 slot (a later one replaces an earlier one); the next ``deliver`` or ``attest``,
 whichever comes first, runs through it and disarms it.
 
+Each step calls one ``World`` method and is bound to its signature: the
+``<...>`` arguments fill its positional-only parameters and the ``key=``
+values its keyword-only ones, each converted by the parameter's annotation;
+a key in brackets has the parameter's default. A step with an unknown,
+repeated or missing key, or with more or fewer arguments, is a
+``ScenarioError`` at its index, as is a line ``shlex`` cannot split.
+
 Step vocabulary:
 
     enroll <dev> model=<n> id=<n> [version=<n>] [mode=dual|single]
@@ -33,6 +40,7 @@ Step vocabulary:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import os
 import random
 import shlex
@@ -123,15 +131,21 @@ def parse_scenario(text: str) -> list[Step]:
             line, _, expected_part = line.partition("->")
             expected = expected_part.strip()
             line = line.strip()
-        tokens = shlex.split(line)
+        index = len(steps) + 1
+        try:
+            tokens = shlex.split(line)
+        except ValueError as exc:  # an unclosed quote or a trailing backslash
+            raise ScenarioError(index, f"{raw_line.strip()!r}: {exc}") from exc
         if not tokens:
             continue
         op, rest = tokens[0], tokens[1:]
         args = tuple(t for t in rest if "=" not in t)
-        kwargs = dict(t.split("=", 1) for t in rest if "=" in t)
-        steps.append(
-            Step(index=len(steps) + 1, op=op, args=args, kwargs=kwargs, expected=expected, raw=raw_line.strip())
-        )
+        kwargs: dict[str, str] = {}
+        for key, value in (t.split("=", 1) for t in rest if "=" in t):
+            if key in kwargs:
+                raise ScenarioError(index, f"{raw_line.strip()!r}: repeated key {key!r}")
+            kwargs[key] = value
+        steps.append(Step(index=index, op=op, args=args, kwargs=kwargs, expected=expected, raw=raw_line.strip()))
     if not steps:
         raise ScenarioError(0, "scenario has no steps")
     return steps
@@ -340,7 +354,7 @@ class World:
     # --- step implementations (each returns (outcome_token, details)) ----------------
 
     def enroll(
-        self, handle: str, device_model: int, device_id: int, version: int = 1, install_mode: str = "dual"
+        self, handle: str, /, *, device_model: int, device_id: int, version: int = 1, install_mode: str = "dual"
     ) -> tuple[str, str]:
         attestation_key = derived_rng(self.seed, f"katt:{device_id}").randbytes(32)
         rng_seed = derived_seed(self.seed, f"device:{device_id}")
@@ -391,6 +405,8 @@ class World:
     def issue(
         self,
         name: str,
+        /,
+        *,
         version: int,
         device_model: int = 0,
         device_id: int = 0,
@@ -418,7 +434,7 @@ class World:
         self.artifacts[name] = artifact
         return "ok", f"size={size} token_bytes={len(token.raw)} envelope={_hex8(envelope_bytes)}"
 
-    def publish(self, name: str) -> tuple[str, str]:
+    def publish(self, name: str, /) -> tuple[str, str]:
         if name not in self.envelopes:
             raise KeyError(f"no issued envelope named {name!r}")
         try:
@@ -427,7 +443,7 @@ class World:
             return f"rejected:{type(exc).__name__}", str(exc)
         return "ok", f"envelope={_hex8(self.envelopes[name])}"
 
-    def tamper(self, kind: str, offset: int = 0) -> tuple[str, str]:
+    def tamper(self, kind: str, /, *, offset: int = 0) -> tuple[str, str]:
         self.repo.tamper(TamperPolicy(kind=TamperKind(kind), bit_offset=offset))
         return "ok", f"policy={kind} offset={offset}"
 
@@ -435,7 +451,7 @@ class World:
         self.repo.refresh()
         return "ok", ""
 
-    def clock_advance(self, ticks: int) -> tuple[str, str]:
+    def clock_advance(self, ticks: int, /) -> tuple[str, str]:
         self.repo.advance_clock(ticks)
         self.controller.advance_clock(ticks)
         return "ok", f"now={self.controller.clock}"
@@ -452,7 +468,7 @@ class World:
         names = ",".join(item.name for item in batch) or "-"
         return f"ok:{len(batch)}", f"new=[{names}] verify_delta={delta}"
 
-    def frame_tamper(self, bit: int = 0) -> tuple[str, str]:
+    def frame_tamper(self, *, bit: int = 0) -> tuple[str, str]:
         self._armed = lambda port: _TamperingPort(port, bit)
         return "ok", f"bit={bit}"
 
@@ -473,7 +489,7 @@ class World:
         armed, self._armed = self._armed, None
         return port if armed is None else armed(port)
 
-    def deliver(self, handle: str, name: str) -> tuple[str, str]:
+    def deliver(self, handle: str, name: str, /) -> tuple[str, str]:
         device = self.devices[handle]
         if name not in self.verified:
             raise KeyError(f"{name!r} has not been verified by sync")
@@ -505,24 +521,25 @@ class World:
             f"device_verify_delta={delta} envelope={_hex8(self.envelopes.get(name, b''))} {traffic()}"
         )
 
-    def attest(self, handle: str) -> tuple[str, str]:
+    def attest(self, handle: str, /) -> tuple[str, str]:
         device = self.devices[handle]
         result = self.controller.request_attestation(self._through_armed(device.port), device.device_id)
         nonce = self.controller.nonce_log[-1].hex()[:16]
         return ("verified" if result.verified else f"failed:{result.reason}"), f"nonce={nonce}"
 
-    def corrupt_flash(self, handle: str, bank: str = "active", bit: int = 0) -> tuple[str, str]:
+    def corrupt_flash(self, handle: str, /, *, bank: str = "active", bit: int = 0) -> tuple[str, str]:
         device = self.devices[handle]
-        if bank == "active":
-            index = device.port.info()["active_bank"]
-        elif bank == "inactive":
-            index = 1 - device.port.info()["active_bank"]
-        else:
+        if bank in ("0", "1"):
             index = int(bank)
+        elif bank in ("active", "inactive"):
+            active = device.port.info()["active_bank"]
+            index = active if bank == "active" else 1 - active
+        else:
+            raise ValueError(f"bank is not active, inactive, 0 or 1: {bank!r}")
         device.port.corrupt_flash(index, bit)
         return "ok", f"bank={index} bit={bit}"
 
-    def boot(self, handle: str) -> tuple[str, str]:
+    def boot(self, handle: str, /) -> tuple[str, str]:
         port = self.devices[handle].port
         before = port.verify_count()
         result = port.boot()
@@ -534,49 +551,46 @@ class World:
 
 # --- runner --------------------------------------------------------------------------------
 
-# op -> (World method, positional argument types, {key: (parameter, type, default)});
-# a default of None marks a required key
+# op -> (World method, {parameter: the key a script spells it with, where the two
+# differ}); a step binds to its method's signature (see the module docstring)
 _STEPS = {
-    "enroll": ("enroll", (str,), {
-        "model": ("device_model", int, None),
-        "id": ("device_id", int, None),
-        "version": ("version", int, 1),
-        "mode": ("install_mode", str, "dual"),
-    }),
-    "issue": ("issue", (str,), {
-        "version": ("version", int, None),
-        "model": ("device_model", int, 0),
-        "device": ("device_id", int, 0),
-        "prev": ("prev", int, 0),
-        "size": ("size", int, DEFAULT_ARTIFACT_SIZE),
-        "key": ("key", str, "oem"),
-    }),
-    "publish": ("publish", (str,), {}),
-    "tamper-policy": ("tamper", (str,), {"offset": ("offset", int, 0)}),
-    "refresh": ("refresh", (), {}),
-    "clock-advance": ("clock_advance", (int,), {}),
-    "sync": ("sync", (), {}),
-    "frame-tamper": ("frame_tamper", (), {"bit": ("bit", int, 0)}),
-    "drop": ("drop", (), {}),
-    "replay": ("replay", (), {}),
-    "forge-tag": ("forge_tag", (), {}),
-    "deliver": ("deliver", (str, str), {}),
-    "attest": ("attest", (str,), {}),
-    "corrupt-flash": ("corrupt_flash", (str,), {"bank": ("bank", str, "active"), "bit": ("bit", int, 0)}),
-    "boot": ("boot", (str,), {}),
+    "enroll": ("enroll", {"device_model": "model", "device_id": "id", "install_mode": "mode"}),
+    "issue": ("issue", {"device_model": "model", "device_id": "device"}),
+    "publish": ("publish", {}),
+    "tamper-policy": ("tamper", {}),
+    "refresh": ("refresh", {}),
+    "clock-advance": ("clock_advance", {}),
+    "sync": ("sync", {}),
+    "frame-tamper": ("frame_tamper", {}),
+    "drop": ("drop", {}),
+    "replay": ("replay", {}),
+    "forge-tag": ("forge_tag", {}),
+    "deliver": ("deliver", {}),
+    "attest": ("attest", {}),
+    "corrupt-flash": ("corrupt_flash", {}),
+    "boot": ("boot", {}),
 }
 
 
 def _execute_step(world: World, step: Step) -> tuple[str, str]:
     if step.op not in _STEPS:
         raise KeyError(f"unknown step {step.op!r}")
-    method, positional, keywords = _STEPS[step.op]
-    args = [kind(step.args[i]) for i, kind in enumerate(positional)]
-    kwargs = {
-        name: kind(step.kwargs[key] if default is None else step.kwargs.get(key, default))
-        for key, (name, kind, default) in keywords.items()
-    }
-    return getattr(world, method)(*args, **kwargs)
+    name, spelled = _STEPS[step.op]
+    method = getattr(world, name)
+    parameters = inspect.signature(method, eval_str=True).parameters.values()
+    positional = [p for p in parameters if p.kind is p.POSITIONAL_ONLY]
+    if len(step.args) != len(positional):
+        raise ValueError(f"{len(step.args)} positional arguments where {step.op!r} takes {len(positional)}")
+    keywords = {spelled.get(p.name, p.name): p for p in parameters if p.kind is p.KEYWORD_ONLY}
+    for key in step.kwargs:
+        if key not in keywords:
+            raise ValueError(f"unknown key {key!r}")
+    for key, parameter in keywords.items():
+        if key not in step.kwargs and parameter.default is parameter.empty:
+            raise ValueError(f"missing key {key!r}")
+    args = [p.annotation(value) for p, value in zip(positional, step.args)]
+    kwargs = {p.name: p.annotation(step.kwargs[key]) for key, p in keywords.items() if key in step.kwargs}
+    return method(*args, **kwargs)
 
 
 def run_scenario(text: str, seed: int = 0, multiprocess: bool = False) -> Transcript:

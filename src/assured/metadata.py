@@ -101,6 +101,12 @@ class TargetRecord:
     size: int
     token_digest: bytes | None = None
 
+    def __post_init__(self) -> None:
+        if len(self.hash) != crypto.DIGEST_LEN:
+            raise ValueError(f"record hash is {len(self.hash)} bytes, not {crypto.DIGEST_LEN}")
+        if self.token_digest is not None and len(self.token_digest) != crypto.DIGEST_LEN:
+            raise ValueError(f"record token digest is {len(self.token_digest)} bytes, not {crypto.DIGEST_LEN}")
+
     @functools.cached_property
     def binary(self) -> bytes:
         """name_len(2) || name || hash(32) || size(8) || flag(1) || token_digest(32)?"""
@@ -156,6 +162,10 @@ class SnapshotBody:
 class TimestampBody:
     snapshot_version: int
     snapshot_hash: bytes  # digest of the snapshot's signed region
+
+    def __post_init__(self) -> None:
+        if len(self.snapshot_hash) != crypto.DIGEST_LEN:
+            raise ValueError(f"snapshot hash is {len(self.snapshot_hash)} bytes, not {crypto.DIGEST_LEN}")
 
 
 _BODY_ROLES = {

@@ -229,42 +229,38 @@ def _encode_frame(message: dict) -> bytes:
     return b"".join([json.dumps(header).encode("ascii"), b"\n", *segments])
 
 
-def _read_frame(stream) -> tuple[bytes, list[bytes]] | None:
-    """The header line and segments of the next frame on ``stream``; None at its end.
+class _Undelimited(ParseError):
+    """A frame whose end cannot be found, so no next frame can be read after it."""
 
-    Only the sizes are read from the header here: a header that is not a JSON
-    object listing sizes delimits a frame without segments, which _message
-    then rejects. A frame that cannot be delimited is a
-    ParseError, after which no next frame can be found; a stream that ends
-    inside a frame raises EOFError."""
+
+def _read_frame(stream) -> dict | None:
+    """The message of the next frame on ``stream``; None at its end.
+
+    The header line is parsed once: its sizes delimit the frame, and once
+    the segments are read the same parse is checked and decoded. A frame
+    that cannot be delimited raises _Undelimited, any other malformed frame
+    a ParseError after the whole frame is read, and a stream that ends
+    inside a frame EOFError."""
     line = stream.readline(_HEADER_CAP + 1)
     if not line:
         return None
     if len(line) > _HEADER_CAP:
-        raise ParseError(f"frame header is longer than {_HEADER_CAP} bytes", "frame")
+        raise _Undelimited(f"frame header is longer than {_HEADER_CAP} bytes", "frame")
     if not line.endswith(b"\n"):
         raise EOFError("stream ended inside a frame header")
     try:
         header = json.loads(line)
-    except (ValueError, RecursionError):
-        return line, []
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+        raise ParseError(f"frame header is not JSON: {exc!r:.80}", "header") from exc
+    # a header that is not an object listing sizes delimits a frame without segments
     sizes = header.get("sizes", []) if isinstance(header, dict) else []
     if not isinstance(sizes, list) or not all(type(size) is int and size >= 0 for size in sizes):
-        raise ParseError(f"frame sizes are not a list of byte counts: {sizes!r:.80}", "frame")
+        raise _Undelimited(f"frame sizes are not a list of byte counts: {sizes!r:.80}", "frame")
     if len(line) + sum(sizes) > _FRAME_CAP:
-        raise ParseError(f"frame is longer than {_FRAME_CAP} bytes", "frame")
+        raise _Undelimited(f"frame is longer than {_FRAME_CAP} bytes", "frame")
     segments = [stream.read(size) for size in sizes]
     if [len(segment) for segment in segments] != sizes:
         raise EOFError("stream ended inside a frame segment")
-    return line, segments
-
-
-def _message(line: bytes, segments: list[bytes]) -> dict:
-    """The message of a frame _read_frame delimited."""
-    try:
-        header = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-        raise ParseError(f"frame header is not JSON: {exc!r:.80}", "header") from exc
     if not isinstance(header, dict) or tuple(header) not in _HEADER_KEYS or header.get("sizes") == []:
         raise ParseError(f"not a frame header: {line!r:.80}", "header")
     if json.dumps(header).encode("ascii") + b"\n" != line:
@@ -277,12 +273,12 @@ def _decode_frame(frame: bytes) -> dict:
     """The message of one whole frame: a ParseError unless _encode_frame writes exactly ``frame``."""
     stream = io.BytesIO(frame)
     try:
-        delimited = _read_frame(stream)
+        message = _read_frame(stream)
     except EOFError as exc:
         raise ParseError(f"frame is cut short: {exc}", "frame") from exc
-    if delimited is None or stream.tell() != len(frame):
+    if message is None or stream.tell() != len(frame):
         raise ParseError("not exactly one frame", "frame")
-    return _message(*delimited)
+    return message
 
 
 def is_unix_address(spec: str) -> bool:
@@ -352,16 +348,15 @@ class _Server(socketserver.ThreadingTCPServer):
         with _line_reader(connection) as reader:
             while True:
                 try:
-                    frame = _read_frame(reader)
-                except EOFError:
+                    request = _read_frame(reader)
+                    if request is None:
+                        return
+                    reply = _encode_frame({"ok": True, "result": self.dispatch(request)})
+                except EOFError:  # the stream ended inside a frame
                     return
-                except ParseError as exc:
+                except _Undelimited as exc:
                     connection.sendall(_encode_frame({"ok": False, "error": exc}))
                     return
-                if frame is None:
-                    return
-                try:
-                    reply = _encode_frame({"ok": True, "result": self.dispatch(_message(*frame))})
                 except AssuredError as exc:
                     reply = _encode_frame({"ok": False, "error": exc})
                 except Exception as exc:  # a crash-level failure; keep the connection alive
@@ -443,10 +438,9 @@ class _LineClient:
         request = _encode_frame({"op": op, "args": list(args)})
         try:
             self._sock.sendall(request)
-            frame = _read_frame(self._reader)
-            if frame is None:
+            reply = _read_frame(self._reader)
+            if reply is None:
                 raise EOFError("no reply")
-            reply = _message(*frame)
             if not (reply.get("ok") is True and "result" in reply
                     or reply.get("ok") is False and isinstance(reply.get("error"), AssuredError)):
                 raise ParseError(f"malformed reply to {op!r}", "reply")
@@ -454,8 +448,9 @@ class _LineClient:
             self.close()
             reason = f"{type(exc).__name__}: {exc}"
             raise AssuredError(f"connection closed during op {op!r} to {self._address}: {reason}") from exc
-        except ParseError:
+        except ParseError as exc:
             self.close()
+            exc.__class__ = ParseError  # an undelimited reply is as malformed as any other
             raise
         if reply["ok"]:
             return reply["result"]

@@ -490,8 +490,8 @@ def test_oem_issue_rejects_invalid_constraints(workspace, capsys, versions):
 
 @pytest.mark.parametrize(
     "script",
-    ["enroll d model=x id=1\n", "frobnicate d\n", "enroll d model=1 id=1\nboot nobody\n"],
-    ids=["bad-integer", "unknown-step", "unknown-device"],
+    ["enroll d model=x id=1\n", "frobnicate d\n", "enroll d model=1 id=1\nboot nobody\n", "enroll 'd model=1 id=1\n"],
+    ids=["bad-integer", "unknown-step", "unknown-device", "unclosed-quote"],
 )
 def test_a_bad_scenario_script_is_one_error_line(workspace, capsys, script):
     (workspace / "s.scn").write_text(script)

@@ -1,8 +1,11 @@
 """Scenario DSL, builtin scenarios, determinism, adversary suite, bench."""
 
+import inspect
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import assured.device
 from assured.device import Device, InstallOutcome
@@ -14,6 +17,7 @@ from assured.harness import (
     HAPPY_PATH,
     ROLLBACK,
     ScenarioError,
+    Step,
     World,
     adversary_table,
     derived_seed,
@@ -38,6 +42,24 @@ class TestParsing:
     def test_empty_scenario_rejected(self):
         with pytest.raises(ScenarioError):
             parse_scenario("# only a comment\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("enroll 'dev1 model=1 id=1", "No closing quotation"), ("issue fw2 version=2 version=3", "repeated key")],
+    )
+    def test_a_line_it_cannot_split_into_one_step_is_a_scenario_error(self, line, message):
+        with pytest.raises(ScenarioError, match=message) as excinfo:
+            parse_scenario("# set-up\nsync\n" + line + "\n")
+        assert excinfo.value.index == 2
+
+    @given(st.text(st.sampled_from("ab=#->'\"\\ \t\n") | st.characters()))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_is_steps_or_a_scenario_error(self, text):
+        try:
+            steps = parse_scenario(text)
+        except ScenarioError:
+            return
+        assert steps and all(isinstance(step, Step) for step in steps)
 
 
 class TestBuiltins:
@@ -304,14 +326,67 @@ class TestArmedAdversary:
 
 
 class TestStepTable:
+    SETUP = TestArmedAdversary.SETUP  # four steps; the step under test is step 5
+
     def test_table_covers_the_documented_vocabulary(self):
         import assured.harness as harness
 
         block = harness.__doc__.split("Step vocabulary:")[1]
         documented = {line.split()[0] for line in block.splitlines() if line.strip()}
         assert documented == set(harness._STEPS)
-        for method, _, _ in harness._STEPS.values():
+        for method, _ in harness._STEPS.values():
             assert callable(getattr(World, method))
+
+    def test_each_documented_step_is_its_methods_signature(self):
+        import assured.harness as harness
+
+        block = harness.__doc__.split("Step vocabulary:")[1]
+        for line in filter(str.strip, block.splitlines()):
+            op, *tokens = line.split()
+            method, spelled = harness._STEPS[op]
+            parameters = list(inspect.signature(getattr(World, method), eval_str=True).parameters.values())[1:]
+            assert {p.kind for p in parameters} <= {inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.KEYWORD_ONLY}
+            assert {p.annotation for p in parameters} <= {int, str}
+            positional = [token for token in tokens if token.startswith("<")]
+            assert len(positional) == sum(p.kind is p.POSITIONAL_ONLY for p in parameters), line
+            # each documented key and whether it is optional ([key=...])
+            keys = {token.strip("[]").split("=")[0]: token.startswith("[") for token in tokens if "=" in token}
+            assert keys == {
+                spelled.get(p.name, p.name): p.default is not p.empty for p in parameters if p.kind is p.KEYWORD_ONLY
+            }, line
+            assert set(spelled) <= {p.name for p in parameters}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("issue fw3 verison=3 version=3 modle=7", "unknown key 'verison'"),
+            ("enroll dev2 device_model=100 id=2", "unknown key 'device_model'"),
+            ("issue fw3 model=100", "missing key 'version'"),
+            ("deliver dev1 fw2 extra", "3 positional arguments where 'deliver' takes 2"),
+            ("sync now", "1 positional arguments where 'sync' takes 0"),
+            ("publish", "0 positional arguments where 'publish' takes 1"),
+        ],
+        ids=["unknown-key", "parameter-name-as-key", "missing-key", "extra-positional", "positional-to-none",
+             "missing-positional"],
+    )
+    def test_a_step_refuses_what_its_method_does_not_declare(self, line, message):
+        with pytest.raises(ScenarioError, match=message) as excinfo:
+            run_scenario(self.SETUP + line + "\n", seed=5)
+        assert excinfo.value.index == 5
+
+    @pytest.mark.parametrize("multiprocess", [False, True])
+    @pytest.mark.parametrize("bank", ["-1", "2"])
+    def test_corrupt_flash_takes_only_its_documented_banks(self, multiprocess, bank):
+        script = f"enroll dev1 model=1 id=1\ncorrupt-flash dev1 bank={bank}\n"
+        with pytest.raises(ScenarioError, match="bank is not active, inactive, 0 or 1") as excinfo:
+            run_scenario(script, seed=5, multiprocess=multiprocess)
+        assert excinfo.value.index == 2
+
+    def test_corrupt_flash_names_a_bank_by_number_or_by_role(self):
+        banks = ["0", "1", "active", "inactive"]
+        script = "enroll dev1 model=1 id=1\n" + "".join(f"corrupt-flash dev1 bank={bank}\n" for bank in banks)
+        lines = run_scenario(script, seed=5).lines[1:]
+        assert [line.split(" | ")[-1] for line in lines] == [f"bank={index} bit=0" for index in (0, 1, 0, 1)]
 
     @pytest.mark.parametrize("multiprocess", [False, True])
     def test_unknown_install_mode_aborts_in_both_modes(self, multiprocess):

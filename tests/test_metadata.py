@@ -271,6 +271,17 @@ class TestInvariantsAtConstruction:
         with pytest.raises(ValueError):
             TargetsBody(records=[record, record])
 
+    @pytest.mark.parametrize("length", [0, 31, 33])
+    def test_digests_are_exactly_32_bytes(self, length):
+        TargetRecord(name="a", hash=bytes(32), size=1, token_digest=bytes(32))
+        TimestampBody(snapshot_version=1, snapshot_hash=bytes(32))
+        with pytest.raises(ValueError, match="record hash"):
+            TargetRecord(name="a", hash=bytes(length), size=1)
+        with pytest.raises(ValueError, match="record token digest"):
+            TargetRecord(name="a", hash=bytes(32), size=1, token_digest=bytes(length))
+        with pytest.raises(ValueError, match="snapshot hash"):
+            TimestampBody(snapshot_version=1, snapshot_hash=bytes(length))
+
     def test_version_floor(self, role_keys):
         with pytest.raises(ValueError):
             build_and_sign(SnapshotBody(1, 1), 0, 10, role_keys[RoleKind.SNAPSHOT])
