@@ -16,7 +16,10 @@ Each step calls one ``World`` method and is bound to its signature: the
 values its keyword-only ones, each converted by the parameter's annotation;
 a key in brackets has the parameter's default. A step with an unknown,
 repeated or missing key, or with more or fewer arguments, is a
-``ScenarioError`` at its index, as is a line ``shlex`` cannot split.
+``ScenarioError`` at its index, as is a line ``shlex`` cannot split. So is
+an ``issue`` whose ``key`` is not ``oem`` or ``rogue`` or whose ``size`` is
+outside 0..4 MiB, the largest artifact the transport's frame cap carries;
+both are refused before any artifact byte is drawn.
 
 Step vocabulary:
 
@@ -48,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from . import crypto
@@ -84,6 +88,7 @@ from .transport import (
 
 FACTORY_ARTIFACT_SIZE = 256
 DEFAULT_ARTIFACT_SIZE = 256
+MAX_ARTIFACT_SIZE = 4 << 20  # the largest artifact the transport's frame cap is sized for
 HANDSHAKE_AMORTIZED_BYTES = 8  # modeled per-envelope share of the nonce exchange
 
 
@@ -239,6 +244,12 @@ class _ForgedTagPort(_PortWrapper):
         return replace(report, tag=bytes(b ^ 0xFF for b in report.tag))
 
 
+def _outcome_token(outcome: InstallOutcome) -> str:
+    if outcome.status == InstallOutcome.INSTALLED:
+        return f"installed:{outcome.version}"
+    return f"{outcome.status}:{outcome.reason}"
+
+
 # --- the world ---------------------------------------------------------------------------
 
 @dataclass
@@ -356,6 +367,13 @@ class World:
     def enroll(
         self, handle: str, /, *, device_model: int, device_id: int, version: int = 1, install_mode: str = "dual"
     ) -> tuple[str, str]:
+        # issuing the factory token checks the constraints before any device exists
+        artifact = derived_rng(self.seed, f"artifact:factory:{device_id}").randbytes(FACTORY_ARTIFACT_SIZE)
+        token = issue_token(
+            self.oem_key,
+            artifact,
+            Constraints(device_model=device_model, device_id=device_id, new_version=version),
+        )
         attestation_key = derived_rng(self.seed, f"katt:{device_id}").randbytes(32)
         rng_seed = derived_seed(self.seed, f"device:{device_id}")
         mode = InstallMode(install_mode)
@@ -383,12 +401,6 @@ class World:
                 rng=random.Random(rng_seed),
             )
             port = LocalDevicePort(device)
-        artifact = derived_rng(self.seed, f"artifact:factory:{device_id}").randbytes(FACTORY_ARTIFACT_SIZE)
-        token = issue_token(
-            self.oem_key,
-            artifact,
-            Constraints(device_model=device_model, device_id=device_id, new_version=version),
-        )
         before = port.verify_count()
         port.provision(artifact, token.raw)
         delta = port.verify_count() - before
@@ -414,11 +426,15 @@ class World:
         size: int = DEFAULT_ARTIFACT_SIZE,
         key: str = "oem",
     ) -> tuple[str, str]:
+        signers = {"oem": self.oem_key, "rogue": self.rogue_key}
+        if key not in signers:
+            raise ValueError(f"key is not oem or rogue: {key!r}")
+        if not 0 <= size <= MAX_ARTIFACT_SIZE:
+            raise ValueError(f"size is not within 0..{MAX_ARTIFACT_SIZE}: {size}")
         artifact = derived_rng(self.seed, f"artifact:{name}").randbytes(size)
-        signer = self.oem_key if key == "oem" else self.rogue_key
         try:
             token = issue_token(
-                signer,
+                signers[key],
                 artifact,
                 Constraints(
                     device_model=device_model,
@@ -513,11 +529,7 @@ class World:
             delta = port.verify_count() - before
             return f"delivery-failed:{exc.reason}", f"device_verify_delta={delta} {traffic()}"
         delta = port.verify_count() - before
-        if outcome.status == InstallOutcome.INSTALLED:
-            token = f"installed:{outcome.version}"
-        else:
-            token = f"{outcome.status}:{outcome.reason}"
-        return token, (
+        return _outcome_token(outcome), (
             f"device_verify_delta={delta} envelope={_hex8(self.envelopes.get(name, b''))} {traffic()}"
         )
 
@@ -741,84 +753,116 @@ def adversary_table(rows: list[AdversaryRow]) -> str:
 
 # --- bench -----------------------------------------------------------------------------------
 
+# (record metric, text label) of each count a BenchReport carries, in record
+# order; a count that does not apply to a mode is None and is left out of both
+_COUNTS = (
+    ("device_verify_count", "device public-key verifications"),
+    ("device_metadata_bytes", "device-visible metadata bytes"),
+    ("frame_overhead_bytes", "channel frame overhead bytes"),
+    ("explicit_auth_bytes", "explicit authorization bytes"),
+    ("implicit_auth_bytes", "implicit authorization bytes (modeled)"),
+    ("envelope_overhead_bytes", "envelope header overhead bytes"),
+)
+
+
 @dataclass
 class BenchReport:
     mode: str
     device_verify_count: int
     device_metadata_bytes: int
-    explicit_auth_bytes: int | None
-    implicit_auth_bytes: int | None
-    envelope_overhead_bytes: int | None
     frame_overhead_bytes: int
     role_sizes: dict[str, dict[str, int]]
     notes: list[str]
     wall_ms_informational: float
+    explicit_auth_bytes: int | None = None
+    implicit_auth_bytes: int | None = None
+    envelope_overhead_bytes: int | None = None
+
+    def counts(self) -> list[tuple[str, str, int]]:
+        """(metric, label, value) of each count that applies, in record order."""
+        return [(metric, label, getattr(self, metric)) for metric, label in _COUNTS
+                if getattr(self, metric) is not None]
 
     def records(self) -> list[dict]:
-        base = {"mode": self.mode}
-        rows = [
-            {**base, "metric": "device_verify_count", "value": self.device_verify_count},
-            {**base, "metric": "device_metadata_bytes", "value": self.device_metadata_bytes},
-            {**base, "metric": "frame_overhead_bytes", "value": self.frame_overhead_bytes},
-        ]
-        if self.explicit_auth_bytes is not None:
-            rows.append({**base, "metric": "explicit_auth_bytes", "value": self.explicit_auth_bytes})
-        if self.implicit_auth_bytes is not None:
-            rows.append({**base, "metric": "implicit_auth_bytes", "value": self.implicit_auth_bytes})
-        if self.envelope_overhead_bytes is not None:
-            rows.append({**base, "metric": "envelope_overhead_bytes", "value": self.envelope_overhead_bytes})
-        for role, sizes in self.role_sizes.items():
-            for encoding, size in sizes.items():
-                rows.append({**base, "metric": f"role_size:{role}:{encoding}", "value": size})
-        return rows
+        values = [(metric, value) for metric, _, value in self.counts()]
+        values += [(f"role_size:{role}:{encoding}", size)
+                   for role, sizes in self.role_sizes.items() for encoding, size in sizes.items()]
+        return [{"mode": self.mode, "metric": metric, "value": value} for metric, value in values]
 
     def to_text(self) -> str:
+        width = max(len(label) for _, label in _COUNTS)
         lines = [f"bench mode={self.mode}"]
-        lines.append(f"  device public-key verifications : {self.device_verify_count}")
-        lines.append(f"  device-visible metadata bytes   : {self.device_metadata_bytes}")
-        if self.explicit_auth_bytes is not None:
-            lines.append(f"  explicit authorization bytes    : {self.explicit_auth_bytes}")
-        if self.implicit_auth_bytes is not None:
-            lines.append(f"  implicit authorization bytes    : {self.implicit_auth_bytes} (modeled)")
-        if self.envelope_overhead_bytes is not None:
-            lines.append(f"  envelope header overhead bytes  : {self.envelope_overhead_bytes}")
-        lines.append(f"  channel frame overhead bytes    : {self.frame_overhead_bytes}")
+        lines += [f"  {label:<{width}} : {value}" for _, label, value in self.counts()]
         lines.append("  per-role serialized sizes:")
         for role, sizes in self.role_sizes.items():
-            json_size = sizes.get("json", 0)
-            binary_size = sizes.get("binary", 0)
-            lines.append(f"    {role:<9} json={json_size:<5} binary={binary_size}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        lines.append(
-            f"  wall-clock (informational only, not comparable across hosts): {self.wall_ms_informational:.2f} ms"
-        )
+            lines.append(f"    {role:<9} json={sizes['json']:<5} binary={sizes['binary']}")
+        lines += [f"  note: {note}" for note in self.notes]
+        lines.append(f"  wall-clock (informational only, not comparable across hosts): {self.wall_ms_informational:.2f} ms")
         return "\n".join(lines) + "\n"
 
 
 def _role_sizes(repo_port) -> dict[str, dict[str, int]]:
-    sizes: dict[str, dict[str, int]] = {}
     mode = repo_port.mode()
-    for role in RoleKind:
-        blob = repo_port.fetch_metadata(role)
-        meta = parse(blob, mode)
-        sizes[role.value] = {
-            "json": len(serialize_canonical(meta, Mode.JSON)),
-            "binary": len(serialize_canonical(meta, Mode.FIXED_BINARY)),
-        }
-    return sizes
+    metas = {role.value: parse(repo_port.fetch_metadata(role), mode) for role in RoleKind}
+    return {role: {"json": len(serialize_canonical(meta, Mode.JSON)),
+                   "binary": len(serialize_canonical(meta, Mode.FIXED_BINARY))} for role, meta in metas.items()}
 
 
 def measured_frame_overhead() -> int:
     keys = crypto.derive_session_keys(bytes(32), bytes(16), bytes(16))
-    return len(crypto.seal(keys, 0, b"")) - 0
+    return len(crypto.seal(keys, 0, b""))
+
+
+def _assured_update(world: World, frame_overhead: int) -> tuple[Callable[[], str], dict]:
+    """The controller delivers a token-authorized envelope over the sealed channel."""
+    world.issue("fw2", version=2, device_model=100)
+    world.publish("fw2")
+    world.sync()
+    token_bytes = len(world.verified["fw2"].envelope.token.raw)
+    implicit = frame_overhead + HANDSHAKE_AMORTIZED_BYTES
+    return (lambda: world.deliver("dev", "fw2")[0]), dict(
+        device_metadata_bytes=token_bytes + implicit,
+        explicit_auth_bytes=token_bytes,
+        implicit_auth_bytes=implicit,
+        envelope_overhead_bytes=len(world.envelopes["fw2"]) - len(world.artifacts["fw2"]),
+        notes=[
+            "implicit authorization = measured frame overhead "
+            f"({frame_overhead}) + modeled per-envelope handshake share ({HANDSHAKE_AMORTIZED_BYTES})",
+        ],
+    )
+
+
+def _tuf_update(world: World, frame_overhead: int) -> tuple[Callable[[], str], dict]:
+    """The device verifies the full metadata chain of a vanilla one-target repository itself."""
+    artifact = derived_rng(world.seed, "artifact:fw").randbytes(DEFAULT_ARTIFACT_SIZE)
+    world.repo.publish_vanilla("fw", artifact)
+    device = world.devices["dev"].port.device
+    device.provision_trusted_root(parse(world.repo.trusted_root_bytes(), world.mode))
+    blobs = {role: world.repo.fetch_metadata(role) for role in RoleKind}
+    mobile_roles = (RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP)
+
+    def update() -> str:
+        return _outcome_token(device.receive_update_tuf(blobs, "fw", artifact, world.mode, now=world.repo.clock()))
+
+    return update, dict(
+        device_metadata_bytes=sum(len(blobs[role]) for role in mobile_roles),
+        notes=[
+            "metadata bytes = targets + snapshot + timestamp in JSON; "
+            "root is the pre-installed trust anchor and is excluded from per-update transfer",
+        ],
+    )
+
+
+# mode -> its set-up on a World with "dev" enrolled: (the update, returning its outcome token; report fields)
+_BENCH_UPDATES = {"assured": _assured_update, "tuf": _tuf_update}
 
 
 def run_bench(mode: str = "assured", seed: int = 0) -> BenchReport:
     """Instrumented size/operation-count comparison; nothing is hard-coded.
 
-    ``assured``: end-to-end delivery, counting the device's public-key work
-    and the authorization metadata it receives.
+    Both sides enroll one device through ``World`` and time and count one
+    update the same way. ``assured``: end-to-end delivery, counting the
+    device's public-key work and the authorization metadata it receives.
     ``tuf``: the device verifies the full metadata chain of a vanilla
     one-target repository itself.
 
@@ -826,89 +870,25 @@ def run_bench(mode: str = "assured", seed: int = 0) -> BenchReport:
     anchors on both sides (OEM public key / root metadata) and, on the TUF
     side, counts the mobile roles (targets, snapshot, timestamp).
     """
-    if mode == "assured":
-        return _bench_assured(seed)
-    if mode == "tuf":
-        return _bench_tuf(seed)
-    raise ValueError(f"unknown bench mode {mode!r}")
-
-
-def _bench_assured(seed: int) -> BenchReport:
+    if mode not in _BENCH_UPDATES:
+        raise ValueError(f"unknown bench mode {mode!r}")
     frame_overhead = measured_frame_overhead()
-    with World(seed=derived_seed(seed, "bench-assured")) as world:
+    with World(seed=derived_seed(seed, f"bench-{mode}")) as world:
         world.enroll("dev", device_model=100, device_id=1, version=1)
-        world.issue("fw2", version=2, device_model=100)
-        world.publish("fw2")
-        world.sync()
+        update, fields = _BENCH_UPDATES[mode](world, frame_overhead)
         port = world.devices["dev"].port
         started = time.perf_counter()
         before = port.verify_count()
-        outcome, _ = world.deliver("dev", "fw2")
+        outcome = update()
         verify_count = port.verify_count() - before
         wall_ms = (time.perf_counter() - started) * 1000.0
-        if not outcome.startswith("installed"):
-            raise AssuredError(f"bench delivery did not install: {outcome}")
-        envelope_bytes = world.envelopes["fw2"]
-        artifact = world.artifacts["fw2"]
-        token_bytes = len(world.verified["fw2"].envelope.token.raw)
-        envelope_overhead = len(envelope_bytes) - len(artifact)
-        implicit = frame_overhead + HANDSHAKE_AMORTIZED_BYTES
-        role_sizes = _role_sizes(world.repo)
-        return BenchReport(
-            mode="assured",
-            device_verify_count=verify_count,
-            device_metadata_bytes=token_bytes + implicit,
-            explicit_auth_bytes=token_bytes,
-            implicit_auth_bytes=implicit,
-            envelope_overhead_bytes=envelope_overhead,
-            frame_overhead_bytes=frame_overhead,
-            role_sizes=role_sizes,
-            notes=[
-                "implicit authorization = measured frame overhead "
-                f"({frame_overhead}) + modeled per-envelope handshake share ({HANDSHAKE_AMORTIZED_BYTES})",
-            ],
-            wall_ms_informational=wall_ms,
-        )
-
-
-def _bench_tuf(seed: int) -> BenchReport:
-    frame_overhead = measured_frame_overhead()
-    world_seed = derived_seed(seed, "bench-tuf")
-    with World(seed=world_seed) as world:
-        artifact = derived_rng(world_seed, "artifact:fw").randbytes(DEFAULT_ARTIFACT_SIZE)
-        world.repo.publish_vanilla("fw", artifact)
-        attestation_key = derived_rng(world_seed, "katt:1").randbytes(32)
-        device = Device(
-            device_model=100,
-            device_id=1,
-            oem_public=world.oem_key.public,
-            attestation_key=attestation_key,
-            rng=random.Random(derived_seed(world_seed, "device:1")),
-        )
-        device.provision_trusted_root(parse(world.repo.trusted_root_bytes(), world.mode))
-        blobs = {role: world.repo.fetch_metadata(role) for role in RoleKind}
-        started = time.perf_counter()
-        before = VERIFY_COUNTER.read()
-        outcome = device.receive_update_tuf(blobs, "fw", artifact, world.mode, now=world.repo.clock())
-        verify_count = VERIFY_COUNTER.read() - before
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        if outcome.status != InstallOutcome.INSTALLED:
+        if not outcome.startswith("installed:"):
             raise AssuredError(f"bench update did not install: {outcome}")
-        mobile_roles = (RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP)
-        metadata_bytes = sum(len(blobs[role]) for role in mobile_roles)
-        role_sizes = _role_sizes(world.repo)
         return BenchReport(
-            mode="tuf",
+            mode=mode,
             device_verify_count=verify_count,
-            device_metadata_bytes=metadata_bytes,
-            explicit_auth_bytes=None,
-            implicit_auth_bytes=None,
-            envelope_overhead_bytes=None,
             frame_overhead_bytes=frame_overhead,
-            role_sizes=role_sizes,
-            notes=[
-                "metadata bytes = targets + snapshot + timestamp in JSON; "
-                "root is the pre-installed trust anchor and is excluded from per-update transfer",
-            ],
+            role_sizes=_role_sizes(world.repo),
             wall_ms_informational=wall_ms,
+            **fields,
         )

@@ -436,6 +436,8 @@ class _LineClient:
 
     def call(self, op: str, *args):
         request = _encode_frame({"op": op, "args": list(args)})
+        if len(request) > _FRAME_CAP:  # refused here as the server would, with the connection kept
+            raise ParseError(f"frame is longer than {_FRAME_CAP} bytes", "frame")
         try:
             self._sock.sendall(request)
             reply = _read_frame(self._reader)

@@ -50,3 +50,17 @@ def test_a_client_raises_an_undelimited_reply_as_a_plain_parse_error(reply):
             client.call("info")
     assert type(caught.value) is errors.ParseError
     assert caught.value.position == "frame"
+
+
+def test_a_request_over_the_frame_cap_is_refused_before_it_is_sent():
+    keys = [crypto.signing_key_from_seed(bytes([i]) * 32) for i in range(6)]
+    server = RepoServer(new_repository(keys[:2], keys[2:4], keys[4:5], keys[5:]))
+    remote = RemoteRepoPort(serve_in_thread(server))
+    try:
+        with pytest.raises(errors.ParseError, match=f"frame is longer than {_FRAME_CAP} bytes"):
+            remote.publish("big", bytes(_FRAME_CAP))
+        assert remote.clock() == 0  # the connection is still open and in step
+    finally:
+        remote.close()
+        server.shutdown()
+        server.server_close()

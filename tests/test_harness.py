@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import assured.device
 from assured.device import Device, InstallOutcome
-from assured.errors import AssuredError
+from assured.errors import AssuredError, InvalidConstraints
 from assured.harness import (
     ATTACKS,
     BUILTIN_SCENARIOS,
@@ -249,6 +249,19 @@ class TestBench:
         with pytest.raises(AssuredError, match="did not install"):
             run_bench(mode, seed=6)
 
+    @pytest.mark.parametrize("mode", ["assured", "tuf"])
+    def test_every_recorded_count_is_printed_with_its_label(self, mode):
+        import assured.harness as harness
+
+        report = run_bench(mode, seed=6)
+        labels = dict(harness._COUNTS)
+        counts = [(r["metric"], r["value"]) for r in report.records() if not r["metric"].startswith("role_size:")]
+        assert [metric for metric, _ in counts] == [metric for metric in labels if getattr(report, metric) is not None]
+        printed = {line.split(" : ")[0].strip(): line.split(" : ")[1] for line in report.to_text().splitlines()
+                   if " : " in line}
+        assert printed == {labels[metric]: str(value) for metric, value in counts}
+        assert "(modeled)" in labels["implicit_auth_bytes"]
+
 
 class TestFixedBinaryRepository:
     def test_happy_path_in_binary_mode(self):
@@ -387,6 +400,49 @@ class TestStepTable:
         script = "enroll dev1 model=1 id=1\n" + "".join(f"corrupt-flash dev1 bank={bank}\n" for bank in banks)
         lines = run_scenario(script, seed=5).lines[1:]
         assert [line.split(" | ")[-1] for line in lines] == [f"bank={index} bit=0" for index in (0, 1, 0, 1)]
+
+    @pytest.mark.parametrize("multiprocess", [False, True], ids=["in-process", "multi-process"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [("key=0em", "key is not oem or rogue: '0em'"), ("size=4194305", "size is not within 0..4194304: 4194305"),
+         ("size=-1", "size is not within 0..4194304: -1")],
+        ids=["key-typo", "size-over-4-mib", "size-negative"],
+    )
+    def test_issue_refuses_a_key_or_size_it_does_not_take(self, multiprocess, options, message):
+        script = f"enroll dev1 model=100 id=1\nissue fw2 version=2 model=100 {options}\n"
+        with pytest.raises(ScenarioError, match=message) as excinfo:
+            run_scenario(script, seed=5, multiprocess=multiprocess)
+        assert excinfo.value.index == 2
+
+    def test_a_4_mib_artifact_delivers_with_identical_transcripts_in_both_modes(self):
+        script = """\
+enroll dev1 model=100 id=1 version=1
+issue big version=2 model=100 size=4194304
+publish big -> ok
+sync -> ok:1
+deliver dev1 big -> installed:2
+boot dev1 -> running:2
+"""
+        local = run_scenario(script, seed=5)
+        assert local.ok, local.text()
+        assert run_scenario(script, seed=5, multiprocess=True).text() == local.text()
+
+    @pytest.mark.parametrize("multiprocess", [False, True], ids=["in-process", "multi-process"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [("model=-1 id=1", "device_model out of u64 range: -1"), ("model=1 id=-1", "device_id out of u64 range: -1"),
+         ("model=1 id=18446744073709551616", "device_id out of u64 range: 18446744073709551616")],
+        ids=["model-negative", "id-negative", "id-over-u64"],
+    )
+    def test_enroll_refuses_bad_constraints_before_a_device_exists(self, multiprocess, options, message):
+        with pytest.raises(InvalidConstraints, match=message):
+            run_scenario(f"enroll dev1 {options}\n", seed=5, multiprocess=multiprocess)
+        with World(seed=5, multiprocess=multiprocess) as world:
+            spawned = list(world._processes)
+            model, device_id = (int(option.split("=")[1]) for option in options.split())
+            with pytest.raises(InvalidConstraints):
+                world.enroll("dev1", device_model=model, device_id=device_id)
+            assert world._processes == spawned and world.devices == {}
 
     @pytest.mark.parametrize("multiprocess", [False, True])
     def test_unknown_install_mode_aborts_in_both_modes(self, multiprocess):
