@@ -143,15 +143,21 @@ class Controller:
         hash and size, the token hashes to the record's token digest, and the
         token names the record's hash and size.
 
+        Only the records that are not the held set's record objects are
+        looked at: every held token record was checked and entered in the
+        seen targets when its set was committed. Without a held set (a
+        controller loaded from its state file) every record is.
+
         The trusted state and the seen targets commit only if the entire
         batch validates.
         """
+        held = self.trust.held
         metadata_set = self.trust.update(repo.fetch_metadata, self.mode, self.clock)
         if metadata_set is None:
             return []
         verified: list[VerifiedEnvelope] = []
         seen_updates: dict[str, bytes] = {}
-        for record in metadata_set.targets.body.records:
+        for record in metadata_set.targets.body.fresh(None if held is None else held.targets.body):
             if record.token_digest is None:
                 continue  # plain-TUF record; nothing to deliver on this path
             if self.seen_targets.get(record.name) == record.hash:

@@ -367,6 +367,11 @@ class World:
     def enroll(
         self, handle: str, /, *, device_model: int, device_id: int, version: int = 1, install_mode: str = "dual"
     ) -> tuple[str, str]:
+        # refused before any device server is spawned or device provisioned
+        if handle in self.devices:
+            raise ValueError(f"device {handle!r} is already enrolled")
+        if any(d.device_id == device_id for d in self.devices.values()):
+            raise ValueError(f"device id {device_id} is already enrolled")
         # issuing the factory token checks the constraints before any device exists
         artifact = derived_rng(self.seed, f"artifact:factory:{device_id}").randbytes(FACTORY_ARTIFACT_SIZE)
         token = issue_token(

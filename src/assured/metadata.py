@@ -26,7 +26,8 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
 
 from . import crypto
 from .codec import Reader
@@ -126,30 +127,112 @@ class TargetRecord:
         return _CANONICAL_JSON.encode(self.json_value)
 
 
+def _join_texts(records: tuple[TargetRecord, ...]) -> str:
+    return ",".join([r.json_text for r in records])
+
+
+def _join_binaries(records: tuple[TargetRecord, ...]) -> bytes:
+    return b"".join([r.binary for r in records])
+
+
 @dataclass(frozen=True)
 class TargetsBody:
-    records: tuple[TargetRecord, ...] = ()
-    _by_name: dict[str, TargetRecord] = field(init=False, compare=False, repr=False)
+    """A targets list, held in blocks: b = isqrt(n) consecutive records (the
+    last block holds the n % b left over, if any), each kept as its records'
+    fixed-binary fragments joined and as their canonical texts joined by ",".
+    The signed region and the JSON document join the blocks, and a parse that
+    knows this body lends a whole block with one text comparison.
 
-    def __post_init__(self) -> None:
+    A body is derived from ``previous`` (None: built from scratch), given the
+    indices ``changed`` (ascending; None: all) outside which its records are
+    previous's record objects at the same index. An unchanged block is
+    carried over as the same objects, the name index is copied and patched,
+    and only the blocks that hold a changed index are joined anew; when n
+    differs, every block from the first that previous does not hold whole,
+    and when b differs, every block. The text blocks are joined on first
+    use, carried over from previous only when previous had them by then, so
+    a body that is only signed, verified or written in fixed binary encodes
+    no record as JSON, and a publish encodes its record as JSON when it is
+    first served."""
+
+    records: tuple[TargetRecord, ...] = ()
+    previous: InitVar[TargetsBody | None] = None
+    changed: InitVar[Sequence[int] | None] = None
+    _by_name: dict[str, TargetRecord] = field(init=False, compare=False, repr=False)
+    _step: int = field(init=False, compare=False, repr=False)  # b, or 1 for no records
+    _binaries: tuple[bytes, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self, previous: TargetsBody | None, changed: Sequence[int] | None) -> None:
         records = tuple(self.records)
-        by_name = {r.name: r for r in records}
-        if len(by_name) != len(records):
+        count = len(records)
+        old = () if previous is None or changed is None else previous.records
+        if old:
+            by_name = previous._by_name.copy()
+            for i in changed:
+                if i >= len(old):
+                    break
+                del by_name[old[i].name]
+            for i in range(count, len(old)):
+                del by_name[old[i].name]
+            by_name.update({records[i].name: records[i] for i in changed})
+        else:
+            by_name, changed = {r.name: r for r in records}, range(count)
+        if len(by_name) != count:
             raise ValueError("target names must be unique")
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "_by_name", by_name)
 
+        step = math.isqrt(count) or 1
+        object.__setattr__(self, "_step", step)
+        blocks = -(-count // step)
+        carried = 0  # previous's blocks that hold the same index range
+        if old and previous._step == step:
+            carried = blocks if count == len(old) else min(count, len(old)) // step
+        dirty = set(range(carried, blocks))
+        for i in changed:
+            if i >= carried * step:
+                break
+            dirty.add(i // step)
+        kept = previous._binaries[:carried] if carried else ()
+        object.__setattr__(self, "_binaries", self._join(kept, dirty, _join_binaries))
+        if carried and "_texts" in vars(previous):
+            object.__setattr__(self, "_text_plan", (previous._texts[:carried], dirty))
+
+    def _join(self, kept: tuple, dirty, join) -> tuple:
+        """The blocks ``kept`` (the first ones), and the blocks at indices
+        ``dirty`` joined by ``join`` from their records."""
+        step = self._step
+        blocks = [*kept, *[None] * (-(-len(self.records) // step) - len(kept))]
+        for k in dirty:
+            blocks[k] = join(self.records[k * step : (k + 1) * step])
+        return tuple(blocks)
+
+    @functools.cached_property
+    def _texts(self) -> tuple[str, ...]:
+        """The text blocks, joined on first use: previous's where this body
+        was derived from a body that had them, else every block."""
+        kept, dirty = self.__dict__.pop("_text_plan", ((), range(len(self._binaries))))
+        return self._join(kept, dirty, _join_texts)
+
     def find(self, name: str) -> TargetRecord | None:
         return self._by_name.get(name)
 
-    @functools.cached_property
-    def _blocks(self) -> tuple[int, tuple[str, ...]]:
-        """b = isqrt(n), and the canonical texts of each b consecutive records
-        joined by "," (the last block holds the n % b left over, if any): a
-        parse that knows this body lends a whole block with one comparison."""
-        size = math.isqrt(len(self.records))
-        texts = [r.json_text for r in self.records]
-        return size, tuple([",".join(texts[i : i + size]) for i in range(0, len(texts), size or 1)])
+    def fresh(self, previous: TargetsBody | None) -> list[TargetRecord]:
+        """This body's records that are not previous's record objects (all,
+        for None), in order. A binary block is shared only by bodies that
+        hold the same record objects in it (a block of one record is that
+        record's own fragment), so a shared block is passed over with one
+        identity test."""
+        if previous is None:
+            return list(self.records)
+        step = self._step
+        shared = previous._binaries
+        out = []
+        for k, block in enumerate(self._binaries):
+            if k < len(shared) and block is shared[k]:
+                continue
+            out += [r for r in self.records[k * step : (k + 1) * step] if r is not previous.find(r.name)]
+        return out
 
 
 @dataclass(frozen=True)
@@ -224,7 +307,7 @@ def _encode_body(body: RoleBody) -> bytes:
                 out += key
         return bytes(out)
     if isinstance(body, TargetsBody):
-        return struct.pack(">H", len(body.records)) + b"".join([r.binary for r in body.records])
+        return b"".join([struct.pack(">H", len(body.records)), *body._binaries])
     if isinstance(body, SnapshotBody):
         return struct.pack(">QQ", body.root_version, body.targets_version)
     if isinstance(body, TimestampBody):
@@ -331,7 +414,7 @@ _LIST_BODY = '{"body":['
 def _canonical_json(meta: RoleMetadata) -> str:
     """The canonical document, keys in sorted order; base64 and the role
     name need no escaping, and the text is ASCII. A targets body joins its
-    records' texts, with the document's head and tail carried on the first
+    blocks' texts, with the document's head and tail carried on the first
     and last, so the document is built in one copy."""
     signatures = ",".join([f'{{"kid":"{_b64(kid)}","sig":"{_b64(sig)}"}}' for kid, sig in meta.signatures])
     tail = (
@@ -340,7 +423,7 @@ def _canonical_json(meta: RoleMetadata) -> str:
     )
     if not isinstance(meta.body, TargetsBody):
         return f'{{"body":{_CANONICAL_JSON.encode(_json_body(meta.body))},{tail}'
-    texts = [r.json_text for r in meta.body.records] or [""]
+    texts = list(meta.body._texts) or [""]
     texts[0] = _LIST_BODY + texts[0]
     texts[-1] += "]," + tail
     return ",".join(texts)
@@ -416,28 +499,29 @@ def _read_document(text: str, shift: int = 0):
 
 
 def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, list[int], int]:
-    """The items of the JSON list that opens at text[at], the indices of the
-    items that were decoded, and the offset just past its "]". An item whose
-    text is exactly a known record's canonical text is that record object,
-    lent; every other item is decoded.
+    """The items of the JSON list that opens at text[at], the ascending
+    indices of the items that may not be the known record at their own index
+    (every decoded item, and every item lent from another index), and the
+    offset just past its "]". An item whose text is exactly a known record's
+    canonical text is that record object, lent; every other item is decoded.
 
     A cursor walks the known records in order. On a block boundary (see
-    TargetsBody._blocks) one text comparison lends the whole block;
-    otherwise, or when the block's text differs, the cursor steps one
-    record, and an unchanged record costs one text comparison. A decoded
-    item named like the record at the cursor (a replaced record) moves the
-    cursor past it; any other (an inserted record) leaves it in place. A
-    decoded item whose text is the known text of its name (a record moved
-    out of order) is lent too. A block lends the records its single steps
-    would, so the lent items are the same with or without blocks."""
+    TargetsBody) one text comparison lends the whole block; otherwise, or
+    when the block's text differs, the cursor steps one record, and an
+    unchanged record costs one text comparison. A decoded item named like
+    the record at the cursor (a replaced record) moves the cursor past it;
+    any other (an inserted record) leaves it in place. A decoded item whose
+    text is the known text of its name (a record moved out of order) is lent
+    too. A block lends the records its single steps would, so the lent items
+    are the same with or without blocks."""
     records = known.records
-    size, blocks = known._blocks
+    size, blocks = known._step, known._texts
     items: list = []
-    decoded: list[int] = []
+    changed: list[int] = []
     j = 0  # the known record the next item is compared with
     end = at + 1
     if text.startswith("]", end):
-        return items, decoded, end + 1
+        return items, changed, end + 1
     while True:
         start = end
         lent = ()
@@ -453,6 +537,8 @@ def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, list[int],
                 if text.startswith(known_text, start) and text[end : end + 1] in _ITEM_ENDS:
                     lent = records[j : j + 1]
         if lent:
+            if len(items) != j:
+                changed += range(len(items), len(items) + len(lent))
             items += lent
             j += len(lent)
         else:
@@ -462,20 +548,20 @@ def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, list[int],
                 j += 1
             if prior is not None and text.startswith(prior.json_text, start):
                 item = prior
-            else:
-                decoded.append(len(items))
             if text[end : end + 1] not in _ITEM_ENDS:
                 raise json.JSONDecodeError("Expecting ',' or ']'", text, end)
+            changed.append(len(items))
             items.append(item)
         if text[end] == "]":
-            return items, decoded, end + 1
+            return items, changed, end + 1
         end += 1
 
 
-def _parse_json_body(role: RoleKind, raw, path: str, decoded: list[int] | None) -> RoleBody:
+def _parse_json_body(role: RoleKind, raw, path: str, known: TargetsBody, changed: list[int] | None) -> RoleBody:
     """The body ``raw`` stands for. Of a targets list, only the items at the
-    indices ``decoded`` (None: all) are checked and built; the others are
-    records _read_list lent."""
+    indices ``changed`` (None: all) that are not records are checked and
+    built; the others are records _read_list lent, and the body is derived
+    from ``known``."""
     if role is RoleKind.ROOT:
         if not isinstance(raw, dict):
             raise ParseError("root body must be an object", position=path)
@@ -499,8 +585,10 @@ def _parse_json_body(role: RoleKind, raw, path: str, decoded: list[int] | None) 
         if not isinstance(raw, list):
             raise ParseError("targets body must be a list", position=path)
         records = _json_count(raw, path)
-        for i in range(len(records)) if decoded is None else decoded:
+        for i in range(len(records)) if changed is None else changed:
             item = records[i]
+            if type(item) is TargetRecord:
+                continue
             item_path = f"{path}[{i}]"
             if not (isinstance(item, list) and len(item) == 4 and isinstance(item[0], str)):
                 raise ParseError("record must be [name, hash, size, token_digest]", position=item_path)
@@ -512,7 +600,7 @@ def _parse_json_body(role: RoleKind, raw, path: str, decoded: list[int] | None) 
                 token_digest=None if token_digest_b64 is None else _json_bytes(token_digest_b64, 32, f"{item_path}[3]"),
             )
         try:
-            return TargetsBody(records=records)
+            return TargetsBody(records, known, changed)
         except ValueError as exc:
             raise ParseError(str(exc), position=path) from exc
     if not (isinstance(raw, list) and len(raw) == 2):
@@ -537,7 +625,8 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
     ``known`` (a verified targets body, such as the last one synced) lends
     its record objects to a JSON parse by their exact text: a list item that
     is character for character a known record's canonical text, followed by
-    "," or "]", is that object and is not decoded (see _read_list). With or
+    "," or "]", is that object and is not decoded (see _read_list), and the
+    parsed body is derived from ``known`` (see TargetsBody). With or
     without ``known`` every blob gets the same value or the same verdict, and
     the whole-blob canonical comparison still checks every byte. A
     fixed-binary parse ignores it."""
@@ -555,6 +644,7 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
         except ValueError as exc:
             raise ParseError(str(exc), position=reader.offset) from exc
 
+    known = _NO_RECORDS if known is None else known
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -563,13 +653,13 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
         if text.startswith(_LIST_BODY):
             # the canonical document opens with its body: a list body is read
             # item by item, the other fields as the object they make on their own
-            items, decoded, end = _read_list(text, len(_LIST_BODY) - 1, known if known is not None else _NO_RECORDS)
+            items, changed, end = _read_list(text, len(_LIST_BODY) - 1, known)
             if not text.startswith(",", end):
                 raise json.JSONDecodeError("Expecting ','", text, end)
             obj = _read_document("{" + text[end + 1 :], shift=end)
             obj["body"] = items  # over a second "body", which the canonical comparison rejects
         else:
-            obj, decoded = _read_document(text), None
+            obj, changed = _read_document(text), None
     except json.JSONDecodeError as exc:  # at a character offset into text
         raise ParseError(f"bad json: {exc.msg}", position=len(text[: exc.pos].encode("utf-8"))) from exc
     role_name = _need(obj, "role", str, "$")
@@ -579,7 +669,7 @@ def parse(data: bytes, mode: Mode, known: TargetsBody | None = None) -> RoleMeta
         raise ParseError(f"unknown role {role_name!r}", position="$.role") from exc
     version = _json_uint(_need(obj, "version", object, "$"), _U64_MAX, "$.version")
     expires = _json_uint(_need(obj, "expires", object, "$"), _U64_MAX, "$.expires")
-    body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body", decoded)
+    body = _parse_json_body(role, _need(obj, "body", object, "$"), "$.body", known, changed)
     signatures = []
     for i, entry in enumerate(_json_count(_need(obj, "signatures", list, "$"), "$.signatures")):
         sig_path = f"$.signatures[{i}]"

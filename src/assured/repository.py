@@ -165,25 +165,29 @@ def _archived(state: RepositoryState) -> tuple[dict[RoleKind, bytes], ...]:
 
 
 def _publish_record(state: RepositoryState, record: TargetRecord, envelope_bytes: bytes | None) -> RepositoryState:
-    """Sign a targets list with ``record`` put in its name's sorted place;
-    every other record object carries over, with the encodings it holds."""
+    """Sign a targets list with ``record`` put in its name's sorted place,
+    derived from the current one: every other record object carries over,
+    with the encodings it holds, and so does every block that does not hold
+    or follow the place (a replace re-joins one block)."""
     # save_repository writes the envelope to envelopes/<name>.env, one
     # path component of at most _NAME_MAX bytes
     if "/" in record.name or "\x00" in record.name:
         raise PublishRejected(f"target name {record.name!r} contains '/' or NUL")
     if len(record.name.encode("utf-8")) + len(".env") > _NAME_MAX:
         raise PublishRejected(f"target name longer than {_NAME_MAX - len('.env')} UTF-8 bytes")
-    records = list(state.metadata.targets.body.records)
+    current = state.metadata.targets.body
+    records = list(current.records)
     at = bisect.bisect_left(records, record.name, key=operator.attrgetter("name"))
     if at < len(records) and records[at].name == record.name:
         records[at] = record
+        changed = [at]
     else:
         records.insert(at, record)
+        changed = range(at, len(records))  # the records after an insert move up one index
     if len(records) > _U16_MAX:
         raise PublishRejected(f"targets list longer than {_U16_MAX} records")
-    targets = _sign(
-        state.keys, RoleKind.TARGETS, TargetsBody(records=records), state.metadata.targets.version + 1, state.clock
-    )
+    body = TargetsBody(records, current, changed)
+    targets = _sign(state.keys, RoleKind.TARGETS, body, state.metadata.targets.version + 1, state.clock)
     envelopes = dict(state.envelopes)
     if envelope_bytes is not None:
         envelopes[record.name] = envelope_bytes

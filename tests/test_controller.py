@@ -21,6 +21,8 @@ from assured.controller import (
     AttestOutcome,
     Controller,
     LocalPolicy,
+    decode_controller,
+    encode_controller,
     load_controller,
     save_controller,
 )
@@ -144,6 +146,42 @@ class TestSync:
         after = controller.trust.held.targets.body
         shared = [r.name for r in after.records if r is before.find(r.name)]
         assert shared == ["fw0", "fw2", "fw3"]
+
+    def test_a_sync_checks_what_it_decoded_and_a_reloaded_controller_gets_the_same_batch(
+        self, controller, repo_port, oem_key
+    ):
+        """After a full sync, fw1 re-published with its artifact under a new
+        token is decoded but its hash is seen, so it is skipped; the new fw9
+        is fetched and checked. A controller reloaded from its state (no held
+        set, every record looked at) gets the same batch."""
+        for i in range(5):
+            publish_update(repo_port, oem_key, name=f"fw{i}", version=2 + i)
+        controller.sync(repo_port)
+        reloaded = decode_controller(encode_controller(controller), rng=random.Random(3))
+        assert reloaded.trust.held is None
+        artifact = bytes([3]) * 400  # fw1's
+        token = issue_token(oem_key, artifact, Constraints(device_model=MODEL, new_version=30))
+        repo_port.publish("fw1", serialize_envelope(build_envelope(token, artifact)))
+        publish_update(repo_port, oem_key, name="fw9", version=9)
+        fetched = []
+        fetch = repo_port.fetch_envelope
+        repo_port.fetch_envelope = lambda name: fetched.append(name) or fetch(name)
+        held = controller.trust.held.targets.body
+        assert [[v.name for v in ctrl.sync(repo_port)] for ctrl in (controller, reloaded)] == [["fw9"], ["fw9"]]
+        assert fetched == ["fw9", "fw9"]
+        body = controller.trust.held.targets.body
+        assert body.fresh(held) == [body.find("fw1"), body.find("fw9")]
+        assert body.find("fw1").token_digest == crypto.hash_data(token.raw)
+
+    def test_a_decoded_record_is_checked_with_or_without_a_held_set(self, controller, repo_port, oem_key):
+        publish_update(repo_port, oem_key, name="fw1")
+        controller.sync(repo_port)
+        reloaded = decode_controller(encode_controller(controller), rng=random.Random(3))
+        publish_update(repo_port, oem_key, name="fw2", version=3)
+        repo_port.tamper(TamperPolicy(kind=TamperKind.SUBSTITUTE_ARTIFACT))
+        for ctrl in (controller, reloaded):
+            with pytest.raises(EnvelopeMismatch, match="'fw2' artifact hash"):
+                ctrl.sync(repo_port)
 
     @pytest.mark.parametrize("served", [RoleKind.SNAPSHOT, RoleKind.TIMESTAMP], ids=lambda r: r.value)
     def test_another_role_in_the_targets_slot_is_a_binding_mismatch(self, controller, repo_port, oem_key, served):

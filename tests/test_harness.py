@@ -444,6 +444,27 @@ boot dev1 -> running:2
                 world.enroll("dev1", device_model=model, device_id=device_id)
             assert world._processes == spawned and world.devices == {}
 
+    @pytest.mark.parametrize("multiprocess", [False, True], ids=["in-process", "multi-process"])
+    @pytest.mark.parametrize(
+        "second, message",
+        [("dev1 model=1 id=2", "device 'dev1' is already enrolled"),
+         ("dev2 model=2 id=1", "device id 1 is already enrolled")],
+        ids=["same-handle", "same-id"],
+    )
+    def test_enroll_refuses_a_handle_or_id_already_enrolled(self, multiprocess, second, message):
+        with pytest.raises(ScenarioError, match=message) as excinfo:
+            run_scenario(f"enroll dev1 model=1 id=1\nenroll {second}\n", seed=5, multiprocess=multiprocess)
+        assert excinfo.value.index == 2
+        with World(seed=5, multiprocess=multiprocess) as world:
+            world.enroll("dev1", device_model=1, device_id=1)
+            spawned, first = list(world._processes), world.devices["dev1"]
+            registry = dict(world.controller.registry)
+            handle, model, device_id = (part.split("=")[-1] for part in second.split())
+            with pytest.raises(ValueError, match=message):
+                world.enroll(handle, device_model=int(model), device_id=int(device_id))
+            assert world._processes == spawned and world.devices == {"dev1": first}
+            assert world.controller.registry == registry
+
     @pytest.mark.parametrize("multiprocess", [False, True])
     def test_unknown_install_mode_aborts_in_both_modes(self, multiprocess):
         with pytest.raises(ScenarioError) as excinfo:

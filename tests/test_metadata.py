@@ -3,7 +3,9 @@ exact signature-verification count, expiry/rollback/binding failures, and
 the size budgets of the two encodings."""
 
 import base64
+import itertools
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -796,3 +798,101 @@ def test_a_large_sync_lends_every_unchanged_record_around_a_block_edge(role_keys
     assert lent == [i for i in range(1001) if i != index]
     assert decoded[0] == json.loads(replaced.json_text) and len(decoded) == 2
     assert meta.body.records[index] == replaced and meta == parse(blob, Mode.JSON)
+
+
+# --- derived bodies: carried blocks, the same body as one built from scratch ---
+
+
+def _cheap(name: str, tag: int) -> TargetRecord:
+    """A record without signing: a token digest for an even tag, none for an odd one."""
+    digest = None if tag % 2 else crypto.hash_data(b"token %d" % tag)
+    return TargetRecord(name=name, hash=crypto.hash_data(b"%d" % tag), size=tag, token_digest=digest)
+
+
+def _spots(n: int):
+    """An index in 0..n-1: either end, the first or last of a block of
+    isqrt(n), or any other."""
+    size = math.isqrt(n) or 1
+    edges = {0, n - 1} | {i for k in range(0, n, size) for i in (k, k + size - 1) if i < n}
+    return st.one_of(st.sampled_from(sorted(edges)), st.integers(0, n - 1))
+
+
+def _targets(body: TargetsBody) -> RoleMetadata:
+    return RoleMetadata(role=RoleKind.TARGETS, version=2, expires=1000, body=body, signatures=[])
+
+
+def _assert_built_from_scratch(body: TargetsBody, names) -> None:
+    """``body`` has the records, name index and encodings of a body built
+    from its records alone; ``names`` are names to look up besides its own."""
+    scratch = TargetsBody(body.records)
+    assert body == scratch
+    assert all(body.find(name) is scratch.find(name) for name in {*names, *(r.name for r in body.records)})
+    meta, scratch_meta = _targets(body), _targets(scratch)
+    assert signed_region_of(meta) == signed_region_of(scratch_meta)
+    for mode in Mode:
+        assert serialize_canonical(meta, mode) == serialize_canonical(scratch_meta, mode)
+
+
+@given(data=st.data())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_a_derived_body_is_the_body_built_from_scratch(data):
+    """Replaces, inserts and drops at either end, at block edges and inside
+    blocks, from 0 or 1 records and across a square (15 -> 16 -> 17,
+    24 -> 25 -> 26): derived as a publish derives it, and as a parse that
+    knows the previous body derives it, the body is the one built from
+    scratch, a parse in either mode gets the same value with or without the
+    previous body, and fresh() names exactly the records that are new."""
+    tags = itertools.count()
+    count = data.draw(st.sampled_from([0, 1, 2, 4, 15, 16, 24, 25, 35]), label="records")
+    body = TargetsBody([_cheap(f"r{i:03d}", next(tags)) for i in range(count)])
+    names = {r.name for r in body.records}
+    for op in data.draw(st.lists(st.sampled_from(["replace", "insert", "drop"]), min_size=1, max_size=4), label="ops"):
+        records = list(body.records)
+        if op == "insert":
+            at = data.draw(_spots(len(records) + 1), label="insert at")
+            records.insert(at, _cheap(f"i{next(tags)}", next(tags)))
+            changed = range(at, len(records))
+        elif not records:
+            continue
+        elif op == "replace":
+            at = data.draw(_spots(len(records)), label="replace at")
+            records[at] = _cheap(records[at].name, next(tags))
+            changed = [at]
+        else:
+            at = data.draw(_spots(len(records)), label="drop at")
+            del records[at]
+            changed = range(at, len(records))
+        names |= {r.name for r in records}
+        derived = TargetsBody(records, body, changed)
+        _assert_built_from_scratch(derived, names)
+        parsed = {mode: parse(serialize_canonical(_targets(derived), mode), mode, known=body) for mode in Mode}
+        for mode, meta in parsed.items():
+            assert meta == parse(serialize_canonical(_targets(derived), mode), mode)
+            _assert_built_from_scratch(meta.body, names)
+        for child in (derived, parsed[Mode.JSON].body):
+            assert child.fresh(body) == [r for r in child.records if r is not body.find(r.name)]
+        body = derived
+
+
+@pytest.mark.parametrize("derive", ["publish", "parse"])
+def test_a_one_record_replace_carries_every_other_block(role_keys, derive):
+    """40 records are seven blocks of isqrt(40) = 6; replacing record 20
+    re-joins block 3 alone, and the other six are the parent's objects. A
+    repository joins no text block until the targets are served as JSON."""
+    if derive == "publish":
+        state = new_repository(*(role_keys[role] for role in RoleKind))
+        for i in range(40):
+            state = publish_vanilla(state, f"r{i:03d}", b"%d" % i)
+        parent = state.metadata.targets.body
+        assert "_texts" not in vars(parent) and "_texts" not in vars(publish_vanilla(state, "r020", b"").metadata.targets.body)
+        fetch_metadata(state, RoleKind.TARGETS)
+        child = publish_vanilla(state, "r020", b"new").metadata.targets.body
+    else:
+        parent = TargetsBody([_cheap(f"r{i:03d}", i) for i in range(40)])
+        records = [*parent.records[:20], _cheap("r020", 99), *parent.records[21:]]
+        child = parse(serialize_canonical(_targets(TargetsBody(records)), Mode.JSON), Mode.JSON, known=parent).body
+    assert [r is parent.records[i] for i, r in enumerate(child.records)] == [i != 20 for i in range(40)]
+    assert [child._texts[k] is parent._texts[k] for k in range(7)] == [k != 3 for k in range(7)]
+    assert [child._binaries[k] is parent._binaries[k] for k in range(7)] == [k != 3 for k in range(7)]
+    assert child.find("r020") is child.records[20] and parent.find("r020") is parent.records[20]
+    assert child.fresh(parent) == [child.records[20]]
