@@ -135,6 +135,15 @@ def verify_token(oem_public: bytes, artifact: bytes, token: AuthorizationToken) 
         raise TokenRejected(TokenRejected.BAD_SIGNATURE)
 
 
+def check_identity(c: Constraints, device_model: int, device_id: int) -> None:
+    """The clauses that bind a token to a device, which install and boot
+    both check: model, then id, each matching or wildcarded."""
+    if c.device_model != WILDCARD and c.device_model != device_model:
+        raise ConstraintViolation(ConstraintViolation.WRONG_MODEL)
+    if c.device_id != WILDCARD and c.device_id != device_id:
+        raise ConstraintViolation(ConstraintViolation.WRONG_DEVICE)
+
+
 def evaluate_constraints(
     c: Constraints, device_model: int, device_id: int, installed_version: int
 ) -> None:
@@ -144,10 +153,7 @@ def evaluate_constraints(
     strictly greater than what is installed, and any pinned previous
     version equals the installed one. First failing clause wins.
     """
-    if c.device_model != WILDCARD and c.device_model != device_model:
-        raise ConstraintViolation(ConstraintViolation.WRONG_MODEL)
-    if c.device_id != WILDCARD and c.device_id != device_id:
-        raise ConstraintViolation(ConstraintViolation.WRONG_DEVICE)
+    check_identity(c, device_model, device_id)
     if c.new_version <= installed_version:
         raise ConstraintViolation(ConstraintViolation.VERSION_NOT_MONOTONIC)
     if c.required_prev_version != WILDCARD and c.required_prev_version != installed_version:

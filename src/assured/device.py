@@ -36,6 +36,7 @@ from .authorization import (
     TOKEN_LEN,
     AuthorizationToken,
     UpdateEnvelope,
+    check_identity,
     decode_token,
     evaluate_constraints,
     parse_envelope,
@@ -377,12 +378,8 @@ class Device:
             return False
         try:
             verify_token(self.__oem_public, bank.artifact, bank.token)
-        except TokenRejected:
-            return False
-        c = bank.token.constraints
-        if c.device_model and c.device_model != self.device_model:
-            return False
-        if c.device_id and c.device_id != self.device_id:
+            check_identity(bank.token.constraints, self.device_model, self.device_id)
+        except (TokenRejected, ConstraintViolation):
             return False
         return True
 

@@ -116,51 +116,55 @@ class TargetRecord:
         return struct.pack(">H", len(name)) + name + self.hash + struct.pack(">Q", self.size) + digest
 
     @functools.cached_property
-    def json_value(self) -> list:
-        """[name, hash, size, token_digest], as json.loads returns the canonical text."""
+    def json_text(self) -> str:
+        """[name, hash, size, token_digest] as canonical JSON."""
         digest = None if self.token_digest is None else _b64(self.token_digest)
-        return [self.name, _b64(self.hash), self.size, digest]
+        return _CANONICAL_JSON.encode([self.name, _b64(self.hash), self.size, digest])
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """A run of consecutive records of a TargetsBody, which joins each of
+    their encodings once, on first use: ``binary``, their fixed-binary
+    fragments, and ``text``, their canonical texts joined by ",". Bodies
+    derived from one another share their unchanged blocks as objects, so
+    each encoding is joined once for all of them."""
+
+    records: tuple[TargetRecord, ...]
 
     @functools.cached_property
-    def json_text(self) -> str:
-        """json_value as canonical JSON."""
-        return _CANONICAL_JSON.encode(self.json_value)
+    def binary(self) -> bytes:
+        return b"".join([r.binary for r in self.records])
 
-
-def _join_texts(records: tuple[TargetRecord, ...]) -> str:
-    return ",".join([r.json_text for r in records])
-
-
-def _join_binaries(records: tuple[TargetRecord, ...]) -> bytes:
-    return b"".join([r.binary for r in records])
+    @functools.cached_property
+    def text(self) -> str:
+        return ",".join([r.json_text for r in self.records])
 
 
 @dataclass(frozen=True)
 class TargetsBody:
-    """A targets list, held in blocks: b = isqrt(n) consecutive records (the
-    last block holds the n % b left over, if any), each kept as its records'
-    fixed-binary fragments joined and as their canonical texts joined by ",".
-    The signed region and the JSON document join the blocks, and a parse that
-    knows this body lends a whole block with one text comparison.
+    """A targets list, held in blocks (see _Block): b = isqrt(n) consecutive
+    records (the last block holds the n % b left over, if any). The signed
+    region and the JSON document join the blocks' encodings, and a parse
+    that knows this body lends a whole block with one text comparison.
 
     A body is derived from ``previous`` (None: built from scratch), given the
     indices ``changed`` (ascending; None: all) outside which its records are
     previous's record objects at the same index. An unchanged block is
-    carried over as the same objects, the name index is copied and patched,
-    and only the blocks that hold a changed index are joined anew; when n
-    differs, every block from the first that previous does not hold whole,
-    and when b differs, every block. The text blocks are joined on first
-    use, carried over from previous only when previous had them by then, so
-    a body that is only signed, verified or written in fixed binary encodes
-    no record as JSON, and a publish encodes its record as JSON when it is
-    first served."""
+    previous's block object, the name index is copied and patched, and only
+    the blocks that hold a changed index are new; when n differs, every
+    block from the first that previous does not hold whole, and when b
+    differs, every block. A block joins its encodings on first use, so a
+    body that is only signed, verified or written in fixed binary encodes no
+    record as JSON, and a text block joined for one body serves every body
+    that shares the block."""
 
     records: tuple[TargetRecord, ...] = ()
     previous: InitVar[TargetsBody | None] = None
     changed: InitVar[Sequence[int] | None] = None
     _by_name: dict[str, TargetRecord] = field(init=False, compare=False, repr=False)
     _step: int = field(init=False, compare=False, repr=False)  # b, or 1 for no records
-    _binaries: tuple[bytes, ...] = field(init=False, compare=False, repr=False)
+    _blocks: tuple[_Block, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, previous: TargetsBody | None, changed: Sequence[int] | None) -> None:
         records = tuple(self.records)
@@ -184,55 +188,31 @@ class TargetsBody:
 
         step = math.isqrt(count) or 1
         object.__setattr__(self, "_step", step)
-        blocks = -(-count // step)
+        blocks = [None] * -(-count // step)
         carried = 0  # previous's blocks that hold the same index range
         if old and previous._step == step:
-            carried = blocks if count == len(old) else min(count, len(old)) // step
-        dirty = set(range(carried, blocks))
+            carried = len(blocks) if count == len(old) else min(count, len(old)) // step
+            blocks[:carried] = previous._blocks[:carried]
         for i in changed:
             if i >= carried * step:
                 break
-            dirty.add(i // step)
-        kept = previous._binaries[:carried] if carried else ()
-        object.__setattr__(self, "_binaries", self._join(kept, dirty, _join_binaries))
-        if carried and "_texts" in vars(previous):
-            object.__setattr__(self, "_text_plan", (previous._texts[:carried], dirty))
-
-    def _join(self, kept: tuple, dirty, join) -> tuple:
-        """The blocks ``kept`` (the first ones), and the blocks at indices
-        ``dirty`` joined by ``join`` from their records."""
-        step = self._step
-        blocks = [*kept, *[None] * (-(-len(self.records) // step) - len(kept))]
-        for k in dirty:
-            blocks[k] = join(self.records[k * step : (k + 1) * step])
-        return tuple(blocks)
-
-    @functools.cached_property
-    def _texts(self) -> tuple[str, ...]:
-        """The text blocks, joined on first use: previous's where this body
-        was derived from a body that had them, else every block."""
-        kept, dirty = self.__dict__.pop("_text_plan", ((), range(len(self._binaries))))
-        return self._join(kept, dirty, _join_texts)
+            blocks[i // step] = None
+        blocks = [_Block(records[k * step : (k + 1) * step]) if b is None else b for k, b in enumerate(blocks)]
+        object.__setattr__(self, "_blocks", tuple(blocks))
 
     def find(self, name: str) -> TargetRecord | None:
         return self._by_name.get(name)
 
     def fresh(self, previous: TargetsBody | None) -> list[TargetRecord]:
         """This body's records that are not previous's record objects (all,
-        for None), in order. A binary block is shared only by bodies that
-        hold the same record objects in it (a block of one record is that
-        record's own fragment), so a shared block is passed over with one
-        identity test."""
+        for None), in order. A block of previous's holds only previous's
+        record objects, so a shared block is passed over whole."""
         if previous is None:
             return list(self.records)
-        step = self._step
-        shared = previous._binaries
-        out = []
-        for k, block in enumerate(self._binaries):
-            if k < len(shared) and block is shared[k]:
-                continue
-            out += [r for r in self.records[k * step : (k + 1) * step] if r is not previous.find(r.name)]
-        return out
+        shared = set(previous._blocks)
+        return [
+            r for block in self._blocks if block not in shared for r in block.records if r is not previous.find(r.name)
+        ]
 
 
 @dataclass(frozen=True)
@@ -307,7 +287,7 @@ def _encode_body(body: RoleBody) -> bytes:
                 out += key
         return bytes(out)
     if isinstance(body, TargetsBody):
-        return b"".join([struct.pack(">H", len(body.records)), *body._binaries])
+        return b"".join([struct.pack(">H", len(body.records)), *[block.binary for block in body._blocks]])
     if isinstance(body, SnapshotBody):
         return struct.pack(">QQ", body.root_version, body.targets_version)
     if isinstance(body, TimestampBody):
@@ -423,7 +403,7 @@ def _canonical_json(meta: RoleMetadata) -> str:
     )
     if not isinstance(meta.body, TargetsBody):
         return f'{{"body":{_CANONICAL_JSON.encode(_json_body(meta.body))},{tail}'
-    texts = list(meta.body._texts) or [""]
+    texts = [block.text for block in meta.body._blocks] or [""]
     texts[0] = _LIST_BODY + texts[0]
     texts[-1] += "]," + tail
     return ",".join(texts)
@@ -515,7 +495,7 @@ def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, list[int],
     too. A block lends the records its single steps would, so the lent items
     are the same with or without blocks."""
     records = known.records
-    size, blocks = known._step, known._texts
+    size = known._step
     items: list = []
     changed: list[int] = []
     j = 0  # the known record the next item is compared with
@@ -527,10 +507,10 @@ def _read_list(text: str, at: int, known: TargetsBody) -> tuple[list, list[int],
         lent = ()
         if j < len(records):
             if not j % size:
-                block = blocks[j // size]
-                end = start + len(block)
-                if text.startswith(block, start) and text[end : end + 1] in _ITEM_ENDS:
-                    lent = records[j : j + size]
+                block = known._blocks[j // size]
+                end = start + len(block.text)
+                if text.startswith(block.text, start) and text[end : end + 1] in _ITEM_ENDS:
+                    lent = block.records
             if not lent:
                 known_text = records[j].json_text
                 end = start + len(known_text)

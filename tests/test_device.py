@@ -300,6 +300,17 @@ class TestBoot:
         device = Device(MODEL, DEVICE_ID, oem_key.public, K_ATT)
         assert not device.boot().running
 
+    @pytest.mark.parametrize("model, device_id", [(MODEL + 1, 0), (MODEL, DEVICE_ID + 1)], ids=["model", "id"])
+    def test_a_factory_token_for_another_device_halts(self, oem_key, model, device_id):
+        """Boot checks the token's identity clauses as install does: an image
+        signed for another model, or for another device id, does not run."""
+        device = Device(MODEL, DEVICE_ID, oem_key.public, K_ATT)
+        artifact = b"\x01" * 300
+        constraints = Constraints(device_model=model, device_id=device_id, new_version=1)
+        device.provision_firmware(artifact, issue_token(oem_key, artifact, constraints))
+        result = device.boot()
+        assert not result.running and result.reason == "no_valid_bank"
+
 
 class TestAttestation:
     def test_report_verifies(self, oem_key):

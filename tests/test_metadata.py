@@ -560,7 +560,7 @@ def test_json_size_equal_to_a_known_one_only_by_python_equality_is_rejected(role
     blob = serialize_canonical(meta, Mode.JSON)
     known = parse(blob, Mode.JSON).body
     forged = blob.replace(b",1,null]", b"," + alias + b",null]")
-    assert forged != blob and json.loads(forged)["body"][0] == known.records[0].json_value
+    assert forged != blob and json.loads(forged)["body"][0] == json.loads(known.records[0].json_text)
     for lent in (None, known):
         with pytest.raises(ParseError):
             parse(forged, Mode.JSON, known=lent)
@@ -884,7 +884,8 @@ def test_a_one_record_replace_carries_every_other_block(role_keys, derive):
         for i in range(40):
             state = publish_vanilla(state, f"r{i:03d}", b"%d" % i)
         parent = state.metadata.targets.body
-        assert "_texts" not in vars(parent) and "_texts" not in vars(publish_vanilla(state, "r020", b"").metadata.targets.body)
+        no_text = publish_vanilla(state, "r020", b"").metadata.targets.body
+        assert not any("text" in vars(block) for body in (parent, no_text) for block in body._blocks)
         fetch_metadata(state, RoleKind.TARGETS)
         child = publish_vanilla(state, "r020", b"new").metadata.targets.body
     else:
@@ -892,7 +893,26 @@ def test_a_one_record_replace_carries_every_other_block(role_keys, derive):
         records = [*parent.records[:20], _cheap("r020", 99), *parent.records[21:]]
         child = parse(serialize_canonical(_targets(TargetsBody(records)), Mode.JSON), Mode.JSON, known=parent).body
     assert [r is parent.records[i] for i, r in enumerate(child.records)] == [i != 20 for i in range(40)]
-    assert [child._texts[k] is parent._texts[k] for k in range(7)] == [k != 3 for k in range(7)]
-    assert [child._binaries[k] is parent._binaries[k] for k in range(7)] == [k != 3 for k in range(7)]
+    assert [child._blocks[k].text is parent._blocks[k].text for k in range(7)] == [k != 3 for k in range(7)]
+    assert [child._blocks[k].binary is parent._blocks[k].binary for k in range(7)] == [k != 3 for k in range(7)]
     assert child.find("r020") is child.records[20] and parent.find("r020") is parent.records[20]
     assert child.fresh(parent) == [child.records[20]]
+
+
+def test_a_text_block_joined_once_serves_every_body_that_shares_it(role_keys):
+    """40 records served as JSON, then two publishes that are never served
+    (r020 in block 3, r030 in block 5), then a serve: the last body joins
+    only the texts of blocks 3 and 5, and shares the first body's text of
+    every other block, though the body in between never joined one."""
+    state = new_repository(*(role_keys[role] for role in RoleKind))
+    for i in range(40):
+        state = publish_vanilla(state, f"r{i:03d}", b"%d" % i)
+    fetch_metadata(state, RoleKind.TARGETS)
+    first = state.metadata.targets.body
+    state = publish_vanilla(state, "r020", b"new")
+    between = state.metadata.targets.body
+    state = publish_vanilla(state, "r030", b"new")
+    assert not any("text" in vars(block) for block in between._blocks if block not in first._blocks)
+    fetch_metadata(state, RoleKind.TARGETS)
+    last = state.metadata.targets.body
+    assert [last._blocks[k].text is first._blocks[k].text for k in range(7)] == [k not in (3, 5) for k in range(7)]
