@@ -3,7 +3,8 @@ envelopes, the device's install status, the controller state file, the flash
 image and the repository's private state. (The 136-byte token has no variable part: it is kept as its
 bytes and read through one ``struct`` layout.) It is also the one place the
 program opens a file: ``read_file`` reads one, turning any failure into a
-ParseError, and ``write_file`` replaces one whole.
+ParseError, and ``write_file`` replaces one whole. ``cached`` keeps a value an
+object computes once, such as an encoding of a metadata value.
 
 Decoders accept exactly what the encoders write: a flag byte is 0 or 1, a
 string is a u16 length followed by that many bytes of UTF-8, a keyed list is
@@ -116,6 +117,27 @@ def write_file(path: str, data: bytes) -> None:
                 raise
     except OSError as exc:
         raise WriteFailed(f"cannot write {path}: {type(exc).__name__}") from exc
+
+
+class cached:
+    """A value computed once per object, on first access: like
+    ``functools.cached_property``, the value is stored in the object's
+    ``__dict__`` under the method's name (so ``vars`` shows it), where later
+    lookups find it before this non-data descriptor, and frozen dataclasses
+    allow it. Unlike it, no lock is taken (on Python 3.11 a class-wide one,
+    about 0.8 µs per first access): two threads that both miss compute it
+    twice, and the later store wins."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def flip_bit(data: bytes, bit_offset: int) -> bytes:

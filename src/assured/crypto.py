@@ -20,7 +20,6 @@ cipher and MAC under the same keys. A key object belongs to one channel end.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import hmac as _hmac
 import struct
@@ -31,6 +30,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from .codec import cached
 from .errors import AuthFailure, ChannelError, MalformedFrame, ReplayOrReorder
 
 DIGEST_LEN = 32
@@ -82,7 +82,7 @@ class SigningKeyPair:
         if len(self.private) != KEY_LEN or len(self.public) != PUBLIC_KEY_LEN:
             raise ValueError("signing key material must be 32 bytes each")
 
-    @functools.cached_property
+    @cached
     def signer(self) -> ed25519.Ed25519PrivateKey:
         """The private key loaded from ``private``, once, on first use."""
         return ed25519.Ed25519PrivateKey.from_private_bytes(self.private)
@@ -162,12 +162,12 @@ class SessionKeys:
     enc_key: bytes
     mac_key: bytes
 
-    @functools.cached_property
+    @cached
     def ctr(self):
         """AES-CTR encryptor under ``enc_key``; every frame resets its counter block."""
         return Cipher(algorithms.AES(self.enc_key), modes.CTR(bytes(16))).encryptor()
 
-    @functools.cached_property
+    @cached
     def keyed_mac(self):
         """HMAC-SHA256 state keyed with ``mac_key`` and fed nothing; frames tag with copies."""
         return _hmac.new(self.mac_key, digestmod=hashlib.sha256)

@@ -6,9 +6,20 @@ of every role, targets signs the artifact records, snapshot pins the current
 root/targets versions, and timestamp pins the current snapshot (the freshness
 heartbeat). Metadata expiration uses an injected logical clock (u64 ticks).
 
-Signatures always cover the fixed-binary encoding of (role, version, expires,
-body) — one mode-independent byte region — so a metadata object re-encoded
-between JSON and fixed-binary keeps its signatures.
+Signatures cover one mode-independent byte region, so a metadata object
+re-encoded between JSON and fixed-binary keeps its signatures:
+
+    role_tag(1) || version(8) || expires(8) || region body
+
+The region body of a root, snapshot or timestamp is its fixed-binary body.
+A targets body's is its record count and a SHA-256 per block (see
+TargetsBody), not the records themselves:
+
+    count(2) || (SHA-256 of the block's fixed-binary records)*
+
+so a signature over a large list covers 32 bytes per block, and signing or
+verifying a body derived from one already signed or verified hashes only
+the blocks it does not share with it.
 
 JSON mode is canonical: lexicographically sorted keys, no insignificant
 whitespace, binary fields base64; parse accepts nothing else, and every JSON
@@ -16,13 +27,14 @@ integer must fit its fixed-binary width. Fixed-binary mode uses the layout:
 
     role_tag(1) || version(8) || expires(8) || body || sig_count(2)
     || (key_id(32) || signature(64))*
+
+where a targets body is its count and every record's fixed-binary fragment.
 """
 
 from __future__ import annotations
 
 import binascii
 import enum
-import functools
 import json
 import math
 import struct
@@ -30,7 +42,7 @@ from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 
 from . import crypto
-from .codec import Reader
+from .codec import Reader, cached
 from .errors import (
     BindingMismatch,
     Expired,
@@ -108,14 +120,14 @@ class TargetRecord:
         if self.token_digest is not None and len(self.token_digest) != crypto.DIGEST_LEN:
             raise ValueError(f"record token digest is {len(self.token_digest)} bytes, not {crypto.DIGEST_LEN}")
 
-    @functools.cached_property
+    @cached
     def binary(self) -> bytes:
         """name_len(2) || name || hash(32) || size(8) || flag(1) || token_digest(32)?"""
         name = self.name.encode("utf-8")
         digest = b"\x00" if self.token_digest is None else b"\x01" + self.token_digest
         return struct.pack(">H", len(name)) + name + self.hash + struct.pack(">Q", self.size) + digest
 
-    @functools.cached_property
+    @cached
     def json_text(self) -> str:
         """[name, hash, size, token_digest] as canonical JSON."""
         digest = None if self.token_digest is None else _b64(self.token_digest)
@@ -124,19 +136,24 @@ class TargetRecord:
 
 @dataclass(frozen=True, eq=False)
 class _Block:
-    """A run of consecutive records of a TargetsBody, which joins each of
-    their encodings once, on first use: ``binary``, their fixed-binary
-    fragments, and ``text``, their canonical texts joined by ",". Bodies
+    """A run of consecutive records of a TargetsBody, which computes each of
+    its encodings once, on first use: ``binary``, their fixed-binary
+    fragments joined, ``digest``, the SHA-256 of ``binary`` that the signed
+    region holds, and ``text``, their canonical texts joined by ",". Bodies
     derived from one another share their unchanged blocks as objects, so
-    each encoding is joined once for all of them."""
+    each encoding is computed once for all of them."""
 
     records: tuple[TargetRecord, ...]
 
-    @functools.cached_property
+    @cached
     def binary(self) -> bytes:
         return b"".join([r.binary for r in self.records])
 
-    @functools.cached_property
+    @cached
+    def digest(self) -> bytes:
+        return crypto.hash_data(self.binary)
+
+    @cached
     def text(self) -> str:
         return ",".join([r.json_text for r in self.records])
 
@@ -145,8 +162,9 @@ class _Block:
 class TargetsBody:
     """A targets list, held in blocks (see _Block): b = isqrt(n) consecutive
     records (the last block holds the n % b left over, if any). The signed
-    region and the JSON document join the blocks' encodings, and a parse
-    that knows this body lends a whole block with one text comparison.
+    region holds the blocks' digests, both documents join the blocks'
+    encodings, and a JSON parse that knows this body lends a whole block
+    with one text comparison.
 
     A body is derived from ``previous`` (None: built from scratch), given the
     indices ``changed`` (ascending; None: all) outside which its records are
@@ -154,10 +172,11 @@ class TargetsBody:
     previous's block object, the name index is copied and patched, and only
     the blocks that hold a changed index are new; when n differs, every
     block from the first that previous does not hold whole, and when b
-    differs, every block. A block joins its encodings on first use, so a
+    differs, every block. A block computes its encodings on first use, so a
     body that is only signed, verified or written in fixed binary encodes no
-    record as JSON, and a text block joined for one body serves every body
-    that shares the block."""
+    record as JSON, and a block's digest or text computed for one body
+    serves every body that shares the block: signing or verifying a derived
+    body hashes only its new blocks."""
 
     records: tuple[TargetRecord, ...] = ()
     previous: InitVar[TargetsBody | None] = None
@@ -266,16 +285,16 @@ class RoleMetadata:
         """serialize_canonical(self, mode), computed at most once per mode."""
         return self._binary if mode is Mode.FIXED_BINARY else self._json
 
-    @functools.cached_property
+    @cached
     def _json(self) -> bytes:
         return serialize_canonical(self, Mode.JSON)
 
-    @functools.cached_property
+    @cached
     def _binary(self) -> bytes:
         return serialize_canonical(self, Mode.FIXED_BINARY)
 
 
-# --- signed region (fixed-binary body encoding) ----------------------------------
+# --- fixed-binary bodies and the signed region -----------------------------------
 
 def _encode_body(body: RoleBody) -> bytes:
     if isinstance(body, RootBody):
@@ -333,9 +352,21 @@ def _decode_body(role: RoleKind, reader: Reader) -> RoleBody:
     return TimestampBody(snapshot_version=reader.u64("snapshot version"), snapshot_hash=reader.take(32, "snapshot hash"))
 
 
+def _header(role: RoleKind, version: int, expires: int) -> bytes:
+    return struct.pack(">BQQ", ROLE_TAGS[role], version, expires)
+
+
 def signed_region(role: RoleKind, version: int, expires: int, body: RoleBody) -> bytes:
-    """The byte region signatures cover, identical in both modes."""
-    return struct.pack(">BQQ", ROLE_TAGS[role], version, expires) + _encode_body(body)
+    """The byte region signatures cover, identical in both modes: the
+    header, then a targets body's record count and block digests, or any
+    other body's fixed-binary encoding. Records are self-delimiting and
+    the count fixes the blocks, so distinct bodies get distinct regions
+    as long as SHA-256 is collision resistant."""
+    if isinstance(body, TargetsBody):
+        region_body = b"".join([struct.pack(">H", len(body.records)), *[block.digest for block in body._blocks]])
+    else:
+        region_body = _encode_body(body)
+    return _header(role, version, expires) + region_body
 
 
 def signed_region_of(meta: RoleMetadata) -> bytes:
@@ -377,7 +408,7 @@ def _json_body(body: RoleBody):
 
 def serialize_canonical(meta: RoleMetadata, mode: Mode) -> bytes:
     if mode is Mode.FIXED_BINARY:
-        out = bytearray(signed_region_of(meta))
+        out = bytearray(_header(meta.role, meta.version, meta.expires) + _encode_body(meta.body))
         out += struct.pack(">H", len(meta.signatures))
         for kid, sig in meta.signatures:
             out += kid + sig

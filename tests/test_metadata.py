@@ -3,9 +3,12 @@ exact signature-verification count, expiry/rollback/binding failures, and
 the size budgets of the two encodings."""
 
 import base64
+import dataclasses
 import itertools
 import json
 import math
+import random
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from assured import crypto, metadata
 from assured.authorization import Constraints, build_envelope, issue_token, serialize_envelope
 from assured.codec import flip_bit
+from assured.controller import Controller
 from assured.errors import (
     AssuredError,
     BindingMismatch,
@@ -42,6 +46,7 @@ from assured.metadata import (
     verify_role_signatures,
 )
 from assured.repository import fetch_metadata, new_repository, publish, publish_vanilla
+from assured.transport import LocalRepoPort
 
 
 def keypairs(label: bytes, count: int):
@@ -916,3 +921,154 @@ def test_a_text_block_joined_once_serves_every_body_that_shares_it(role_keys):
     fetch_metadata(state, RoleKind.TARGETS)
     last = state.metadata.targets.body
     assert [last._blocks[k].text is first._blocks[k].text for k in range(7)] == [k not in (3, 5) for k in range(7)]
+
+
+# --- the targets signed region: the record count and one digest per block ------------
+
+
+def test_the_targets_region_is_the_count_and_the_block_digests():
+    """Ten records are blocks of isqrt(10) = 3 (3, 3, 3 and 1): the region is
+    the header, the u16 count and each block's SHA-256, while the
+    fixed-binary document carries the records themselves. No records: the
+    count alone, the region the empty list has always had."""
+    records = [_cheap(f"r{i:03d}", i) for i in range(10)]
+    meta = _targets(TargetsBody(records))
+    header = struct.pack(">BQQ", metadata.ROLE_TAGS[RoleKind.TARGETS], 2, 1000)
+    digests = [crypto.hash_data(b"".join(r.binary for r in records[k : k + 3])) for k in range(0, 10, 3)]
+    assert signed_region_of(meta) == header + b"\x00\x0a" + b"".join(digests)
+    assert serialize_canonical(meta, Mode.FIXED_BINARY) == header + b"\x00\x0a" + b"".join(r.binary for r in records) + b"\x00\x00"
+    assert signed_region_of(_targets(TargetsBody())) == header + b"\x00\x00"
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_one_changed_field_breaks_the_targets_signatures(role_keys, data):
+    """A signed body of 1 to 40 records, and a body derived from it with one
+    field of one record changed, at a block edge or inside a block: the
+    signatures do not cover the derived body, nor what either mode's
+    document of it parses to with the signed body known (a JSON parse lends
+    the other blocks, digests and all)."""
+    keys = role_keys[RoleKind.TARGETS]
+    authorized = RoleKeys(threshold=2, keys=tuple(k.public for k in keys))
+    count = data.draw(st.integers(1, 40), label="records")
+    signed = build_and_sign(TargetsBody([_cheap(f"r{i:03d}", i) for i in range(count)]), 2, 1000, keys)
+    verify_role_signatures(signed, authorized)
+    at = data.draw(_spots(count), label="at")
+    record = signed.body.records[at]
+    field = data.draw(st.sampled_from(["name", "hash", "size", "token_digest"]), label="field")
+    bit = data.draw(st.integers(0, 255), label="bit")
+    if field == "name":
+        value = record.name + data.draw(st.sampled_from(["~", "/", "ü"]))
+    elif field == "hash":
+        value = flip_bit(record.hash, bit)
+    elif field == "size":
+        value = record.size ^ (1 << bit % 64)
+    else:
+        value = crypto.hash_data(b"forged") if record.token_digest is None else data.draw(
+            st.sampled_from([None, flip_bit(record.token_digest, bit)])
+        )
+    records = list(signed.body.records)
+    records[at] = dataclasses.replace(record, **{field: value})
+    forged = dataclasses.replace(signed, body=TargetsBody(records, signed.body, [at]))
+    with pytest.raises(ThresholdNotMet):
+        verify_role_signatures(forged, authorized)
+    step = math.isqrt(count)
+    for mode in Mode:
+        parsed = parse(serialize_canonical(forged, mode), mode, known=signed.body)
+        assert parsed == forged
+        if mode is Mode.JSON:
+            # a renamed record reads as an insert, so the blocks after it are decoded
+            lent = [block is signed.body._blocks[k] for k, block in enumerate(parsed.body._blocks)]
+            assert lent == [k < at // step or k > at // step and field != "name" for k in range(len(lent))]
+        with pytest.raises(ThresholdNotMet):
+            verify_role_signatures(parsed, authorized)
+
+
+def _token_envelope(name: str, version: int) -> bytes:
+    """A 256-byte artifact and its OEM token, as the catalog workload publishes them."""
+    artifact = crypto.hash_data(b"%s %d" % (name.encode(), version)) * 8
+    token = issue_token(crypto.signing_key_from_seed(bytes(range(32))), artifact, Constraints(device_model=8, new_version=version))
+    return serialize_envelope(build_envelope(token, artifact))
+
+
+@pytest.fixture(scope="module")
+def large_catalog(role_keys):
+    """A repository with no records, then with one, then with 1000, each
+    published with its OEM token."""
+    state = new_repository(*(role_keys[role] for role in RoleKind))
+    states = {0: state}
+    for i in range(1000):
+        state = publish(state, f"catalog-{i:04d}", _token_envelope(f"catalog-{i:04d}", 1))
+        states.setdefault(1, state)
+    states[1000] = state
+    return states
+
+
+def _synced(state) -> tuple[LocalRepoPort, Controller]:
+    repo = LocalRepoPort(state)
+    controller = Controller(trusted_root=state.metadata.root, mode=Mode.JSON, rng=random.Random(1))
+    assert len(controller.sync(repo)) == len(state.metadata.targets.body.records)
+    return repo, controller
+
+
+# the byte length of each document, per record count, role and mode, taken
+# from the tree whose targets signatures covered the records themselves: a
+# signature is 64 bytes whatever it covers
+DOCUMENT_SIZES = {  # (JSON, fixed binary)
+    0: {"root": (717, 427), "targets": (374, 213), "snapshot": (225, 131), "timestamp": (270, 155)},
+    1: {"root": (717, 427), "targets": (488, 300), "snapshot": (225, 131), "timestamp": (270, 155)},
+    1001: {"root": (717, 427), "targets": (115481, 87290), "snapshot": (231, 131), "timestamp": (276, 155)},
+}
+
+
+def test_a_catalog_round_keeps_its_sizes_and_counts(large_catalog, monkeypatch):
+    """A catalog-1k round (fw released into 1000 records, then a sync) makes
+    5 signatures, the two targets ones over 1075 bytes (the header, the
+    count and 33 digests), and 6 verifications; every document keeps its
+    size at 0, 1 and 1001 records."""
+    repo, controller = _synced(large_catalog[1000])
+    sign, signed = crypto.sign, []
+
+    def counting_sign(key, message):
+        signed.append(len(message))
+        return sign(key, message)
+
+    monkeypatch.setattr(crypto, "sign", counting_sign)
+    repo.publish("fw", _token_envelope("fw", 2))
+    verifications = crypto.VERIFY_COUNTER.read()
+    assert [item.name for item in controller.sync(repo)] == ["fw"]
+    assert crypto.VERIFY_COUNTER.read() - verifications == 6
+    # the token, targets twice, snapshot, timestamp
+    assert signed == [72, 17 + 2 + 33 * 32, 17 + 2 + 33 * 32, 17 + 16, 17 + 8 + 32]
+    sizes = {
+        count: {
+            role.value: tuple(len(state.metadata.by_role(role).canonical(mode)) for mode in (Mode.JSON, Mode.FIXED_BINARY))
+            for role in RoleKind
+        }
+        for count, state in [(0, large_catalog[0]), (1, large_catalog[1]), (1001, repo.state)]
+    }
+    assert sizes == DOCUMENT_SIZES
+
+
+def test_a_large_sync_hashes_only_the_changed_block(large_catalog, monkeypatch):
+    """1001 records held, catalog-0500 republished: the synced body's blocks
+    but block 16 (of isqrt(1001) = 31 records) are the held body's objects,
+    whose digests verifying it computed, and block 16's is the one block
+    digest the sync computes."""
+    repo, controller = _synced(large_catalog[1000])
+    repo.publish("fw", _token_envelope("fw", 2))
+    controller.sync(repo)
+    held = controller.trust.held.targets.body
+    assert len(held._blocks) == 33 and all("digest" in vars(block) for block in held._blocks)
+    repo.publish("catalog-0500", _token_envelope("catalog-0500", 2))
+    hash_data, hashed = crypto.hash_data, []
+
+    def counting_hash(data):
+        hashed.append(data)
+        return hash_data(data)
+
+    monkeypatch.setattr(crypto, "hash_data", counting_hash)
+    assert [item.name for item in controller.sync(repo)] == ["catalog-0500"]
+    body = controller.trust.held.targets.body
+    assert [block is held._blocks[k] for k, block in enumerate(body._blocks)] == [k != 16 for k in range(33)]
+    assert [k for k, block in enumerate(body._blocks) if block.binary in hashed] == [16]

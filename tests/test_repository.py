@@ -142,7 +142,7 @@ def test_saved_repository_bytes_are_pinned(tmp_path, fresh_repo, envelope):
     # signatures come from each key pair's once-loaded private key; Ed25519 is
     # deterministic, so the files are exactly those of a key loaded per signature.
     # The snapshot pins the targets version, not its bytes, so a change of the
-    # record format moves targets.2.meta alone
+    # record format or of the targets signed region moves targets.2.meta alone
     save_repository(publish(fresh_repo, "fw", envelope), str(tmp_path))
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -153,7 +153,7 @@ def test_saved_repository_bytes_are_pinned(tmp_path, fresh_repo, envelope):
         "private.bin": "b83c83839beff6c70c5c70adb1b7a1f63a1890dcd18227d54b4368f11316f4a3",
         "root.1.meta": "1a241f34503b0b6662ec633a4b9b6a5cea143610093fef0acc4effe7a6db4552",
         "snapshot.meta": "41e800cb4124a7f1096b804043686e21fd4494c283da4b3575399adcedc43c87",
-        "targets.2.meta": "cc879df237f520de6498828f621ea9071de3f3771559acf08ef05f7795e127fa",
+        "targets.2.meta": "a41a9bf428ed030d5ee88a5f5887d2f8004c476e488b35214a05058388b5ee85",
         "timestamp.meta": "446991fac7fd474c74e72e107a5266d05f28eeb232c7874ba2d9cbd96466f5c6",
     }
 
