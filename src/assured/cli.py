@@ -43,13 +43,7 @@ from .harness import (
     run_scenario,
 )
 from .metadata import Mode, parse
-from .repository import (
-    TamperKind,
-    TamperPolicy,
-    load_repository,
-    new_repository,
-    save_repository,
-)
+from .repository import load_repository, new_repository, save_repository
 from .transport import (
     DeviceServer,
     LocalDevicePort,
@@ -230,11 +224,6 @@ def cmd_repo_publish(args) -> int:
 
 def cmd_repo_refresh(args) -> int:
     return _with_repo(args, repository.refresh_timestamp)
-
-
-def cmd_repo_tamper(args) -> int:
-    policy = TamperPolicy(kind=TamperKind(args.policy), bit_offset=args.offset)
-    return _with_repo(args, lambda state: repository.set_tamper(state, policy))
 
 
 def cmd_repo_advance(args) -> int:
@@ -474,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     publish.add_argument("--name", required=True)
     publish.add_argument("--envelope", required=True)
     command(repo, "refresh", cmd_repo_refresh, repo_dir)
-    tamper = command(repo, "tamper", cmd_repo_tamper, repo_dir)
-    tamper.add_argument("policy", choices=[k.value for k in TamperKind])
-    tamper.add_argument("--offset", type=u64, default=0)
     advance = command(repo, "advance", cmd_repo_advance, repo_dir)
     advance.add_argument("--ticks", type=int, required=True)
     serve = command(repo, "serve", cmd_repo_serve, repo_dir)

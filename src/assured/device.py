@@ -405,7 +405,7 @@ class Device:
         Nonces are single-use; freshness needs no device clock.
         """
         if len(nonce) != crypto.NONCE_LEN:
-            raise AssuredError("attestation nonce must be 16 bytes")
+            raise AttestationRefused(f"attestation nonce must be {crypto.NONCE_LEN} bytes")
         if nonce in self._served_nonces:
             raise AttestationRefused("nonce already served")
         self._served_nonces.add(nonce)

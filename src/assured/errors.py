@@ -150,4 +150,5 @@ class NonceCollision(AssuredError):
 
 
 class AttestationRefused(AssuredError):
-    """Device refused to serve an attestation nonce (replay)."""
+    """Device refused to serve an attestation nonce: one it has already
+    served (replay), or one that is not NONCE_LEN bytes."""

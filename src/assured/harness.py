@@ -9,7 +9,9 @@ over local sockets.
 
 ``frame-tamper``, ``drop``, ``replay`` and ``forge-tag`` arm one adversary
 slot (a later one replaces an earlier one); the next ``deliver`` or ``attest``,
-whichever comes first, runs through it and disarms it.
+whichever comes first, runs through it and disarms it. ``tamper-policy`` sets
+the policy of the ``Mirror`` every ``sync`` fetches through, until the next
+``tamper-policy``.
 
 Each step calls one ``World`` method and is bound to its signature: the
 ``<...>`` arguments fill its positional-only parameters and the ``key=``
@@ -59,6 +61,7 @@ from .authorization import (
     Constraints,
     build_envelope,
     issue_token,
+    parse_envelope,
     serialize_envelope,
 )
 from .codec import flip_bit
@@ -69,16 +72,11 @@ from .errors import (
     AssuredError,
     ChannelError,
     DeliveryFailed,
+    NotFound,
     PolicyDeferred,
 )
 from .metadata import Mode, RoleKind, parse, serialize_canonical
-from .repository import (
-    RepositoryState,
-    TamperKind,
-    TamperPolicy,
-    new_repository,
-    save_repository,
-)
+from .repository import RepositoryState, new_repository, save_repository
 from .transport import (
     LocalDevicePort,
     LocalRepoPort,
@@ -170,7 +168,7 @@ class Transcript:
         return "\n".join([self.header, *self.lines]) + "\n"
 
 
-# --- adversary wrappers over a device port --------------------------------------------
+# --- adversary wrappers over a device or repository port ---------------------------------
 
 class _PortWrapper:
     """Forwards every operation it does not override to the wrapped port."""
@@ -244,6 +242,47 @@ class _ForgedTagPort(_PortWrapper):
         return replace(report, tag=bytes(b ^ 0xFF for b in report.tag))
 
 
+class Mirror(_PortWrapper):
+    """The untrusted distributor mirror over a repository port: it serves the
+    port's bytes through one policy, ``none`` until ``set_policy`` names another.
+
+    ``flip-bit`` inverts one bit of each envelope (the offset taken modulo its
+    bit length), ``stale`` serves the metadata set the mirror fetched when it
+    was built, ``substitute`` masks each envelope's artifact and keeps its
+    token, and ``drop`` answers every envelope fetch with NotFound. Every
+    other operation reaches the wrapped port unchanged, so the repository
+    behind it only ever serves honest bytes.
+    """
+
+    POLICIES = ("none", "flip-bit", "stale", "substitute", "drop")
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self._stale = {role: inner.fetch_metadata(role) for role in RoleKind}
+        self.policy, self.offset = "none", 0
+
+    def set_policy(self, policy: str, offset: int = 0) -> None:
+        if policy not in self.POLICIES:
+            raise ValueError(f"unknown mirror policy {policy!r}")
+        self.policy, self.offset = policy, offset
+
+    def fetch_metadata(self, role: RoleKind) -> bytes:
+        if self.policy == "stale":
+            return self._stale[role]
+        return self._inner.fetch_metadata(role)
+
+    def fetch_envelope(self, name: str) -> bytes:
+        if self.policy == "drop":
+            raise NotFound(f"envelope {name!r}")
+        data = self._inner.fetch_envelope(name)
+        if self.policy == "flip-bit":
+            return flip_bit(data, self.offset)
+        if self.policy == "substitute":
+            envelope = parse_envelope(data)
+            return serialize_envelope(replace(envelope, artifact=bytes(b ^ 0xA5 for b in envelope.artifact)))
+        return data
+
+
 def _outcome_token(outcome: InstallOutcome) -> str:
     if outcome.status == InstallOutcome.INSTALLED:
         return f"installed:{outcome.version}"
@@ -286,6 +325,8 @@ class World:
             self.repo = RemoteRepoPort(address)
         else:
             self.repo = LocalRepoPort(state)
+        # sync fetches through the mirror; publish, refresh and the clock reach the repository
+        self.mirror = Mirror(self.repo)
 
         trusted_root = parse(self.repo.trusted_root_bytes(), mode)
         self.controller = Controller(
@@ -465,7 +506,7 @@ class World:
         return "ok", f"envelope={_hex8(self.envelopes[name])}"
 
     def tamper(self, kind: str, /, *, offset: int = 0) -> tuple[str, str]:
-        self.repo.tamper(TamperPolicy(kind=TamperKind(kind), bit_offset=offset))
+        self.mirror.set_policy(kind, offset)
         return "ok", f"policy={kind} offset={offset}"
 
     def refresh(self) -> tuple[str, str]:
@@ -480,7 +521,7 @@ class World:
     def sync(self) -> tuple[str, str]:
         before = VERIFY_COUNTER.read()
         try:
-            batch = self.controller.sync(self.repo)
+            batch = self.controller.sync(self.mirror)
         except AssuredError as exc:
             return f"error:{type(exc).__name__}", str(exc)
         delta = VERIFY_COUNTER.read() - before

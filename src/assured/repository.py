@@ -1,9 +1,8 @@
-"""TUF repository plus the untrusted distributor mirror.
-
-One component with a tamper layer: the honest repository signs and stores
-metadata/envelopes, and the mirror's entire threat contribution is a
-transformation applied on fetch. State transitions return new state values;
-readers see immutable snapshots.
+"""The honest TUF repository: it signs and stores metadata and envelopes and
+serves exactly the bytes it stored. State transitions return new state
+values; readers see immutable snapshots. The untrusted mirror is not here: it
+is a wrapper over a repository port (``harness.Mirror``), as the channel
+adversaries are wrappers over a device port.
 
 Every role's signing keys sit in one table, and every signature goes through
 ``_sign``. The targets, snapshot and timestamp keys sign on every publish; the
@@ -13,16 +12,16 @@ root keys stay offline by use: only new_repository and rotate_root sign as root.
 from __future__ import annotations
 
 import bisect
-import enum
 import operator
 import os
 import re
 import struct
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from . import crypto
-from .authorization import parse_envelope, serialize_envelope
-from .codec import Reader, flip_bit, read_file, write_file
+from .authorization import parse_envelope
+from .codec import Reader, read_file, write_file
 from .errors import NotFound, ParseError, PublishRejected, WriteFailed
 from .metadata import (
     MetadataSet,
@@ -63,20 +62,6 @@ _CLOCK_MAX = 2**64 - 1 - max(LIFETIMES.values())
 _NAME_MAX = 255  # bytes in a file name on common file systems
 
 
-class TamperKind(enum.Enum):
-    NONE = "none"
-    FLIP_BIT_IN_ENVELOPE = "flip-bit"
-    SERVE_STALE_METADATA = "stale"
-    SUBSTITUTE_ARTIFACT = "substitute"
-    DROP_ENVELOPE = "drop"
-
-
-@dataclass(frozen=True)
-class TamperPolicy:
-    kind: TamperKind = TamperKind.NONE
-    bit_offset: int = 0
-
-
 @dataclass(frozen=True)
 class RepositoryState:
     keys: dict[RoleKind, tuple[crypto.SigningKeyPair, ...]]
@@ -84,10 +69,10 @@ class RepositoryState:
     envelopes: dict[str, bytes]
     clock: int
     mode: Mode = Mode.JSON
-    tamper: TamperPolicy = TamperPolicy()
-    # the serialized metadata set from before the first mutation (what the
-    # stale-metadata tamper serves); empty until something is published
-    archive: tuple[dict[RoleKind, bytes], ...] = ()
+    # always empty: the repository keeps no old sets. It stays only because
+    # perfbench/serve.py --trace-out reads it by name for repository.archive.*;
+    # without it the traced image-socket test in tests/test_transport.py fails
+    archive: ClassVar[tuple[dict[RoleKind, bytes], ...]] = ()
 
 
 def _serialized_set(state: RepositoryState) -> dict[RoleKind, bytes]:
@@ -160,10 +145,6 @@ def _resign_chain(state: RepositoryState, targets: RoleMetadata | None, root: Ro
     return MetadataSet(root=root, targets=targets, snapshot=snapshot, timestamp=timestamp)
 
 
-def _archived(state: RepositoryState) -> tuple[dict[RoleKind, bytes], ...]:
-    return state.archive or (_serialized_set(state),)
-
-
 def _publish_record(state: RepositoryState, record: TargetRecord, envelope_bytes: bytes | None) -> RepositoryState:
     """Sign a targets list with ``record`` put in its name's sorted place,
     derived from the current one: every other record object carries over,
@@ -191,12 +172,7 @@ def _publish_record(state: RepositoryState, record: TargetRecord, envelope_bytes
     envelopes = dict(state.envelopes)
     if envelope_bytes is not None:
         envelopes[record.name] = envelope_bytes
-    return replace(
-        state,
-        metadata=_resign_chain(state, targets),
-        envelopes=envelopes,
-        archive=_archived(state),
-    )
+    return replace(state, metadata=_resign_chain(state, targets), envelopes=envelopes)
 
 
 def publish(state: RepositoryState, name: str, envelope_bytes: bytes) -> RepositoryState:
@@ -235,11 +211,7 @@ def refresh_timestamp(state: RepositoryState) -> RepositoryState:
         state.metadata.timestamp.version + 1,
         state.clock,
     )
-    return replace(
-        state,
-        metadata=replace(state.metadata, timestamp=timestamp),
-        archive=_archived(state),
-    )
+    return replace(state, metadata=replace(state.metadata, timestamp=timestamp))
 
 
 def rotate_root(state: RepositoryState, new_root_keys: list[crypto.SigningKeyPair], threshold: int | None = None) -> RepositoryState:
@@ -261,7 +233,6 @@ def rotate_root(state: RepositoryState, new_root_keys: list[crypto.SigningKeyPai
         state,
         keys={**state.keys, RoleKind.ROOT: tuple(new_root_keys)},
         metadata=_resign_chain(state, None, root=root),
-        archive=_archived(state),
     )
 
 
@@ -274,58 +245,36 @@ def advance_clock(state: RepositoryState, ticks: int) -> RepositoryState:
     return replace(state, clock=clock)
 
 
-def set_tamper(state: RepositoryState, policy: TamperPolicy) -> RepositoryState:
-    return replace(state, tamper=policy)
-
-
-# --- mirror fetch surface (tamper-transformed) -----------------------------------
+# --- fetch surface ---------------------------------------------------------------
 
 def fetch_metadata(state: RepositoryState, role: RoleKind) -> bytes:
-    """Serve role metadata bytes as the (untrusted) mirror would."""
-    if state.tamper.kind is TamperKind.SERVE_STALE_METADATA and state.archive:
-        return state.archive[0][role]
+    """The current ``role`` metadata's bytes in the repository's mode."""
     return state.metadata.by_role(role).canonical(state.mode)
 
 
 def fetch_envelope(state: RepositoryState, name: str) -> bytes:
-    if state.tamper.kind is TamperKind.DROP_ENVELOPE:
-        raise NotFound(f"envelope {name!r}")
+    """The stored envelope ``name``; NotFound if none is."""
     if name not in state.envelopes:
         raise NotFound(f"envelope {name!r}")
-    data = state.envelopes[name]
-    if state.tamper.kind is TamperKind.FLIP_BIT_IN_ENVELOPE:
-        return flip_bit(data, state.tamper.bit_offset)
-    if state.tamper.kind is TamperKind.SUBSTITUTE_ARTIFACT:
-        envelope = parse_envelope(data)
-        masked = bytes(b ^ 0xA5 for b in envelope.artifact)
-        return serialize_envelope(replace(envelope, artifact=masked))
-    return data
+    return state.envelopes[name]
 
 
 # --- on-disk layout ----------------------------------------------------------------
 
 # private.bin holds what no public file does; the root and targets versions
 # come from snapshot.meta, which pins them:
-#   "ASRS" || mode flag(1) || clock(8) || tamper kind(1) || tamper bit offset(8)
-#   || per role in RoleKind order: key count(2) || seed(32)*
-#   || archive count(1, 0 or 1) || per archived role in RoleKind order: length(4) || blob
+#   "ASRS" || mode flag(1) || clock(8) || per role in RoleKind order: key count(2) || seed(32)*
 _PRIVATE_FILE = "private.bin"
 _PRIVATE_MAGIC = b"ASRS"
-_TAMPER_KINDS = tuple(TamperKind)
 
 
 def _encode_private(state: RepositoryState) -> bytes:
-    """private.bin's bytes: the state's mode, clock, tamper, keys and archive."""
+    """private.bin's bytes: the state's mode, clock and keys."""
     mode_flag = 0 if state.mode is Mode.JSON else 1
     out = bytearray(_PRIVATE_MAGIC)
-    tamper = state.tamper
-    out += struct.pack(">BQBQ", mode_flag, state.clock, _TAMPER_KINDS.index(tamper.kind), tamper.bit_offset)
+    out += struct.pack(">BQ", mode_flag, state.clock)
     for role in RoleKind:
         out += struct.pack(">H", len(state.keys[role])) + b"".join(k.private for k in state.keys[role])
-    out += struct.pack(">B", len(state.archive))
-    for entry in state.archive:
-        for role in RoleKind:
-            out += struct.pack(">I", len(entry[role])) + entry[role]
     return bytes(out)
 
 
@@ -337,23 +286,14 @@ def _decode_private(data: bytes) -> dict:
         raise ParseError("bad repository state magic", position=0)
     mode = Mode.FIXED_BINARY if reader.flag("mode flag") else Mode.JSON
     clock = reader.u64("clock")
-    kind = reader.u8("tamper kind")
-    if kind >= len(_TAMPER_KINDS):
-        raise ParseError(f"unknown tamper kind {kind}", position=reader.offset - 1)
-    tamper = TamperPolicy(kind=_TAMPER_KINDS[kind], bit_offset=reader.u64("tamper bit offset"))
     keys = {}
     for role in RoleKind:
         count = reader.u16(f"{role.value} key count")
         if not count:
             raise ParseError(f"no {role.value} keys", position=reader.offset - 2)
         keys[role] = tuple(crypto.signing_key_from_seed(reader.take(crypto.KEY_LEN, "key seed")) for _ in range(count))
-    archived = reader.flag("archive count")  # the archive holds at most one set
-    archive = tuple(
-        {role: reader.take(reader.u32("archived length"), "archived metadata") for role in RoleKind}
-        for _ in range(archived)
-    )
     reader.end("repository state")
-    return {"mode": mode, "clock": clock, "tamper": tamper, "keys": keys, "archive": archive}
+    return {"mode": mode, "clock": clock, "keys": keys}
 
 
 def _filename(role: RoleKind, version: int) -> str:

@@ -29,7 +29,7 @@ from .crypto import VERIFY_COUNTER
 from .device import AttestationReport, BootResult, Device, InstallOutcome
 from .errors import AssuredError, ParseError
 from .metadata import Mode, RoleKind
-from .repository import RepositoryState, TamperKind, TamperPolicy
+from .repository import RepositoryState
 
 
 # --- in-process ports -------------------------------------------------------------
@@ -54,8 +54,8 @@ class LocalRepoPort:
         return repository.fetch_envelope(self.state, name)
 
     def trusted_root_bytes(self) -> bytes:
-        # install-time trust anchor: read straight from the honest store,
-        # not through the mirror's tamper layer
+        # the install-time trust anchor: the bytes fetch_metadata(ROOT) returns.
+        # It stays an op of its own because perfbench/rollout.py calls it
         return self.state.metadata.root.canonical(self.state.mode)
 
     def publish(self, name: str, envelope_bytes: bytes) -> None:
@@ -66,9 +66,6 @@ class LocalRepoPort:
 
     def refresh(self) -> None:
         self.state = repository.refresh_timestamp(self.state)
-
-    def tamper(self, policy: TamperPolicy) -> None:
-        self.state = repository.set_tamper(self.state, policy)
 
     def advance_clock(self, ticks: int) -> None:
         self.state = repository.advance_clock(self.state, ticks)
@@ -138,8 +135,8 @@ DEVICE_OPS = tuple(name for name in vars(LocalDevicePort) if not name.startswith
 _HEADER_CAP = 1 << 20  # bytes in a header line, newline included
 _FRAME_CAP = 16 << 20  # bytes in a header and its segments, 4x those of a 4 MiB artifact's frames
 
-_WIRE_ENUMS = {cls.__name__: cls for cls in (Mode, RoleKind, TamperKind)}
-_WIRE_DATACLASSES = {cls.__name__: cls for cls in (TamperPolicy, AttestationReport, BootResult, InstallOutcome)}
+_WIRE_ENUMS = {cls.__name__: cls for cls in (Mode, RoleKind)}
+_WIRE_DATACLASSES = {cls.__name__: cls for cls in (AttestationReport, BootResult, InstallOutcome)}
 # each wire dataclass's fields and their exact types: a "data" value carries all of them
 _WIRE_FIELDS = {name: typing.get_type_hints(cls) for name, cls in _WIRE_DATACLASSES.items()}
 _WIRE_ERRORS = {name: cls for name, cls in vars(errors).items()

@@ -99,13 +99,12 @@ def test_full_file_based_update_flow(workspace, capsys):
     assert code == 0
     assert "attestation verified" in out
 
-    # a dropped envelope at the mirror is a loud sync failure
+    # an envelope missing from the repository directory is a loud sync failure
     (workspace / "fw3.bin").write_bytes(b"\x03" * 100)
     run(capsys, "oem", "issue", "--key", "oem.key", "--artifact", "fw3.bin",
         "--new-version", "3", "--model", "5", "--out", "fw3.env")
     run(capsys, "repo", "publish", "--dir", "repo", "--name", "fw3", "--envelope", "fw3.env")
-    code, _ = run(capsys, "repo", "tamper", "--dir", "repo", "drop")
-    assert code == 0
+    os.remove("repo/envelopes/fw3.env")
     code, out = run(capsys, "controller", "sync", "--state", "ctrl.bin", "--repo", "repo")
     assert code == 1
     assert "NotFound" in out
@@ -242,16 +241,6 @@ def test_adversary_suite_names_each_undetected_attack(workspace, capsys, monkeyp
     err = capsys.readouterr().err
     assert "UNDETECTED: forged token (installed)" in err
     assert "replay" not in err
-
-
-def test_repo_tamper_rejects_an_offset_outside_u64(workspace, capsys):
-    assert run(capsys, "repo", "init", "--dir", "repo", "--seed", "1")[0] == 0
-    before = (workspace / "repo" / "private.bin").read_bytes()
-    for offset in ("-1", str(2**64)):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["repo", "tamper", "--dir", "repo", "flip-bit", "--offset", offset])
-        assert excinfo.value.code == 2 and "error: argument --offset: invalid u64 value" in capsys.readouterr().err
-    assert (workspace / "repo" / "private.bin").read_bytes() == before
 
 
 def test_token_dump_rejects_garbage(workspace, capsys):
@@ -530,7 +519,7 @@ def test_a_file_that_cannot_be_read_or_written_is_one_error_line(workspace, caps
 
 def test_controller_sync_reports_a_dropped_envelope_as_one_error_line(workspace, capsys):
     _fleet(workspace, capsys, 2)
-    run(capsys, "repo", "tamper", "--dir", "repo", "drop")
+    os.remove(workspace / "repo" / "envelopes" / "fw2.env")
     before = (workspace / "ctrl.bin").read_bytes()
     code, out = run(capsys, "controller", "sync", "--state", "ctrl.bin", "--repo", "repo")
     assert code == 1

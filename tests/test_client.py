@@ -12,7 +12,8 @@ from assured.controller import Controller
 from assured.device import Device, InstallOutcome
 from assured.errors import Expired, MetadataError
 from assured.metadata import RoleKind, parse
-from assured.repository import TamperKind, TamperPolicy, new_repository, rotate_root
+from assured.harness import Mirror
+from assured.repository import new_repository, rotate_root
 from assured.transport import LocalRepoPort
 
 MODEL, DEVICE_ID = 100, 7
@@ -118,6 +119,7 @@ def test_controller_and_device_hold_the_same_trusted_state(repo_port, oem_key):
     signature verifications and reached the same metadata verdict."""
     controller = Controller(trusted_root=trusted_root(repo_port), mode=repo_port.mode())
     device = tuf_device(repo_port, oem_key)
+    mirror = Mirror(repo_port)  # both clients fetch through it; its stale set is the fresh one
     artifact = b""
 
     def release(version):
@@ -134,8 +136,8 @@ def test_controller_and_device_hold_the_same_trusted_state(repo_port, oem_key):
     steps = [
         ("publish", lambda: release(2)),
         ("refresh", repo_port.refresh),
-        ("serve stale metadata", lambda: repo_port.tamper(TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA))),
-        ("serve honestly", lambda: repo_port.tamper(TamperPolicy())),
+        ("serve stale metadata", lambda: mirror.set_policy("stale")),
+        ("serve honestly", lambda: mirror.set_policy("none")),
         ("advance 5", lambda: advance(5)),
         ("advance 10", lambda: advance(10)),
         ("refresh", repo_port.refresh),
@@ -148,7 +150,7 @@ def test_controller_and_device_hold_the_same_trusted_state(repo_port, oem_key):
 
     def sync():
         try:
-            controller.sync(repo_port)
+            controller.sync(mirror)
         except MetadataError as exc:
             return str(exc)
         return None
@@ -157,7 +159,7 @@ def test_controller_and_device_hold_the_same_trusted_state(repo_port, oem_key):
     for label, step in steps:
         step()
         controller_verdict, controller_count = verifications(sync)
-        outcome, device_count = verifications(lambda: receive(device, repo_port, artifact))
+        outcome, device_count = verifications(lambda: receive(device, mirror, artifact))
         device_verdict = None
         if outcome.status != InstallOutcome.INSTALLED and outcome.reason != "version_not_monotonic":
             device_verdict = outcome.reason

@@ -44,8 +44,6 @@ from assured.device import (
 from assured.errors import ParseError, ReplayOrReorder, WriteFailed
 from assured.metadata import Mode, RoleKind, parse, serialize_canonical
 from assured.repository import (
-    TamperKind,
-    TamperPolicy,
     _decode_private,
     _encode_private,
     advance_clock,
@@ -55,7 +53,6 @@ from assured.repository import (
     publish,
     publish_vanilla,
     save_repository,
-    set_tamper,
 )
 from assured.transport import _decode_frame, _encode_frame
 
@@ -134,10 +131,9 @@ def test_flip_bit_changes_exactly_one_bit_and_is_its_own_inverse(data, offset):
 # --- every binary decoder: an accepted mutant re-encodes to itself -----------------------
 
 def _fresh_repository():
-    """One key per role, threshold 1, fixed-binary, with a tamper policy set."""
+    """One key per role, threshold 1, fixed-binary."""
     keys = [[crypto.signing_key_from_seed(label * 32)] for label in (b"r", b"t", b"s", b"w")]
-    state = new_repository(*keys, mode=Mode.FIXED_BINARY, thresholds=dict.fromkeys(RoleKind, 1))
-    return set_tamper(state, TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=9))
+    return new_repository(*keys, mode=Mode.FIXED_BINARY, thresholds=dict.fromkeys(RoleKind, 1))
 
 
 def _sample_repository():
@@ -217,9 +213,6 @@ def _install_status_case(tmp_path):
 
 
 def _repository_case(tmp_path):
-    # unpublished, so the archive is empty: an archived set is ~700 bytes the
-    # loader takes as they are, which would multiply this case's round trips
-    # for no decoding; test_repository covers its exact round trip
     save_repository(_fresh_repository(), str(tmp_path / "in"))
     sample = (tmp_path / "in" / "private.bin").read_bytes()
     save_repository(load_repository(str(tmp_path / "in")), str(tmp_path / "out"))

@@ -50,7 +50,8 @@ from assured.metadata import (
     build_and_sign,
     signed_region_of,
 )
-from assured.repository import TamperKind, TamperPolicy, new_repository, rotate_root
+from assured.harness import Mirror
+from assured.repository import new_repository, rotate_root
 from assured.transport import LocalDevicePort, LocalRepoPort
 
 MODEL, DEVICE_ID = 100, 7
@@ -70,6 +71,13 @@ def repo_port():
         timestamp_keys=seeded_keys(b"w", 1),
     )
     return LocalRepoPort(state)
+
+
+@pytest.fixture
+def mirror(repo_port):
+    """The untrusted mirror over the fresh repository: its stale set is the
+    one from before anything was published."""
+    return Mirror(repo_port)
 
 
 @pytest.fixture
@@ -173,15 +181,15 @@ class TestSync:
         assert body.fresh(held) == [body.find("fw1"), body.find("fw9")]
         assert body.find("fw1").token_digest == crypto.hash_data(token.raw)
 
-    def test_a_decoded_record_is_checked_with_or_without_a_held_set(self, controller, repo_port, oem_key):
+    def test_a_decoded_record_is_checked_with_or_without_a_held_set(self, controller, repo_port, mirror, oem_key):
         publish_update(repo_port, oem_key, name="fw1")
         controller.sync(repo_port)
         reloaded = decode_controller(encode_controller(controller), rng=random.Random(3))
         publish_update(repo_port, oem_key, name="fw2", version=3)
-        repo_port.tamper(TamperPolicy(kind=TamperKind.SUBSTITUTE_ARTIFACT))
+        mirror.set_policy("substitute")
         for ctrl in (controller, reloaded):
             with pytest.raises(EnvelopeMismatch, match="'fw2' artifact hash"):
-                ctrl.sync(repo_port)
+                ctrl.sync(mirror)
 
     @pytest.mark.parametrize("served", [RoleKind.SNAPSHOT, RoleKind.TIMESTAMP], ids=lambda r: r.value)
     def test_another_role_in_the_targets_slot_is_a_binding_mismatch(self, controller, repo_port, oem_key, served):
@@ -193,17 +201,17 @@ class TestSync:
         with pytest.raises(BindingMismatch, match="targets: metadata is for role"):
             controller.sync(repo_port)
 
-    def test_tampered_envelope_byte(self, controller, repo_port, oem_key):
+    def test_tampered_envelope_byte(self, controller, repo_port, mirror, oem_key):
         publish_update(repo_port, oem_key)
-        repo_port.tamper(TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=2000))
+        mirror.set_policy("flip-bit", 2000)
         with pytest.raises(EnvelopeMismatch):
-            controller.sync(repo_port)
+            controller.sync(mirror)
 
-    def test_substituted_artifact(self, controller, repo_port, oem_key):
+    def test_substituted_artifact(self, controller, repo_port, mirror, oem_key):
         publish_update(repo_port, oem_key)
-        repo_port.tamper(TamperPolicy(kind=TamperKind.SUBSTITUTE_ARTIFACT))
+        mirror.set_policy("substitute")
         with pytest.raises(EnvelopeMismatch):
-            controller.sync(repo_port)
+            controller.sync(mirror)
 
     def test_another_genuine_token_for_the_same_artifact_is_a_mismatch(self, controller, repo_port, oem_key):
         publish_update(repo_port, oem_key, name="fw1")
@@ -242,18 +250,18 @@ class TestSync:
         assert controller.trust.last_seen == {}
         assert controller.seen_targets == {}
 
-    def test_dropped_envelope(self, controller, repo_port, oem_key):
+    def test_dropped_envelope(self, controller, repo_port, mirror, oem_key):
         publish_update(repo_port, oem_key)
-        repo_port.tamper(TamperPolicy(kind=TamperKind.DROP_ENVELOPE))
+        mirror.set_policy("drop")
         with pytest.raises(NotFound):
-            controller.sync(repo_port)
+            controller.sync(mirror)
 
-    def test_stale_metadata_replay(self, controller, repo_port, oem_key):
+    def test_stale_metadata_replay(self, controller, repo_port, mirror, oem_key):
         publish_update(repo_port, oem_key)
-        controller.sync(repo_port)
-        repo_port.tamper(TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA))
+        controller.sync(mirror)
+        mirror.set_policy("stale")
         with pytest.raises(VersionRollback):
-            controller.sync(repo_port)
+            controller.sync(mirror)
 
     def test_expired_timestamp(self, controller, repo_port, oem_key):
         publish_update(repo_port, oem_key)
@@ -264,14 +272,14 @@ class TestSync:
         repo_port.refresh()
         assert len(controller.sync(repo_port)) == 1
 
-    def test_failed_sync_commits_nothing(self, controller, repo_port, oem_key):
+    def test_failed_sync_commits_nothing(self, controller, repo_port, mirror, oem_key):
         publish_update(repo_port, oem_key)
-        repo_port.tamper(TamperPolicy(kind=TamperKind.DROP_ENVELOPE))
+        mirror.set_policy("drop")
         with pytest.raises(NotFound):
-            controller.sync(repo_port)
+            controller.sync(mirror)
         assert controller.trust.last_seen == {}
-        repo_port.tamper(TamperPolicy())
-        assert len(controller.sync(repo_port)) == 1
+        mirror.set_policy("none")
+        assert len(controller.sync(mirror)) == 1
 
 
 def verifications(call):
@@ -365,14 +373,14 @@ class TestTimestampFirstSync:
             controller.sync(repo_port)
         assert excinfo.value.role == "timestamp"
 
-    def test_older_timestamp_for_held_snapshot(self, controller, repo_port):
-        controller.sync(repo_port)
-        repo_port.refresh()  # first mutation: the archive keeps timestamp v1
-        assert verifications(lambda: controller.sync(repo_port)) == ([], 1)
-        repo_port.tamper(TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA))
+    def test_older_timestamp_for_held_snapshot(self, controller, repo_port, mirror):
+        controller.sync(mirror)
+        repo_port.refresh()  # the mirror, built before it, still holds timestamp v1
+        assert verifications(lambda: controller.sync(mirror)) == ([], 1)
+        mirror.set_policy("stale")
         before = crypto.VERIFY_COUNTER.read()
         with pytest.raises(VersionRollback):
-            controller.sync(repo_port)
+            controller.sync(mirror)
         assert crypto.VERIFY_COUNTER.read() - before == 1  # fast path
 
     def test_loaded_controller_takes_full_path(self, tmp_path, controller, repo_port, oem_key):

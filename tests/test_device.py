@@ -329,6 +329,13 @@ class TestAttestation:
         with pytest.raises(AttestationRefused):
             device.attest(b"\x10" * 16)
 
+    @pytest.mark.parametrize("length", [0, 15, 17])
+    def test_nonce_of_another_length_refused(self, oem_key, length):
+        device = make_device(oem_key)
+        with pytest.raises(AttestationRefused, match="nonce must be 16 bytes"):
+            device.attest(b"\x10" * length)
+        assert device.attest(b"\x10" * 16).nonce == b"\x10" * 16
+
     def test_measurement_tracks_active_bank(self, oem_key):
         device = make_device(oem_key)
         envelope_bytes, artifact = make_envelope(oem_key)

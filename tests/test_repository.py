@@ -1,4 +1,5 @@
-"""Repository state transitions, the tamper layer, and the on-disk layout."""
+"""Repository state transitions, the untrusted mirror over a repository port,
+and the on-disk layout."""
 
 import hashlib
 import os
@@ -31,10 +32,9 @@ from assured.metadata import (
     serialize_canonical,
     verify_full_chain,
 )
+from assured.harness import Mirror
 from assured.repository import (
     LIFETIMES,
-    TamperKind,
-    TamperPolicy,
     advance_clock,
     fetch_envelope,
     fetch_metadata,
@@ -45,7 +45,6 @@ from assured.repository import (
     refresh_timestamp,
     rotate_root,
     save_repository,
-    set_tamper,
 )
 from assured.transport import LocalRepoPort
 
@@ -150,7 +149,7 @@ def test_saved_repository_bytes_are_pinned(tmp_path, fresh_repo, envelope):
         if name.endswith(".meta") or name == "private.bin"
     }
     assert digests == {
-        "private.bin": "b83c83839beff6c70c5c70adb1b7a1f63a1890dcd18227d54b4368f11316f4a3",
+        "private.bin": "b240eb11a79c6860d9dacc89ae88e35b2e0bc5f77920aaf28c088962a15f3083",
         "root.1.meta": "1a241f34503b0b6662ec633a4b9b6a5cea143610093fef0acc4effe7a6db4552",
         "snapshot.meta": "41e800cb4124a7f1096b804043686e21fd4494c283da4b3575399adcedc43c87",
         "targets.2.meta": "a41a9bf428ed030d5ee88a5f5887d2f8004c476e488b35214a05058388b5ee85",
@@ -245,73 +244,80 @@ def test_expiry_then_refresh(fresh_repo):
     verify_full_chain(state.metadata.root, state.metadata, now=state.clock)
 
 
-class TestTamper:
-    def test_none_is_identity(self, fresh_repo, envelope):
-        state = publish(fresh_repo, "fw", envelope)
-        assert fetch_envelope(state, "fw") == envelope
+def test_fetch_envelope_of_an_unknown_name(fresh_repo):
+    with pytest.raises(NotFound):
+        fetch_envelope(fresh_repo, "ghost")
 
-    def test_flip_bit(self, fresh_repo, envelope):
-        state = publish(fresh_repo, "fw", envelope)
-        state = set_tamper(state, TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=100))
-        served = fetch_envelope(state, "fw")
+
+@pytest.fixture
+def mirrored(fresh_repo, envelope):
+    """A repository port with "fw" published, and a mirror over it built
+    before the publish."""
+    port = LocalRepoPort(fresh_repo)
+    mirror = Mirror(port)
+    port.publish("fw", envelope)
+    return port, mirror
+
+
+class TestMirror:
+    def test_none_is_identity(self, mirrored, envelope):
+        port, mirror = mirrored
+        assert mirror.fetch_envelope("fw") == envelope
+        assert {role: mirror.fetch_metadata(role) for role in RoleKind} == {
+            role: port.fetch_metadata(role) for role in RoleKind
+        }
+
+    def test_flip_bit(self, mirrored, envelope):
+        port, mirror = mirrored
+        mirror.set_policy("flip-bit", 100)
+        served = mirror.fetch_envelope("fw")
         assert served != envelope
         assert len(served) == len(envelope)
+        assert port.fetch_envelope("fw") == envelope
 
-    def test_substitute_artifact_keeps_token(self, fresh_repo, envelope):
-        state = publish(fresh_repo, "fw", envelope)
-        state = set_tamper(state, TamperPolicy(kind=TamperKind.SUBSTITUTE_ARTIFACT))
-        served = parse_envelope(fetch_envelope(state, "fw"))
+    def test_substitute_artifact_keeps_token(self, mirrored, envelope):
+        _, mirror = mirrored
+        mirror.set_policy("substitute")
+        served = parse_envelope(mirror.fetch_envelope("fw"))
         original = parse_envelope(envelope)
         assert served.token == original.token
         assert served.artifact != original.artifact
 
-    def test_drop_envelope(self, fresh_repo, envelope):
-        state = publish(fresh_repo, "fw", envelope)
-        state = set_tamper(state, TamperPolicy(kind=TamperKind.DROP_ENVELOPE))
+    def test_drop_envelope(self, mirrored):
+        _, mirror = mirrored
+        mirror.set_policy("drop")
         with pytest.raises(NotFound):
-            fetch_envelope(state, "fw")
+            mirror.fetch_envelope("fw")
 
-    def test_unknown_name(self, fresh_repo):
+    def test_unknown_name(self, mirrored):
+        _, mirror = mirrored
         with pytest.raises(NotFound):
-            fetch_envelope(fresh_repo, "ghost")
+            mirror.fetch_envelope("ghost")
 
-    def test_stale_serves_oldest_archive(self, fresh_repo, envelope):
-        state = publish(fresh_repo, "fw", envelope)
-        state = set_tamper(state, TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA))
-        stale = parse(fetch_metadata(state, RoleKind.TIMESTAMP), state.mode)
-        assert stale.version == 1  # pre-publish snapshot
-        # a client that saw the publish detects the rollback
-        metadata_set = type(state.metadata)(
-            **{
-                role.value: parse(fetch_metadata(state, role), state.mode)
-                for role in RoleKind
-            }
-        )
+    def test_unknown_policy_is_refused(self, mirrored):
+        _, mirror = mirrored
+        with pytest.raises(ValueError):
+            mirror.set_policy("freeze")
+        assert mirror.policy == "none"
+
+    def test_stale_serves_the_set_it_was_built_over(self, mirrored, envelope):
+        port, mirror = mirrored
+        for i in range(5):
+            port.publish_vanilla(f"plain{i}", bytes([i]) * 32)
+            port.refresh()
+        port.publish("fw", envelope)
+        mirror.set_policy("stale")
+        stale = {role: parse(mirror.fetch_metadata(role), port.mode()) for role in RoleKind}
+        assert {role: meta.version for role, meta in stale.items()} == dict.fromkeys(RoleKind, 1)
+        # a client that saw the publishes detects the rollback
+        state = port.state
         with pytest.raises(VersionRollback):
             verify_full_chain(
                 state.metadata.root,
-                metadata_set,
+                type(state.metadata)(**{role.value: meta for role, meta in stale.items()}),
                 now=state.clock,
                 last_seen={role: state.metadata.by_role(role).version for role in RoleKind},
             )
-
-
-def test_archive_keeps_only_the_pre_first_mutation_set(tmp_path, fresh_repo, envelope):
-    original = {role: fetch_metadata(fresh_repo, role) for role in RoleKind}
-    state = publish(fresh_repo, "fw", envelope)
-    for i in range(5):
-        state = publish_vanilla(state, f"plain{i}", bytes([i]) * 32)
-        state = refresh_timestamp(state)
-    state = rotate_root(state, seeded_keys(b"R", 2))
-    state = publish(state, "fw", envelope)
-    assert state.archive == (original,)
-    state = set_tamper(state, TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA))
-    assert {role: fetch_metadata(state, role) for role in RoleKind} == original
-    directory = str(tmp_path / "repo")
-    save_repository(state, directory)
-    loaded = load_repository(directory)
-    assert loaded.archive == (original,)
-    assert {role: fetch_metadata(loaded, role) for role in RoleKind} == original
 
 
 def test_rotate_root_re_anchors(fresh_repo, envelope):
@@ -371,8 +377,7 @@ def test_root_keys_sign_only_new_roots(tmp_path, fresh_repo, envelope):
 
 
 def test_save_load_round_trip(tmp_path, fresh_repo, envelope):
-    state = publish(fresh_repo, "fw", envelope)
-    state = set_tamper(state, TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=9))
+    state = advance_clock(publish(fresh_repo, "fw", envelope), 9)
     directory = str(tmp_path / "repo")
     save_repository(state, directory)
     assert os.path.exists(os.path.join(directory, "root.1.meta"))
@@ -383,7 +388,6 @@ def test_save_load_round_trip(tmp_path, fresh_repo, envelope):
     loaded = load_repository(directory)
     assert loaded.metadata == state.metadata
     assert loaded.envelopes == state.envelopes
-    assert loaded.tamper == state.tamper
     assert loaded.clock == state.clock
     assert {role: fetch_metadata(loaded, role) for role in RoleKind} == {
         role: fetch_metadata(state, role) for role in RoleKind
@@ -413,15 +417,14 @@ def test_fetch_serializes_each_role_once_per_state(monkeypatch, oem_key, mode):
     assert serialized == [RoleKind.TIMESTAMP]
     for _ in range(3):
         served = {role: fetch_metadata(state, role) for role in RoleKind}
-    # the publish's three new roles are encoded once each; root, carried
-    # over with the bytes the archive step encoded, not at all
-    assert sorted(r.value for r in serialized) == ["snapshot", "targets", "timestamp"]
+    # each role is encoded once, on its first fetch
+    assert sorted(r.value for r in serialized) == ["root", "snapshot", "targets", "timestamp"]
     assert served == {role: serialize_canonical(state.metadata.by_role(role), mode) for role in RoleKind}
     # a refresh's new timestamp is encoded anew
     assert fetch_metadata(refresh_timestamp(state), RoleKind.TIMESTAMP) != served[RoleKind.TIMESTAMP]
 
 
-def test_clock_and_tamper_steps_keep_the_serialization_cache(monkeypatch, fresh_repo, envelope):
+def test_a_clock_step_keeps_the_serialization_cache(monkeypatch, fresh_repo, envelope):
     state = publish(fresh_repo, "fw", envelope)
     before = {role: fetch_metadata(state, role) for role in RoleKind}
     serialized = []
@@ -431,7 +434,7 @@ def test_clock_and_tamper_steps_keep_the_serialization_cache(monkeypatch, fresh_
         return serialize_canonical(meta, mode)
 
     monkeypatch.setattr(metadata, "serialize_canonical", counting)
-    stepped = set_tamper(advance_clock(state, 3), TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE))
+    stepped = advance_clock(state, 3)
     assert {role: fetch_metadata(stepped, role) for role in RoleKind} == before
     assert LocalRepoPort(stepped).trusted_root_bytes() == before[RoleKind.ROOT]
     assert serialized == []
@@ -449,8 +452,6 @@ SERVING_STEPS = {
     ("publish_vanilla", "c"): {RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP},
     ("refresh", ""): {RoleKind.TIMESTAMP},
     ("advance", ""): set(),
-    ("tamper", "stale"): set(),
-    ("tamper", "flip-bit"): set(),
     ("rotate_root", ""): {RoleKind.ROOT, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP},
 }
 
@@ -465,8 +466,6 @@ def serving_step(state, step, index: int, envelope_bytes: bytes):
         return refresh_timestamp(state)
     if op == "advance":
         return advance_clock(state, 3)
-    if op == "tamper":
-        return set_tamper(state, TamperPolicy(kind=TamperKind(arg)))
     return rotate_root(state, seeded_keys(bytes([index + 1]), 2))
 
 
@@ -492,8 +491,7 @@ def test_no_served_encoding_goes_stale(mode, steps):
             before = state.metadata
             state = serving_step(state, step, index, envelope_bytes)
             fresh = {role: serialize_canonical(state.metadata.by_role(role), mode) for role in RoleKind}
-            honest = set_tamper(state, TamperPolicy())
-            assert {role: fetch_metadata(honest, role) for role in RoleKind} == fresh
+            assert {role: fetch_metadata(state, role) for role in RoleKind} == fresh
             assert LocalRepoPort(state).trusted_root_bytes() == fresh[RoleKind.ROOT]
             save_repository(state, directory)
             for role in RoleKind:
@@ -539,13 +537,13 @@ def write_private(directory: str, private: bytes) -> None:
         fh.write(private)
 
 
-# private.bin: magic(4) mode(1) clock(8) tamper kind(1) bit offset(8), then per
-# role a u16 key count and 32-byte seeds, then the archive count and sets
-MODE_AT, TAMPER_KIND_AT, KEYS_AT = 4, 13, 22
+# private.bin: magic(4) mode(1) clock(8), then per role a u16 key count and
+# 32-byte seeds
+MODE_AT, KEYS_AT = 4, 13
 
 
 def key_count_at(private: bytes, role_index: int) -> int:
-    """Offset of the key count of the role_index-th role (4 = the archive count)."""
+    """Offset of the key count of the role_index-th role."""
     at = KEYS_AT
     for _ in range(role_index):
         at += 2 + 32 * int.from_bytes(private[at : at + 2], "big")
@@ -565,23 +563,21 @@ def with_bytes(private: bytes, at: int, value: bytes) -> bytes:
     [
         lambda p: b"ASRX" + p[4:],
         lambda p: with_byte(p, MODE_AT, 2),
-        lambda p: with_byte(p, TAMPER_KIND_AT, len(TamperKind)),
-        lambda p: with_byte(p, TAMPER_KIND_AT, 0xFF),
         lambda p: with_bytes(p, key_count_at(p, 0), b"\x00\x00"),
         lambda p: with_bytes(p, key_count_at(p, 1), b"\x00\x00"),
         lambda p: with_bytes(p, key_count_at(p, 2), b"\x00\x00"),
         lambda p: with_bytes(p, key_count_at(p, 3), b"\x00\x00"),
-        lambda p: with_byte(p, key_count_at(p, 4), 2),
+        lambda p: with_bytes(p, key_count_at(p, 3), b"\x00\x02"),
         lambda p: p[: key_count_at(p, 1) - 5],
+        lambda p: p[: KEYS_AT - 1],
         lambda p: p[:-1],
         lambda p: p + b"\x00",
-        lambda p: with_bytes(p, key_count_at(p, 4) + 1, b"\xff\xff\xff\xff"),
     ],
 )
 def test_load_repository_rejects_malformed_private_file(tmp_path, fresh_repo, envelope, edit):
-    """Bad magic, a mode flag of 2, unknown tamper kinds, a zero key count for
-    each role, an archive count of 2, truncation inside a key and inside the
-    archive, a trailing byte, and an archived length past the end."""
+    """Bad magic, a mode flag of 2, a zero key count for each role, a key
+    count past the end, truncation inside a key, inside the clock and at the
+    last key, and a trailing byte."""
     directory = str(tmp_path / "repo")
     private = saved_private(directory, publish(fresh_repo, "fw", envelope))
     write_private(directory, edit(private))
@@ -644,8 +640,6 @@ def test_save_load_round_trip_is_exact(tmp_path, oem_key, mode):
     )
     state = publish(state, "fw", serialize_envelope(build_envelope(token, artifact)))
     state = rotate_root(state, seeded_keys(b"R", 3), threshold=2)
-    state = set_tamper(state, TamperPolicy(kind=TamperKind.SERVE_STALE_METADATA, bit_offset=2**64 - 1))
-    assert state.archive
     first, second = str(tmp_path / "first"), str(tmp_path / "second")
     save_repository(state, first)
     loaded = load_repository(first)
@@ -686,7 +680,7 @@ def test_load_rejects_a_snapshot_pinning_a_missing_version(tmp_path, fresh_repo,
 
 @pytest.fixture(scope="module")
 def repository_sample(tmp_path_factory):
-    """A saved repository directory (with an archive) and its private.bin bytes."""
+    """A saved repository directory and its private.bin bytes."""
     oem = crypto.signing_key_from_seed(bytes(range(32)))
     artifact = b"\xaa" * 64
     token = issue_token(oem, artifact, Constraints(new_version=2))

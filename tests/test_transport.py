@@ -22,7 +22,8 @@ from assured.controller import FRAME_PAYLOAD
 from assured.device import AttestationReport, BootResult, Device, InstallMode, InstallOutcome
 from assured.errors import AuthFailure, ChannelError, NotFound
 from assured.metadata import Mode, RoleKind
-from assured.repository import TamperKind, TamperPolicy, new_repository
+from assured.harness import Mirror
+from assured.repository import new_repository
 from assured.transport import (
     DEVICE_OPS,
     REPO_OPS,
@@ -132,9 +133,43 @@ def test_repo_ports_serve_identical_bytes(repo_pair, oem_key):
     for role in RoleKind:
         assert local.fetch_metadata(role) == remote.fetch_metadata(role)
     assert local.fetch_envelope("fw") == remote.fetch_envelope("fw")
-    local.tamper(TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=17))
-    remote.tamper(TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=17))
-    assert local.fetch_envelope("fw") == remote.fetch_envelope("fw")
+
+
+def served(port) -> dict:
+    """Every role's bytes and envelope "fw"'s, or its error's type and message."""
+    fetched = {role: port.fetch_metadata(role) for role in RoleKind}
+    try:
+        fetched["fw"] = port.fetch_envelope("fw")
+    except NotFound as exc:
+        fetched["fw"] = (type(exc), str(exc))
+    return fetched
+
+
+@pytest.mark.parametrize(
+    "policy, offset, changes",
+    [
+        ("none", 0, set()),
+        ("flip-bit", 17, {"fw"}),
+        ("stale", 0, {RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP}),
+        ("substitute", 0, {"fw"}),
+        ("drop", 0, {"fw"}),
+    ],
+)
+def test_a_mirror_serves_alike_over_local_and_remote_ports(repo_pair, oem_key, policy, offset, changes):
+    """Each policy gives the same bytes or the same typed error whether the
+    mirror wraps the repository in process or over the wire, changes only
+    what it attacks, and the repository behind it keeps serving honest bytes."""
+    mirrors = [Mirror(port) for port in repo_pair]
+    artifact = b"\x42" * 256
+    envelope = serialize_envelope(build_envelope(issue_token(oem_key, artifact, Constraints(new_version=2)), artifact))
+    for port, mirror in zip(repo_pair, mirrors):
+        port.publish("fw", envelope)
+        mirror.set_policy(policy, offset)
+    local, remote = (served(mirror) for mirror in mirrors)
+    assert local == remote
+    honest = served(repo_pair[0])
+    assert served(repo_pair[1]) == honest and honest["fw"] == envelope
+    assert {key for key in honest if local[key] != honest[key]} == changes
 
 
 def test_repo_ports_raise_identical_errors(repo_pair):
@@ -286,8 +321,7 @@ def test_codec_round_trips_every_value_kind():
     values = [
         None, True, 7, "name", b"", b"\x00\xff" * 40, [b"a", [b"b"]],
         {"id": 2, "active_bank": 0, "needs_replacement": False},
-        Mode.FIXED_BINARY, RoleKind.TARGETS, TamperKind.SUBSTITUTE_ARTIFACT,
-        TamperPolicy(kind=TamperKind.FLIP_BIT_IN_ENVELOPE, bit_offset=17),
+        Mode.FIXED_BINARY, RoleKind.TARGETS,
         AttestationReport(device_id=2, nonce=b"\x01" * 16, measurement=b"\x02" * 32, tag=b"\x03" * 32),
         BootResult(running=True, version=3, reason=""),
         InstallOutcome(status=InstallOutcome.REJECTED, version=0, reason="hash_mismatch"),
@@ -320,8 +354,6 @@ def test_codec_round_trips_every_value_kind():
         {"data": ["InstallOutcome", {"dict": {"status": "installed", "version": True, "reason": ""}}]},
         {"data": ["AttestationReport", {"dict": {
             "device_id": 2, "nonce": 5, "measurement": {"bytes": ""}, "tag": {"bytes": ""}}}]},
-        {"data": ["TamperPolicy", {"dict": {"kind": "stale", "bit_offset": 0}}]},
-        {"data": ["TamperPolicy", {"dict": {"kind": {"enum": ["TamperKind", "stale"]}, "bit_offset": 0, "x": 1}}]},
         {"error": ["ValueError", ["x"], {"dict": {}}]},
         {"error": ["SimulatedPowerLoss", ["x"], {"dict": {}}]},
         {"error": ["TokenRejected", "hash_mismatch", {"dict": {}}]},
@@ -336,13 +368,11 @@ def test_codec_rejects_unknown_tags_and_classes(wire):
 
 # each wire dataclass and the exact type of each of its fields
 WIRE_FIELD_TYPES = {
-    TamperPolicy: {"kind": TamperKind, "bit_offset": int},
     AttestationReport: {"device_id": int, "nonce": bytes, "measurement": bytes, "tag": bytes},
     BootResult: {"running": bool, "version": int, "reason": str},
     InstallOutcome: {"status": str, "version": int, "reason": str},
 }
 well_typed = {
-    TamperKind: st.sampled_from(TamperKind).map(lambda kind: _encode(kind, [])),
     int: st.integers(),
     bool: st.booleans(),
     str: st.sampled_from(InstallOutcome.STATUSES) | st.text(max_size=8),
@@ -493,6 +523,7 @@ def test_server_errors_arrive_equal_to_local_ones(repo_pair, device_pair):
         (repo_pair, lambda port: port.publish("fw", b"not an envelope")),
         (repo_pair, lambda port: port.fetch_envelope("nope")),
         (device_pair, lambda port: port.provision(b"\x01" * 128, b"\x00" * 20)),
+        (device_pair, lambda port: port.attest(b"\x09" * 15)),
     ]
     for pair, call in calls:
         local, remote = (raised(lambda: call(port)) for port in pair)
@@ -504,7 +535,7 @@ def test_server_errors_arrive_equal_to_local_ones(repo_pair, device_pair):
 def test_ops_are_the_public_methods_of_the_local_ports():
     assert set(REPO_OPS) == {
         "mode", "clock", "fetch_metadata", "fetch_envelope", "trusted_root_bytes",
-        "publish", "publish_vanilla", "refresh", "tamper", "advance_clock",
+        "publish", "publish_vanilla", "refresh", "advance_clock",
     }
     assert set(DEVICE_OPS) == {
         "hello", "exchange", "attest", "boot", "receive_unsealed", "provision",
