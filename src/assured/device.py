@@ -8,9 +8,10 @@ but handshake bytes, install outcomes, boot results, and attestation reports.
 
 Install regimes:
 
-* DUAL_BANK (default): the inactive bank is staged and revalidated, then the
-  active-bank pointer flips atomically; the previous firmware stays intact
-  for fallback.
+* DUAL_BANK (default): the image is verified against its token before any
+  write, then staged into the inactive bank, and the active-bank pointer
+  flips atomically; the previous firmware stays intact for fallback, and
+  secure boot checks the active image again at every boot.
 * SINGLE_BANK: the active bank is overwritten as the update streams in and
   validated only afterwards; a failed validation leaves the device pending a
   replacement image.
@@ -35,7 +36,6 @@ from . import crypto
 from .authorization import (
     TOKEN_LEN,
     AuthorizationToken,
-    UpdateEnvelope,
     check_identity,
     decode_token,
     evaluate_constraints,
@@ -169,13 +169,11 @@ class Device:
     # --- provisioning (manufacture time) ---------------------------------------
 
     def provision_firmware(self, artifact: bytes, token: AuthorizationToken) -> None:
-        """Factory-install an image; validates the token like secure boot would."""
+        """Factory-install an image into the active bank, by the same write
+        steps as an update; validates the token like secure boot would."""
         verify_token(self.__oem_public, artifact, token)
-        bank = self._banks[self._active]
-        bank.artifact = artifact
-        bank.version = token.constraints.new_version
-        bank.token = token
-        self._installed_version = bank.version
+        self._stage(self._banks[self._active], artifact, token, token.constraints.new_version)
+        self._installed_version = token.constraints.new_version
 
     def provision_trusted_root(self, root: RoleMetadata) -> None:
         """Install the repository trust anchor (TUF-comparison mode only)."""
@@ -280,67 +278,46 @@ class Device:
         self._active = 1 - self._active
         self._installed_version = self._banks[self._active].version
 
-    def _bank_consistent(self, bank: Bank) -> bool:
-        """Write-integrity recheck of a staged bank against its token:
-        hash and size only, no public-key work."""
-        if bank.artifact is None or bank.token is None:
-            return False
-        return (
-            crypto.hash_data(bank.artifact) == bank.token.artifact_hash
-            and len(bank.artifact) == bank.token.artifact_size
-            and bank.version == bank.token.constraints.new_version
-        )
-
     def _install_from_bytes(self, envelope_bytes: bytes) -> InstallOutcome:
+        """Install one envelope. Dual bank verifies the token and checks the
+        constraints before any write, so the inactive bank keeps the fallback
+        image until a verified one replaces it, then stages that bank and
+        flips. Single bank checks the constraints, which read only the fixed
+        token fields, overwrites the active bank (there is no room to stage
+        it) and only then verifies the token against what it wrote."""
         try:
             envelope = parse_envelope(envelope_bytes)
         except ParseError as exc:
             return InstallOutcome(InstallOutcome.REJECTED, reason=f"malformed_envelope:{exc.position}")
+        token = envelope.token
+        version = token.constraints.new_version
         if self.faults.suppress_install:
             # compromised installer: claims success, writes nothing
-            return InstallOutcome(InstallOutcome.INSTALLED, version=envelope.token.constraints.new_version)
-        if self.install_mode is InstallMode.DUAL_BANK:
-            return self._install_dual_bank(envelope)
-        return self._install_single_bank(envelope)
-
-    def _install_dual_bank(self, envelope: UpdateEnvelope) -> InstallOutcome:
-        token = envelope.token
+            return InstallOutcome(InstallOutcome.INSTALLED, version=version)
+        dual = self.install_mode is InstallMode.DUAL_BANK
         try:
-            verify_token(self.__oem_public, envelope.artifact, token)
+            if dual:
+                verify_token(self.__oem_public, envelope.artifact, token)
             evaluate_constraints(token.constraints, self.device_model, self.device_id, self._installed_version)
         except (TokenRejected, ConstraintViolation) as exc:
             return InstallOutcome(InstallOutcome.REJECTED, reason=exc.reason)
-        staging = self._banks[1 - self._active]
-        self._stage(staging, envelope.artifact, token, token.constraints.new_version)
-        if not self._bank_consistent(staging):
-            staging.clear()
-            return InstallOutcome(InstallOutcome.REJECTED, reason="bank_revalidation_failed")
-        self._write(self._flip)
-        return InstallOutcome(InstallOutcome.INSTALLED, version=self._installed_version)
-
-    def _install_single_bank(self, envelope: UpdateEnvelope) -> InstallOutcome:
-        token = envelope.token
-        try:
-            # identity/order gates read only the fixed token fields, so they
-            # run before the overwrite; crypto validation must wait until the
-            # image is in flash (there is no room to stage it)
-            evaluate_constraints(token.constraints, self.device_model, self.device_id, self._installed_version)
-        except ConstraintViolation as exc:
-            return InstallOutcome(InstallOutcome.REJECTED, reason=exc.reason)
+        if dual:
+            self._stage(self._banks[1 - self._active], envelope.artifact, token, version)
+            self._write(self._flip)
+            return InstallOutcome(InstallOutcome.INSTALLED, version=version)
         bank = self._banks[self._active]
-        previous_version = self._installed_version
-        self._stage(bank, envelope.artifact, token, token.constraints.new_version)
+        self._stage(bank, envelope.artifact, token, version)
         try:
-            verify_token(self.__oem_public, bank.artifact or b"", token)
+            verify_token(self.__oem_public, bank.artifact, token)
         except TokenRejected as exc:
             self.needs_replacement = True
             return InstallOutcome(
                 InstallOutcome.ROLLED_BACK,
-                version=previous_version,
+                version=self._installed_version,
                 reason=f"validation_after_write_failed:{exc.reason}",
             )
-        self._installed_version = token.constraints.new_version
-        return InstallOutcome(InstallOutcome.INSTALLED, version=self._installed_version)
+        self._installed_version = version
+        return InstallOutcome(InstallOutcome.INSTALLED, version=version)
 
     def receive_update_tuf(
         self, blobs: dict[RoleKind, bytes], name: str, artifact: bytes, mode: Mode, now: int = 0

@@ -260,10 +260,13 @@ def _read_frame(stream) -> dict | None:
         raise EOFError("stream ended inside a frame segment")
     if not isinstance(header, dict) or tuple(header) not in _HEADER_KEYS or header.get("sizes") == []:
         raise ParseError(f"not a frame header: {line!r:.80}", "header")
-    if json.dumps(header).encode("ascii") + b"\n" != line:
-        raise ParseError("frame header is not in canonical form", "header")
     keys = [key for key in header if key != "sizes"]
-    return dict(zip(keys, _decode([header[key] for key in keys], segments)))
+    try:
+        if json.dumps(header).encode("ascii") + b"\n" != line:
+            raise ParseError("frame header is not in canonical form", "header")
+        return dict(zip(keys, _decode([header[key] for key in keys], segments)))
+    except RecursionError as exc:  # nested too deeply to re-encode or decode
+        raise ParseError(f"frame header is nested too deeply: {exc!r:.80}", "header") from exc
 
 
 def _decode_frame(frame: bytes) -> dict:

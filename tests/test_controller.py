@@ -250,6 +250,20 @@ class TestSync:
         assert controller.trust.last_seen == {}
         assert controller.seen_targets == {}
 
+    def test_a_record_whose_size_differs_from_its_artifact_is_a_mismatch(self, controller, repo_port, oem_key):
+        # the record's hash and token digest match the envelope; only its size does not
+        artifact = b"\x03" * 400
+        token = issue_token(oem_key, artifact, Constraints(device_model=MODEL, new_version=2))
+        record = TargetRecord(
+            name="fw2", hash=crypto.hash_data(artifact), size=len(artifact) + 1, token_digest=crypto.hash_data(token.raw)
+        )
+        envelope = serialize_envelope(build_envelope(token, artifact))
+        repo_port.state = repository._publish_record(repo_port.state, record, envelope)
+        with pytest.raises(EnvelopeMismatch, match="'fw2' artifact size != signed record"):
+            controller.sync(repo_port)
+        assert controller.trust.last_seen == {}
+        assert controller.seen_targets == {}
+
     def test_dropped_envelope(self, controller, repo_port, mirror, oem_key):
         publish_update(repo_port, oem_key)
         mirror.set_policy("drop")

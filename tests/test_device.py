@@ -18,6 +18,7 @@ from assured.crypto import MSG_CHUNK, MSG_CONFIRM, MSG_FINAL_CHUNK, MSG_STATUS
 from assured.device import (
     BANK_WRITE_CHUNK,
     Bank,
+    BootResult,
     Device,
     InstallMode,
     InstallOutcome,
@@ -124,6 +125,14 @@ class TestHandshake:
         with pytest.raises(ChannelError):
             make_device(oem_key).channel_accept(b"\x44" * 15)
 
+    def test_a_second_confirm_in_one_session_is_refused(self, oem_key):
+        device = make_device(oem_key)
+        channel = Channel(device)
+        frames = [channel.seal(MSG_CONFIRM, channel.transcript), channel.seal(MSG_FINAL_CHUNK, make_envelope(oem_key)[0])]
+        with pytest.raises(ChannelError):
+            device.channel_receive(frames)
+        assert device.installed_version == 1
+
     def test_reflected_confirm_is_rejected(self, oem_key):
         """Each direction has its own keys, so the device's own confirmation
         sent back to it fails the tag and installs nothing."""
@@ -202,6 +211,61 @@ class TestReceiveUpdate:
         outcome = Channel(device).deliver(envelope_bytes)
         assert outcome.status == InstallOutcome.INSTALLED
         assert device.boot().running
+
+
+ROGUE_KEY = crypto.signing_key_from_seed(b"\x99" * 32)
+
+
+def last_byte_flipped(envelope_bytes: bytes) -> bytes:
+    return envelope_bytes[:-1] + bytes([envelope_bytes[-1] ^ 0x01])
+
+
+class TestRejectedInstallWritesNothing:
+    """A dual-bank install verifies and checks before it writes: a rejected
+    update leaves both banks as they were, so the fallback image survives."""
+
+    REJECTIONS = {
+        # signed by another key and for another device: the signature is checked first
+        "bad_signature": lambda key: make_envelope(ROGUE_KEY, version=3, device_id=DEVICE_ID + 1)[0],
+        "hash_mismatch": lambda key: last_byte_flipped(make_envelope(key, version=3)[0]),
+        "wrong_device": lambda key: make_envelope(key, version=3, device_id=DEVICE_ID + 1)[0],
+        "version_not_monotonic": lambda key: make_envelope(key, version=2)[0],
+    }
+
+    @staticmethod
+    def banks(device: Device) -> list[tuple]:
+        return [(bank.artifact, bank.version, bank.token) for bank in device._banks]
+
+    @pytest.mark.parametrize("reason", REJECTIONS)
+    def test_dual_bank_rejection_writes_nothing_and_keeps_the_fallback(self, oem_key, reason):
+        device = make_device(oem_key)
+        assert Channel(device).deliver(make_envelope(oem_key)[0]).status == InstallOutcome.INSTALLED
+        before = self.banks(device)
+        device.reset_write_counter()
+        outcome = Channel(device).deliver(self.REJECTIONS[reason](oem_key))
+        assert outcome == InstallOutcome(InstallOutcome.REJECTED, reason=reason)
+        assert device._writes_done == 0
+        assert self.banks(device) == before
+        device.simulate_flash_corruption(device.active_bank, bit_offset=5)
+        assert device.boot() == BootResult(running=True, version=1, reason="fallback")
+
+    def test_single_bank_constraint_rejection_writes_nothing(self, oem_key):
+        device = make_device(oem_key, mode=InstallMode.SINGLE_BANK)
+        before = self.banks(device)
+        device.reset_write_counter()
+        outcome = Channel(device).deliver(make_envelope(oem_key, device_id=DEVICE_ID + 1)[0])
+        assert outcome == InstallOutcome(InstallOutcome.REJECTED, reason="wrong_device")
+        assert device._writes_done == 0
+        assert self.banks(device) == before
+        assert not device.needs_replacement
+        assert device.boot().version == 1
+
+    def test_factory_provisioning_takes_the_staging_write_steps(self, oem_key):
+        """clear, start, one step per chunk, token, version: an update's
+        steps without the flip, into the active bank."""
+        device = make_device(oem_key)
+        assert device._writes_done == 4 + -(-300 // BANK_WRITE_CHUNK)
+        assert (device.active_bank, device.bank_version(0), device.installed_version) == (0, 1, 1)
 
 
 class TestFailurePointInjection:

@@ -21,13 +21,14 @@ from assured.authorization import (
     serialize_envelope,
 )
 from assured import metadata, repository
-from assured.errors import Expired, NotFound, ParseError, PublishRejected, VersionRollback
+from assured.errors import BindingMismatch, Expired, NotFound, ParseError, PublishRejected, VersionRollback
 from assured.metadata import (
     Mode,
     RoleKind,
     RoleMetadata,
     TargetRecord,
     TargetsBody,
+    TrustedState,
     parse,
     serialize_canonical,
     verify_full_chain,
@@ -327,6 +328,22 @@ def test_rotate_root_re_anchors(fresh_repo, envelope):
     assert rotated.metadata.root.version == 2
     # old anchor accepts the new root (signed by outgoing keys too)
     verify_full_chain(state.metadata.root, rotated.metadata, now=0)
+
+
+def test_a_rotated_set_with_the_old_root_is_refused_by_the_snapshots_root_pin(fresh_repo, envelope):
+    """Root v1 in place of v2 still meets the anchor's threshold, and the
+    other roles' keys did not rotate: only the snapshot, which pins root
+    version 2, tells the sets apart."""
+    state = publish(fresh_repo, "fw", envelope)
+    rotated = rotate_root(state, seeded_keys(b"R", 2))
+    stale = replace(rotated.metadata, root=state.metadata.root)
+    with pytest.raises(BindingMismatch, match="root: snapshot pins root version 2, got 1"):
+        verify_full_chain(state.metadata.root, stale, now=0)
+    client = TrustedState(state.metadata.root)
+    blobs = {role: serialize_canonical(stale.by_role(role), state.mode) for role in RoleKind}
+    with pytest.raises(BindingMismatch, match="root: snapshot pins root version 2, got 1"):
+        client.update(blobs.__getitem__, state.mode, now=0)
+    assert (client.root, client.last_seen, client.held) == (state.metadata.root, {}, None)
 
 
 def test_root_keys_sign_only_new_roots(tmp_path, fresh_repo, envelope):
@@ -664,6 +681,16 @@ def test_load_takes_root_and_targets_versions_from_the_snapshot(tmp_path, fresh_
     assert loaded.metadata.root.version == 2
     assert loaded.metadata.targets.version == state.metadata.targets.version == 3
     assert loaded.metadata == state.metadata
+
+
+def test_load_rejects_a_role_file_holding_another_version(tmp_path, fresh_repo):
+    directory = str(tmp_path / "repo")
+    save_repository(rotate_root(fresh_repo, seeded_keys(b"R", 2)), directory)
+    with open(os.path.join(directory, "root.2.meta"), "wb") as fh:
+        fh.write(fetch_metadata(fresh_repo, RoleKind.ROOT))  # root version 1's bytes
+    with pytest.raises(ParseError, match="root.2.meta holds root version 1") as excinfo:
+        load_repository(directory)
+    assert excinfo.value.position == "root.2.meta"
 
 
 def test_load_rejects_a_snapshot_pinning_a_missing_version(tmp_path, fresh_repo, envelope):
