@@ -76,9 +76,14 @@ class VerifiedEnvelope:
 
 @dataclass
 class ChannelSession:
+    """An open channel to one device, for one delivery: ``confirm`` is the
+    controller's sealed transcript confirmation, which leads that
+    delivery's batch."""
+
     device_id: int
     port: object  # DevicePort
     channel: crypto.Channel
+    confirm: bytes
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ class Controller:
         batch validates.
         """
         held = self.trust.held
-        metadata_set = self.trust.update(repo.fetch_metadata, self.mode, self.clock)
+        metadata_set = self.trust.update(repo.fetch_metadata, repo.fetch_roles, self.mode, self.clock)
         if metadata_set is None:
             return []
         verified: list[VerifiedEnvelope] = []
@@ -202,23 +207,22 @@ class Controller:
         return self.rng.randbytes(crypto.NONCE_LEN)
 
     def open_channel(self, device_port, device_id: int) -> ChannelSession:
-        """Two-message nonce exchange, then mutual transcript confirmation."""
+        """Two-message nonce exchange (one round trip); the controller's
+        transcript confirmation is sealed here and sent by deliver()."""
         record = self.registry[device_id]
         controller_nonce = self._draw_nonce()
         channel = crypto.Channel(
             record.attestation_key, device_id, controller_nonce, device_port.hello(controller_nonce), controller=True
         )
-        replies = device_port.exchange([channel.seal(crypto.MSG_CONFIRM, channel.transcript)])
-        if len(replies) != 1:
-            raise ChannelError("expected one handshake confirmation frame")
-        if channel.open(replies[0]) != (crypto.MSG_CONFIRM, channel.transcript):
-            raise ChannelError("device transcript confirmation mismatch")
-        return ChannelSession(device_id=device_id, port=device_port, channel=channel)
+        confirm = channel.seal(crypto.MSG_CONFIRM, channel.transcript)
+        return ChannelSession(device_id=device_id, port=device_port, channel=channel, confirm=confirm)
 
     def deliver(self, session: ChannelSession, verified: VerifiedEnvelope) -> InstallOutcome:
-        """Seal the envelope frame-by-frame and send it; the sealed delivery
-        itself is the controller's implicit approval. Returns the device's
-        sealed install status."""
+        """Seal the envelope frame-by-frame and send it in one batch behind
+        the session's transcript confirmation; the sealed delivery itself is
+        the controller's implicit approval. The device answers with its own
+        confirmation, checked first, then its sealed install status, which
+        is returned."""
         if not isinstance(verified, VerifiedEnvelope):
             raise NotVerifiedBySync("deliver() accepts only envelopes produced by sync()")
         self.policy_gate(verified.envelope)
@@ -229,10 +233,14 @@ class Controller:
             for i, chunk in enumerate(chunks)
         ]
         try:
-            replies = session.port.exchange(frames)
+            replies = session.port.exchange([session.confirm, *frames])
             if not replies:
                 raise DeliveryFailed(AttestOutcome.MISSING)
-            kind, status = session.channel.open(replies[-1])
+            if session.channel.open(replies[0]) != (crypto.MSG_CONFIRM, session.channel.transcript):
+                raise ChannelError("device transcript confirmation mismatch")
+            if len(replies) != 2:
+                raise ChannelError(f"expected a confirmation and a status frame, got {len(replies)} frames")
+            kind, status = session.channel.open(replies[1])
         except ChannelError as exc:
             raise DeliveryFailed(exc.reason) from exc
         if kind != crypto.MSG_STATUS:

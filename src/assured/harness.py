@@ -271,6 +271,11 @@ class Mirror(_PortWrapper):
             return self._stale[role]
         return self._inner.fetch_metadata(role)
 
+    def fetch_roles(self, roles: list[RoleKind]) -> list[bytes]:
+        if self.policy == "stale":
+            return [self._stale[role] for role in roles]
+        return self._inner.fetch_roles(roles)
+
     def fetch_envelope(self, name: str) -> bytes:
         if self.policy == "drop":
             raise NotFound(f"envelope {name!r}")

@@ -813,6 +813,9 @@ def verify_full_chain(
 
 # --- the client ---------------------------------------------------------------------
 
+# the roles a full update fetches in one call, after the timestamp
+FULL_PATH_ROLES = (RoleKind.ROOT, RoleKind.TARGETS, RoleKind.SNAPSHOT)
+
 class TrustedState:
     """TUF's client workflow, the one copy of it: the controller runs it for
     its fleet and a comparison-mode device for itself. It holds the trusted
@@ -827,16 +830,18 @@ class TrustedState:
         self.last_seen: dict[RoleKind, int] = {}
         self.held: MetadataSet | None = None
 
-    def update(self, fetch, mode: Mode, now: int) -> MetadataSet | None:
-        """Fetch (``fetch(role)`` returns its blob) and verify the metadata,
-        timestamp first. A timestamp that pins the held snapshot (version and
-        signed-region hash) is checked alone, in verify_full_chain's order:
-        the expiry of the trusted root, the timestamp's threshold, expiry and
-        floor, then the expiry of the held snapshot and targets (one
-        verification at thresholds 2,2,1,1); its floor is raised and None
-        returned. Otherwise the other roles are fetched, the held records
-        lent to parse, and verify_full_chain run; the new set is returned
-        uncommitted, for the caller to commit once its own checks pass."""
+    def update(self, fetch, fetch_roles, mode: Mode, now: int) -> MetadataSet | None:
+        """Fetch and verify the metadata, timestamp first: ``fetch(role)``
+        returns the timestamp's blob, and ``fetch_roles(roles)`` the blobs of
+        FULL_PATH_ROLES in one call. A timestamp that pins the held snapshot
+        (version and signed-region hash) is checked alone, in
+        verify_full_chain's order: the expiry of the trusted root, the
+        timestamp's threshold, expiry and floor, then the expiry of the held
+        snapshot and targets (one verification at thresholds 2,2,1,1); its
+        floor is raised and None returned. Otherwise the other roles are
+        fetched, the held records lent to parse, and verify_full_chain run;
+        the new set is returned uncommitted, for the caller to commit once
+        its own checks pass."""
         timestamp = parse(fetch(RoleKind.TIMESTAMP), mode)
         held = self.held
         if (
@@ -851,11 +856,15 @@ class TrustedState:
             _check_expiry(held.targets, now)
             self.last_seen[RoleKind.TIMESTAMP] = timestamp.version
             return None
+        blobs = fetch_roles(list(FULL_PATH_ROLES))
+        if not isinstance(blobs, list) or len(blobs) != len(FULL_PATH_ROLES):
+            raise ParseError(f"not one metadata blob for each of {len(FULL_PATH_ROLES)} roles", "metadata")
+        root, targets, snapshot = blobs
         metadata_set = MetadataSet(
-            root=parse(fetch(RoleKind.ROOT), mode),
+            root=parse(root, mode),
             # a held record whose exact text the blob repeats is lent, not decoded
-            targets=parse(fetch(RoleKind.TARGETS), mode, known=None if held is None else held.targets.body),
-            snapshot=parse(fetch(RoleKind.SNAPSHOT), mode),
+            targets=parse(targets, mode, known=None if held is None else held.targets.body),
+            snapshot=parse(snapshot, mode),
             timestamp=timestamp,
         )
         verify_full_chain(self.root, metadata_set, now=now, last_seen=self.last_seen)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import select
@@ -49,6 +50,9 @@ class LocalRepoPort:
 
     def fetch_metadata(self, role: RoleKind) -> bytes:
         return repository.fetch_metadata(self.state, role)
+
+    def fetch_roles(self, roles: list[RoleKind]) -> list[bytes]:
+        return [repository.fetch_metadata(self.state, role) for role in roles]
 
     def fetch_envelope(self, name: str) -> bytes:
         return repository.fetch_envelope(self.state, name)
@@ -127,10 +131,11 @@ DEVICE_OPS = tuple(name for name in vars(LocalDevicePort) if not name.startswith
 # there are segments. In a header value, JSON null, booleans, integers,
 # strings and arrays stand for themselves, and every JSON object is one tagged
 # value {tag: payload} (see _encode). A bytes value is {"bytes": i}, the i-th
-# segment: references run 0, 1, ... in the order they appear, and each
-# segment is referenced exactly once. A decoder accepts only the bytes
-# _encode_frame writes; any other frame, an unknown tag or a class outside
-# these tables is a ParseError.
+# segment, and a non-empty list of bytes values is {"run": [i, n]}, the n
+# segments from the i-th on: references run 0, 1, ... in the order they
+# appear, and each segment is referenced exactly once. A decoder accepts only
+# the bytes _encode_frame writes; any other frame, an unknown tag or a class
+# outside these tables is a ParseError.
 
 _HEADER_CAP = 1 << 20  # bytes in a header line, newline included
 _FRAME_CAP = 16 << 20  # bytes in a header and its segments, 4x those of a 4 MiB artifact's frames
@@ -154,6 +159,9 @@ def _encode(value, segments: list[bytes]):
         segments.append(value)
         return {"bytes": len(segments) - 1}
     if isinstance(value, list):
+        if value and all(isinstance(item, bytes) for item in value):
+            segments.extend(value)
+            return {"run": [len(segments) - len(value), len(value)]}
         return [_encode(item, segments) for item in value]
     if isinstance(value, dict):
         return {"dict": {key: _encode(item, segments) for key, item in value.items()}}
@@ -169,48 +177,74 @@ def _encode(value, segments: list[bytes]):
     raise TypeError(f"no wire encoding for {type(value).__name__}")
 
 
+class _Segments:
+    """The segments of one frame, handed out in order to the references that name them."""
+
+    def __init__(self, segments: typing.Sequence[bytes]) -> None:
+        self._segments = segments
+        self._next = 0
+
+    def take(self, first, count: int) -> list[bytes]:
+        """The ``count`` segments from ``first`` on, which must be the next ones."""
+        if type(first) is not int or first != self._next:
+            raise ValueError(f"reference {first!r:.20} where segment {self._next} is next")
+        if first + count > len(self._segments):
+            raise ValueError(f"{count} segments from {first} on, of {len(self._segments)}")
+        self._next += count
+        return list(self._segments[first : first + count])
+
+    def end(self) -> None:
+        if self._next != len(self._segments):
+            raise ParseError("a frame segment is not referenced", "wire")
+
+
 def _decode(value, segments: typing.Sequence[bytes] = ()):
     """The value a header holds, whose bytes references use every one of ``segments``."""
-    refs = iter(enumerate(segments))
-    decoded = _decode_value(value, refs)
-    if next(refs, None) is not None:
-        raise ParseError("a frame segment is not referenced", "wire")
+    cursor = _Segments(segments)
+    decoded = _decode_value(value, cursor)
+    cursor.end()
     return decoded
 
 
-def _decode_value(value, refs):
+def _decode_value(value, cursor: _Segments):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, list):
-        return [_decode_value(item, refs) for item in value]
+        items = [_decode_value(item, cursor) for item in value]
+        if items and all(type(item) is bytes for item in items):
+            raise ParseError("a list of bytes values is not sent as its run", "wire")
+        return items
     if not isinstance(value, dict) or len(value) != 1:
         raise ParseError(f"not a wire value: {value!r:.80}", "wire")
     [(tag, payload)] = value.items()
     try:
         if tag == "bytes":
-            index, segment = next(refs, (None, None))
-            if type(payload) is not int or payload != index:
-                raise ValueError(f"reference {payload!r:.20} where segment {index} is next")
-            return segment
+            return cursor.take(payload, 1)[0]
+        if tag == "run":
+            first, count = payload
+            if type(count) is not int or count < 1:
+                raise ValueError(f"a run of {count!r:.20} segments")
+            return cursor.take(first, count)
         if tag == "dict":
-            return {key: _decode_value(item, refs) for key, item in payload.items()}
+            return {key: _decode_value(item, cursor) for key, item in payload.items()}
         if tag == "enum":
             name, member = payload
             return _WIRE_ENUMS[name](member)
         if tag == "data":
             name, fields = payload
-            fields = _decode_value(fields, refs)
+            fields = _decode_value(fields, cursor)
             if {key: type(item) for key, item in fields.items()} != _WIRE_FIELDS[name]:
                 raise TypeError(f"{name} fields are not exactly {_WIRE_FIELDS[name]}")
             return _WIRE_DATACLASSES[name](**fields)
         if tag == "error":
             name, args, attributes = payload
             cls = _WIRE_ERRORS[name]
+            args = _decode_value(args, cursor)
             if not isinstance(args, list):
                 raise TypeError("error args are not a list")
             error = cls.__new__(cls)
-            error.args = tuple(_decode_value(args, refs))
-            vars(error).update(**_decode_value(attributes, refs))
+            error.args = tuple(args)
+            vars(error).update(**_decode_value(attributes, cursor))
             return error
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad {tag!r} value: {exc!r}", "wire") from exc
@@ -220,7 +254,9 @@ def _decode_value(value, refs):
 def _encode_frame(message: dict) -> bytes:
     """One frame holding ``message``, a request or a reply (see _HEADER_KEYS)."""
     segments: list[bytes] = []
-    header = {key: _encode(value, segments) for key, value in message.items()}
+    # a request's args are a list of values, not one list value
+    header = {key: [_encode(arg, segments) for arg in value] if key == "args" else _encode(value, segments)
+              for key, value in message.items()}
     if segments:
         header["sizes"] = [len(segment) for segment in segments]
     return b"".join([json.dumps(header).encode("ascii"), b"\n", *segments])
@@ -253,18 +289,28 @@ def _read_frame(stream) -> dict | None:
     sizes = header.get("sizes", []) if isinstance(header, dict) else []
     if not isinstance(sizes, list) or not all(type(size) is int and size >= 0 for size in sizes):
         raise _Undelimited(f"frame sizes are not a list of byte counts: {sizes!r:.80}", "frame")
-    if len(line) + sum(sizes) > _FRAME_CAP:
+    total = sum(sizes)
+    if len(line) + total > _FRAME_CAP:
         raise _Undelimited(f"frame is longer than {_FRAME_CAP} bytes", "frame")
-    segments = [stream.read(size) for size in sizes]
-    if [len(segment) for segment in segments] != sizes:
+    data = stream.read(total)  # the segments in one read
+    if len(sizes) == 1:
+        segments = [data]  # the bytes read, with no copy
+    else:
+        segments = [data[end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes))]
+    if len(data) != total:
         raise EOFError("stream ended inside a frame segment")
     if not isinstance(header, dict) or tuple(header) not in _HEADER_KEYS or header.get("sizes") == []:
         raise ParseError(f"not a frame header: {line!r:.80}", "header")
-    keys = [key for key in header if key != "sizes"]
     try:
         if json.dumps(header).encode("ascii") + b"\n" != line:
             raise ParseError("frame header is not in canonical form", "header")
-        return dict(zip(keys, _decode([header[key] for key in keys], segments)))
+        if "args" in header and not isinstance(header["args"], list):
+            raise ParseError(f"args of {header['op']!r:.80} are not a list", "args")
+        cursor = _Segments(segments)
+        message = {key: [_decode_value(arg, cursor) for arg in value] if key == "args" else _decode_value(value, cursor)
+                   for key, value in header.items() if key != "sizes"}
+        cursor.end()
+        return message
     except RecursionError as exc:  # nested too deeply to re-encode or decode
         raise ParseError(f"frame header is nested too deeply: {exc!r:.80}", "header") from exc
 
@@ -368,11 +414,8 @@ class _Server(socketserver.ThreadingTCPServer):
             op = request.get("op")
             if op not in self.ops:
                 raise AssuredError(f"unknown op {op!r}")
-            args = request["args"]
-            if not isinstance(args, list):
-                raise ParseError(f"args of {op!r} are not a list", "args")
             with self._lock:
-                return getattr(self.port_impl, op)(*args)
+                return getattr(self.port_impl, op)(*request["args"])
         finally:
             if self.after_op is not None:
                 self.after_op()

@@ -10,8 +10,8 @@ from assured import crypto
 from assured.authorization import Constraints, build_envelope, issue_token, serialize_envelope
 from assured.controller import Controller
 from assured.device import Device, InstallOutcome
-from assured.errors import Expired, MetadataError
-from assured.metadata import RoleKind, parse
+from assured.errors import BindingMismatch, Expired, MetadataError, ParseError
+from assured.metadata import RoleKind, TrustedState, parse
 from assured.harness import Mirror
 from assured.repository import new_repository, rotate_root
 from assured.transport import LocalRepoPort
@@ -183,3 +183,28 @@ def test_controller_and_device_hold_the_same_trusted_state(repo_port, oem_key):
         ("publish", 6, None),
     ]
     assert controller.trust.root.version == 3
+
+
+def test_a_timestamp_pinning_a_newer_snapshot_than_the_one_served_is_a_binding_mismatch(repo_port, oem_key):
+    """A fresh client takes the full path. The timestamp served is the
+    current one; the snapshot is the one from before the publish."""
+    before = repo_port.fetch_metadata(RoleKind.SNAPSHOT)
+    publish(repo_port, oem_key, 2)
+    served = {role: repo_port.fetch_metadata(role) for role in RoleKind}
+    served[RoleKind.SNAPSHOT] = before
+    client = TrustedState(trusted_root(repo_port))
+    with pytest.raises(BindingMismatch, match="^snapshot: timestamp pins snapshot version 2, got 1$"):
+        client.update(served.__getitem__, lambda roles: [served[role] for role in roles], repo_port.mode(), now=0)
+    assert (client.last_seen, client.held) == ({}, None)
+
+
+@pytest.mark.parametrize("blobs", [lambda blobs: blobs[:2], lambda blobs: blobs + blobs[:1], lambda blobs: None],
+                         ids=["two", "four", "none"])
+def test_a_full_update_needs_one_blob_for_each_role_it_asked_for(repo_port, oem_key, blobs):
+    publish(repo_port, oem_key, 2)
+    controller = Controller(trusted_root=trusted_root(repo_port), mode=repo_port.mode())
+    fetch_roles = repo_port.fetch_roles
+    repo_port.fetch_roles = lambda roles: blobs(fetch_roles(roles))
+    with pytest.raises(ParseError, match="not one metadata blob for each of 3 roles"):
+        controller.sync(repo_port)
+    assert (controller.trust.last_seen, controller.trust.held) == ({}, None)

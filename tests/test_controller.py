@@ -28,7 +28,6 @@ from assured.controller import (
 )
 from assured.device import Device, InstallMode, InstallOutcome
 from assured.errors import (
-    AuthFailure,
     BindingMismatch,
     DeliveryFailed,
     EnvelopeMismatch,
@@ -196,10 +195,18 @@ class TestSync:
         publish_update(repo_port, oem_key)
         controller.sync(repo_port)  # the held targets are now lent to the next parse
         publish_update(repo_port, oem_key, name="fw3", version=3)
-        fetch = repo_port.fetch_metadata
-        repo_port.fetch_metadata = lambda role: fetch(served if role is RoleKind.TARGETS else role)
+        fetch_roles = repo_port.fetch_roles
+        repo_port.fetch_roles = lambda roles: fetch_roles([served if role is RoleKind.TARGETS else role for role in roles])
         with pytest.raises(BindingMismatch, match="targets: metadata is for role"):
             controller.sync(repo_port)
+
+    def test_an_envelope_that_does_not_parse_is_a_mismatch(self, controller, repo_port, mirror, oem_key):
+        publish_update(repo_port, oem_key)
+        mirror.set_policy("flip-bit", 0)  # in the envelope's magic
+        with pytest.raises(EnvelopeMismatch, match="envelope 'fw2' does not parse"):
+            controller.sync(mirror)
+        assert controller.trust.last_seen == {}
+        assert controller.seen_targets == {}
 
     def test_tampered_envelope_byte(self, controller, repo_port, mirror, oem_key):
         publish_update(repo_port, oem_key)
@@ -481,7 +488,8 @@ class TestDelivery:
 
     def test_reflected_frames_are_rejected(self, controller, repo_port, device_port, oem_key):
         """Each direction has its own keys, so the controller's own frames
-        echoed back to it fail the tag, at the handshake and at delivery."""
+        echoed back to it fail the tag, starting with the confirmation that
+        leads the delivery batch."""
 
         class EchoPort:
             hello = device_port.hello
@@ -492,15 +500,53 @@ class TestDelivery:
         enroll(controller, device_port)
         publish_update(repo_port, oem_key)
         batch = controller.sync(repo_port)
-        with pytest.raises(AuthFailure):
-            controller.open_channel(EchoPort(), DEVICE_ID)
-        session = controller.open_channel(device_port, DEVICE_ID)
-        session.port = EchoPort()
+        session = controller.open_channel(EchoPort(), DEVICE_ID)
         with pytest.raises(DeliveryFailed) as failed:
             controller.deliver(session, batch[0])
         assert failed.value.reason == "auth_failure"
         assert device_port.info()["version"] == 1
         assert controller.registry[DEVICE_ID].expected_version == 1
+
+    @pytest.mark.parametrize(
+        "script, reason",
+        [
+            (lambda channel, status: [status()], "channel_error"),
+            (lambda channel, status: [channel.seal(crypto.MSG_CONFIRM, b"\x00" * 32), status()], "channel_error"),
+            (lambda channel, status: [channel.seal(crypto.MSG_CONFIRM, channel.transcript)], "channel_error"),
+            (lambda channel, status: [channel.seal(crypto.MSG_CONFIRM, channel.transcript), status(), status()],
+             "channel_error"),
+            (lambda channel, status: [channel.seal(crypto.MSG_CONFIRM, channel.transcript) for _ in range(2)],
+             "device reply is not a status frame"),
+        ],
+        ids=["no-confirm", "confirm-without-transcript", "confirm-alone", "one-frame-too-many", "no-status"],
+    )
+    def test_a_device_reply_without_its_confirmation_and_one_status_fails(
+        self, controller, repo_port, device_port, oem_key, script, reason
+    ):
+        """A device end holding the session keys answers the batch with
+        frames that each open, and an "installed" status among most of them:
+        the controller checks the device's confirmation and the frame count
+        before the status, so nothing is recorded as installed."""
+
+        class ScriptedDevicePort:
+            def hello(self, controller_nonce):
+                device_nonce = b"\x42" * crypto.NONCE_LEN
+                self.channel = crypto.Channel(K_ATT, DEVICE_ID, controller_nonce, device_nonce, controller=False)
+                return device_nonce
+
+            def exchange(self, frames):
+                installed = InstallOutcome(InstallOutcome.INSTALLED, version=2).encode()
+                return script(self.channel, lambda: self.channel.seal(crypto.MSG_STATUS, installed))
+
+        enroll(controller, device_port)
+        publish_update(repo_port, oem_key)
+        batch = controller.sync(repo_port)
+        record = replace(controller.registry[DEVICE_ID])
+        session = controller.open_channel(ScriptedDevicePort(), DEVICE_ID)
+        with pytest.raises(DeliveryFailed) as failed:
+            controller.deliver(session, batch[0])
+        assert failed.value.reason == reason
+        assert controller.registry[DEVICE_ID] == record
 
 
 class TestAttestation:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from assured import crypto
 from assured.authorization import (
     TOKEN_LEN,
+    AuthorizationToken,
     Constraints,
     build_envelope,
     encode_token,
@@ -166,6 +167,15 @@ def test_publish_inconsistent_token_rejected(fresh_repo, oem_key):
         publish(fresh_repo, "fw", tampered)
 
 
+def test_publish_rejects_a_token_whose_size_alone_does_not_match(fresh_repo, oem_key):
+    artifact = b"\xbb" * 100
+    genuine = issue_token(oem_key, artifact, Constraints(new_version=2))
+    # the artifact-size field (bytes 32..40) alone altered; the hash still matches
+    token = AuthorizationToken(genuine.raw[:32] + (len(artifact) + 1).to_bytes(8, "big") + genuine.raw[40:])
+    with pytest.raises(PublishRejected, match="token size does not match artifact"):
+        publish(fresh_repo, "fw", serialize_envelope(build_envelope(token, artifact)))
+
+
 def test_publish_garbage_rejected(fresh_repo):
     with pytest.raises(PublishRejected):
         publish(fresh_repo, "fw", b"not an envelope")
@@ -301,6 +311,16 @@ class TestMirror:
             mirror.set_policy("freeze")
         assert mirror.policy == "none"
 
+    def test_stale_serves_its_set_through_the_three_role_op_too(self, mirrored):
+        port, mirror = mirrored
+        roles = [RoleKind.ROOT, RoleKind.TARGETS, RoleKind.SNAPSHOT]
+        assert mirror.fetch_roles(roles) == port.fetch_roles(roles)
+        mirror.set_policy("stale")
+        stale = mirror.fetch_roles(roles)
+        assert stale == [mirror.fetch_metadata(role) for role in roles]
+        assert stale != port.fetch_roles(roles)
+        assert [parse(blob, port.mode()).version for blob in stale] == [1, 1, 1]
+
     def test_stale_serves_the_set_it_was_built_over(self, mirrored, envelope):
         port, mirror = mirrored
         for i in range(5):
@@ -342,7 +362,7 @@ def test_a_rotated_set_with_the_old_root_is_refused_by_the_snapshots_root_pin(fr
     client = TrustedState(state.metadata.root)
     blobs = {role: serialize_canonical(stale.by_role(role), state.mode) for role in RoleKind}
     with pytest.raises(BindingMismatch, match="root: snapshot pins root version 2, got 1"):
-        client.update(blobs.__getitem__, state.mode, now=0)
+        client.update(blobs.__getitem__, lambda roles: [blobs[role] for role in roles], state.mode, now=0)
     assert (client.root, client.last_seen, client.held) == (state.metadata.root, {}, None)
 
 

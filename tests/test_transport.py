@@ -421,7 +421,7 @@ def test_codec_refuses_values_outside_its_tables():
 def test_a_frame_is_a_json_header_line_then_the_raw_segments():
     frame = _encode_frame({"op": "publish", "args": ["fw", b"\x00\n\xff", [b"", b"z"]]})
     assert frame == (
-        b'{"op": "publish", "args": ["fw", {"bytes": 0}, [{"bytes": 1}, {"bytes": 2}]], "sizes": [3, 0, 1]}\n'
+        b'{"op": "publish", "args": ["fw", {"bytes": 0}, {"run": [1, 2]}], "sizes": [3, 0, 1]}\n'
         b"\x00\n\xffz"
     )
     assert _encode_frame({"op": "info", "args": []}) == b'{"op": "info", "args": []}\n'
@@ -440,12 +440,39 @@ def test_a_frame_is_a_json_header_line_then_the_raw_segments():
         ({"bytes": "AB=="}, [b"\x00"]),
         ({"bytes": 0}, [b"a", b"b"]),
         ("no reference", [b"a"]),
+        ([{"bytes": 0}, {"bytes": 1}], [b"a", b"b"]),
+        ([{"bytes": 0}], [b"a"]),
+        ({"run": [0, 0]}, []),
+        ({"run": [0, "2"]}, [b"a", b"b"]),
+        ({"run": [0, True]}, [b"a"]),
+        ({"run": [0, 1.0]}, [b"a"]),
+        ({"run": [0, 3]}, [b"a", b"b"]),
+        ({"run": [1, 1]}, [b"a", b"b"]),
+        ({"run": 2}, [b"a", b"b"]),
+        ([{"run": [0, 1]}, {"run": [0, 1]}], [b"a"]),
     ],
-    ids=["missing", "skips-one", "out-of-order", "reused", "bool", "negative", "base64", "one-unused", "all-unused"],
+    ids=["missing", "skips-one", "out-of-order", "reused", "bool", "negative", "base64", "one-unused", "all-unused",
+         "per-item-list", "per-item-one", "run-of-0", "run-count-text", "run-count-bool", "run-count-float",
+         "run-past-last", "run-skips-one", "run-not-a-pair", "run-reused"],
 )
 def test_bytes_references_name_every_segment_once_in_order(wire, segments):
     with pytest.raises(errors.ParseError):
         _decode(wire, segments)
+
+
+@pytest.mark.parametrize(
+    "value, wire",
+    [
+        ([], []),
+        ([b"a", 1, b""], [{"bytes": 0}, 1, {"bytes": 1}]),
+        ([b"a", [b"b", b"c"], [[b"d"]]], [{"bytes": 0}, {"run": [1, 2]}, [{"run": [3, 1]}]]),
+    ],
+    ids=["empty", "mixed", "nested"],
+)
+def test_a_list_of_bytes_values_is_one_run_and_any_other_list_an_array(value, wire):
+    frame = _encode_frame({"ok": True, "result": value})
+    assert json.loads(frame.partition(b"\n")[0])["result"] == wire
+    assert _decode_frame(frame)["result"] == value
 
 
 def frame_header(sizes) -> bytes:
@@ -534,7 +561,7 @@ def test_server_errors_arrive_equal_to_local_ones(repo_pair, device_pair):
 
 def test_ops_are_the_public_methods_of_the_local_ports():
     assert set(REPO_OPS) == {
-        "mode", "clock", "fetch_metadata", "fetch_envelope", "trusted_root_bytes",
+        "mode", "clock", "fetch_metadata", "fetch_roles", "fetch_envelope", "trusted_root_bytes",
         "publish", "publish_vanilla", "refresh", "advance_clock",
     }
     assert set(DEVICE_OPS) == {
@@ -780,9 +807,10 @@ def test_server_answers_a_line_that_is_not_json_with_parse_error(device_connecti
         b'{"sizes": [2], "op": "hello", "args": [{"bytes": 0}]}\nab',
         b'{"op": "info", "args": [], "sizes": []}\n',
         b'{"op": "info", "args": [], "sizes": [0]}\n',
+        b'{"op": "info", "args": {"dict": {}}}\n',
     ],
     ids=["reference-out-of-order", "segment-unused", "segment-reused", "not-canonical", "sizes-first",
-         "empty-sizes", "unused-empty-segment"],
+         "empty-sizes", "unused-empty-segment", "args-not-a-list"],
 )
 def test_server_answers_a_well_framed_bad_request_and_keeps_the_connection(device_connection, frame):
     reply = device_connection(frame)
@@ -912,5 +940,7 @@ def test_traced_image_socket_bench_still_counts_every_rpc():
     )
     assert run.returncode == 0, run.stderr[-2000:]
     metrics = json.loads(run.stdout.strip().splitlines()[-1])["metrics"]
-    assert metrics["transport.rpc.calls"]["value"] == 12.0
+    # publish; sync: timestamp, the other three roles, the envelope; resync:
+    # timestamp; update: hello, the delivery exchange, attest, boot
+    assert metrics["transport.rpc.calls"]["value"] == 9.0
     assert metrics["transport.rpc.line_bytes_per_payload_byte"]["value"] <= 1.34
