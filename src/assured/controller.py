@@ -157,7 +157,7 @@ class Controller:
         batch validates.
         """
         held = self.trust.held
-        metadata_set = self.trust.update(repo.fetch_metadata, repo.fetch_roles, self.mode, self.clock)
+        metadata_set = self.trust.update(repo.fetch_roles, self.mode, self.clock)
         if metadata_set is None:
             return []
         verified: list[VerifiedEnvelope] = []

@@ -329,7 +329,7 @@ class Device:
         if self._trust is None:
             raise AssuredError("device has no trusted root installed")
         try:
-            metadata_set = self._trust.update(blobs.__getitem__, lambda roles: [blobs[role] for role in roles], mode, now)
+            metadata_set = self._trust.update(lambda roles: [blobs[role] for role in roles], mode, now)
         except AssuredError as exc:
             return InstallOutcome(InstallOutcome.REJECTED, reason=str(exc))
         if metadata_set is None:

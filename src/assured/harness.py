@@ -258,18 +258,13 @@ class Mirror(_PortWrapper):
 
     def __init__(self, inner) -> None:
         super().__init__(inner)
-        self._stale = {role: inner.fetch_metadata(role) for role in RoleKind}
+        self._stale = dict(zip(RoleKind, inner.fetch_roles(list(RoleKind))))
         self.policy, self.offset = "none", 0
 
     def set_policy(self, policy: str, offset: int = 0) -> None:
         if policy not in self.POLICIES:
             raise ValueError(f"unknown mirror policy {policy!r}")
         self.policy, self.offset = policy, offset
-
-    def fetch_metadata(self, role: RoleKind) -> bytes:
-        if self.policy == "stale":
-            return self._stale[role]
-        return self._inner.fetch_metadata(role)
 
     def fetch_roles(self, roles: list[RoleKind]) -> list[bytes]:
         if self.policy == "stale":
@@ -854,7 +849,7 @@ class BenchReport:
 
 def _role_sizes(repo_port) -> dict[str, dict[str, int]]:
     mode = repo_port.mode()
-    metas = {role.value: parse(repo_port.fetch_metadata(role), mode) for role in RoleKind}
+    metas = {role.value: parse(blob, mode) for role, blob in zip(RoleKind, repo_port.fetch_roles(list(RoleKind)))}
     return {role: {"json": len(serialize_canonical(meta, Mode.JSON)),
                    "binary": len(serialize_canonical(meta, Mode.FIXED_BINARY))} for role, meta in metas.items()}
 
@@ -889,7 +884,7 @@ def _tuf_update(world: World, frame_overhead: int) -> tuple[Callable[[], str], d
     world.repo.publish_vanilla("fw", artifact)
     device = world.devices["dev"].port.device
     device.provision_trusted_root(parse(world.repo.trusted_root_bytes(), world.mode))
-    blobs = {role: world.repo.fetch_metadata(role) for role in RoleKind}
+    blobs = dict(zip(RoleKind, world.repo.fetch_roles(list(RoleKind))))
     mobile_roles = (RoleKind.TARGETS, RoleKind.SNAPSHOT, RoleKind.TIMESTAMP)
 
     def update() -> str:

@@ -816,6 +816,15 @@ def verify_full_chain(
 # the roles a full update fetches in one call, after the timestamp
 FULL_PATH_ROLES = (RoleKind.ROOT, RoleKind.TARGETS, RoleKind.SNAPSHOT)
 
+
+def _fetch(fetch_roles, roles: tuple[RoleKind, ...]) -> list[bytes]:
+    """The reply of ``fetch_roles`` to ``roles``: a ParseError unless it is a list of one blob each."""
+    blobs = fetch_roles(list(roles))
+    if not isinstance(blobs, list) or len(blobs) != len(roles):
+        raise ParseError(f"not one metadata blob for each of {len(roles)} roles", "metadata")
+    return blobs
+
+
 class TrustedState:
     """TUF's client workflow, the one copy of it: the controller runs it for
     its fleet and a comparison-mode device for itself. It holds the trusted
@@ -830,10 +839,10 @@ class TrustedState:
         self.last_seen: dict[RoleKind, int] = {}
         self.held: MetadataSet | None = None
 
-    def update(self, fetch, fetch_roles, mode: Mode, now: int) -> MetadataSet | None:
-        """Fetch and verify the metadata, timestamp first: ``fetch(role)``
-        returns the timestamp's blob, and ``fetch_roles(roles)`` the blobs of
-        FULL_PATH_ROLES in one call. A timestamp that pins the held snapshot
+    def update(self, fetch_roles, mode: Mode, now: int) -> MetadataSet | None:
+        """Fetch and verify the metadata, timestamp first: ``fetch_roles(roles)``
+        returns the blobs of ``roles``, asked for the timestamp alone and then
+        for FULL_PATH_ROLES in one call. A timestamp that pins the held snapshot
         (version and signed-region hash) is checked alone, in
         verify_full_chain's order: the expiry of the trusted root, the
         timestamp's threshold, expiry and floor, then the expiry of the held
@@ -842,7 +851,7 @@ class TrustedState:
         fetched, the held records lent to parse, and verify_full_chain run;
         the new set is returned uncommitted, for the caller to commit once
         its own checks pass."""
-        timestamp = parse(fetch(RoleKind.TIMESTAMP), mode)
+        timestamp = parse(_fetch(fetch_roles, (RoleKind.TIMESTAMP,))[0], mode)
         held = self.held
         if (
             held is not None
@@ -856,10 +865,7 @@ class TrustedState:
             _check_expiry(held.targets, now)
             self.last_seen[RoleKind.TIMESTAMP] = timestamp.version
             return None
-        blobs = fetch_roles(list(FULL_PATH_ROLES))
-        if not isinstance(blobs, list) or len(blobs) != len(FULL_PATH_ROLES):
-            raise ParseError(f"not one metadata blob for each of {len(FULL_PATH_ROLES)} roles", "metadata")
-        root, targets, snapshot = blobs
+        root, targets, snapshot = _fetch(fetch_roles, FULL_PATH_ROLES)
         metadata_set = MetadataSet(
             root=parse(root, mode),
             # a held record whose exact text the blob repeats is lent, not decoded

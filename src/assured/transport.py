@@ -22,6 +22,7 @@ import socket
 import socketserver
 import threading
 import time
+import types
 import typing
 
 from . import errors, repository
@@ -48,9 +49,6 @@ class LocalRepoPort:
     def clock(self) -> int:
         return self.state.clock
 
-    def fetch_metadata(self, role: RoleKind) -> bytes:
-        return repository.fetch_metadata(self.state, role)
-
     def fetch_roles(self, roles: list[RoleKind]) -> list[bytes]:
         return [repository.fetch_metadata(self.state, role) for role in roles]
 
@@ -58,7 +56,7 @@ class LocalRepoPort:
         return repository.fetch_envelope(self.state, name)
 
     def trusted_root_bytes(self) -> bytes:
-        # the install-time trust anchor: the bytes fetch_metadata(ROOT) returns.
+        # the install-time trust anchor: the one blob fetch_roles([ROOT]) returns.
         # It stays an op of its own because perfbench/rollout.py calls it
         return self.state.metadata.root.canonical(self.state.mode)
 
@@ -196,14 +194,6 @@ class _Segments:
     def end(self) -> None:
         if self._next != len(self._segments):
             raise ParseError("a frame segment is not referenced", "wire")
-
-
-def _decode(value, segments: typing.Sequence[bytes] = ()):
-    """The value a header holds, whose bytes references use every one of ``segments``."""
-    cursor = _Segments(segments)
-    decoded = _decode_value(value, cursor)
-    cursor.end()
-    return decoded
 
 
 def _decode_value(value, cursor: _Segments):
@@ -508,11 +498,13 @@ class _LineClient:
 
 
 class _RemotePort:
-    """A port whose every op in ``ops`` is one call over a connection."""
+    """A port whose every op ``server`` runs is one call over a connection.
+    A result that is not of the type the local op's return annotation names
+    is a malformed reply: a ParseError that closes the client."""
 
-    def __init_subclass__(cls, ops: tuple[str, ...]) -> None:
-        for op in ops:
-            setattr(cls, op, _forward(op))
+    def __init_subclass__(cls, server: type[_Server]) -> None:
+        for op in server.ops:
+            setattr(cls, op, _forward(op, typing.get_type_hints(getattr(server.port_type, op))["return"]))
 
     def __init__(self, address: str) -> None:
         self._client = _LineClient(address)
@@ -521,13 +513,29 @@ class _RemotePort:
         self._client.close()
 
 
-def _forward(op: str):
-    return lambda self, *args: self._client.call(op, *args)
+def _forward(op: str, returns):
+    """The method that runs ``op`` and returns its result if it is exactly of type
+    ``returns``: a class, ``list[class]`` or a ``|`` union of classes."""
+    if typing.get_origin(returns) is list:
+        [item] = typing.get_args(returns)
+        conforms = lambda result: type(result) is list and all(type(element) is item for element in result)
+    else:
+        kinds = typing.get_args(returns) if isinstance(returns, types.UnionType) else (returns,)
+        conforms = lambda result: type(result) in kinds
+
+    def call(self, *args):
+        result = self._client.call(op, *args)
+        if not conforms(result):
+            self._client.close()
+            raise ParseError(f"reply to {op!r} is not {returns}: {result!r:.80}", "reply")
+        return result
+
+    return call
 
 
-class RemoteRepoPort(_RemotePort, ops=REPO_OPS):
+class RemoteRepoPort(_RemotePort, server=RepoServer):
     pass
 
 
-class RemoteDevicePort(_RemotePort, ops=DEVICE_OPS):
+class RemoteDevicePort(_RemotePort, server=DeviceServer):
     pass

@@ -54,7 +54,7 @@ def publish(repo_port, oem_key, version):
 
 
 def receive(device, repo_port, artifact):
-    blobs = {role: repo_port.fetch_metadata(role) for role in RoleKind}
+    blobs = dict(zip(RoleKind, repo_port.fetch_roles(list(RoleKind))))
     return device.receive_update_tuf(blobs, "fw", artifact, repo_port.mode(), now=repo_port.clock())
 
 
@@ -188,23 +188,26 @@ def test_controller_and_device_hold_the_same_trusted_state(repo_port, oem_key):
 def test_a_timestamp_pinning_a_newer_snapshot_than_the_one_served_is_a_binding_mismatch(repo_port, oem_key):
     """A fresh client takes the full path. The timestamp served is the
     current one; the snapshot is the one from before the publish."""
-    before = repo_port.fetch_metadata(RoleKind.SNAPSHOT)
+    [before] = repo_port.fetch_roles([RoleKind.SNAPSHOT])
     publish(repo_port, oem_key, 2)
-    served = {role: repo_port.fetch_metadata(role) for role in RoleKind}
+    served = dict(zip(RoleKind, repo_port.fetch_roles(list(RoleKind))))
     served[RoleKind.SNAPSHOT] = before
     client = TrustedState(trusted_root(repo_port))
     with pytest.raises(BindingMismatch, match="^snapshot: timestamp pins snapshot version 2, got 1$"):
-        client.update(served.__getitem__, lambda roles: [served[role] for role in roles], repo_port.mode(), now=0)
+        client.update(lambda roles: [served[role] for role in roles], repo_port.mode(), now=0)
     assert (client.last_seen, client.held) == ({}, None)
 
 
-@pytest.mark.parametrize("blobs", [lambda blobs: blobs[:2], lambda blobs: blobs + blobs[:1], lambda blobs: None],
-                         ids=["two", "four", "none"])
-def test_a_full_update_needs_one_blob_for_each_role_it_asked_for(repo_port, oem_key, blobs):
+@pytest.mark.parametrize("asked", [1, 3], ids=["timestamp", "full-path"])
+@pytest.mark.parametrize("blobs", [lambda blobs: blobs[:-1], lambda blobs: blobs + blobs[:1], lambda blobs: None],
+                         ids=["one-fewer", "one-more", "none"])
+def test_a_full_update_needs_one_blob_for_each_role_it_asked_for(repo_port, oem_key, blobs, asked):
+    """The timestamp call asks for one role and the full path for three; a
+    wrong answer to either is a ParseError, and nothing is committed."""
     publish(repo_port, oem_key, 2)
     controller = Controller(trusted_root=trusted_root(repo_port), mode=repo_port.mode())
     fetch_roles = repo_port.fetch_roles
-    repo_port.fetch_roles = lambda roles: blobs(fetch_roles(roles))
-    with pytest.raises(ParseError, match="not one metadata blob for each of 3 roles"):
+    repo_port.fetch_roles = lambda roles: blobs(fetch_roles(roles)) if len(roles) == asked else fetch_roles(roles)
+    with pytest.raises(ParseError, match=f"not one metadata blob for each of {asked} roles"):
         controller.sync(repo_port)
     assert (controller.trust.last_seen, controller.trust.held) == ({}, None)

@@ -15,7 +15,6 @@ from assured.transport import (
     _FRAME_CAP,
     RemoteRepoPort,
     RepoServer,
-    _decode,
     _line_reader,
     _LineClient,
     _read_frame,
@@ -123,11 +122,11 @@ def test_a_server_answers_a_deeply_nested_request_with_parse_error_and_keeps_ser
     try:
         with socket.create_connection(address, timeout=10) as sock, _line_reader(sock) as reader:
             sock.sendall(b'{"op": "clock", "args": [%s]}\n' % too_deep(past_the_parser))
-            reply = json.loads(reader.readline())
+            reply = _read_frame(reader)
             assert reply["ok"] is False
-            assert type(_decode(reply["error"])) is errors.ParseError
+            assert type(reply["error"]) is errors.ParseError
             sock.sendall(b'{"op": "clock", "args": []}\n')
-            assert json.loads(reader.readline()) == {"ok": True, "result": 0}
+            assert _read_frame(reader) == {"ok": True, "result": 0}
     finally:
         server.shutdown()
         server.server_close()

@@ -274,9 +274,7 @@ class TestMirror:
     def test_none_is_identity(self, mirrored, envelope):
         port, mirror = mirrored
         assert mirror.fetch_envelope("fw") == envelope
-        assert {role: mirror.fetch_metadata(role) for role in RoleKind} == {
-            role: port.fetch_metadata(role) for role in RoleKind
-        }
+        assert mirror.fetch_roles(list(RoleKind)) == port.fetch_roles(list(RoleKind))
 
     def test_flip_bit(self, mirrored, envelope):
         port, mirror = mirrored
@@ -311,16 +309,6 @@ class TestMirror:
             mirror.set_policy("freeze")
         assert mirror.policy == "none"
 
-    def test_stale_serves_its_set_through_the_three_role_op_too(self, mirrored):
-        port, mirror = mirrored
-        roles = [RoleKind.ROOT, RoleKind.TARGETS, RoleKind.SNAPSHOT]
-        assert mirror.fetch_roles(roles) == port.fetch_roles(roles)
-        mirror.set_policy("stale")
-        stale = mirror.fetch_roles(roles)
-        assert stale == [mirror.fetch_metadata(role) for role in roles]
-        assert stale != port.fetch_roles(roles)
-        assert [parse(blob, port.mode()).version for blob in stale] == [1, 1, 1]
-
     def test_stale_serves_the_set_it_was_built_over(self, mirrored, envelope):
         port, mirror = mirrored
         for i in range(5):
@@ -328,7 +316,12 @@ class TestMirror:
             port.refresh()
         port.publish("fw", envelope)
         mirror.set_policy("stale")
-        stale = {role: parse(mirror.fetch_metadata(role), port.mode()) for role in RoleKind}
+        served = dict(zip(RoleKind, mirror.fetch_roles(list(RoleKind))))
+        assert list(served.values()) != port.fetch_roles(list(RoleKind))
+        # the full path's three roles, asked for in one call, come from the same set
+        roles = [RoleKind.ROOT, RoleKind.TARGETS, RoleKind.SNAPSHOT]
+        assert mirror.fetch_roles(roles) == [served[role] for role in roles]
+        stale = {role: parse(blob, port.mode()) for role, blob in served.items()}
         assert {role: meta.version for role, meta in stale.items()} == dict.fromkeys(RoleKind, 1)
         # a client that saw the publishes detects the rollback
         state = port.state
@@ -362,7 +355,7 @@ def test_a_rotated_set_with_the_old_root_is_refused_by_the_snapshots_root_pin(fr
     client = TrustedState(state.metadata.root)
     blobs = {role: serialize_canonical(stale.by_role(role), state.mode) for role in RoleKind}
     with pytest.raises(BindingMismatch, match="root: snapshot pins root version 2, got 1"):
-        client.update(blobs.__getitem__, lambda roles: [blobs[role] for role in roles], state.mode, now=0)
+        client.update(lambda roles: [blobs[role] for role in roles], state.mode, now=0)
     assert (client.root, client.last_seen, client.held) == (state.metadata.root, {}, None)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from assured import crypto, errors
 from assured.authorization import Constraints, build_envelope, encode_token, issue_token, serialize_envelope
-from assured.controller import FRAME_PAYLOAD
+from assured.controller import FRAME_PAYLOAD, Controller
 from assured.device import AttestationReport, BootResult, Device, InstallMode, InstallOutcome
 from assured.errors import AuthFailure, ChannelError, NotFound
 from assured.metadata import Mode, RoleKind
@@ -33,7 +33,6 @@ from assured.transport import (
     RemoteDevicePort,
     RemoteRepoPort,
     RepoServer,
-    _decode,
     _decode_frame,
     _encode,
     _encode_frame,
@@ -41,6 +40,7 @@ from assured.transport import (
     _HEADER_CAP,
     _line_reader,
     _LineClient,
+    _read_frame,
     is_unix_address,
     parse_listen_address,
     serve_in_thread,
@@ -130,14 +130,14 @@ def test_repo_ports_serve_identical_bytes(repo_pair, oem_key):
     envelope = serialize_envelope(build_envelope(token, artifact))
     local.publish("fw", envelope)
     remote.publish("fw", envelope)
-    for role in RoleKind:
-        assert local.fetch_metadata(role) == remote.fetch_metadata(role)
+    assert local.fetch_roles(list(RoleKind)) == remote.fetch_roles(list(RoleKind))
+    assert local.fetch_roles([RoleKind.TIMESTAMP]) == remote.fetch_roles([RoleKind.TIMESTAMP])
     assert local.fetch_envelope("fw") == remote.fetch_envelope("fw")
 
 
 def served(port) -> dict:
     """Every role's bytes and envelope "fw"'s, or its error's type and message."""
-    fetched = {role: port.fetch_metadata(role) for role in RoleKind}
+    fetched = dict(zip(RoleKind, port.fetch_roles(list(RoleKind))))
     try:
         fetched["fw"] = port.fetch_envelope("fw")
     except NotFound as exc:
@@ -317,6 +317,12 @@ def test_error_class_from_elsewhere_travels_as_its_errors_base():
     assert decoded.reason == errors.TokenRejected.SIZE_MISMATCH
 
 
+def decoded(wire, segments=()):
+    """The result of a reply frame whose header holds ``wire`` and whose segments are ``segments``."""
+    header = {"ok": True, "result": wire, **({"sizes": [len(segment) for segment in segments]} if segments else {})}
+    return _decode_frame(json.dumps(header).encode() + b"\n" + b"".join(segments))["result"]
+
+
 def test_codec_round_trips_every_value_kind():
     values = [
         None, True, 7, "name", b"", b"\x00\xff" * 40, [b"a", [b"b"]],
@@ -363,7 +369,7 @@ def test_codec_round_trips_every_value_kind():
 )
 def test_codec_rejects_unknown_tags_and_classes(wire):
     with pytest.raises(errors.ParseError):
-        _decode(wire)
+        decoded(wire)
 
 
 # each wire dataclass and the exact type of each of its fields
@@ -399,7 +405,7 @@ def wire_dataclass_values(draw):
 def test_wire_dataclasses_decode_only_with_exactly_their_typed_fields(case):
     cls, wire, segments = case
     try:
-        value = _decode(json.loads(json.dumps(wire)), segments)
+        value = decoded(wire, segments)
     except errors.ParseError:
         return
     assert type(value) is cls
@@ -457,7 +463,7 @@ def test_a_frame_is_a_json_header_line_then_the_raw_segments():
 )
 def test_bytes_references_name_every_segment_once_in_order(wire, segments):
     with pytest.raises(errors.ParseError):
-        _decode(wire, segments)
+        decoded(wire, segments)
 
 
 @pytest.mark.parametrize(
@@ -561,7 +567,7 @@ def test_server_errors_arrive_equal_to_local_ones(repo_pair, device_pair):
 
 def test_ops_are_the_public_methods_of_the_local_ports():
     assert set(REPO_OPS) == {
-        "mode", "clock", "fetch_metadata", "fetch_roles", "fetch_envelope", "trusted_root_bytes",
+        "mode", "clock", "fetch_roles", "fetch_envelope", "trusted_root_bytes",
         "publish", "publish_vanilla", "refresh", "advance_clock",
     }
     assert set(DEVICE_OPS) == {
@@ -575,16 +581,16 @@ def test_ops_are_the_public_methods_of_the_local_ports():
 REFUSED_OPS = ["state", "device", "port_impl", "dispatch", "close", "_lock", "__class__", "__init__", "__dict__", ""]
 
 
-@pytest.mark.parametrize("op", REFUSED_OPS + ["info"])
+@pytest.mark.parametrize("op", REFUSED_OPS + ["info", "fetch_metadata"])
 def test_repo_server_refuses_names_outside_its_ops(repo_pair, op):
     _, remote = repo_pair
-    before = remote.fetch_metadata(RoleKind.ROOT)
+    before = remote.fetch_roles([RoleKind.ROOT])
     with pytest.raises(errors.AssuredError, match="unknown op"):
         remote._client.call(op)
-    assert remote.fetch_metadata(RoleKind.ROOT) == before
+    assert remote.fetch_roles([RoleKind.ROOT]) == before
 
 
-@pytest.mark.parametrize("op", REFUSED_OPS + ["fetch_metadata"])
+@pytest.mark.parametrize("op", REFUSED_OPS + ["fetch_roles"])
 def test_device_server_refuses_names_outside_its_ops(device_pair, op):
     _, remote = device_pair
     with pytest.raises(errors.AssuredError, match="unknown op"):
@@ -668,6 +674,46 @@ def test_client_raises_assured_error_when_the_stream_ends_inside_a_frame(reply):
 
 
 @contextlib.contextmanager
+def remote_reading(port_type, result: bytes):
+    """A ``port_type`` remote port whose next reply holds ``result`` as its header value."""
+    with client_reading(b'{"ok": true, "result": %s}\n' % result) as client:
+        port = port_type.__new__(port_type)
+        port._client = client
+        yield port
+
+
+@pytest.mark.parametrize("result", [b'"x"', b"true"], ids=["text", "bool"])
+@pytest.mark.parametrize(
+    "port_type, op", [(RemoteRepoPort, op) for op in REPO_OPS] + [(RemoteDevicePort, op) for op in DEVICE_OPS],
+    ids=REPO_OPS + DEVICE_OPS,
+)
+def test_a_remote_port_refuses_a_result_its_local_op_does_not_return(port_type, op, result):
+    """No op returns text or a bool (nor is a bool an int), so either result is malformed whatever the op."""
+    with remote_reading(port_type, result) as port:
+        with pytest.raises(errors.ParseError) as caught:
+            getattr(port, op)()
+        assert caught.value.position == "reply"
+        assert port._client._sock.fileno() == -1  # closed, as for any malformed reply
+
+
+@pytest.mark.parametrize(
+    "op, result",
+    [("hello", b"5"), ("hello", b"null"), ("attest", b"5"), ("attest", b'"x"'), ("attest", b'{"dict": {}}'),
+     ("fetch_roles", b"[5, 5, 5]")],
+)
+def test_a_wrong_typed_result_reaches_the_controller_as_a_parse_error(op, result):
+    controller = Controller(trusted_root=fresh_state().metadata.root)
+    controller.enroll(2, 100, K_ATT, 1, bytes(32))
+    port_type, call = {
+        "hello": (RemoteDevicePort, lambda port: controller.open_channel(port, 2)),
+        "attest": (RemoteDevicePort, lambda port: controller.request_attestation(port, 2)),
+        "fetch_roles": (RemoteRepoPort, controller.sync),
+    }[op]
+    with remote_reading(port_type, result) as port, pytest.raises(errors.ParseError):
+        call(port)
+
+
+@contextlib.contextmanager
 def no_resource_warnings():
     """Fails if the block leaves a socket or file for the garbage collector to close."""
     with warnings.catch_warnings(record=True) as caught:
@@ -730,7 +776,7 @@ def test_a_clock_step_outside_u64_is_refused_alike_over_the_wire(repo_pair):
     assert remote.clock() == local.clock() == 0
     remote.refresh()
     local.refresh()
-    assert remote.fetch_metadata(RoleKind.TIMESTAMP) == local.fetch_metadata(RoleKind.TIMESTAMP)
+    assert remote.fetch_roles([RoleKind.TIMESTAMP]) == local.fetch_roles([RoleKind.TIMESTAMP])
 
 
 @pytest.fixture(scope="module")
@@ -749,7 +795,7 @@ def device_connection(device_address):
 
     def exchange(line: bytes) -> dict:
         sock.sendall(line)
-        return json.loads(reader.readline())
+        return _read_frame(reader)
 
     yield exchange
     reader.close()
@@ -781,10 +827,10 @@ bad_requests = st.one_of(
 def test_server_answers_any_bad_request_and_keeps_serving(device_connection, line):
     reply = device_connection(line + b"\n")
     assert reply["ok"] is False
-    assert isinstance(_decode(reply["error"]), errors.AssuredError)
+    assert isinstance(reply["error"], errors.AssuredError)
     info = device_connection(b'{"op": "info", "args": []}\n')
     assert info["ok"] is True
-    assert _decode(info["result"])["id"] == 2
+    assert info["result"]["id"] == 2
 
 
 @pytest.mark.parametrize(
@@ -793,7 +839,7 @@ def test_server_answers_any_bad_request_and_keeps_serving(device_connection, lin
 def test_server_answers_a_line_that_is_not_json_with_parse_error(device_connection, line):
     reply = device_connection(line + b"\n")
     assert reply["ok"] is False
-    assert type(_decode(reply["error"])) is errors.ParseError
+    assert type(reply["error"]) is errors.ParseError
     assert device_connection(b'{"op": "info", "args": []}\n')["ok"] is True
 
 
@@ -815,7 +861,7 @@ def test_server_answers_a_line_that_is_not_json_with_parse_error(device_connecti
 def test_server_answers_a_well_framed_bad_request_and_keeps_the_connection(device_connection, frame):
     reply = device_connection(frame)
     assert reply["ok"] is False
-    assert type(_decode(reply["error"])) is errors.ParseError
+    assert type(reply["error"]) is errors.ParseError
     assert device_connection(b'{"op": "info", "args": []}\n')["ok"] is True
 
 
@@ -825,9 +871,9 @@ def test_server_answers_a_frame_it_cannot_delimit_and_closes_only_that_connectio
             socket.create_connection(device_address, timeout=10) as good:
         bad.sendall(frame)
         with _line_reader(bad) as reader:
-            reply = json.loads(reader.readline())
+            reply = _read_frame(reader)
             assert reply["ok"] is False
-            assert type(_decode(reply["error"])) is errors.ParseError
+            assert type(reply["error"]) is errors.ParseError
             assert reader.read() == b""  # the server closed the connection
         good.sendall(b'{"op": "info", "args": []}\n')
         with _line_reader(good) as reader:
@@ -836,7 +882,7 @@ def test_server_answers_a_frame_it_cannot_delimit_and_closes_only_that_connectio
 
 def test_header_at_the_cap_is_still_read_as_one_frame(device_connection):
     reply = device_connection(b"x" * (_HEADER_CAP - 1) + b"\n")
-    assert type(_decode(reply["error"])) is errors.ParseError
+    assert type(reply["error"]) is errors.ParseError
     assert device_connection(b'{"op": "info", "args": []}\n')["ok"] is True
 
 
