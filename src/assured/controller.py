@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 from . import crypto
@@ -40,6 +41,7 @@ from .metadata import (
 )
 
 FRAME_PAYLOAD = 4096  # envelope bytes per sealed frame
+NONCE_WINDOW = 64  # attestation nonces the controller keeps, and refuses to draw again: 1 KiB
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,7 @@ class Controller:
         self.registry: dict[int, DeviceRecord] = {}
         self.seen_targets: dict[str, bytes] = {}
         self.nonces_drawn = 0  # handshake and attestation nonces alike; a seeded rng restarts from it
-        self.nonce_log: list[bytes] = []  # the attestation nonces
-        self._nonces_used: set[bytes] = set()  # nonce_log as a set, for the reuse check
+        self.nonce_log: deque[bytes] = deque(maxlen=NONCE_WINDOW)  # the last attestation nonces
 
     # --- fleet management -----------------------------------------------------------
 
@@ -259,13 +260,13 @@ class Controller:
         self, device_port, device_id: int, expected_digest: bytes | None = None
     ) -> AttestOutcome:
         """Challenge the device with a fresh nonce and check the MAC'd report
-        against the expected measurement. Nonces are never reused."""
+        against the expected measurement. A nonce that is one of the last
+        NONCE_WINDOW drawn for attestation is a NonceCollision."""
         record = self.registry[device_id]
         expected = record.expected_digest if expected_digest is None else expected_digest
         nonce = self._draw_nonce()
-        if nonce in self._nonces_used:
+        if nonce in self.nonce_log:
             raise NonceCollision(f"attestation nonce {nonce.hex()} drawn twice")
-        self._nonces_used.add(nonce)
         self.nonce_log.append(nonce)
         report = device_port.attest(nonce)
         if report is None:
@@ -296,7 +297,8 @@ def load_controller(path: str, rng: random.Random | None = None) -> Controller:
 def encode_controller(ctrl: Controller) -> bytes:
     """Fixed-width binary persistence of trusted root, version floors,
     device registry, policy, the count of nonces drawn and, last, the
-    attestation nonce log."""
+    attestation nonce log: the last NONCE_WINDOW attestation nonces, oldest
+    first."""
     out = bytearray(_STATE_MAGIC)
     out += struct.pack(">QB", ctrl.clock, 0 if ctrl.mode is Mode.JSON else 1)
     root_blob = serialize_canonical(ctrl.trust.root, Mode.FIXED_BINARY)
@@ -361,12 +363,14 @@ def decode_controller(data: bytes, rng: random.Random | None = None) -> Controll
         allowed = frozenset(reader.increasing(reader.u32("allow-list count"), reader.u64, "model"))
     nonces_drawn = reader.u64("nonces drawn")
     nonces_at = reader.offset
-    nonce_log = [reader.take(16, "nonce") for _ in range(reader.u32("nonce count"))]
+    count = reader.u32("nonce count")
+    if count > NONCE_WINDOW:
+        raise ParseError(f"{count} logged nonces, more than the {NONCE_WINDOW} kept", position=nonces_at)
+    nonce_log = [reader.take(16, "nonce") for _ in range(count)]
     reader.end("controller state")
-    if nonces_drawn < len(nonce_log):
-        raise ParseError(f"{len(nonce_log)} logged nonces but {nonces_drawn} drawn", position=nonces_at)
-    nonces_used = set(nonce_log)
-    if len(nonces_used) != len(nonce_log):
+    if nonces_drawn < count:
+        raise ParseError(f"{count} logged nonces but {nonces_drawn} drawn", position=nonces_at)
+    if len(set(nonce_log)) != count:
         raise ParseError("attestation nonce log repeats a nonce", position=nonces_at)
     try:
         ctrl = Controller(trusted_root=trusted_root, mode=mode, policy=LocalPolicy(window=window, allowed_models=allowed), clock=clock, rng=rng)
@@ -376,6 +380,5 @@ def decode_controller(data: bytes, rng: random.Random | None = None) -> Controll
     ctrl.registry = registry
     ctrl.seen_targets = seen
     ctrl.nonces_drawn = nonces_drawn
-    ctrl.nonce_log = nonce_log
-    ctrl._nonces_used = nonces_used
+    ctrl.nonce_log.extend(nonce_log)
     return ctrl

@@ -162,7 +162,6 @@ class Device:
         self._active = 0
         self._installed_version = 0
         self._session: _Session | None = None
-        self._served_nonces: set[bytes] = set()
         self._writes_done = 0
         self._trust: TrustedState | None = None  # the TUF client, in comparison mode only
 
@@ -379,13 +378,12 @@ class Device:
     def attest(self, nonce: bytes) -> AttestationReport:
         """MAC over (device id, verifier nonce, active-image measurement).
 
-        Nonces are single-use; freshness needs no device clock.
+        Any NONCE_LEN-byte nonce is answered and none is remembered: freshness
+        is the verifier's check that the report carries the nonce it has just
+        drawn, so it needs neither a device clock nor device state.
         """
         if len(nonce) != crypto.NONCE_LEN:
             raise AttestationRefused(f"attestation nonce must be {crypto.NONCE_LEN} bytes")
-        if nonce in self._served_nonces:
-            raise AttestationRefused("nonce already served")
-        self._served_nonces.add(nonce)
         artifact = self._banks[self._active].artifact or b""
         measurement = crypto.hash_data(artifact)
         tag = crypto.attestation_tag(self.__attestation_key, self.device_id, nonce, measurement)
@@ -466,10 +464,6 @@ def encode_flash(device: Device) -> bytes:
     oem_public, attestation_key = device._secure_store()
     out += oem_public
     out += attestation_key
-    nonces = sorted(device._served_nonces)
-    out += struct.pack(">I", len(nonces))
-    for nonce in nonces:
-        out += nonce
     return bytes(out)
 
 
@@ -487,7 +481,6 @@ def decode_flash(data: bytes, rng: random.Random | None = None) -> Device:
     banks = [_unpack_bank(reader), _unpack_bank(reader)]
     oem_public = reader.take(32, "oem public key")
     attestation_key = reader.take(32, "attestation key")
-    nonces = set(reader.increasing(reader.u32("nonce count"), lambda what: reader.take(16, what), "nonce"))
     reader.end("flash image")
     device = Device(
         device_model=model,
@@ -501,5 +494,4 @@ def decode_flash(data: bytes, rng: random.Random | None = None) -> Device:
     device._active = active
     device._installed_version = installed
     device.needs_replacement = needs_replacement
-    device._served_nonces = nonces
     return device

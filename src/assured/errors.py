@@ -146,9 +146,9 @@ class NotVerifiedBySync(AssuredError):
 
 
 class NonceCollision(AssuredError):
-    """The controller drew an attestation nonce it has already used."""
+    """The controller drew an attestation nonce that is still in its window
+    of the last NONCE_WINDOW attestation nonces."""
 
 
 class AttestationRefused(AssuredError):
-    """Device refused to serve an attestation nonce: one it has already
-    served (replay), or one that is not NONCE_LEN bytes."""
+    """Device refused an attestation nonce that is not NONCE_LEN bytes."""

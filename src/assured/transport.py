@@ -136,6 +136,7 @@ DEVICE_OPS = tuple(name for name in vars(LocalDevicePort) if not name.startswith
 # outside these tables is a ParseError.
 
 _HEADER_CAP = 1 << 20  # bytes in a header line, newline included
+_NESTING_CAP = 8  # arrays and objects in a header, nested; an attestation report reply, the deepest sent, nests 6
 _FRAME_CAP = 16 << 20  # bytes in a header and its segments, 4x those of a 4 MiB artifact's frames
 
 _WIRE_ENUMS = {cls.__name__: cls for cls in (Mode, RoleKind)}
@@ -291,18 +292,25 @@ def _read_frame(stream) -> dict | None:
         raise EOFError("stream ended inside a frame segment")
     if not isinstance(header, dict) or tuple(header) not in _HEADER_KEYS or header.get("sizes") == []:
         raise ParseError(f"not a frame header: {line!r:.80}", "header")
-    try:
-        if json.dumps(header).encode("ascii") + b"\n" != line:
-            raise ParseError("frame header is not in canonical form", "header")
-        if "args" in header and not isinstance(header["args"], list):
-            raise ParseError(f"args of {header['op']!r:.80} are not a list", "args")
-        cursor = _Segments(segments)
-        message = {key: [_decode_value(arg, cursor) for arg in value] if key == "args" else _decode_value(value, cursor)
-                   for key, value in header.items() if key != "sizes"}
-        cursor.end()
-        return message
-    except RecursionError as exc:  # nested too deeply to re-encode or decode
-        raise ParseError(f"frame header is nested too deeply: {exc!r:.80}", "header") from exc
+    # the arrays and objects one level below the header object, then each next level
+    # down; "sizes", checked above, holds only integers
+    level = [value for key, value in header.items() if key != "sizes" and isinstance(value, (dict, list))]
+    for _ in range(_NESTING_CAP - 1):
+        if not level:
+            break
+        level = [item for value in level for item in (value.values() if isinstance(value, dict) else value)
+                 if isinstance(item, (dict, list))]
+    if level:
+        raise ParseError(f"frame header nests more than {_NESTING_CAP} deep", "header")
+    if json.dumps(header).encode("ascii") + b"\n" != line:
+        raise ParseError("frame header is not in canonical form", "header")
+    if "args" in header and not isinstance(header["args"], list):
+        raise ParseError(f"args of {header['op']!r:.80} are not a list", "args")
+    cursor = _Segments(segments)
+    message = {key: [_decode_value(arg, cursor) for arg in value] if key == "args" else _decode_value(value, cursor)
+               for key, value in header.items() if key != "sizes"}
+    cursor.end()
+    return message
 
 
 def _decode_frame(frame: bytes) -> dict:
@@ -362,13 +370,32 @@ def _line_reader(sock: socket.socket) -> io.BufferedReader:
 
 # --- servers -----------------------------------------------------------------------------
 
+def _exact(annotation):
+    """The test that a value is exactly of type ``annotation``: a class,
+    ``list[class]`` or a ``|`` union of classes (so a bool is not an int)."""
+    if typing.get_origin(annotation) is list:
+        [item] = typing.get_args(annotation)
+        return lambda value: type(value) is list and set(map(type, value)) <= {item}
+    kinds = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
+    return lambda value: type(value) in kinds
+
+
 class _Server(socketserver.ThreadingTCPServer):
     """Serves ``port_type(actor)`` on ``listen`` (``host:port`` or a unix-socket path): runs
-    each request ``{"op": name, "args": [value, ...]}`` whose name is in ``ops``."""
+    each request ``{"op": name, "args": [value, ...]}`` whose name is in ``ops`` and whose
+    args are exactly of the types the op's parameters are annotated with."""
 
     allow_reuse_address = True
     daemon_threads = True
     after_op = None  # persistence hook, e.g. flash write-back
+
+    def __init_subclass__(cls) -> None:
+        # per op, read once: the exact-type test of each parameter, and the return annotation
+        cls.op_types = {}
+        for op in cls.ops:
+            hints = typing.get_type_hints(getattr(cls.port_type, op))
+            returns = hints.pop("return")
+            cls.op_types[op] = ([_exact(hint) for hint in hints.values()], returns)
 
     def __init__(self, actor, listen: str = "127.0.0.1:0") -> None:
         unix = is_unix_address(listen)
@@ -404,8 +431,12 @@ class _Server(socketserver.ThreadingTCPServer):
             op = request.get("op")
             if op not in self.ops:
                 raise AssuredError(f"unknown op {op!r}")
+            params, _ = self.op_types[op]
+            args = request["args"]
+            if len(args) != len(params) or not all(conforms(arg) for conforms, arg in zip(params, args)):
+                raise ParseError(f"args of {op!r} are not of its parameter types: {args!r:.80}", "args")
             with self._lock:
-                return getattr(self.port_impl, op)(*request["args"])
+                return getattr(self.port_impl, op)(*args)
         finally:
             if self.after_op is not None:
                 self.after_op()
@@ -504,7 +535,8 @@ class _RemotePort:
 
     def __init_subclass__(cls, server: type[_Server]) -> None:
         for op in server.ops:
-            setattr(cls, op, _forward(op, typing.get_type_hints(getattr(server.port_type, op))["return"]))
+            _, returns = server.op_types[op]
+            setattr(cls, op, _forward(op, returns))
 
     def __init__(self, address: str) -> None:
         self._client = _LineClient(address)
@@ -514,14 +546,8 @@ class _RemotePort:
 
 
 def _forward(op: str, returns):
-    """The method that runs ``op`` and returns its result if it is exactly of type
-    ``returns``: a class, ``list[class]`` or a ``|`` union of classes."""
-    if typing.get_origin(returns) is list:
-        [item] = typing.get_args(returns)
-        conforms = lambda result: type(result) is list and all(type(element) is item for element in result)
-    else:
-        kinds = typing.get_args(returns) if isinstance(returns, types.UnionType) else (returns,)
-        conforms = lambda result: type(result) in kinds
+    """The method that runs ``op`` and returns its result if it is exactly of type ``returns``."""
+    conforms = _exact(returns)
 
     def call(self, *args):
         result = self._client.call(op, *args)

@@ -12,8 +12,7 @@ import pytest
 
 from assured import cli
 from assured.cli import main
-from assured.controller import load_controller
-from assured.device import load_flash, save_flash
+from assured.controller import load_controller, save_controller
 from assured.harness import AdversaryRow
 from assured.transport import LocalDevicePort
 
@@ -143,16 +142,18 @@ def test_attest_twice_with_one_seed(workspace, capsys):
 
 def test_a_seeded_attestation_recovers_after_a_refusal(workspace, capsys):
     """A refused attestation still counts the nonce it drew, so the next run
-    with the same seed draws a fresh nonce and verifies."""
+    with the same seed draws a fresh nonce and verifies. The refusal here is
+    the controller's own: its log already holds the nonce the seed draws."""
     _fleet(workspace, capsys)
-    device = load_flash("dev.flash")
-    device.attest(random.Random(f"6:{load_controller('ctrl.bin').nonces_drawn}").randbytes(16))
-    save_flash(device, "dev.flash")
+    ctrl = load_controller("ctrl.bin")
+    ctrl.nonces_drawn = 1
+    ctrl.nonce_log.append(random.Random("6:1").randbytes(16))
+    save_controller(ctrl, "ctrl.bin")
     argv = ["controller", "attest", "--state", "ctrl.bin", "--device", "9", "--flash", "dev.flash", "--seed", "6"]
     code, out = run(capsys, *argv)
     assert code == 1
-    _one_error_line(out, "AttestationRefused")
-    assert load_controller("ctrl.bin").nonces_drawn == 1
+    _one_error_line(out, "NonceCollision")
+    assert load_controller("ctrl.bin").nonces_drawn == 2
     code, out = run(capsys, *argv)
     assert code == 0 and "attestation verified" in out, out
 

@@ -18,6 +18,7 @@ from assured.authorization import (
     serialize_envelope,
 )
 from assured.controller import (
+    NONCE_WINDOW,
     AttestOutcome,
     Controller,
     LocalPolicy,
@@ -26,7 +27,7 @@ from assured.controller import (
     load_controller,
     save_controller,
 )
-from assured.device import Device, InstallMode, InstallOutcome
+from assured.device import Device, InstallMode, InstallOutcome, encode_flash
 from assured.errors import (
     BindingMismatch,
     DeliveryFailed,
@@ -726,6 +727,41 @@ def test_loaded_nonce_log_still_refuses_reuse(tmp_path, controller, repo_port, d
     loaded = load_controller(str(tmp_path / "controller.state"), rng=RepeatingRng(controller.nonce_log[-1]))
     with pytest.raises(NonceCollision):
         loaded.request_attestation(device_port, DEVICE_ID)
+
+
+def test_attestation_nonce_state_stays_bounded(tmp_path, controller, device_port):
+    """NONCE_WINDOW + 100 attestations of one device: its flash image keeps
+    its size, and the controller keeps the last NONCE_WINDOW nonces, which it
+    refuses to draw again, also once saved and loaded, and no older one."""
+    enroll(controller, device_port)
+    flash_sizes, state_sizes, drawn = [], [], []
+    for _ in range(NONCE_WINDOW + 100):
+        assert controller.request_attestation(device_port, DEVICE_ID).verified
+        drawn.append(controller.nonce_log[-1])
+        flash_sizes.append(len(encode_flash(device_port.device)))
+        state_sizes.append(len(encode_controller(controller)))
+    assert flash_sizes == [flash_sizes[0]] * len(flash_sizes)
+    assert len(controller.nonce_log) == NONCE_WINDOW
+    assert list(controller.nonce_log) == drawn[-NONCE_WINDOW:]
+    full = state_sizes[NONCE_WINDOW - 1]
+    assert state_sizes[NONCE_WINDOW - 2] < full
+    assert state_sizes[NONCE_WINDOW - 1 :] == [full] * 101
+    path = str(tmp_path / "controller.state")
+    save_controller(controller, path)
+    for ctrl in (controller, load_controller(path)):
+        ctrl.rng = RepeatingRng(drawn[-NONCE_WINDOW])
+        with pytest.raises(NonceCollision):
+            ctrl.request_attestation(device_port, DEVICE_ID)
+        ctrl.rng = RepeatingRng(drawn[-NONCE_WINDOW - 1])  # out of the window
+        assert ctrl.request_attestation(device_port, DEVICE_ID).verified
+
+    data = encode_controller(load_controller(path))
+    count_at = len(data) - NONCE_WINDOW * 16 - 4
+    assert data[count_at : count_at + 4] == struct.pack(">I", NONCE_WINDOW)
+    longer = data[:count_at] + struct.pack(">I", NONCE_WINDOW + 1) + data[count_at + 4 :] + b"\xee" * 16
+    with pytest.raises(ParseError, match=f"{NONCE_WINDOW + 1} logged nonces, more than the {NONCE_WINDOW}") as caught:
+        decode_controller(longer)
+    assert caught.value.position == count_at
 
 
 @pytest.fixture(scope="module")

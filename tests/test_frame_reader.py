@@ -5,18 +5,24 @@ a frame it cannot delimit apart from any other malformed frame."""
 import io
 import json
 import socket
-import sys
+import threading
 
 import pytest
 
 from assured import crypto, errors, transport
+from assured.device import AttestationReport
+from assured.metadata import RoleKind
 from assured.repository import new_repository
 from assured.transport import (
     _FRAME_CAP,
+    _HEADER_CAP,
+    _NESTING_CAP,
     RemoteRepoPort,
     RepoServer,
     _line_reader,
     _LineClient,
+    _decode_frame,
+    _encode_frame,
     _read_frame,
     parse_listen_address,
     serve_in_thread,
@@ -82,49 +88,71 @@ def nested(depth: int) -> bytes:
     return b"[" * depth + b"]" * depth
 
 
-def too_deep(past_the_parser: bool) -> bytes:
-    """A header value nested too deeply for the frame reader, worked out on
-    this interpreter at the caller's stack: the deepest array ``json.loads``
-    still parses here, less a margin for the reader's own frames, so that
-    re-encoding or decoding it is what hits the recursion limit; or 50
-    levels deeper, past the parser unless it parses every depth the search
-    tries. Under CPython 3.11's default limit of 1000 that is about 940 and
-    1000 levels. From 3.12 the parser counts against a separate C limit and
-    each decoded level costs one frame, not two, which is why no fixed
-    depth serves every version."""
-    low, high = 0, 4 * sys.getrecursionlimit()
-    while low < high:  # the deepest nesting json.loads parses, at most ``high``
-        mid = (low + high + 1) // 2
-        try:
-            json.loads(nested(mid))
-            low = mid
-        except RecursionError:
-            high = mid - 1
-    assert low > sys.getrecursionlimit() // 4, "json.loads parses almost no nesting here"
-    return nested(low + 50 if past_the_parser else low - 20)
+def nesting(value) -> int:
+    """How deep ``value`` nests arrays and objects."""
+    if isinstance(value, (dict, list)):
+        return 1 + max(map(nesting, value.values() if isinstance(value, dict) else value), default=0)
+    return 0
 
 
-WHERE = pytest.mark.parametrize("past_the_parser", [False, True], ids=["decoded", "parsed"])
+# two header values, args or a result: the header object around one nests
+# one level deeper, just past the cap, or past what json.loads parses
+PAST_THE_CAP = nested(_NESTING_CAP)
+PAST_THE_PARSER = nested((_HEADER_CAP - 64) // 2)
+
+
+def test_the_deeper_value_is_past_the_parser_and_within_the_header_cap():
+    with pytest.raises(RecursionError):
+        json.loads(PAST_THE_PARSER)
+    assert len(b'{"op": "clock", "args": %s}\n' % PAST_THE_PARSER) <= _HEADER_CAP
+
+
+def test_a_header_nested_as_deep_as_the_cap_is_read():
+    line = b'{"op": "clock", "args": %s}\n' % nested(_NESTING_CAP - 1)
+    assert nesting(json.loads(line)) == _NESTING_CAP
+    message = _read_frame(io.BytesIO(line))
+    assert message["op"] == "clock" and nesting(message["args"]) == _NESTING_CAP - 1
+
+
+@pytest.mark.parametrize(
+    "message",
+    [{"ok": True, "result": AttestationReport(2, b"n" * 16, b"m" * 32, b"t" * 32)},
+     {"ok": False, "error": errors.ReplayOrReorder(1, 2)},
+     {"op": "fetch_roles", "args": [[RoleKind.ROOT, RoleKind.TARGETS]]}],
+    ids=["report-reply", "error-reply", "role-list-request"],
+)
+def test_the_cap_admits_the_deepest_headers_the_ports_send(message):
+    frame = _encode_frame(message)
+    assert nesting(json.loads(frame.split(b"\n")[0])) <= 6 < _NESTING_CAP
+    assert _encode_frame(_decode_frame(frame)) == frame
+
+
+WHERE = pytest.mark.parametrize(
+    "deep, refusal",
+    [(PAST_THE_CAP, f"frame header nests more than {_NESTING_CAP} deep"), (PAST_THE_PARSER, "frame header is not JSON")],
+    ids=["past-the-cap", "past-the-parser"],
+)
 
 
 @WHERE
-def test_a_deeply_nested_header_is_a_parse_error(past_the_parser):
-    with pytest.raises(errors.ParseError) as caught:
-        _read_frame(io.BytesIO(b'{"op": "clock", "args": [%s]}\n' % too_deep(past_the_parser)))
+def test_a_deeply_nested_header_is_a_parse_error(deep, refusal):
+    with pytest.raises(errors.ParseError, match=refusal) as caught:
+        _read_frame(io.BytesIO(b'{"op": "clock", "args": %s}\n' % deep))
     assert caught.value.position == "header"
 
 
 @WHERE
-def test_a_server_answers_a_deeply_nested_request_with_parse_error_and_keeps_serving(past_the_parser):
+def test_a_server_answers_a_deeply_nested_request_with_parse_error_and_keeps_serving(deep, refusal):
     keys = [crypto.signing_key_from_seed(bytes([i]) * 32) for i in range(6)]
     server = RepoServer(new_repository(keys[:2], keys[2:4], keys[4:5], keys[5:]))
     address = parse_listen_address(serve_in_thread(server))
     try:
         with socket.create_connection(address, timeout=10) as sock, _line_reader(sock) as reader:
-            sock.sendall(b'{"op": "clock", "args": [%s]}\n' % too_deep(past_the_parser))
+            sock.sendall(b'{"op": "clock", "args": %s}\n' % deep)
             reply = _read_frame(reader)
             assert reply["ok"] is False
             assert type(reply["error"]) is errors.ParseError
+            assert str(reply["error"]).startswith(refusal)
             sock.sendall(b'{"op": "clock", "args": []}\n')
             assert _read_frame(reader) == {"ok": True, "result": 0}
     finally:
@@ -133,12 +161,15 @@ def test_a_server_answers_a_deeply_nested_request_with_parse_error_and_keeps_ser
 
 
 @WHERE
-def test_a_client_raises_a_deeply_nested_reply_as_parse_error_and_closes(past_the_parser):
+def test_a_client_raises_a_deeply_nested_reply_as_parse_error_and_closes(deep, refusal):
     near, far = socket.socketpair()
     with far:
-        far.sendall(b'{"ok": true, "result": %s}\n' % too_deep(past_the_parser))
+        # sent from a thread: the deeper reply is more than a socket buffer holds
+        sender = threading.Thread(target=far.sendall, args=(b'{"ok": true, "result": %s}\n' % deep,), daemon=True)
+        sender.start()
         client = _LineClient.__new__(_LineClient)
         client._sock, client._reader = near, _line_reader(near)
-        with pytest.raises(errors.ParseError):
+        with pytest.raises(errors.ParseError, match=refusal):
             client.call("clock")
+        sender.join(timeout=10)
     assert client._sock.fileno() == -1  # closed: no later reply can answer a next call

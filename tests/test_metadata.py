@@ -308,6 +308,46 @@ class TestInvariantsAtConstruction:
                 RoleMetadata(role=role, version=1, expires=10, body=body, signatures=[])
 
 
+# --- a blob holding what a constructor refuses is a ParseError at its position --------
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_signatures_that_repeat_a_key_id_are_a_parse_error(repo, mode):
+    meta = repo.metadata.by_role(RoleKind.TIMESTAMP)
+    [(kid, sig)] = meta.signatures
+    blob = serialize_canonical(meta, mode)
+    if mode is Mode.FIXED_BINARY:
+        count_at = len(blob) - 2 - 32 - 64
+        assert blob[count_at:] == struct.pack(">H", 1) + kid + sig
+        doubled, position = blob[:count_at] + struct.pack(">H", 2) + (kid + sig) * 2, len(blob) + 96
+    else:
+        entry = b'{"kid":"%s","sig":"%s"}' % (base64.b64encode(kid), base64.b64encode(sig))
+        assert blob.count(entry) == 1
+        doubled, position = blob.replace(entry, entry + b"," + entry), "$"
+    with pytest.raises(ParseError, match="^key_ids within one metadata object must be distinct") as caught:
+        parse(doubled, mode)
+    assert caught.value.position == position
+
+
+def test_a_fixed_binary_targets_body_that_repeats_a_name_is_a_parse_error(role_keys):
+    records = [TargetRecord(name=name, hash=bytes(32), size=1) for name in ("fw-a", "fw-b")]
+    meta = build_and_sign(TargetsBody(records=records), 1, 10, role_keys[RoleKind.TARGETS])
+    blob = serialize_canonical(meta, Mode.FIXED_BINARY)
+    assert blob.count(b"fw-b") == 1
+    with pytest.raises(ParseError, match="^target names must be unique") as caught:
+        parse(blob.replace(b"fw-b", b"fw-a"), Mode.FIXED_BINARY)
+    # at the end of the records: the signature count and signatures follow
+    assert caught.value.position == len(blob) - 2 - 96 * len(meta.signatures)
+
+
+def test_a_json_root_body_with_a_fifth_key_is_a_parse_error(repo):
+    blob = serialize_canonical(repo.metadata.root, Mode.JSON)
+    assert blob.startswith(b'{"body":{"root":')
+    with pytest.raises(ParseError, match="^root body must list exactly the four roles") as caught:
+        parse(blob.replace(b'{"body":{', b'{"body":{"extra":[1,[]],', 1), Mode.JSON)
+    assert caught.value.position == "$.body"
+
+
 # --- the fixed-binary decoder accepts exactly what the encoder writes ----------------
 
 

@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
+import typing
 import warnings
 from pathlib import Path
 
@@ -596,6 +597,57 @@ def test_device_server_refuses_names_outside_its_ops(device_pair, op):
     with pytest.raises(errors.AssuredError, match="unknown op"):
         remote._client.call(op)
     assert remote.info()["id"] == 2
+
+
+BAD_REPO_ARGS = {
+    "roles-not-enums": ("fetch_roles", [["x"]]),
+    "roles-not-a-list": ("fetch_roles", ["root"]),
+    "ticks-text": ("advance_clock", ["x"]),
+    "ticks-bool": ("advance_clock", [True]),
+    "clock-with-an-arg": ("clock", [1]),
+    "name-an-int": ("fetch_envelope", [5]),
+    "roles-missing": ("fetch_roles", []),
+    "envelope-text": ("publish", ["fw", "text"]),
+}
+
+
+@pytest.mark.parametrize("op, args", BAD_REPO_ARGS.values(), ids=BAD_REPO_ARGS.keys())
+def test_repo_server_refuses_args_its_op_does_not_take(repo_pair, op, args):
+    local, remote = repo_pair
+    with pytest.raises(errors.ParseError, match=f"args of {op!r} are not of its parameter types") as caught:
+        remote._client.call(op, *args)
+    assert type(caught.value) is errors.ParseError and caught.value.position == "args"
+    # the op did not run, and the connection answers the next call
+    assert remote.clock() == local.clock() == 0
+    assert remote.fetch_roles([RoleKind.ROOT]) == local.fetch_roles([RoleKind.ROOT])
+
+
+BAD_DEVICE_ARGS = {
+    "bank-text": ("corrupt_flash", ["0", 1]),
+    "value-an-int": ("set_suppress_install", [1]),
+    "frames-not-bytes": ("exchange", [[b"x", "y"]]),
+    "nonce-missing": ("hello", []),
+    "nonce-and-more": ("attest", [bytes(16), bytes(16)]),
+}
+
+
+@pytest.mark.parametrize("op, args", BAD_DEVICE_ARGS.values(), ids=BAD_DEVICE_ARGS.keys())
+def test_device_server_refuses_args_its_op_does_not_take(device_pair, op, args):
+    local, remote = device_pair
+    with pytest.raises(errors.ParseError, match=f"args of {op!r} are not of its parameter types") as caught:
+        remote._client.call(op, *args)
+    assert caught.value.position == "args"
+    assert remote.info() == local.info()
+    assert remote.boot() == local.boot()
+
+
+def test_a_server_reads_no_type_hints_per_call(repo_pair, device_pair, monkeypatch):
+    def unread(*args, **kwargs):
+        raise AssertionError("type hints read per call")
+
+    monkeypatch.setattr(typing, "get_type_hints", unread)
+    assert repo_pair[1].fetch_roles([RoleKind.ROOT]) == repo_pair[0].fetch_roles([RoleKind.ROOT])
+    assert device_pair[1].attest(bytes(16)) == device_pair[0].attest(bytes(16))
 
 
 @contextlib.contextmanager
