@@ -11,11 +11,12 @@ Frame layout (byte-exact wire contract):
     8-byte big-endian sequence || 4-byte big-endian payload length
     || ciphertext || 32-byte HMAC tag over everything before the tag
 
-Every channel plaintext is one kind byte (``MSG_*``) and its payload. Each
-direction's ``SessionKeys`` keys one AES-CTR context and one HMAC state once;
-a frame resets the context to its counter block ``sequence || 0^8`` and tags
-with a copy of the keyed HMAC state, so a frame's bytes are those of a fresh
-cipher and MAC under the same keys. A key object belongs to one channel end.
+Every channel plaintext is one kind byte (``MSG_*``) and its payload. A
+frame's tag is one HMAC-SHA256 over ``header || ciphertext`` under the
+direction's ``mac_key``. Only the AES-CTR context is kept per direction: each
+direction's ``SessionKeys`` keys it once, and a frame resets it to its counter
+block ``sequence || 0^8``, so a frame's bytes are those of a fresh cipher
+under the same key. A key object belongs to one channel end.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher, modes
+# bound once: every lookup through the ``algorithms`` module costs a deprecation check
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
 
 from .codec import cached
 from .errors import AuthFailure, ChannelError, MalformedFrame, ReplayOrReorder
@@ -62,7 +65,7 @@ def hash_data(data: bytes) -> bytes:
 
 def mac(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256 tag of ``message`` under ``key`` (32 bytes)."""
-    return _hmac.new(key, message, hashlib.sha256).digest()
+    return _hmac.digest(key, message, "sha256")
 
 
 def mac_equal(a: bytes, b: bytes) -> bool:
@@ -149,14 +152,17 @@ def key_id(public: bytes) -> bytes:
 
 # --- session keys and channel frames -------------------------------------------
 
+# a mode object is an immutable value, so every context starts from this one
+_CTR_MODE = modes.CTR(bytes(16))
+
+
 @dataclass(frozen=True)
 class SessionKeys:
-    """One direction's keys, and the AES-CTR context and HMAC state keyed
-    from them once, on first use.
+    """One direction's keys, and the AES-CTR context keyed from ``enc_key``
+    once, on first use.
 
-    Sealing and opening reset the context and copy the state, so a key
-    object is mutable state: it belongs to one channel end and is not
-    shared across threads.
+    Sealing and opening reset the context, so a key object is mutable state:
+    it belongs to one channel end and is not shared across threads.
     """
 
     enc_key: bytes
@@ -165,12 +171,7 @@ class SessionKeys:
     @cached
     def ctr(self):
         """AES-CTR encryptor under ``enc_key``; every frame resets its counter block."""
-        return Cipher(algorithms.AES(self.enc_key), modes.CTR(bytes(16))).encryptor()
-
-    @cached
-    def keyed_mac(self):
-        """HMAC-SHA256 state keyed with ``mac_key`` and fed nothing; frames tag with copies."""
-        return _hmac.new(self.mac_key, digestmod=hashlib.sha256)
+        return Cipher(AES(self.enc_key), _CTR_MODE).encryptor()
 
 
 def derive_session_keys(master: bytes, controller_nonce: bytes, device_nonce: bytes) -> SessionKeys:
@@ -188,26 +189,18 @@ def derive_session_keys(master: bytes, controller_nonce: bytes, device_nonce: by
     )
 
 
-def _keystream_xor(keys: SessionKeys, sequence: int, data: bytes) -> bytes:
-    # CTR initial block is the frame sequence; sequences never repeat within
-    # a direction, so counter blocks never collide. The reset also drops any
-    # keystream left over from the previous frame's partial block.
-    keys.ctr.reset_nonce(struct.pack(">Q", sequence) + bytes(8))
-    return keys.ctr.update(data)
-
-
-def _frame_tag(keys: SessionKeys, header: bytes, ciphertext: bytes) -> bytes:
-    state = keys.keyed_mac.copy()
-    state.update(header)
-    state.update(ciphertext)
-    return state.digest()
+_FRAME_HEADER = struct.Struct(">QI")
+# CTR initial block is the frame sequence; sequences never repeat within a
+# direction, so counter blocks never collide. The reset also drops any
+# keystream left over from the previous frame's partial block.
+_COUNTER_BLOCK = struct.Struct(">Q8x")
 
 
 def seal(keys: SessionKeys, sequence: int, plaintext: bytes) -> bytes:
     """Encrypt-then-MAC ``plaintext`` into a framed message."""
-    header = struct.pack(">QI", sequence, len(plaintext))
-    ciphertext = _keystream_xor(keys, sequence, plaintext)
-    return header + ciphertext + _frame_tag(keys, header, ciphertext)
+    keys.ctr.reset_nonce(_COUNTER_BLOCK.pack(sequence))
+    signed = _FRAME_HEADER.pack(sequence, len(plaintext)) + keys.ctr.update(plaintext)
+    return signed + mac(keys.mac_key, signed)
 
 
 def open_frame(keys: SessionKeys, expected_sequence: int, frame: bytes) -> bytes:
@@ -221,17 +214,17 @@ def open_frame(keys: SessionKeys, expected_sequence: int, frame: bytes) -> bytes
     """
     if len(frame) < FRAME_OVERHEAD:
         raise MalformedFrame(f"frame of {len(frame)} bytes is shorter than the fixed overhead")
-    header = frame[:FRAME_HEADER_LEN]
-    body = frame[FRAME_HEADER_LEN:-TAG_LEN]
-    tag = frame[-TAG_LEN:]
-    if not mac_equal(tag, _frame_tag(keys, header, body)):
+    signed = frame[:-TAG_LEN]
+    if not mac_equal(frame[-TAG_LEN:], mac(keys.mac_key, signed)):
         raise AuthFailure("frame tag mismatch")
-    sequence, length = struct.unpack(">QI", header)
+    sequence, length = _FRAME_HEADER.unpack_from(signed)
+    body = signed[FRAME_HEADER_LEN:]
     if len(body) != length:
         raise MalformedFrame(f"payload length field {length} != {len(body)} actual")
     if sequence != expected_sequence:
         raise ReplayOrReorder(expected_sequence, sequence)
-    return _keystream_xor(keys, sequence, body)
+    keys.ctr.reset_nonce(_COUNTER_BLOCK.pack(sequence))
+    return keys.ctr.update(body)
 
 
 class Channel:

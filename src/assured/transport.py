@@ -158,7 +158,7 @@ def _encode(value, segments: list[bytes]):
         segments.append(value)
         return {"bytes": len(segments) - 1}
     if isinstance(value, list):
-        if value and all(isinstance(item, bytes) for item in value):
+        if value and all(map(isinstance, value, itertools.repeat(bytes))):
             segments.extend(value)
             return {"run": [len(segments) - len(value), len(value)]}
         return [_encode(item, segments) for item in value]
@@ -202,7 +202,7 @@ def _decode_value(value, cursor: _Segments):
         return value
     if isinstance(value, list):
         items = [_decode_value(item, cursor) for item in value]
-        if items and all(type(item) is bytes for item in items):
+        if set(map(type, items)) == {bytes}:  # a non-empty list of bytes values
             raise ParseError("a list of bytes values is not sent as its run", "wire")
         return items
     if not isinstance(value, dict) or len(value) != 1:
@@ -427,19 +427,22 @@ class _Server(socketserver.ThreadingTCPServer):
                 connection.sendall(reply)
 
     def dispatch(self, request: dict):
-        try:
-            op = request.get("op")
-            if op not in self.ops:
-                raise AssuredError(f"unknown op {op!r}")
-            params, _ = self.op_types[op]
-            args = request["args"]
-            if len(args) != len(params) or not all(conforms(arg) for conforms, arg in zip(params, args)):
-                raise ParseError(f"args of {op!r} are not of its parameter types: {args!r:.80}", "args")
-            with self._lock:
+        """The result of the request's op. ``after_op`` runs once the op has
+        been called, also when it raised (it may have changed state first),
+        and not after a request refused before the call."""
+        op = request.get("op")
+        if op not in self.ops:
+            raise AssuredError(f"unknown op {op!r}")
+        params, _ = self.op_types[op]
+        args = request["args"]
+        if len(args) != len(params) or not all(conforms(arg) for conforms, arg in zip(params, args)):
+            raise ParseError(f"args of {op!r} are not of its parameter types: {args!r:.80}", "args")
+        with self._lock:
+            try:
                 return getattr(self.port_impl, op)(*args)
-        finally:
-            if self.after_op is not None:
-                self.after_op()
+            finally:
+                if self.after_op is not None:
+                    self.after_op()
 
     def display_address(self) -> str:
         if self.address_family == socket.AF_UNIX:

@@ -1,6 +1,8 @@
 """Primitive layer: known-answer vectors, determinism, bit-flip rejection,
 session-key derivation, channel framing, and the shared channel end."""
 
+import hashlib
+import hmac
 import struct
 
 import pytest
@@ -179,6 +181,13 @@ class TestMac:
         message = b"fixed"
         tags = {crypto.mac(rng.randbytes(32), message) for _ in range(100)}
         assert len(tags) == 100
+
+    @given(st.binary(max_size=200), st.binary(max_size=5000))
+    @example(b"k" * 64, b"")  # a key of exactly one block
+    @example(b"k" * 65, b"m")  # a key longer than the block, hashed first
+    @settings(max_examples=200)
+    def test_equals_the_hmac_object_path(self, key, message):
+        assert crypto.mac(key, message) == hmac.new(key, message, hashlib.sha256).digest()
 
 
 class TestSessionKeys:

@@ -650,6 +650,30 @@ def test_a_server_reads_no_type_hints_per_call(repo_pair, device_pair, monkeypat
     assert device_pair[1].attest(bytes(16)) == device_pair[0].attest(bytes(16))
 
 
+def test_after_op_runs_once_per_op_called_and_never_for_a_refused_request(oem_key):
+    server = DeviceServer(fresh_device(oem_key))
+    calls = []
+    server.after_op = lambda: calls.append(1)
+    remote = RemoteDevicePort(serve_in_thread(server))
+    try:
+        remote.info()
+        remote.verify_count()
+        assert len(calls) == 2
+        with pytest.raises(errors.AssuredError, match="unknown op"):
+            remote._client.call("nope")
+        with pytest.raises(errors.ParseError, match="not of its parameter types"):
+            remote._client.call("corrupt_flash", "0", 1)
+        assert len(calls) == 2
+        # an op that raises has been called, and may have changed state before it raised
+        with pytest.raises(ChannelError):
+            remote.hello(bytes(3))
+        assert len(calls) == 3
+    finally:
+        remote.close()
+        server.shutdown()
+        server.server_close()
+
+
 @contextlib.contextmanager
 def client_reading(reply: bytes, then_end: bool = False):
     """A client whose next reply is ``reply`` (then end of stream, if
