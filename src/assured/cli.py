@@ -5,6 +5,10 @@ Subcommands mirror the protocol actors: ``oem`` issues keys and tokens,
 attests against persisted state, ``device`` simulates a device process, and
 ``scenario``/``bench``/``adversary-suite`` drive the harness. ``token dump``
 hex-dumps a 136-byte token or an envelope for debugging.
+
+The ``controller`` and ``harness`` modules are imported inside the commands
+that run them, so the server processes (``repo serve``, ``device run``) never
+load them.
 """
 
 from __future__ import annotations
@@ -32,16 +36,8 @@ from .authorization import (
     serialize_envelope,
 )
 from .codec import read_file, write_file
-from .controller import Controller, LocalPolicy, load_controller, save_controller
-from .device import Device, InstallMode, load_flash, save_flash
+from .device import Device, InstallMode, decode_flash, encode_flash, load_flash, save_flash
 from .errors import AssuredError, NotFound, ParseError
-from .harness import (
-    BUILTIN_SCENARIOS,
-    adversary_table,
-    run_adversary_suite,
-    run_bench,
-    run_scenario,
-)
 from .metadata import Mode, parse
 from .repository import load_repository, new_repository, save_repository
 from .transport import (
@@ -77,12 +73,16 @@ def hex32(text: str) -> bytes:
 
 def maintenance_window(text: str) -> tuple[int, int]:
     """``start:end`` in ticks, checked by LocalPolicy."""
+    from .controller import LocalPolicy
+
     start, _, end = text.partition(":")
     return LocalPolicy(window=(int(start), int(end))).window
 
 
 def model_list(text: str) -> frozenset[int]:
     """Comma-separated models, checked by LocalPolicy."""
+    from .controller import LocalPolicy
+
     return LocalPolicy(allowed_models=frozenset(int(model) for model in text.split(","))).allowed_models
 
 
@@ -111,6 +111,8 @@ def _controller(args):
     seeded rng is derived from the seed and the count of nonces drawn, so
     repeated runs with one seed stay deterministic but never draw a
     handshake or attestation nonce again."""
+    from .controller import load_controller, save_controller
+
     ctrl = load_controller(args.state)
     if args.seed is not None:
         ctrl.rng = random.Random(f"{args.seed}:{ctrl.nonces_drawn}")
@@ -254,6 +256,8 @@ def cmd_repo_serve(args) -> int:
 # --- controller ------------------------------------------------------------------------
 
 def cmd_controller_init(args) -> int:
+    from .controller import Controller, LocalPolicy, save_controller
+
     with _repo_port(args.repo) as repo:
         mode = repo.mode()
         trusted_root = parse(repo.trusted_root_bytes(), mode)
@@ -340,7 +344,8 @@ def cmd_device_init(args) -> int:
 
 def cmd_device_run(args) -> int:
     if args.flash:
-        device = load_flash(args.flash, rng=random.Random(args.rng_seed))
+        flashed = read_file(args.flash)
+        device = decode_flash(flashed, rng=random.Random(args.rng_seed))
     else:
         for required in ("model", "id", "oem_public", "attestation_key"):
             if getattr(args, required) is None:
@@ -348,7 +353,16 @@ def cmd_device_run(args) -> int:
         device = _new_device(args, args.attestation_key, random.Random(args.rng_seed))
     server = DeviceServer(device, args.listen)
     if args.flash:
-        server.after_op = lambda: save_flash(device, args.flash)
+
+        def write_back() -> None:
+            # rewrite the file only when an op changed the image it holds
+            nonlocal flashed
+            image = encode_flash(device)
+            if image != flashed:
+                write_file(args.flash, image)
+                flashed = image
+
+        server.after_op = write_back
     return _serve(server)
 
 
@@ -365,6 +379,8 @@ def cmd_device_boot(args) -> int:
 # --- harness ----------------------------------------------------------------------------------
 
 def cmd_scenario_run(args) -> int:
+    from .harness import BUILTIN_SCENARIOS, run_scenario
+
     if os.path.exists(args.file):
         script = read_file(args.file)
         try:
@@ -390,6 +406,8 @@ def _write_records(path: str, records: list[dict]) -> None:
 
 
 def cmd_bench(args) -> int:
+    from .harness import run_bench
+
     modes = [args.mode] if args.mode != "both" else ["assured", "tuf"]
     records = []
     for mode in modes:
@@ -403,6 +421,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_adversary_suite(args) -> int:
+    from .harness import adversary_table, run_adversary_suite
+
     rows = run_adversary_suite(seed=args.seed)
     print(adversary_table(rows), end="")
     if args.records:

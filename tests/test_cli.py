@@ -10,11 +10,13 @@ import sys
 
 import pytest
 
-from assured import cli
+from assured import cli, device
 from assured.cli import main
+from assured.codec import write_file
 from assured.controller import load_controller, save_controller
+from assured.device import load_flash
 from assured.harness import AdversaryRow
-from assured.transport import LocalDevicePort
+from assured.transport import LocalDevicePort, RemoteDevicePort, serve_in_thread
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -237,7 +239,7 @@ def test_adversary_suite_names_each_undetected_attack(workspace, capsys, monkeyp
         AdversaryRow("replay", "channel", True, "auth_failure"),
         AdversaryRow("forged token", "device", False, "installed"),
     ]
-    monkeypatch.setattr(cli, "run_adversary_suite", lambda seed: rows)
+    monkeypatch.setattr("assured.harness.run_adversary_suite", lambda seed: rows)
     assert main(["adversary-suite"]) == 1
     err = capsys.readouterr().err
     assert "UNDETECTED: forged token (installed)" in err
@@ -367,6 +369,70 @@ def test_remote_controller_commands_close_their_connections(workspace, capsys):
             server.terminate()
             server.wait(timeout=10)
             server.stdout.close()
+
+
+def test_device_run_writes_the_flash_file_only_after_an_op_that_changed_it(workspace, capsys, monkeypatch):
+    """The server `device run --flash` starts, served in a thread: a delivery,
+    a corrupted bank and a fallback boot each write the file once, and ops
+    that leave the flash image as it was write nothing."""
+    _fleet(workspace, capsys, 2)
+    served = []
+    monkeypatch.setattr(cli, "_serve", lambda server: served.append(server) or 0)
+    assert main(["device", "run", "--flash", "dev.flash"]) == 0
+    (server,) = served
+    writes = []
+    # every binding of codec.write_file that a flash write-back can reach
+    for module in (cli, device):
+        monkeypatch.setattr(module, "write_file", lambda path, data: writes.append(path) or write_file(path, data))
+    address = serve_in_thread(server)
+    port = RemoteDevicePort(address)
+
+    def read_only_ops():
+        port.info()
+        port.verify_count()
+        port.attest(bytes(16))
+        assert port.boot().reason == ""
+
+    try:
+        read_only_ops()
+        assert writes == []
+
+        code, out = run(
+            capsys, "controller", "deliver", "--state", "ctrl.bin", "--repo", "repo",
+            "--device", "9", "--name", "fw2", "--device-addr", address,
+        )
+        assert code == 0 and "installed" in out, out
+        assert writes == ["dev.flash"]
+        assert load_flash("dev.flash").installed_version == 2
+        read_only_ops()
+        assert writes == ["dev.flash"]
+
+        active = port.info()["active_bank"]
+        port.corrupt_flash(active, 0)
+        assert len(writes) == 2
+        assert port.boot().reason == "fallback"
+        assert len(writes) == 3
+        fallen_back = load_flash("dev.flash")
+        assert (fallen_back.active_bank, fallen_back.installed_version) == (1 - active, 1)
+        read_only_ops()
+        assert len(writes) == 3
+    finally:
+        port.close()
+        server.shutdown()
+        server.server_close()
+
+
+def test_the_cli_loads_neither_the_controller_nor_the_harness_until_a_command_needs_them():
+    """Every command, the servers included, starts by importing assured.cli
+    and building its parser; that must not compile modules the servers never run."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, assured.cli; assured.cli.build_parser(); print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "assured.cli" in loaded and "assured.transport" in loaded
+    assert not loaded & {"assured.controller", "assured.harness"}
 
 
 # --- the error model: one usage error or one error line, never a traceback -------------
